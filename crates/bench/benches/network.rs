@@ -4,96 +4,48 @@
 //!
 //! Run with `cargo bench -p noc-bench --features bench`.
 
-use flit_reservation::{FrConfig, FrRouter};
 use noc_bench::harness::Harness;
-use noc_engine::trace::{NullSink, SharedSink, VecSink};
+use noc_engine::trace::{NullSink, SharedSink, TraceSink, VecSink};
 use noc_engine::Rng;
-use noc_flow::LinkTiming;
-use noc_network::Network;
+use noc_metrics::NullRecorder;
+use noc_network::{AnyNetwork, FlowControl};
 use noc_topology::Mesh;
 use noc_traffic::{LoadSpec, TrafficGenerator};
-use noc_vc::{VcConfig, VcRouter};
 
 const CYCLES: u64 = 2_000;
 
-fn bench_networks(h: &mut Harness) {
+/// `flow` at 50% load on the 8×8 mesh, every router tracing into
+/// `sink` alongside the network.
+fn network<S: TraceSink + Clone>(flow: &FlowControl, sink: S) -> AnyNetwork<S, S> {
     let mesh = Mesh::new(8, 8);
+    let root = Rng::from_seed(1);
+    let load = LoadSpec::fraction_of_capacity(0.5, 5);
+    let generator = TrafficGenerator::uniform(mesh, load, root.fork(9));
+    flow.build(mesh, generator, &root, sink.clone(), sink, NullRecorder)
+}
 
-    h.bench("network_cycles/vc8@50%", |b| {
-        b.iter(|| {
-            let root = Rng::from_seed(1);
-            let load = LoadSpec::fraction_of_capacity(0.5, 5);
-            let generator = TrafficGenerator::uniform(mesh, load, root.fork(9));
-            let mut net = Network::new(mesh, LinkTiming::fast_control(), 2, generator, |n| {
-                VcRouter::new(mesh, n, VcConfig::vc8(), root.fork(n.raw() as u64))
+fn bench_networks(h: &mut Harness) {
+    let vc8 = FlowControl::vc8();
+    let fr6 = FlowControl::fr6();
+    for (name, flow) in [
+        ("network_cycles/vc8@50%", &vc8),
+        ("network_cycles/fr6@50%", &fr6),
+    ] {
+        h.bench(name, |b| {
+            b.iter(|| {
+                let mut net = network(flow, NullSink);
+                net.run_cycles(CYCLES);
+                net.tracker().delivered_flits()
             });
-            net.run_cycles(CYCLES);
-            net.tracker().delivered_flits()
         });
-    });
-
-    h.bench("network_cycles/fr6@50%", |b| {
-        b.iter(|| {
-            let root = Rng::from_seed(1);
-            let load = LoadSpec::fraction_of_capacity(0.5, 5);
-            let generator = TrafficGenerator::uniform(mesh, load, root.fork(9));
-            let cfg = FrConfig::fr6();
-            let mut net = Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |n| {
-                FrRouter::new(mesh, n, cfg, root.fork(n.raw() as u64))
-            });
-            net.run_cycles(CYCLES);
-            net.tracker().delivered_flits()
-        });
-    });
-
-    // The disabled-tracing path through `with_tracer`: must be within
-    // noise (< 2%) of the plain constructor above, since `NullSink`
-    // emit sites const-fold away.
-    h.bench("network_cycles/fr6@50%+nullsink", |b| {
-        b.iter(|| {
-            let root = Rng::from_seed(1);
-            let load = LoadSpec::fraction_of_capacity(0.5, 5);
-            let generator = TrafficGenerator::uniform(mesh, load, root.fork(9));
-            let cfg = FrConfig::fr6();
-            let mut net = Network::with_tracer(
-                mesh,
-                cfg.timing,
-                cfg.control_lanes,
-                generator,
-                |n| FrRouter::with_tracer(mesh, n, cfg, root.fork(n.raw() as u64), NullSink),
-                NullSink,
-            );
-            net.run_cycles(CYCLES);
-            net.tracker().delivered_flits()
-        });
-    });
+    }
 
     // Full recording into a shared in-memory sink: the honest price of
     // tracing when it is actually on.
     h.bench("network_cycles/fr6@50%+vecsink", |b| {
         b.iter(|| {
-            let root = Rng::from_seed(1);
-            let load = LoadSpec::fraction_of_capacity(0.5, 5);
-            let generator = TrafficGenerator::uniform(mesh, load, root.fork(9));
-            let cfg = FrConfig::fr6();
             let sink = SharedSink::new(VecSink::new());
-            let router_sink = sink.clone();
-            let mut net = Network::with_tracer(
-                mesh,
-                cfg.timing,
-                cfg.control_lanes,
-                generator,
-                move |n| {
-                    FrRouter::with_tracer(
-                        mesh,
-                        n,
-                        cfg,
-                        root.fork(n.raw() as u64),
-                        router_sink.clone(),
-                    )
-                },
-                sink.clone(),
-            );
+            let mut net = network(&fr6, sink.clone());
             net.run_cycles(CYCLES);
             (
                 net.tracker().delivered_flits(),

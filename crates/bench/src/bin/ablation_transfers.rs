@@ -2,10 +2,12 @@
 //! before arrival (Figure 10). Binding early forces buffer-to-buffer
 //! transfers; this harness counts them across a loaded network.
 
-use flit_reservation::{BufferAllocPolicy, FrConfig, FrRouter};
+use flit_reservation::{BufferAllocPolicy, FrConfig};
 use noc_bench::{seed_from_env, Scale};
+use noc_engine::trace::NullSink;
 use noc_engine::Rng;
-use noc_network::{run_simulation, Network};
+use noc_metrics::NullRecorder;
+use noc_network::{run_simulation, AnyNetwork, FlowControl, TRAFFIC_STREAM};
 use noc_topology::Mesh;
 use noc_traffic::{LoadSpec, TrafficGenerator};
 
@@ -25,10 +27,13 @@ fn main() {
         };
         let root = Rng::from_seed(sim.seed);
         let spec = LoadSpec::fraction_of_capacity(load, 5);
-        let generator = TrafficGenerator::uniform(mesh, spec, root.fork(0x7261_6666_6963));
-        let mut network = Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |node| {
-            FrRouter::new(mesh, node, cfg, root.fork(node.raw() as u64))
-        });
+        let generator = TrafficGenerator::uniform(mesh, spec, root.fork(TRAFFIC_STREAM));
+        let flow = FlowControl::FlitReservation(cfg);
+        let AnyNetwork::Fr(mut network) =
+            flow.build(mesh, generator, &root, NullSink, NullSink, NullRecorder)
+        else {
+            unreachable!("an FR flow builds an FR network")
+        };
         let r = run_simulation(&mut network, &sim);
         let mut transfers = 0u64;
         let mut booked = 0u64;

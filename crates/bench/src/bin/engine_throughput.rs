@@ -35,14 +35,13 @@
 //! `--quick` (or set `FRFC_SCALE=tiny`) for a seconds-long smoke run —
 //! CI uses this to keep the harness from bit-rotting.
 
-use flit_reservation::{FrConfig, FrRouter};
 use noc_bench::seed_from_env;
+use noc_engine::trace::NullSink;
 use noc_engine::Rng;
-use noc_flow::{LinkTiming, Router};
-use noc_network::Network;
+use noc_metrics::NullRecorder;
+use noc_network::{AnyNetwork, FlowControl};
 use noc_topology::Mesh;
 use noc_traffic::{LoadSpec, TrafficGenerator};
-use noc_vc::{VcConfig, VcRouter};
 use std::time::Instant;
 
 /// One measured configuration.
@@ -83,27 +82,20 @@ impl Mode {
     }
 }
 
-fn vc_network(mesh: Mesh, load: f64, seed: u64) -> Network<VcRouter> {
+/// The `vc8` or `fr6` network at `load`, traffic on stream 99.
+fn network(router: &str, mesh: Mesh, load: f64, seed: u64) -> AnyNetwork {
+    let flow = match router {
+        "vc8" => FlowControl::vc8(),
+        _ => FlowControl::fr6(),
+    };
     let root = Rng::from_seed(seed);
     let spec = LoadSpec::fraction_of_capacity(load, 5);
     let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    Network::new(mesh, LinkTiming::fast_control(), 2, generator, |node| {
-        VcRouter::new(mesh, node, VcConfig::vc8(), root.fork(node.raw() as u64))
-    })
-}
-
-fn fr_network(mesh: Mesh, load: f64, seed: u64) -> Network<FrRouter> {
-    let root = Rng::from_seed(seed);
-    let spec = LoadSpec::fraction_of_capacity(load, 5);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let cfg = FrConfig::fr6();
-    Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |node| {
-        FrRouter::new(mesh, node, cfg, root.fork(node.raw() as u64))
-    })
+    flow.build(mesh, generator, &root, NullSink, NullSink, NullRecorder)
 }
 
 /// Warm the network into steady state, then time `measure` cycles.
-fn time_run<R: Router + Send>(mut net: Network<R>, mode: Mode, warmup: u64, measure: u64) -> f64 {
+fn time_run(mut net: AnyNetwork, mode: Mode, warmup: u64, measure: u64) -> f64 {
     match mode {
         Mode::StepAll => net.set_idle_skip(false),
         Mode::IdleSkip | Mode::Sharded(_) | Mode::Scale(_) => net.set_idle_skip(true),
@@ -157,10 +149,7 @@ fn main() {
     for (_, load) in loads {
         for mode in modes {
             for router in ["vc8", "fr6"] {
-                let cps = match router {
-                    "vc8" => time_run(vc_network(mesh, load, seed), mode, warmup, measure),
-                    _ => time_run(fr_network(mesh, load, seed), mode, warmup, measure),
-                };
+                let cps = time_run(network(router, mesh, load, seed), mode, warmup, measure);
                 println!(
                     "{:<6} {:>5.2} {:<12} {:>8} {:>14.0}",
                     router,
@@ -199,20 +188,12 @@ fn main() {
     for router in ["vc8", "fr6"] {
         for n in [1usize, 2, 4, 8] {
             let mode = Mode::Scale(n);
-            let cps = match router {
-                "vc8" => time_run(
-                    vc_network(scale_mesh, scale_load, seed),
-                    mode,
-                    scale_warmup,
-                    scale_measure,
-                ),
-                _ => time_run(
-                    fr_network(scale_mesh, scale_load, seed),
-                    mode,
-                    scale_warmup,
-                    scale_measure,
-                ),
-            };
+            let cps = time_run(
+                network(router, scale_mesh, scale_load, seed),
+                mode,
+                scale_warmup,
+                scale_measure,
+            );
             println!(
                 "{:<6} {:>5.2} {:<12} {:>8} {:>14.0}",
                 router,

@@ -3,32 +3,27 @@
 //! instantly — so the FR advantage should persist or grow relative to
 //! smooth constant-rate sources at equal mean load.
 
-use flit_reservation::{FrConfig, FrRouter};
 use noc_bench::{seed_from_env, Scale};
+use noc_engine::trace::NullSink;
 use noc_engine::Rng;
-use noc_flow::LinkTiming;
-use noc_network::{run_simulation, Network};
+use noc_metrics::NullRecorder;
+use noc_network::{FlowControl, SimConfig};
 use noc_topology::Mesh;
 use noc_traffic::{InjectionKind, LoadSpec, TrafficGenerator, Uniform};
-use noc_vc::{VcConfig, VcRouter};
 
-fn run(kind: InjectionKind, load: f64, fr: bool, sim: &noc_network::SimConfig) -> f64 {
+fn run(kind: InjectionKind, load: f64, fr: bool, sim: &SimConfig) -> f64 {
     let mesh = Mesh::new(8, 8);
     let root = Rng::from_seed(sim.seed);
     let spec = LoadSpec::fraction_of_capacity(load, 5);
     let generator = TrafficGenerator::new(mesh, spec, Box::new(Uniform), kind, root.fork(1));
-    if fr {
-        let cfg = FrConfig::fr6();
-        let mut net = Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |n| {
-            FrRouter::new(mesh, n, cfg, root.fork(n.raw() as u64))
-        });
-        run_simulation(&mut net, sim).mean_latency()
+    let flow = if fr {
+        FlowControl::fr6()
     } else {
-        let mut net = Network::new(mesh, LinkTiming::fast_control(), 2, generator, |n| {
-            VcRouter::new(mesh, n, VcConfig::vc8(), root.fork(n.raw() as u64))
-        });
-        run_simulation(&mut net, sim).mean_latency()
-    }
+        FlowControl::vc8()
+    };
+    flow.build(mesh, generator, &root, NullSink, NullSink, NullRecorder)
+        .simulate(sim)
+        .mean_latency()
 }
 
 fn main() {

@@ -3,10 +3,11 @@
 //! this harness shows latency degrading gracefully while delivery stays
 //! exact.
 
-use flit_reservation::{FrConfig, FrRouter};
 use noc_bench::{seed_from_env, Scale};
+use noc_engine::trace::NullSink;
 use noc_engine::Rng;
-use noc_network::{run_simulation, Network};
+use noc_metrics::NullRecorder;
+use noc_network::FlowControl;
 use noc_topology::Mesh;
 use noc_traffic::{LoadSpec, TrafficGenerator};
 
@@ -19,17 +20,15 @@ fn main() {
         "error rate", "latency", "ci95", "retries", "status"
     );
     for rate in [0.0, 0.001, 0.01, 0.05, 0.1] {
-        let cfg = FrConfig::fr6();
         let root = Rng::from_seed(sim.seed);
         let load = LoadSpec::fraction_of_capacity(0.5, 5);
         let generator = TrafficGenerator::uniform(mesh, load, root.fork(1));
-        let mut net = Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |n| {
-            FrRouter::new(mesh, n, cfg, root.fork(n.raw() as u64))
-        });
+        let mut net =
+            FlowControl::fr6().build(mesh, generator, &root, NullSink, NullSink, NullRecorder);
         if rate > 0.0 {
             net.set_control_error_rate(rate, 0xEC0DE);
         }
-        let r = run_simulation(&mut net, &sim);
+        let r = net.simulate(&sim);
         println!(
             "{:>11.1}% {:>11.1}c {:>12.2} {:>14} {:>10}",
             rate * 100.0,

@@ -6,7 +6,6 @@ use flit_reservation::FrConfig;
 use noc_bench::{seed_from_env, Scale};
 use noc_network::FlowControl;
 use noc_topology::Mesh;
-use noc_traffic::LoadSpec;
 
 fn main() {
     let mesh = Mesh::new(8, 8);
@@ -17,11 +16,10 @@ fn main() {
         "load", "margin 0", "margin 1", "margin 2"
     );
     for load in [0.3, 0.5, 0.65, 0.75] {
-        let spec = LoadSpec::fraction_of_capacity(load, 5);
         let mut row = format!("{:>7.0}%", load * 100.0);
         for margin in [0u64, 1, 2] {
             let fc = FlowControl::FlitReservation(FrConfig::fr6().with_sync_margin(margin));
-            let r = fc.run(mesh, spec, &sim);
+            let r = fc.run(mesh, load, 5, &sim);
             if r.completed {
                 row.push_str(&format!(" {:>13.1}c", r.mean_latency()));
             } else {

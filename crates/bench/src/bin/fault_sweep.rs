@@ -10,27 +10,30 @@
 //!
 //! `--quick` (or `FRFC_SCALE=tiny`) shrinks the sample for CI.
 
-use flit_reservation::FrConfig;
 use noc_bench::report::{manifest, write_rows_json};
 use noc_bench::{seed_from_env, Scale};
 use noc_faults::FaultPlan;
-use noc_flow::LinkTiming;
 use noc_metrics::Json;
-use noc_network::{FaultSummary, FlowControl, RunResult, SimConfig};
+use noc_network::{FlowControl, RunSpec, SimConfig};
 use noc_topology::Mesh;
-use noc_traffic::LoadSpec;
-use noc_vc::VcConfig;
 
 /// Runs one faulty point and returns the sidecar row for it.
 fn point(
     fc: &FlowControl,
     name: String,
     mesh: Mesh,
-    load: LoadSpec,
+    offered: f64,
     sim: &SimConfig,
     plan: &FaultPlan,
 ) -> (String, Vec<(String, Json)>) {
-    let (r, fs): (RunResult, FaultSummary) = fc.run_faulty(mesh, load, sim, plan);
+    let out = RunSpec {
+        fault: Some(plan.clone()),
+        ..RunSpec::new(fc.clone(), mesh, offered, 5, *sim)
+    }
+    .run()
+    .expect("fault sweep specs are valid");
+    let r = out.result.expect("methodology run");
+    let fs = out.faults.unwrap_or_default();
     let c = fs.counters;
     let lat = if r.completed {
         format!("{:.1}", r.mean_latency())
@@ -104,7 +107,6 @@ fn main() {
         sim.sample_packets = sim.sample_packets.min(500);
     }
     let offered = 0.45;
-    let load = LoadSpec::fraction_of_capacity(offered, 5);
     let rates: &[f64] = if quick {
         &[0.0, 1e-3, 3e-3]
     } else {
@@ -122,10 +124,7 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for fc in [
-        FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
-        FlowControl::FlitReservation(FrConfig::fr6()),
-    ] {
+    for fc in [FlowControl::vc8(), FlowControl::fr6()] {
         let label = fc.label();
         for &rate in rates {
             let mut plan = FaultPlan::quiet(seed);
@@ -135,7 +134,7 @@ fn main() {
                 &fc,
                 format!("{label}/r={rate:.0e}"),
                 mesh,
-                load,
+                offered,
                 &sim,
                 &plan,
             ));
@@ -149,7 +148,7 @@ fn main() {
             &fc,
             format!("{label}/dead-link"),
             mesh,
-            load,
+            offered,
             &sim,
             &plan,
         ));

@@ -11,10 +11,9 @@ use noc_bench::report::{manifest, write_curves_json};
 use noc_bench::{default_loads, print_curve, print_summary, seed_from_env, sweep_threads, Scale};
 use noc_flow::LinkTiming;
 use noc_metrics::write_json_file;
-use noc_network::{sweep_loads, FlowControl};
+use noc_network::{sweep_loads, FlowControl, RunSpec};
 use noc_provenance::chrome_trace;
 use noc_topology::Mesh;
-use noc_traffic::LoadSpec;
 use noc_vc::VcConfig;
 
 fn trace_out_arg() -> Option<String> {
@@ -37,8 +36,14 @@ fn write_trace(fc: &FlowControl, mesh: Mesh, sim: &noc_network::SimConfig, path:
         .filter(|&n| n >= 1)
         .unwrap_or(4);
     let offered = 0.5;
-    let load = LoadSpec::fraction_of_capacity(offered, 5);
-    let (_, report) = fc.run_traced(mesh, load, sim, sample);
+    let report = RunSpec {
+        provenance_sample_every: Some(sample),
+        ..RunSpec::new(fc.clone(), mesh, offered, 5, *sim)
+    }
+    .run()
+    .expect("valid trace spec")
+    .provenance
+    .expect("provenance run");
     let doc = chrome_trace(&report, mesh.width());
     match write_json_file(std::path::Path::new(path), &doc) {
         Ok(()) => println!(
@@ -65,7 +70,7 @@ fn main() {
     let configs = [
         FlowControl::VirtualChannel(VcConfig::vc8(), t),
         FlowControl::VirtualChannel(VcConfig::vc16(), t),
-        FlowControl::FlitReservation(FrConfig::fr6()),
+        FlowControl::fr6(),
         FlowControl::FlitReservation(FrConfig::fr13()),
     ];
     println!("Figure 5: latency vs offered traffic, 5-flit packets, fast control");
@@ -82,11 +87,6 @@ fn main() {
     m.threads = threads as u64;
     write_curves_json(&m, &curves);
     if let Some(path) = trace_out {
-        write_trace(
-            &FlowControl::FlitReservation(FrConfig::fr6()),
-            mesh,
-            &sim,
-            &path,
-        );
+        write_trace(&FlowControl::fr6(), mesh, &sim, &path);
     }
 }

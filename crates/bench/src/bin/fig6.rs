@@ -19,7 +19,7 @@ fn main() {
     let configs = [
         FlowControl::VirtualChannel(VcConfig::vc16(), t),
         FlowControl::VirtualChannel(VcConfig::vc32(), t),
-        FlowControl::FlitReservation(FrConfig::fr6()),
+        FlowControl::fr6(),
         FlowControl::FlitReservation(FrConfig::fr13()),
     ];
     println!("Figure 6: latency vs offered traffic, 21-flit packets, fast control");

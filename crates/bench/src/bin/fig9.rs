@@ -12,10 +12,9 @@ use noc_bench::report::{manifest, write_curves_json};
 use noc_bench::{default_loads, print_curve, print_summary, seed_from_env, sweep_threads, Scale};
 use noc_flow::LinkTiming;
 use noc_metrics::write_json_file;
-use noc_network::{sweep_loads, FlowControl};
+use noc_network::{sweep_loads, FlowControl, RunSpec};
 use noc_provenance::chrome_trace;
 use noc_topology::Mesh;
-use noc_traffic::LoadSpec;
 use noc_vc::VcConfig;
 
 fn trace_out_arg() -> Option<String> {
@@ -68,8 +67,14 @@ fn main() {
             .and_then(|s| s.parse().ok())
             .filter(|&n| n >= 1)
             .unwrap_or(4);
-        let load = LoadSpec::fraction_of_capacity(0.5, 5);
-        let (_, report) = fc.run_traced(mesh, load, &sim, sample);
+        let report = RunSpec {
+            provenance_sample_every: Some(sample),
+            ..RunSpec::new(fc, mesh, 0.5, 5, sim)
+        }
+        .run()
+        .expect("valid trace spec")
+        .provenance
+        .expect("provenance run");
         let doc = chrome_trace(&report, mesh.width());
         match write_json_file(std::path::Path::new(&path), &doc) {
             Ok(()) => println!(

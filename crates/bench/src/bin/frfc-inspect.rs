@@ -1,10 +1,10 @@
 //! Post-mortem inspection of blackbox crash sidecars.
 //!
 //! A crash sidecar (written by `frfc-sim`'s blackbox mode, by
-//! `run_blackbox` on a watchdog/panic/drain-cap trigger, or by
+//! a blackbox `RunSpec` on a watchdog/panic/drain-cap trigger, or by
 //! `capture_at_cycle` as a checkpoint) is one JSON document holding the
 //! flight-recorder ring, the complete network state dump with its
-//! digest, and the `ReplaySpec` that rebuilds the run. This bin reads
+//! digest, and the `RunSpec` that rebuilds the run. This bin reads
 //! those documents back:
 //!
 //! * `show <sidecar>` — pretty-prints the trigger, manifest, the ring's
@@ -23,7 +23,7 @@
 
 use noc_faults::{DeadLink, FaultPlan};
 use noc_metrics::{json_diff, write_json_file, Json, JsonDiff};
-use noc_network::{replay_to_cycle, run_blackbox, ReplaySpec, Trigger};
+use noc_network::{replay_to_cycle, RunSpec, Trigger};
 use noc_topology::{Mesh, Port};
 use std::path::Path;
 use std::process::ExitCode;
@@ -38,7 +38,7 @@ USAGE:
     frfc-inspect --self-check
 
 Sidecars come from `frfc-sim --watchdog/--flight-ring/--dump-state-out`
-or from any harness using noc_network::run_blackbox.";
+or from any inject-then-drain noc_network::RunSpec.";
 
 /// How many of the ring's newest events `show` prints.
 const RING_TAIL: usize = 12;
@@ -135,29 +135,23 @@ fn show(doc: &Json) {
             text(m, "git_rev"),
         );
     }
-    if let Some(r) = doc.get("replay") {
-        let watchdog = match num(r, "watchdog") {
-            Some(w) => format!("{w}"),
-            None => "off".into(),
-        };
-        println!(
-            "replay   : {} {}x{} @ load {:.2} | inject {} | drain cap {} | ring 2^{} | watchdog {} | faults {}",
-            text(r, "config"),
-            num(r, "mesh_width").unwrap_or(0),
-            num(r, "mesh_height").unwrap_or(0),
-            r.get("load").and_then(Json::as_f64).unwrap_or(0.0),
-            num(r, "inject_cycles").unwrap_or(0),
-            num(r, "drain_cap").unwrap_or(0),
-            num(r, "ring_log2").unwrap_or(0),
-            watchdog,
-            match r.get("fault") {
-                None | Some(Json::Null) => "none".to_string(),
-                Some(f) => format!(
-                    "armed ({} dead links)",
-                    f.get("dead_links").and_then(Json::as_array).map_or(0, <[Json]>::len)
-                ),
-            }
-        );
+    match doc.get("replay").map(RunSpec::from_json) {
+        Some(Ok(spec)) => println!(
+            "replay   : {} {}x{} @ load {:.2} | {:?} | ring 2^{} | watchdog {} | faults {}",
+            spec.flow.label(),
+            spec.mesh_width,
+            spec.mesh_height,
+            spec.load,
+            spec.schedule,
+            spec.ring_log2.unwrap_or(0),
+            spec.watchdog.map_or("off".into(), |w| w.to_string()),
+            spec.fault.map_or("none".into(), |f| format!(
+                "armed ({} dead links)",
+                f.dead_links.len()
+            )),
+        ),
+        Some(Err(e)) => println!("replay   : unreadable ({e})"),
+        None => {}
     }
     println!("digest   : {}", text(doc, "state_digest"));
     show_ring(doc);
@@ -353,9 +347,9 @@ fn replay(doc: &Json, threads: usize) -> Result<bool, String> {
 /// deliverable traffic drains the network makes no progress with
 /// packets still in flight — the constructed livelock the progress
 /// watchdog must catch.
-fn livelock_spec() -> ReplaySpec {
+fn livelock_spec() -> RunSpec {
     let mesh = Mesh::new(4, 4);
-    let mut spec = ReplaySpec::fr6_small(0xDEAD_0001);
+    let mut spec = RunSpec::fr6_small(0xDEAD_0001);
     spec.watchdog = Some(500);
     spec.fault = Some(FaultPlan {
         dead_links: (0..4)
@@ -381,7 +375,10 @@ fn self_check() -> Result<(), String> {
         "  [1/4] running the dead-link livelock (watchdog {} cycles) ...",
         spec.watchdog.unwrap_or(0)
     );
-    let run = run_blackbox(&spec, 1)?;
+    let run = spec
+        .run()?
+        .blackbox
+        .ok_or("blackbox spec produced no outcome")?;
     if run.trigger != Trigger::Watchdog {
         return Err(format!(
             "expected the watchdog to trip, got {:?} after {} cycles ({})",

@@ -20,16 +20,12 @@
 //!
 //! A `latency_breakdown.json` sidecar carries the same rows.
 
-use flit_reservation::FrConfig;
 use noc_bench::report::{manifest, write_chrome_trace, write_rows_json};
 use noc_bench::{seed_from_env, Scale};
-use noc_flow::LinkTiming;
 use noc_metrics::Json;
-use noc_network::FlowControl;
+use noc_network::{FlowControl, RunSpec};
 use noc_provenance::{chrome_trace, Phase, ProvenanceReport};
 use noc_topology::Mesh;
-use noc_traffic::LoadSpec;
-use noc_vc::VcConfig;
 
 /// Packet sampling divisor from `FRFC_PROV_SAMPLE` (default 4).
 fn sample_every() -> u64 {
@@ -128,10 +124,7 @@ fn main() {
     let seed = seed_from_env();
     let sim = scale.sim(seed);
     let sample = sample_every();
-    let configs = [
-        FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
-        FlowControl::FlitReservation(FrConfig::fr6()),
-    ];
+    let configs = [FlowControl::vc8(), FlowControl::fr6()];
 
     println!("Latency provenance: per-phase attribution, 8x8 mesh, 5-flit packets, fast control");
     println!("(FR moves routing into the control lead and drops credit/turnaround stalls to ~0)");
@@ -142,8 +135,13 @@ fn main() {
     for fc in &configs {
         let label = fc.label();
         for &load in &loads {
-            let spec = LoadSpec::fraction_of_capacity(load, 5);
-            let (result, report) = fc.run_traced(mesh, spec, &sim, sample);
+            let out = RunSpec {
+                provenance_sample_every: Some(sample),
+                ..RunSpec::new(fc.clone(), mesh, load, 5, sim)
+            }
+            .run()
+            .expect("provenance specs are valid");
+            let (result, report) = (out.result.expect("result"), out.provenance.expect("report"));
             assert_eq!(
                 report.malformed, 0,
                 "{label}@{load}: provenance reconstruction is malformed"

@@ -8,14 +8,12 @@
 //! `.full_fraction`), writing one `*.metrics.json` sidecar per
 //! configuration plus a row-table sidecar with the printed numbers.
 
-use flit_reservation::FrConfig;
 use noc_bench::report::{manifest, write_metrics_json, write_rows_json};
 use noc_bench::{seed_from_env, Scale};
 use noc_flow::LinkTiming;
 use noc_metrics::Json;
-use noc_network::FlowControl;
+use noc_network::{FlowControl, RunSpec};
 use noc_topology::Mesh;
-use noc_traffic::LoadSpec;
 use noc_vc::VcConfig;
 
 fn main() {
@@ -36,11 +34,8 @@ fn main() {
     );
     // Probe each configuration just below its own saturation point.
     let cases = [
-        (FlowControl::FlitReservation(FrConfig::fr6()), 0.55),
-        (
-            FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
-            0.5,
-        ),
+        (FlowControl::fr6(), 0.55),
+        (FlowControl::vc8(), 0.5),
         (
             FlowControl::VirtualChannel(VcConfig::vc32(), LinkTiming::fast_control()),
             0.6,
@@ -48,8 +43,13 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (fc, load) in &cases {
-        let spec = LoadSpec::fraction_of_capacity(*load, 21);
-        let (r, registry) = fc.run_metered(mesh, spec, &sim, 64);
+        let out = RunSpec {
+            metrics_period: Some(64),
+            ..RunSpec::new(fc.clone(), mesh, *load, 21, sim)
+        }
+        .run()
+        .expect("occupancy specs are valid");
+        let (r, registry) = (out.result.expect("result"), out.registry.expect("registry"));
         // The registry gauges cover the whole run (warm-up included);
         // the probe counters cover the measurement window only. Both
         // describe the same pool.

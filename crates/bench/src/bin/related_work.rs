@@ -7,7 +7,6 @@
 //! the flit-granular schemes get the paper's 8-buffer inputs; FR6 is the
 //! storage-matched flit-reservation configuration.
 
-use flit_reservation::FrConfig;
 use noc_bench::{default_loads, print_curve, print_summary, seed_from_env, sweep_threads, Scale};
 use noc_flow::LinkTiming;
 use noc_network::{sweep_loads, FlowControl};
@@ -24,7 +23,7 @@ fn main() {
         FlowControl::VirtualChannel(VcConfig::virtual_cut_through(8), t),
         FlowControl::VirtualChannel(VcConfig::wormhole(8), t),
         FlowControl::VirtualChannel(VcConfig::vc8(), t),
-        FlowControl::FlitReservation(FrConfig::fr6()),
+        FlowControl::fr6(),
     ];
     println!("Related work lineage: SAF → VCT → wormhole → VC → FR (5-flit packets)");
     let mut curves = Vec::new();

@@ -27,9 +27,8 @@ use noc_bench::{seed_from_env, Scale};
 use noc_faults::FaultPlan;
 use noc_flow::LinkTiming;
 use noc_metrics::{strip_nondeterministic, Json, RunManifest, SCHEMA_VERSION};
-use noc_network::{FaultSummary, FlowControl, RunResult, SimConfig};
+use noc_network::{FaultSummary, FlowControl, RunOutput, RunResult, RunSpec, SimConfig};
 use noc_topology::Mesh;
-use noc_traffic::LoadSpec;
 use noc_vc::VcConfig;
 
 fn health_check(sim: &SimConfig, loads: &[f64], lead_loads: &[f64]) {
@@ -40,12 +39,12 @@ fn health_check(sim: &SimConfig, loads: &[f64], lead_loads: &[f64]) {
     for (name, fc) in [
         ("VC8", FlowControl::VirtualChannel(VcConfig::vc8(), fast)),
         ("VC16", FlowControl::VirtualChannel(VcConfig::vc16(), fast)),
-        ("FR6", FlowControl::FlitReservation(FrConfig::fr6())),
+        ("FR6", FlowControl::fr6()),
         ("FR13", FlowControl::FlitReservation(FrConfig::fr13())),
     ] {
         print!("{name}:");
         for &frac in loads {
-            let r = fc.run(mesh, LoadSpec::fraction_of_capacity(frac, 5), sim);
+            let r = fc.run(mesh, frac, 5, sim);
             if r.completed {
                 print!("  {:.0}%:{:.0}", frac * 100.0, r.mean_latency());
             } else {
@@ -67,7 +66,7 @@ fn health_check(sim: &SimConfig, loads: &[f64], lead_loads: &[f64]) {
     ] {
         print!("{name}:");
         for &frac in lead_loads {
-            let r = fc.run(mesh, LoadSpec::fraction_of_capacity(frac, 5), sim);
+            let r = fc.run(mesh, frac, 5, sim);
             if r.completed {
                 print!("  {:.0}%:{:.0}", frac * 100.0, r.mean_latency());
             } else {
@@ -76,6 +75,11 @@ fn health_check(sim: &SimConfig, loads: &[f64], lead_loads: &[f64]) {
         }
         println!();
     }
+}
+
+/// Runs one smoke spec; every spec here is valid by construction.
+fn run(spec: RunSpec) -> RunOutput {
+    spec.run().expect("smoke specs are valid")
 }
 
 /// Asserts two `RunResult`s from the same seed are identical — the
@@ -195,16 +199,17 @@ fn validate_export(path: &std::path::Path, config: &str, offered: f64) -> Json {
 fn metrics_check(scale: Scale, seed: u64, sim: &SimConfig) {
     let mesh = Mesh::new(8, 8);
     let offered = 0.5;
-    let load = LoadSpec::fraction_of_capacity(offered, 5);
     println!("\nmetrics validation (offered {:.0}%):", offered * 100.0);
-    for fc in [
-        FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
-        FlowControl::FlitReservation(FrConfig::fr6()),
-    ] {
+    for fc in [FlowControl::vc8(), FlowControl::fr6()] {
         let label = fc.label();
         // Zero perturbation: plain and metered runs must agree exactly.
-        let plain = fc.run(mesh, load, sim);
-        let (metered, registry) = fc.run_metered(mesh, load, sim, 64);
+        let plain = fc.run(mesh, offered, 5, sim);
+        let metered_spec = RunSpec {
+            metrics_period: Some(64),
+            ..RunSpec::new(fc.clone(), mesh, offered, 5, *sim)
+        };
+        let out = run(metered_spec.clone());
+        let (metered, registry) = (out.result.expect("result"), out.registry.expect("registry"));
         assert_zero_perturbation(&plain, &metered, &label);
 
         // Export, parse back, validate the contract.
@@ -219,7 +224,7 @@ fn metrics_check(scale: Scale, seed: u64, sim: &SimConfig) {
 
         // Same-seed determinism: a second metered run must export
         // byte-identical JSON once wall-clock data is stripped.
-        let (_, registry2) = fc.run_metered(mesh, load, sim, 64);
+        let registry2 = run(metered_spec).registry.expect("registry");
         let m2 = RunManifest::new(m.experiment.clone(), seed, scale.name(), label.clone());
         let mut doc2 = registry2.to_json(&m2);
         let mut doc1 = doc;
@@ -314,21 +319,22 @@ fn validate_chrome_trace(doc: &Json, label: &str) {
 fn provenance_check(sim: &SimConfig) {
     let mesh = Mesh::new(8, 8);
     let offered = 0.5;
-    let load = LoadSpec::fraction_of_capacity(offered, 5);
     println!(
         "\nprovenance validation (offered {:.0}%, sample 1/2):",
         offered * 100.0
     );
     let mut credit_stalls: Vec<(String, u64)> = Vec::new();
-    for fc in [
-        FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
-        FlowControl::FlitReservation(FrConfig::fr6()),
-    ] {
+    for fc in [FlowControl::vc8(), FlowControl::fr6()] {
         let label = fc.label();
         // Zero perturbation: the traced run's RunResult must be
         // bit-identical to the plain run's.
-        let plain = fc.run(mesh, load, sim);
-        let (traced, report) = fc.run_traced(mesh, load, sim, 2);
+        let plain = fc.run(mesh, offered, 5, sim);
+        let traced_spec = RunSpec {
+            provenance_sample_every: Some(2),
+            ..RunSpec::new(fc.clone(), mesh, offered, 5, *sim)
+        };
+        let out = run(traced_spec.clone());
+        let (traced, report) = (out.result.expect("result"), out.provenance.expect("report"));
         assert_zero_perturbation(&plain, &traced, &label);
 
         // Reconstruction: clean fold, and every record's phase cycles
@@ -378,7 +384,7 @@ fn provenance_check(sim: &SimConfig) {
         let parsed = Json::parse(&text)
             .unwrap_or_else(|e| panic!("{} is not valid JSON: {e}", path.display()));
         validate_chrome_trace(&parsed, &label);
-        let (_, report2) = fc.run_traced(mesh, load, sim, 2);
+        let report2 = run(traced_spec).provenance.expect("report");
         assert_eq!(
             doc.render(),
             noc_provenance::chrome_trace(&report2, mesh.width()).render(),
@@ -411,17 +417,20 @@ fn provenance_check(sim: &SimConfig) {
 fn faults_check(sim: &SimConfig, seed: u64) {
     let mesh = Mesh::new(8, 8);
     let offered = 0.4;
-    let load = LoadSpec::fraction_of_capacity(offered, 5);
     println!("\nfault validation (offered {:.0}%):", offered * 100.0);
-    for fc in [
-        FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
-        FlowControl::FlitReservation(FrConfig::fr6()),
-    ] {
+    for fc in [FlowControl::vc8(), FlowControl::fr6()] {
         let label = fc.label();
-        let plain = fc.run(mesh, load, sim);
+        let plain = fc.run(mesh, offered, 5, sim);
 
         // Zero-cost-when-off: an inactive plan must not perturb anything.
-        let (quiet, qs) = fc.run_faulty(mesh, load, sim, &FaultPlan::quiet(seed));
+        let faulty_run = |plan: &FaultPlan| {
+            let out = run(RunSpec {
+                fault: Some(plan.clone()),
+                ..RunSpec::new(fc.clone(), mesh, offered, 5, *sim)
+            });
+            (out.result.expect("result"), out.faults.unwrap_or_default())
+        };
+        let (quiet, qs) = faulty_run(&FaultPlan::quiet(seed));
         assert_zero_perturbation(&plain, &quiet, &label);
         assert_eq!(
             qs,
@@ -435,7 +444,7 @@ fn faults_check(sim: &SimConfig, seed: u64) {
         for d in &mut plan.dead_links {
             d.at_cycle = d.at_cycle.min(64);
         }
-        let (faulty, fs) = fc.run_faulty(mesh, load, sim, &plan);
+        let (faulty, fs) = faulty_run(&plan);
         assert!(
             faulty.completed,
             "{label}: fault run saturated under {}",
@@ -462,7 +471,7 @@ fn faults_check(sim: &SimConfig, seed: u64) {
 
         // Same plan, same seed: the fault schedule is part of the run's
         // identity, so a repeat must reproduce it exactly.
-        let (again, fs2) = fc.run_faulty(mesh, load, sim, &plan);
+        let (again, fs2) = faulty_run(&plan);
         assert_eq!(
             faulty.end_cycle, again.end_cycle,
             "{label}: same-plan fault runs diverged"

@@ -54,7 +54,7 @@ fn main() {
     println!("(paper, leading control:      FR6 15/19/75  FR13 15/19/83  VC8 15/21/65  VC16 15/21/80  VC32 15/21/85)");
 
     let fast_configs = [
-        FlowControl::FlitReservation(FrConfig::fr6()),
+        FlowControl::fr6(),
         FlowControl::FlitReservation(FrConfig::fr13()),
         FlowControl::VirtualChannel(VcConfig::vc8(), fast),
         FlowControl::VirtualChannel(VcConfig::vc16(), fast),

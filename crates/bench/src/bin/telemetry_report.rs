@@ -20,15 +20,31 @@
 //!   to the aggregate counter of the same name, and stripped exports
 //!   byte-identical across 1/2/4 worker threads.
 
-use flit_reservation::FrConfig;
 use noc_bench::report::{results_dir, write_chrome_trace, write_metrics_json};
 use noc_bench::{seed_from_env, Scale};
 use noc_metrics::{
     strip_nondeterministic, write_json_file, Json, MetricsRegistry, WindowKind, SCHEMA_VERSION,
 };
-use noc_network::{FlowControl, TelemetryRun};
+use noc_network::{EngineProfile, FlowControl, RunSpec};
 use noc_topology::Mesh;
-use noc_traffic::LoadSpec;
+
+/// `spec` run with telemetry windows of `2^window_log2` cycles on
+/// `threads` workers: the registry (windows included) and the engine
+/// profile.
+fn telemetry(spec: &RunSpec, window_log2: u32, threads: usize) -> (MetricsRegistry, EngineProfile) {
+    let out = RunSpec {
+        threads,
+        metrics_period: Some(0),
+        telemetry_window_log2: Some(window_log2),
+        ..spec.clone()
+    }
+    .run()
+    .expect("telemetry specs are valid");
+    (
+        out.registry.expect("metered run"),
+        out.profile.expect("telemetry run"),
+    )
+}
 
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
@@ -82,8 +98,7 @@ fn saturation_onset(pairs: &[(u64, f64, f64)]) -> Option<u64> {
     })
 }
 
-fn print_dashboard(label: &str, load: f64, run: &TelemetryRun) {
-    let reg = &run.registry;
+fn print_dashboard(label: &str, load: f64, reg: &MetricsRegistry) {
     let window_cycles = reg
         .window("net.offered_flits")
         .map_or(0, |w| 1u64 << w.log2);
@@ -130,8 +145,7 @@ fn print_dashboard(label: &str, load: f64, run: &TelemetryRun) {
     }
 }
 
-fn print_profile(run: &TelemetryRun) {
-    let p = &run.profile;
+fn print_profile(p: &EngineProfile) {
     let ms = |ns: u64| ns as f64 / 1.0e6;
     println!(
         "  threads {} | {} cycles | cycle wall {:.1} ms | attribution {:.1}% | worker idle {:.1}%",
@@ -176,14 +190,14 @@ fn print_profile(run: &TelemetryRun) {
 /// The self-validation stage CI runs under `--quick`: schema shape,
 /// window-sum == aggregate-total, and cross-thread determinism of the
 /// stripped export.
-fn validate(fc: &FlowControl, mesh: Mesh, load: LoadSpec, sim: &noc_network::SimConfig) {
+fn validate(spec: &RunSpec) {
     // One manifest shared by every export below, so the byte-compare sees
     // only registry content (threads/wall_ms would differ per run).
-    let manifest = noc_metrics::RunManifest::new("telemetry", sim.seed, "quick", "FR6");
+    let manifest = noc_metrics::RunManifest::new("telemetry", spec.seed, "quick", "FR6");
     let mut stripped: Vec<(usize, String)> = Vec::new();
     for threads in [1usize, 2, 4] {
-        let run = fc.run_telemetry(mesh, load, sim, 0, 7, threads);
-        let reg = &run.registry;
+        let (registry, profile) = telemetry(spec, 7, threads);
+        let reg = &registry;
 
         // Window-sum == aggregate-total, exactly, for every Sum window
         // that names a counter.
@@ -220,7 +234,7 @@ fn validate(fc: &FlowControl, mesh: Mesh, load: LoadSpec, sim: &noc_network::Sim
         }
 
         // Profiler still attributes the engine loop when validating.
-        assert!(run.profile.attributed_fraction() >= 0.95);
+        assert!(profile.attributed_fraction() >= 0.95);
 
         let mut clean = parsed;
         strip_nondeterministic(&mut clean);
@@ -248,7 +262,7 @@ fn main() {
     let seed = seed_from_env();
     let sim = scale.sim(seed);
     let mesh = Mesh::new(8, 8);
-    let fc = FlowControl::FlitReservation(FrConfig::fr6());
+    let fc = FlowControl::fr6();
     let window_log2 = if quick { 7 } else { 9 };
     println!(
         "telemetry_report | scale {} | seed {seed} | windows of {} cycles",
@@ -257,37 +271,40 @@ fn main() {
     );
 
     // Dashboard: one sub-saturation point and one past the knee.
-    let mut sidecar: Option<TelemetryRun> = None;
+    let mut sidecar = None;
     for load in [0.55, 0.95] {
-        let spec = LoadSpec::fraction_of_capacity(load, 5);
-        let run = fc.run_telemetry(mesh, spec, &sim, 0, window_log2, 1);
-        print_dashboard(&fc.label(), load, &run);
+        let run = telemetry(
+            &RunSpec::new(fc.clone(), mesh, load, 5, sim),
+            window_log2,
+            1,
+        );
+        print_dashboard(&fc.label(), load, &run.0);
         sidecar = Some(run);
     }
 
     // Runtime profile across thread counts.
+    let base = RunSpec::new(fc.clone(), mesh, 0.55, 5, sim);
     println!("\n=== engine profile ===");
     for threads in [1usize, 4, 8] {
-        let spec = LoadSpec::fraction_of_capacity(0.55, 5);
-        let run = fc.run_telemetry(mesh, spec, &sim, 0, window_log2, threads);
-        print_profile(&run);
+        let (_, profile) = telemetry(&base, window_log2, threads);
+        print_profile(&profile);
     }
 
     if quick {
         println!("\n=== self-validation ===");
-        validate(&fc, mesh, LoadSpec::fraction_of_capacity(0.55, 5), &sim);
+        validate(&base);
     }
 
     // Sidecars: the near-saturation dashboard run, windows included.
-    if let Some(run) = sidecar {
+    if let Some((registry, profile)) = sidecar {
         let mut manifest = noc_bench::report::manifest("telemetry", scale, seed, &fc.label());
         manifest.threads = 1;
-        write_metrics_json(&manifest, &run.registry);
+        write_metrics_json(&manifest, &registry);
         let profile_path = results_dir().join("telemetry.profile.json");
-        match write_json_file(&profile_path, &run.profile.to_json()) {
+        match write_json_file(&profile_path, &profile.to_json()) {
             Ok(()) => println!("[sidecar] wrote {}", profile_path.display()),
             Err(e) => eprintln!("warning: could not write {}: {e}", profile_path.display()),
         }
-        write_chrome_trace("telemetry", &run.profile.chrome_trace());
+        write_chrome_trace("telemetry", &profile.chrome_trace());
     }
 }

@@ -1,384 +1,50 @@
 //! Black-box flight recording, crash sidecars and manifest-driven replay.
 //!
-//! The observability layer's "what happened?" machinery: a run armed
-//! through [`run_blackbox`] carries a bounded [`RingSink`] flight
-//! recorder and the network's progress watchdog; when the watchdog
+//! The observability layer's "what happened?" machinery: a [`RunSpec`]
+//! on the inject-then-drain schedule carries a bounded [`RingSink`]
+//! flight recorder and the network's progress watchdog; when the watchdog
 //! fires, or a conservation/contract panic unwinds out of the cycle
 //! loop, the harness captures a **crash sidecar** — one JSON document
 //! holding the ring's recent events, the complete
-//! [`Network::state_snapshot`] dump with its digest, the reproduction
-//! manifest and the [`ReplaySpec`] that rebuilds the run.
+//! [`crate::Network::state_snapshot`] dump with its digest, the
+//! reproduction manifest and the [`RunSpec`] that rebuilds the run.
 //!
 //! Because the whole simulator is deterministic from its seed, the
 //! sidecar is *executable*: [`replay_to_cycle`] reconstructs the network
-//! with the exact recipe of the experiment harness, re-runs it to the
+//! from the spec through [`crate::FlowControl::build`], re-runs it to the
 //! captured cycle (on any thread count) and verifies that the live
-//! [`Network::state_digest`] matches the dump bit for bit. That replay
-//! check is also the state-serialization substrate for checkpoint /
-//! restore: a state dump that replays bit-identically is a state dump
-//! that can be trusted to restore from.
+//! [`crate::Network::state_digest`] matches the dump bit for bit. That
+//! replay check is also the state-serialization substrate for
+//! checkpoint / restore: a state dump that replays bit-identically is a
+//! state dump that can be trusted to restore from.
 
-use crate::Network;
-use flit_reservation::{FrConfig, FrRouter};
-use noc_engine::trace::RingSink;
-use noc_engine::Rng;
-use noc_faults::{DeadLink, FaultPlan};
-use noc_flow::LinkTiming;
-use noc_metrics::{json_diff, Json, JsonDiff, RunManifest};
-use noc_topology::{Mesh, NodeId, Port};
-use noc_traffic::{LoadSpec, TrafficGenerator};
-use noc_vc::{VcConfig, VcRouter};
+use crate::spec::obj;
+use crate::{AnyNetwork, RunSpec, Schedule};
+use noc_engine::trace::{NullSink, RingSink};
+use noc_metrics::{json_diff, Json, JsonDiff, NullRecorder, RunManifest};
 
-/// Version of the crash-sidecar document layout.
-pub const SIDECAR_SCHEMA_VERSION: u64 = 1;
+/// Version of the crash-sidecar document layout. Version 2 stores the
+/// replay section as a full [`RunSpec`].
+pub const SIDECAR_SCHEMA_VERSION: u64 = 2;
 
-/// Everything needed to rebuild a blackbox run from scratch: the
-/// construction recipe parameters of the experiment harness plus the
-/// observability knobs. Serializes to/from the `replay` section of a
-/// crash sidecar, so a sidecar alone reproduces its run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReplaySpec {
-    /// Flow-control preset label: `VC8`, `VC32`, `FR6` or `FR13`.
-    pub config: String,
-    /// Mesh width in nodes.
-    pub mesh_width: u16,
-    /// Mesh height in nodes.
-    pub mesh_height: u16,
-    /// Offered load as a fraction of capacity.
-    pub load: f64,
-    /// Packet length in data flits.
-    pub packet_flits: u32,
-    /// Root RNG seed; traffic and router streams fork from it exactly as
-    /// in the experiment harness.
-    pub seed: u64,
-    /// Cycles of active injection before the drain begins.
-    pub inject_cycles: u64,
-    /// Maximum drain cycles after injection stops.
-    pub drain_cap: u64,
-    /// Flight-recorder capacity exponent (the ring holds `1 << ring_log2`
-    /// events).
-    pub ring_log2: u32,
-    /// Progress-watchdog threshold in cycles; `None` disables it.
-    pub watchdog: Option<u64>,
-    /// Fault plan to arm, if any.
-    pub fault: Option<FaultPlan>,
-}
+/// A network armed with the flight recorder.
+type RingNet = AnyNetwork<NullSink, RingSink, NullRecorder>;
 
-impl ReplaySpec {
-    /// A small default spec: FR6 on a 4×4 mesh at moderate load.
-    pub fn fr6_small(seed: u64) -> Self {
-        ReplaySpec {
-            config: "FR6".into(),
-            mesh_width: 4,
-            mesh_height: 4,
-            load: 0.3,
-            packet_flits: 5,
-            seed,
-            inject_cycles: 500,
-            drain_cap: 20_000,
-            ring_log2: 10,
-            watchdog: Some(500),
-            fault: None,
-        }
-    }
-
-    /// Renders the spec as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("config".into(), Json::str(&self.config)),
-            ("mesh_width".into(), Json::Num(self.mesh_width as f64)),
-            ("mesh_height".into(), Json::Num(self.mesh_height as f64)),
-            ("load".into(), Json::Num(self.load)),
-            ("packet_flits".into(), Json::Num(self.packet_flits as f64)),
-            ("seed".into(), Json::Num(self.seed as f64)),
-            ("inject_cycles".into(), Json::Num(self.inject_cycles as f64)),
-            ("drain_cap".into(), Json::Num(self.drain_cap as f64)),
-            ("ring_log2".into(), Json::Num(self.ring_log2 as f64)),
-            (
-                "watchdog".into(),
-                match self.watchdog {
-                    Some(w) => Json::Num(w as f64),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "fault".into(),
-                match &self.fault {
-                    Some(p) => fault_plan_to_json(p),
-                    None => Json::Null,
-                },
-            ),
-        ])
-    }
-
-    /// Parses a spec back out of [`ReplaySpec::to_json`]'s layout.
-    pub fn from_json(doc: &Json) -> Result<Self, String> {
-        let u64_field = |key: &str| -> Result<u64, String> {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("replay spec: missing numeric field `{key}`"))
-        };
-        let config = doc
-            .get("config")
-            .and_then(Json::as_str)
-            .ok_or("replay spec: missing `config`")?
-            .to_string();
-        let load = doc
-            .get("load")
-            .and_then(Json::as_f64)
-            .ok_or("replay spec: missing `load`")?;
-        let watchdog = match doc.get("watchdog") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or("replay spec: `watchdog` must be a number or null")?,
-            ),
-        };
-        let fault = match doc.get("fault") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(fault_plan_from_json(v)?),
-        };
-        Ok(ReplaySpec {
-            config,
-            mesh_width: u64_field("mesh_width")? as u16,
-            mesh_height: u64_field("mesh_height")? as u16,
-            load,
-            packet_flits: u64_field("packet_flits")? as u32,
-            seed: u64_field("seed")?,
-            inject_cycles: u64_field("inject_cycles")?,
-            drain_cap: u64_field("drain_cap")?,
-            ring_log2: u64_field("ring_log2")? as u32,
-            watchdog,
-            fault,
-        })
-    }
-
-    /// The mesh this spec runs on.
-    pub fn mesh(&self) -> Mesh {
-        Mesh::new(self.mesh_width, self.mesh_height)
-    }
-
-    /// Builds the network exactly as the experiment harness does: one
-    /// root RNG from `seed`, the traffic stream on the harness's fork
-    /// constant, one router stream per node forked by node id, and the
-    /// ring flight recorder as the network-level sink.
-    pub fn build(&self) -> Result<BlackboxNet, String> {
-        let mesh = self.mesh();
-        let root = Rng::from_seed(self.seed);
-        let spec = LoadSpec::fraction_of_capacity(self.load, self.packet_flits);
-        let generator = TrafficGenerator::uniform(mesh, spec, root.fork(0x7261_6666_6963)); // "raffic"
-        let ring = RingSink::new(1usize << self.ring_log2);
-        let mut net = match self.config.as_str() {
-            "VC8" | "VC32" => {
-                let cfg = if self.config == "VC8" {
-                    VcConfig::vc8()
-                } else {
-                    VcConfig::vc32()
-                };
-                BlackboxNet::Vc(Network::with_tracer(
-                    mesh,
-                    LinkTiming::fast_control(),
-                    2,
-                    generator,
-                    |node| VcRouter::new(mesh, node, cfg, root.fork(node.raw() as u64)),
-                    ring,
-                ))
-            }
-            "FR6" | "FR13" => {
-                let cfg = if self.config == "FR6" {
-                    FrConfig::fr6()
-                } else {
-                    FrConfig::fr13()
-                };
-                BlackboxNet::Fr(Network::with_tracer(
-                    mesh,
-                    cfg.timing,
-                    cfg.control_lanes,
-                    generator,
-                    |node| FrRouter::new(mesh, node, cfg, root.fork(node.raw() as u64)),
-                    ring,
-                ))
-            }
-            other => return Err(format!("unknown flow-control preset `{other}`")),
-        };
-        if let Some(plan) = &self.fault {
-            net.set_fault_plan(plan.clone());
-        }
-        net.set_watchdog(self.watchdog);
-        Ok(net)
-    }
-}
-
-/// Renders a fault plan as JSON (the sidecar's `replay.fault` section).
-pub fn fault_plan_to_json(plan: &FaultPlan) -> Json {
-    Json::obj(vec![
-        ("seed".into(), Json::Num(plan.seed as f64)),
-        (
-            "data_corrupt_rate".into(),
-            Json::Num(plan.data_corrupt_rate),
-        ),
-        (
-            "control_drop_rate".into(),
-            Json::Num(plan.control_drop_rate),
-        ),
-        ("repair_delay".into(), Json::Num(plan.repair_delay as f64)),
-        ("ack_latency".into(), Json::Num(plan.ack_latency as f64)),
-        (
-            "retransmit_timeout".into(),
-            Json::Num(plan.retransmit_timeout as f64),
-        ),
-        (
-            "max_backoff_exp".into(),
-            Json::Num(plan.max_backoff_exp as f64),
-        ),
-        (
-            "dead_links".into(),
-            Json::Arr(
-                plan.dead_links
-                    .iter()
-                    .map(|d| {
-                        Json::obj(vec![
-                            ("node".into(), Json::Num(d.node.raw() as f64)),
-                            ("port".into(), Json::str(format!("{:?}", d.port))),
-                            ("at_cycle".into(), Json::Num(d.at_cycle as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Parses a fault plan from [`fault_plan_to_json`]'s layout.
-pub fn fault_plan_from_json(doc: &Json) -> Result<FaultPlan, String> {
-    let u64_field = |key: &str| -> Result<u64, String> {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("fault plan: missing numeric field `{key}`"))
+/// Validates a blackbox spec and builds its network, the flight ring as
+/// the network-level sink; returns it with the injection and drain
+/// budgets.
+fn build(spec: &RunSpec) -> Result<(RingNet, u64, u64), String> {
+    spec.validate()?;
+    let Schedule::InjectThenDrain {
+        inject_cycles,
+        drain_cap,
+    } = spec.schedule
+    else {
+        return Err("blackbox runs need the inject-then-drain schedule".into());
     };
-    let f64_field = |key: &str| -> Result<f64, String> {
-        doc.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("fault plan: missing numeric field `{key}`"))
-    };
-    let mut dead_links = Vec::new();
-    for entry in doc
-        .get("dead_links")
-        .and_then(Json::as_array)
-        .ok_or("fault plan: missing `dead_links`")?
-    {
-        let node = entry
-            .get("node")
-            .and_then(Json::as_u64)
-            .ok_or("dead link: missing `node`")?;
-        let port = match entry.get("port").and_then(Json::as_str) {
-            Some("North") => Port::North,
-            Some("South") => Port::South,
-            Some("East") => Port::East,
-            Some("West") => Port::West,
-            Some("Local") => Port::Local,
-            other => return Err(format!("dead link: bad port {other:?}")),
-        };
-        dead_links.push(DeadLink {
-            node: NodeId::new(node as u16),
-            port,
-            at_cycle: entry
-                .get("at_cycle")
-                .and_then(Json::as_u64)
-                .ok_or("dead link: missing `at_cycle`")?,
-        });
-    }
-    Ok(FaultPlan {
-        seed: u64_field("seed")?,
-        data_corrupt_rate: f64_field("data_corrupt_rate")?,
-        control_drop_rate: f64_field("control_drop_rate")?,
-        repair_delay: u64_field("repair_delay")?,
-        ack_latency: u64_field("ack_latency")?,
-        retransmit_timeout: u64_field("retransmit_timeout")?,
-        max_backoff_exp: u64_field("max_backoff_exp")? as u32,
-        dead_links,
-    })
-}
-
-/// A ring-armed network of either shipped router family, so the blackbox
-/// harness (and `frfc-inspect`) can drive both through one value.
-pub enum BlackboxNet {
-    /// Virtual-channel baseline.
-    Vc(Network<VcRouter, RingSink>),
-    /// Flit-reservation.
-    Fr(Network<FrRouter, RingSink>),
-}
-
-macro_rules! delegate {
-    ($self:ident, $net:ident => $body:expr) => {
-        match $self {
-            BlackboxNet::Vc($net) => $body,
-            BlackboxNet::Fr($net) => $body,
-        }
-    };
-}
-
-impl BlackboxNet {
-    /// Steps one cycle: sequential for `threads <= 1`, sharded otherwise.
-    pub fn step(&mut self, threads: usize) {
-        delegate!(self, net => {
-            if threads <= 1 {
-                net.cycle();
-            } else {
-                net.cycle_sharded(threads);
-            }
-        })
-    }
-
-    /// See [`Network::stop_injection`].
-    pub fn stop_injection(&mut self) {
-        delegate!(self, net => net.stop_injection())
-    }
-
-    /// See [`Network::set_fault_plan`].
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        delegate!(self, net => net.set_fault_plan(plan))
-    }
-
-    /// See [`Network::set_watchdog`].
-    pub fn set_watchdog(&mut self, cycles: Option<u64>) {
-        delegate!(self, net => net.set_watchdog(cycles))
-    }
-
-    /// See [`Network::watchdog_tripped`].
-    pub fn watchdog_tripped(&self) -> bool {
-        delegate!(self, net => net.watchdog_tripped())
-    }
-
-    /// Current simulation time in cycles.
-    pub fn now(&self) -> u64 {
-        delegate!(self, net => net.now().raw())
-    }
-
-    /// Packets injected but not yet fully delivered.
-    pub fn in_flight(&self) -> usize {
-        delegate!(self, net => net.tracker().in_flight())
-    }
-
-    /// Flits delivered so far.
-    pub fn delivered_flits(&self) -> u64 {
-        delegate!(self, net => net.tracker().delivered_flits())
-    }
-
-    /// The flight recorder.
-    pub fn ring(&self) -> &RingSink {
-        delegate!(self, net => net.tracer())
-    }
-
-    /// See [`Network::state_snapshot`].
-    pub fn state_snapshot(&self) -> Json {
-        delegate!(self, net => net.state_snapshot())
-    }
-
-    /// See [`Network::state_digest`].
-    pub fn state_digest(&self) -> String {
-        delegate!(self, net => net.state_digest())
-    }
+    let ring = RingSink::new(1usize << spec.ring_log2.unwrap_or(0));
+    let net = spec.build(NullSink, ring, NullRecorder);
+    Ok((net, inject_cycles, drain_cap))
 }
 
 /// What ended a blackbox run.
@@ -409,7 +75,7 @@ impl Trigger {
     }
 }
 
-/// Outcome of [`run_blackbox`]: the trigger, a human-readable detail
+/// Outcome of a blackbox run: the trigger, a human-readable detail
 /// line, and — for every non-clean trigger — the captured crash sidecar.
 #[derive(Clone, Debug)]
 pub struct BlackboxRun {
@@ -438,142 +104,132 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Steps one cycle catching panics, so invariant violations become
 /// capturable triggers instead of aborting the harness.
-fn step_caught(net: &mut BlackboxNet, threads: usize) -> Result<(), String> {
+fn step_caught(net: &mut RingNet, threads: usize) -> Result<(), String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.step(threads)))
         .map_err(|p| panic_message(p.as_ref()))
 }
 
 /// Assembles a crash sidecar: schema version, trigger, manifest, replay
 /// spec, ring contents and the full state dump with its digest.
-pub fn capture_sidecar(
-    net: &BlackboxNet,
-    spec: &ReplaySpec,
-    threads: usize,
-    trigger: &Trigger,
-    detail: &str,
-) -> Json {
+fn capture_sidecar(net: &RingNet, spec: &RunSpec, trigger: &Trigger, detail: &str) -> Json {
     let mut manifest = RunManifest::new(
         "blackbox",
         spec.seed,
         format!("{}x{}@{:.2}", spec.mesh_width, spec.mesh_height, spec.load),
-        &spec.config,
+        spec.flow.label(),
     );
-    manifest.threads = threads.max(1) as u64;
-    let ring = net.ring();
+    manifest.threads = spec.threads.max(1) as u64;
+    let ring = net.tracer();
     let events: Vec<Json> = ring.events().map(|e| Json::Str(format!("{e:?}"))).collect();
     let state = net.state_snapshot();
     let digest = noc_metrics::state_digest(&state);
-    Json::obj(vec![
+    let tracker = net.tracker();
+    obj([
+        ("schema_version", Json::Num(SIDECAR_SCHEMA_VERSION as f64)),
+        ("trigger", Json::str(trigger.label())),
+        ("detail", Json::str(detail)),
+        ("cycle", Json::Num(net.now().raw() as f64)),
+        ("in_flight", Json::Num(tracker.in_flight() as f64)),
         (
-            "schema_version".into(),
-            Json::Num(SIDECAR_SCHEMA_VERSION as f64),
+            "delivered_flits",
+            Json::Num(tracker.delivered_flits() as f64),
         ),
-        ("trigger".into(), Json::str(trigger.label())),
-        ("detail".into(), Json::str(detail)),
-        ("cycle".into(), Json::Num(net.now() as f64)),
-        ("in_flight".into(), Json::Num(net.in_flight() as f64)),
+        ("manifest", manifest.to_json()),
+        ("replay", spec.to_json()),
         (
-            "delivered_flits".into(),
-            Json::Num(net.delivered_flits() as f64),
-        ),
-        ("manifest".into(), manifest.to_json()),
-        ("replay".into(), spec.to_json()),
-        (
-            "ring".into(),
-            Json::obj(vec![
-                ("capacity".into(), Json::Num(ring.capacity() as f64)),
-                ("dropped".into(), Json::Num(ring.dropped() as f64)),
-                ("events".into(), Json::Arr(events)),
+            "ring",
+            obj([
+                ("capacity", Json::Num(ring.capacity() as f64)),
+                ("dropped", Json::Num(ring.dropped() as f64)),
+                ("events", Json::Arr(events)),
             ]),
         ),
-        ("state".into(), state),
-        ("state_digest".into(), Json::Str(digest)),
+        ("state", state),
+        ("state_digest", Json::Str(digest)),
     ])
 }
 
-/// Runs `spec` end to end with the flight recorder and watchdog armed:
-/// `inject_cycles` of traffic, then a drain of at most `drain_cap`
-/// cycles. A watchdog trip, a panic out of the cycle loop, or an
-/// exhausted drain cap each capture a crash sidecar; a clean drain
-/// returns [`Trigger::Completed`] with no sidecar.
-pub fn run_blackbox(spec: &ReplaySpec, threads: usize) -> Result<BlackboxRun, String> {
-    let mut net = spec.build()?;
-    let capture = |net: &BlackboxNet, trigger: Trigger, detail: String| BlackboxRun {
-        sidecar: Some(capture_sidecar(net, spec, threads, &trigger, &detail)),
-        cycles: net.now(),
-        delivered_flits: net.delivered_flits(),
+/// Runs a validated blackbox `spec` end to end: `inject_cycles` of
+/// traffic, then a drain of at most `drain_cap` cycles. A watchdog trip,
+/// a panic out of the cycle loop, or an exhausted drain cap each capture
+/// a crash sidecar; a clean drain returns [`Trigger::Completed`] with no
+/// sidecar. Reached through [`RunSpec::run`].
+pub(crate) fn run(spec: &RunSpec) -> BlackboxRun {
+    let (mut net, inject_cycles, drain_cap) = build(spec).expect("validated blackbox spec");
+    let capture = |net: &RingNet, trigger: Trigger, detail: String| BlackboxRun {
+        sidecar: Some(capture_sidecar(net, spec, &trigger, &detail)),
+        cycles: net.now().raw(),
+        delivered_flits: net.tracker().delivered_flits(),
         trigger,
         detail,
     };
     let mut drained = false;
     for phase in ["inject", "drain"] {
         let budget = if phase == "inject" {
-            spec.inject_cycles
+            inject_cycles
         } else {
             net.stop_injection();
-            spec.drain_cap
+            drain_cap
         };
         for _ in 0..budget {
-            if phase == "drain" && net.in_flight() == 0 {
+            if phase == "drain" && net.tracker().in_flight() == 0 {
                 drained = true;
                 break;
             }
-            if let Err(message) = step_caught(&mut net, threads) {
-                return Ok(capture(&net, Trigger::Panic, message));
+            if let Err(message) = step_caught(&mut net, spec.threads) {
+                return capture(&net, Trigger::Panic, message);
             }
             if net.watchdog_tripped() {
                 let detail = format!(
                     "no delivery progress for {} cycles with {} packets in flight",
                     spec.watchdog.unwrap_or(0),
-                    net.in_flight()
+                    net.tracker().in_flight()
                 );
-                return Ok(capture(&net, Trigger::Watchdog, detail));
+                return capture(&net, Trigger::Watchdog, detail);
             }
         }
     }
-    if !drained && net.in_flight() > 0 {
+    if !drained && net.tracker().in_flight() > 0 {
         let detail = format!(
-            "drain cap of {} cycles elapsed with {} packets in flight",
-            spec.drain_cap,
-            net.in_flight()
+            "drain cap of {drain_cap} cycles elapsed with {} packets in flight",
+            net.tracker().in_flight()
         );
-        return Ok(capture(&net, Trigger::DrainCap, detail));
+        return capture(&net, Trigger::DrainCap, detail);
     }
-    Ok(BlackboxRun {
+    BlackboxRun {
         trigger: Trigger::Completed,
-        detail: format!("drained at cycle {}", net.now()),
+        detail: format!("drained at cycle {}", net.now().raw()),
         sidecar: None,
-        cycles: net.now(),
-        delivered_flits: net.delivered_flits(),
-    })
+        cycles: net.now().raw(),
+        delivered_flits: net.tracker().delivered_flits(),
+    }
 }
 
 /// Runs `spec` to exactly `cycle` cycles (honouring the injection-stop
-/// schedule) and captures an unconditional sidecar — the checkpoint
-/// write path, and the harness the replay-equality tests drive.
-pub fn capture_at_cycle(spec: &ReplaySpec, cycle: u64, threads: usize) -> Result<Json, String> {
-    let net = run_to_cycle(spec, cycle, threads)?;
+/// schedule) on `spec.threads` workers and captures an unconditional
+/// sidecar — the checkpoint write path, and the harness the
+/// replay-equality tests drive.
+pub fn capture_at_cycle(spec: &RunSpec, cycle: u64) -> Result<Json, String> {
+    let net = run_to_cycle(spec, cycle)?;
     Ok(capture_sidecar(
         &net,
         spec,
-        threads,
         &Trigger::Completed,
         &format!("manual capture at cycle {cycle}"),
     ))
 }
 
 /// Rebuilds `spec`'s network and steps it to exactly `cycle` cycles,
-/// stopping injection at `spec.inject_cycles` just as the capture run
-/// did.
-fn run_to_cycle(spec: &ReplaySpec, cycle: u64, threads: usize) -> Result<BlackboxNet, String> {
-    let mut net = spec.build()?;
+/// stopping injection at `inject_cycles` just as the capture run did.
+fn run_to_cycle(spec: &RunSpec, cycle: u64) -> Result<RingNet, String> {
+    let (mut net, inject_cycles, _) = build(spec)?;
     for t in 0..cycle {
-        if t == spec.inject_cycles {
+        if t == inject_cycles {
             net.stop_injection();
         }
-        net.step(threads);
+        net.step(spec.threads);
     }
-    if cycle >= spec.inject_cycles {
+    if cycle >= inject_cycles {
         // The capture run may have stopped injection on the boundary
         // cycle itself; stopping again is idempotent.
         net.stop_injection();
@@ -607,7 +263,20 @@ impl ReplayReport {
 /// section, runs to the captured cycle on `threads` workers, and
 /// compares the live state dump against the captured one bit for bit.
 pub fn replay_to_cycle(sidecar: &Json, threads: usize) -> Result<ReplayReport, String> {
-    let spec = ReplaySpec::from_json(sidecar.get("replay").ok_or("sidecar: missing `replay`")?)?;
+    match sidecar.get("schema_version").and_then(Json::as_u64) {
+        Some(SIDECAR_SCHEMA_VERSION) => {}
+        Some(v) => {
+            return Err(format!(
+                "sidecar schema v{v} is not replayable: this build reads v{SIDECAR_SCHEMA_VERSION} \
+                 only; re-capture the run"
+            ))
+        }
+        None => return Err("sidecar: missing `schema_version`".into()),
+    }
+    let spec = RunSpec {
+        threads,
+        ..RunSpec::from_json(sidecar.get("replay").ok_or("sidecar: missing `replay`")?)?
+    };
     let cycle = sidecar
         .get("cycle")
         .and_then(Json::as_u64)
@@ -618,7 +287,7 @@ pub fn replay_to_cycle(sidecar: &Json, threads: usize) -> Result<ReplayReport, S
         .ok_or("sidecar: missing `state_digest`")?
         .to_string();
     let expected_state = sidecar.get("state").ok_or("sidecar: missing `state`")?;
-    let net = run_to_cycle(&spec, cycle, threads)?;
+    let net = run_to_cycle(&spec, cycle)?;
     let live_state = net.state_snapshot();
     let live_digest = noc_metrics::state_digest(&live_state);
     let diffs = json_diff(expected_state, &live_state);
@@ -633,10 +302,19 @@ pub fn replay_to_cycle(sidecar: &Json, threads: usize) -> Result<ReplayReport, S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_faults::{DeadLink, FaultPlan};
+    use noc_topology::{NodeId, Port};
+
+    fn inject_for(spec: &mut RunSpec, inject_cycles: u64) {
+        spec.schedule = Schedule::InjectThenDrain {
+            inject_cycles,
+            drain_cap: 20_000,
+        };
+    }
 
     #[test]
     fn replay_spec_round_trips_through_json() {
-        let mut spec = ReplaySpec::fr6_small(77);
+        let mut spec = RunSpec::fr6_small(77);
         spec.fault = Some(FaultPlan {
             data_corrupt_rate: 1e-3,
             dead_links: vec![DeadLink {
@@ -647,27 +325,32 @@ mod tests {
             ..FaultPlan::quiet(9)
         });
         let doc = spec.to_json();
-        let back = ReplaySpec::from_json(&doc).expect("parse");
+        let back = RunSpec::from_json(&doc).expect("parse");
         assert_eq!(spec, back);
         // And through the text renderer too.
         let text = doc.render();
         let reparsed = Json::parse(&text).expect("reparse");
-        assert_eq!(ReplaySpec::from_json(&reparsed).expect("parse"), spec);
+        assert_eq!(RunSpec::from_json(&reparsed).expect("parse"), spec);
     }
 
     #[test]
     fn unknown_preset_is_an_error() {
-        let mut spec = ReplaySpec::fr6_small(1);
-        spec.config = "SAF24".into();
-        assert!(spec.build().is_err());
-        assert!(run_blackbox(&spec, 1).is_err());
+        let text = RunSpec::fr6_small(1).to_json().render();
+        let unknown = text.replace("\"fr\"", "\"saf\"");
+        assert_ne!(text, unknown, "the flow family is spelled out");
+        assert!(RunSpec::from_json(&Json::parse(&unknown).expect("parse")).is_err());
+        let mut spec = RunSpec::fr6_small(1);
+        spec.ring_log2 = None;
+        assert!(spec.validate().is_err());
+        assert!(spec.run().is_err());
+        assert!(capture_at_cycle(&spec, 10).is_err());
     }
 
     #[test]
     fn clean_run_produces_no_sidecar() {
-        let mut spec = ReplaySpec::fr6_small(0x0B_5E);
-        spec.inject_cycles = 120;
-        let run = run_blackbox(&spec, 1).expect("run");
+        let mut spec = RunSpec::fr6_small(0x0B_5E);
+        inject_for(&mut spec, 120);
+        let run = spec.run().expect("run").blackbox.expect("blackbox run");
         assert_eq!(run.trigger, Trigger::Completed);
         assert!(run.sidecar.is_none());
         assert!(run.delivered_flits > 0);
@@ -675,14 +358,25 @@ mod tests {
 
     #[test]
     fn capture_and_replay_agree_on_the_digest() {
-        let mut spec = ReplaySpec::fr6_small(0xD1_6E);
-        spec.inject_cycles = 150;
-        let sidecar = capture_at_cycle(&spec, 200, 1).expect("capture");
+        let mut spec = RunSpec::fr6_small(0xD1_6E);
+        inject_for(&mut spec, 150);
+        let sidecar = capture_at_cycle(&spec, 200).expect("capture");
         let report = replay_to_cycle(&sidecar, 1).expect("replay");
         assert!(
             report.matches(),
             "replay diverged: {:?}",
             report.diffs.first()
         );
+    }
+
+    #[test]
+    fn version_one_sidecars_are_refused() {
+        let spec = RunSpec::fr6_small(3);
+        let mut sidecar = capture_at_cycle(&spec, 5).expect("capture");
+        if let Json::Obj(pairs) = &mut sidecar {
+            pairs[0].1 = Json::Num(1.0);
+        }
+        let err = replay_to_cycle(&sidecar, 1).expect_err("v1 must be refused");
+        assert!(err.contains("schema v1"), "{err}");
     }
 }

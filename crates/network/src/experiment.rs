@@ -1,60 +1,25 @@
-//! Experiment harness: build networks for either flow control, sweep
-//! offered loads, and locate saturation — the machinery behind every
-//! figure and table of the paper.
+//! Experiment harness: build networks for either flow control and sweep
+//! offered loads — the machinery behind every figure and table of the
+//! paper.
 
+use crate::runner::run_simulation_with;
 use crate::{
-    run_simulation, run_simulation_sharded, EngineProfile, FaultSummary, Network, RunResult,
-    SimConfig,
+    run_simulation, DeliveryTracker, EngineProfile, FaultSummary, Network, RunResult, RunSpec,
+    ShardPlan, SimConfig,
 };
 use flit_reservation::{FrConfig, FrRouter};
-use noc_engine::trace::{NullSink, SharedSink};
-use noc_engine::{sweep, Rng};
+use noc_engine::trace::{NullSink, TraceSink};
+use noc_engine::{sweep, Cycle, Rng};
 use noc_faults::FaultPlan;
 use noc_flow::LinkTiming;
-use noc_metrics::{MetricsRegistry, NullRecorder};
-use noc_provenance::{ProvenanceCollector, ProvenanceReport};
-use noc_topology::Mesh;
-use noc_traffic::{LoadSpec, TrafficGenerator};
+use noc_metrics::{Json, NullRecorder, Recorder};
+use noc_topology::{Mesh, NodeId};
+use noc_traffic::TrafficGenerator;
 use noc_vc::{VcConfig, VcRouter};
 
-/// Everything one telemetry-armed run produces: the measurement record,
-/// the registry (aggregates, series *and* windowed telemetry) and the
-/// engine's runtime profile. From [`FlowControl::run_telemetry`].
-#[derive(Debug)]
-pub struct TelemetryRun {
-    /// The measurement record, identical to an uninstrumented run.
-    pub result: RunResult,
-    /// The filled metrics registry, windows included.
-    pub registry: MetricsRegistry,
-    /// The engine's wall-clock profile (nondeterministic by nature).
-    pub profile: EngineProfile,
-}
-
-/// Shared tail of [`FlowControl::run_telemetry`]: arms windows and the
-/// profiler, runs the methodology, and snapshots the profile before the
-/// registry is taken.
-fn run_with_telemetry<R: noc_flow::Router + Send>(
-    network: &mut Network<R, NullSink, MetricsRegistry>,
-    sim: &SimConfig,
-    sample_period: u64,
-    window_log2: u32,
-    threads: usize,
-) -> TelemetryRun {
-    network.set_metrics_period(sample_period);
-    network.set_telemetry_windows(window_log2);
-    network.set_profiling(true);
-    let result = if threads <= 1 {
-        run_simulation(network, sim)
-    } else {
-        run_simulation_sharded(network, sim, threads)
-    };
-    let profile = network.engine_profile();
-    TelemetryRun {
-        result,
-        registry: std::mem::take(network.metrics_mut()),
-        profile,
-    }
-}
+/// Fork of the root RNG that drives the experiment harness's traffic
+/// (`"raffic"`); routers fork by node id, so the two never collide.
+pub const TRAFFIC_STREAM: u64 = 0x7261_6666_6963;
 
 /// Which flow control to simulate, with its full configuration.
 #[derive(Clone, Debug, PartialEq)]
@@ -67,6 +32,16 @@ pub enum FlowControl {
 }
 
 impl FlowControl {
+    /// The paper's VC8 baseline: 2 VCs × 4 flits, fast-control wires.
+    pub fn vc8() -> Self {
+        FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control())
+    }
+
+    /// The paper's FR6, storage-matched to VC8.
+    pub fn fr6() -> Self {
+        FlowControl::FlitReservation(FrConfig::fr6())
+    }
+
     /// Short label used in tables and plots (e.g. `VC8`, `FR6`, `WH8`,
     /// `VCT24`, `SAF24`).
     pub fn label(&self) -> String {
@@ -92,282 +67,165 @@ impl FlowControl {
         }
     }
 
-    /// Runs one simulation at `load` on an `mesh` network.
-    pub fn run(&self, mesh: Mesh, load: LoadSpec, sim: &SimConfig) -> RunResult {
-        let root = Rng::from_seed(sim.seed);
-        let generator = TrafficGenerator::uniform(mesh, load, root.fork(0x7261_6666_6963)); // "raffic"
-        match self {
-            FlowControl::VirtualChannel(cfg, timing) => {
-                let mut network = Network::new(mesh, *timing, 2, generator, |node| {
-                    VcRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64))
-                });
-                run_simulation(&mut network, sim)
-            }
-            FlowControl::FlitReservation(cfg) => {
-                let mut network =
-                    Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |node| {
-                        FrRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64))
-                    });
-                run_simulation(&mut network, sim)
-            }
+    /// Runs the plain [`RunSpec`] — warm-up / measure / drain at `load`
+    /// (of capacity) with `packet_flits`-flit packets, uniform
+    /// constant-rate traffic, nothing observed — on `mesh`: the building
+    /// block of every latency-throughput curve.
+    ///
+    /// It steps the spec's network itself rather than calling
+    /// [`RunSpec::run`], so a sweep-only binary links no observer path
+    /// and LLVM inlines the whole cycle into the run loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec is invalid (see [`RunSpec::validate`]).
+    pub fn run(&self, mesh: Mesh, load: f64, packet_flits: u32, sim: &SimConfig) -> RunResult {
+        let spec = RunSpec::new(self.clone(), mesh, load, packet_flits, *sim);
+        spec.validate().unwrap_or_else(|e| panic!("{e}"));
+        spec.build(NullSink, NullSink, NullRecorder).simulate(sim)
+    }
+
+    /// Builds this flow control's network on `mesh` — the one place a
+    /// router family is instantiated. Every router draws from its own
+    /// stream forked off `root` by node id; `router_sink` is cloned into
+    /// each router, `sink` receives the network's end-to-end events and
+    /// `metrics` is the recorder. The caller supplies the traffic, so
+    /// each harness keeps its own traffic stream.
+    pub fn build<RS: TraceSink + Clone, S: TraceSink, M: Recorder>(
+        &self,
+        mesh: Mesh,
+        generator: TrafficGenerator,
+        root: &Rng,
+        router_sink: RS,
+        sink: S,
+        metrics: M,
+    ) -> AnyNetwork<RS, S, M> {
+        let rng = |node: NodeId| root.fork(node.raw() as u64);
+        match *self {
+            FlowControl::VirtualChannel(cfg, timing) => AnyNetwork::Vc(Network::with_instruments(
+                mesh,
+                timing,
+                2,
+                generator,
+                |node| VcRouter::with_tracer(mesh, node, cfg, rng(node), router_sink.clone()),
+                sink,
+                metrics,
+            )),
+            FlowControl::FlitReservation(cfg) => AnyNetwork::Fr(Network::with_instruments(
+                mesh,
+                cfg.timing,
+                cfg.control_lanes,
+                generator,
+                |node| FrRouter::with_tracer(mesh, node, cfg, rng(node), router_sink.clone()),
+                sink,
+                metrics,
+            )),
+        }
+    }
+}
+
+/// A network of either router family, as [`FlowControl::build`] returns
+/// it: `RS` is the routers' trace sink, `S` the network's and `M` the
+/// metrics recorder. The methods forward to the wrapped [`Network`];
+/// match on the variants for family-specific access (router statistics,
+/// contract checkers).
+pub enum AnyNetwork<RS: TraceSink = NullSink, S: TraceSink = NullSink, M: Recorder = NullRecorder> {
+    /// Virtual-channel baseline.
+    Vc(Network<VcRouter<RS>, S, M>),
+    /// Flit-reservation.
+    Fr(Network<FrRouter<RS>, S, M>),
+}
+
+macro_rules! on_net {
+    ($self:ident, $net:ident => $body:expr) => {
+        match $self {
+            AnyNetwork::Vc($net) => $body,
+            AnyNetwork::Fr($net) => $body,
+        }
+    };
+}
+
+/// Forwards `&self` (`ref`) or `&mut self` (`mut`) methods to the wrapped
+/// network, documented as "see [`Network::<name>`]".
+macro_rules! forward {
+    (ref $(fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {$(
+        #[doc = concat!("See [`Network::", stringify!($name), "`].")]
+        pub fn $name(&self, $($arg: $ty),*) $(-> $ret)? {
+            on_net!(self, n => n.$name($($arg),*))
+        }
+    )*};
+    (mut $(fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {$(
+        #[doc = concat!("See [`Network::", stringify!($name), "`].")]
+        pub fn $name(&mut self, $($arg: $ty),*) $(-> $ret)? {
+            on_net!(self, n => n.$name($($arg),*))
+        }
+    )*};
+}
+
+impl<RS: TraceSink, S: TraceSink, M: Recorder> AnyNetwork<RS, S, M> {
+    forward!(ref
+        fn mesh() -> Mesh;
+        fn now() -> Cycle;
+        fn tracker() -> &DeliveryTracker;
+        fn tracer() -> &S;
+        fn mean_queued_flits() -> f64;
+        fn control_retries() -> u64;
+        fn fault_summary() -> Option<FaultSummary>;
+        fn watchdog_tripped() -> bool;
+        fn engine_profile() -> EngineProfile;
+        fn state_snapshot() -> Json;
+    );
+    forward!(mut
+        fn cycle();
+        fn run_cycles(n: u64);
+        fn stop_injection();
+        fn set_idle_skip(on: bool);
+        fn set_fault_plan(plan: FaultPlan);
+        fn set_watchdog(cycles: Option<u64>);
+        fn set_control_error_rate(rate: f64, seed: u64);
+        fn set_metrics_period(period: u64);
+        fn set_telemetry_windows(log2: u32);
+        fn set_profiling(on: bool);
+        fn flush_metrics();
+        fn metrics_mut() -> &mut M;
+    );
+
+    /// Runs the warm-up / measure / drain methodology on the sequential
+    /// engine (see [`run_simulation`]).
+    pub fn simulate(&mut self, sim: &SimConfig) -> RunResult {
+        on_net!(self, n => run_simulation(n, sim))
+    }
+}
+
+impl<RS: TraceSink, S: TraceSink, M: Recorder> AnyNetwork<RS, S, M>
+where
+    VcRouter<RS>: Send,
+    FrRouter<RS>: Send,
+{
+    forward!(mut
+        fn cycle_sharded(threads: usize);
+        fn run_cycles_sharded(n: u64, threads: usize);
+        fn set_shard_plan(plan: ShardPlan);
+        fn run_cycles_planned(n: u64);
+    );
+
+    /// Steps one cycle: sequential for `threads <= 1`, sharded otherwise.
+    pub fn step(&mut self, threads: usize) {
+        if threads <= 1 {
+            self.cycle();
+        } else {
+            self.cycle_sharded(threads);
         }
     }
 
-    /// Runs one simulation at `load` with the given fault plan armed:
-    /// deterministic transient link faults (CRC-caught data corruption,
-    /// dropped-then-repaired control flits), permanent link failures, and
-    /// the end-to-end ACK/NACK/retransmit recovery protocol.
-    ///
-    /// Identical seeds and methodology to [`FlowControl::run`]; an
-    /// inactive plan (all rates zero, no dead links) produces a
-    /// bit-identical `RunResult`. Returns the measurement record and the
-    /// fault layer's activity summary.
-    pub fn run_faulty(
-        &self,
-        mesh: Mesh,
-        load: LoadSpec,
-        sim: &SimConfig,
-        plan: &FaultPlan,
-    ) -> (RunResult, FaultSummary) {
-        let root = Rng::from_seed(sim.seed);
-        let generator = TrafficGenerator::uniform(mesh, load, root.fork(0x7261_6666_6963)); // "raffic"
-        match self {
-            FlowControl::VirtualChannel(cfg, timing) => {
-                let mut network = Network::new(mesh, *timing, 2, generator, |node| {
-                    VcRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64))
-                });
-                network.set_fault_plan(plan.clone());
-                let result = run_simulation(&mut network, sim);
-                (result, network.fault_summary().unwrap_or_default())
-            }
-            FlowControl::FlitReservation(cfg) => {
-                let mut network =
-                    Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |node| {
-                        FrRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64))
-                    });
-                network.set_fault_plan(plan.clone());
-                let result = run_simulation(&mut network, sim);
-                (result, network.fault_summary().unwrap_or_default())
-            }
+    /// [`AnyNetwork::simulate`] on the planned engine sharded over
+    /// `threads` workers (inline at 1), or on the sequential engine for
+    /// `threads == 0`; bit-identical either way.
+    pub fn simulate_on(&mut self, sim: &SimConfig, threads: usize) -> RunResult {
+        if threads == 0 {
+            return self.simulate(sim);
         }
-    }
-
-    /// Runs one simulation at `load` with metrics collection enabled,
-    /// returning the run result together with the filled registry.
-    ///
-    /// Identical methodology to [`FlowControl::run`] — same seeds, same
-    /// traffic, same warm-up/measure/drain — and, because metrics never
-    /// feed back into the simulation, identical `RunResult`s. The
-    /// registry's time-axis series sample every `sample_period` cycles
-    /// (0 disables series; counters and gauges are always collected).
-    pub fn run_metered(
-        &self,
-        mesh: Mesh,
-        load: LoadSpec,
-        sim: &SimConfig,
-        sample_period: u64,
-    ) -> (RunResult, MetricsRegistry) {
-        let root = Rng::from_seed(sim.seed);
-        let generator = TrafficGenerator::uniform(mesh, load, root.fork(0x7261_6666_6963)); // "raffic"
-        match self {
-            FlowControl::VirtualChannel(cfg, timing) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    *timing,
-                    2,
-                    generator,
-                    |node| VcRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64)),
-                    NullSink,
-                    MetricsRegistry::new(),
-                );
-                network.set_metrics_period(sample_period);
-                let result = run_simulation(&mut network, sim);
-                (result, std::mem::take(network.metrics_mut()))
-            }
-            FlowControl::FlitReservation(cfg) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    cfg.timing,
-                    cfg.control_lanes,
-                    generator,
-                    |node| FrRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64)),
-                    NullSink,
-                    MetricsRegistry::new(),
-                );
-                network.set_metrics_period(sample_period);
-                let result = run_simulation(&mut network, sim);
-                (result, std::mem::take(network.metrics_mut()))
-            }
-        }
-    }
-
-    /// [`FlowControl::run_metered`] with the per-cycle stepping sharded
-    /// over `threads` worker threads.
-    ///
-    /// The sharded engine is bit-identical to sequential stepping, so
-    /// both the `RunResult` and the exported registry (after
-    /// [`noc_metrics::strip_nondeterministic`] removes wall-clock data)
-    /// match the single-threaded run exactly — the contract
-    /// `tests/parallel_equivalence.rs` pins.
-    pub fn run_metered_sharded(
-        &self,
-        mesh: Mesh,
-        load: LoadSpec,
-        sim: &SimConfig,
-        sample_period: u64,
-        threads: usize,
-    ) -> (RunResult, MetricsRegistry) {
-        let root = Rng::from_seed(sim.seed);
-        let generator = TrafficGenerator::uniform(mesh, load, root.fork(0x7261_6666_6963)); // "raffic"
-        match self {
-            FlowControl::VirtualChannel(cfg, timing) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    *timing,
-                    2,
-                    generator,
-                    |node| VcRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64)),
-                    NullSink,
-                    MetricsRegistry::new(),
-                );
-                network.set_metrics_period(sample_period);
-                let result = run_simulation_sharded(&mut network, sim, threads);
-                (result, std::mem::take(network.metrics_mut()))
-            }
-            FlowControl::FlitReservation(cfg) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    cfg.timing,
-                    cfg.control_lanes,
-                    generator,
-                    |node| FrRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64)),
-                    NullSink,
-                    MetricsRegistry::new(),
-                );
-                network.set_metrics_period(sample_period);
-                let result = run_simulation_sharded(&mut network, sim, threads);
-                (result, std::mem::take(network.metrics_mut()))
-            }
-        }
-    }
-
-    /// Runs one simulation at `load` with windowed telemetry and the
-    /// runtime profiler armed: the registry collects everything
-    /// [`FlowControl::run_metered`] collects *plus* epoch-bucketed
-    /// windows of `1 << window_log2` cycles (per-window offered/ejected
-    /// flits, latency quantiles, stall and reservation counters, buffer
-    /// occupancy), and the engine samples its own wall clock into an
-    /// [`EngineProfile`].
-    ///
-    /// `threads == 1` runs the true sequential engine; larger values
-    /// shard the stepping. Either way the `RunResult` and the
-    /// deterministic registry sections are bit-identical to
-    /// [`FlowControl::run_metered`] at the same seed — telemetry records
-    /// only in the sequential phases, and all wall-clock data stays in
-    /// the profile.
-    pub fn run_telemetry(
-        &self,
-        mesh: Mesh,
-        load: LoadSpec,
-        sim: &SimConfig,
-        sample_period: u64,
-        window_log2: u32,
-        threads: usize,
-    ) -> TelemetryRun {
-        let root = Rng::from_seed(sim.seed);
-        let generator = TrafficGenerator::uniform(mesh, load, root.fork(0x7261_6666_6963)); // "raffic"
-        match self {
-            FlowControl::VirtualChannel(cfg, timing) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    *timing,
-                    2,
-                    generator,
-                    |node| VcRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64)),
-                    NullSink,
-                    MetricsRegistry::new(),
-                );
-                run_with_telemetry(&mut network, sim, sample_period, window_log2, threads)
-            }
-            FlowControl::FlitReservation(cfg) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    cfg.timing,
-                    cfg.control_lanes,
-                    generator,
-                    |node| FrRouter::new(mesh, node, *cfg, root.fork(node.raw() as u64)),
-                    NullSink,
-                    MetricsRegistry::new(),
-                );
-                run_with_telemetry(&mut network, sim, sample_period, window_log2, threads)
-            }
-        }
-    }
-
-    /// Runs one simulation at `load` with latency-provenance tracing on,
-    /// returning the run result and the reconstructed provenance report.
-    ///
-    /// Identical methodology and seeds to [`FlowControl::run`]; the
-    /// provenance sink is observation-only (the routers' stall scans are
-    /// read-only and draw no randomness), so the returned `RunResult` is
-    /// bit-identical to an untraced run. Packets with
-    /// `id % sample_every == 0` are tracked (1 = every packet).
-    pub fn run_traced(
-        &self,
-        mesh: Mesh,
-        load: LoadSpec,
-        sim: &SimConfig,
-        sample_every: u64,
-    ) -> (RunResult, ProvenanceReport) {
-        let root = Rng::from_seed(sim.seed);
-        let generator = TrafficGenerator::uniform(mesh, load, root.fork(0x7261_6666_6963)); // "raffic"
-        let sink = SharedSink::new(ProvenanceCollector::new(sample_every));
-        match self {
-            FlowControl::VirtualChannel(cfg, timing) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    *timing,
-                    2,
-                    generator,
-                    |node| {
-                        VcRouter::with_tracer(
-                            mesh,
-                            node,
-                            *cfg,
-                            root.fork(node.raw() as u64),
-                            sink.clone(),
-                        )
-                    },
-                    sink.clone(),
-                    NullRecorder,
-                );
-                let result = run_simulation(&mut network, sim);
-                drop(network);
-                (result, sink.into_inner().finish())
-            }
-            FlowControl::FlitReservation(cfg) => {
-                let mut network = Network::with_instruments(
-                    mesh,
-                    cfg.timing,
-                    cfg.control_lanes,
-                    generator,
-                    |node| {
-                        FrRouter::with_tracer(
-                            mesh,
-                            node,
-                            *cfg,
-                            root.fork(node.raw() as u64),
-                            sink.clone(),
-                        )
-                    },
-                    sink.clone(),
-                    NullRecorder,
-                );
-                let result = run_simulation(&mut network, sim);
-                drop(network);
-                (result, sink.into_inner().finish())
-            }
-        }
+        on_net!(self, n => run_simulation_with(n, sim, |n| n.cycle_sharded(threads)))
     }
 }
 
@@ -434,10 +292,9 @@ pub fn sweep_loads(
     threads: usize,
 ) -> Curve {
     let points = sweep::run_parallel(loads, threads, |i, &fraction| {
-        let load = LoadSpec::fraction_of_capacity(fraction, packet_length);
         let mut point_sim = *sim;
         point_sim.seed = sim.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
-        let result = flow.run(mesh, load, &point_sim);
+        let result = flow.run(mesh, fraction, packet_length, &point_sim);
         LoadPoint {
             offered: fraction,
             result,
@@ -447,46 +304,6 @@ pub fn sweep_loads(
         label: flow.label(),
         points,
     }
-}
-
-/// Measures base latency with a single near-zero-load run.
-pub fn base_latency(flow: &FlowControl, mesh: Mesh, packet_length: u32, sim: &SimConfig) -> f64 {
-    let load = LoadSpec::fraction_of_capacity(0.05, packet_length);
-    flow.run(mesh, load, sim).mean_latency()
-}
-
-/// Finds saturation throughput by bisection between `lo` (must complete)
-/// and `hi` (should saturate), to `tol` resolution in capacity fraction.
-///
-/// A load "sustains" when the run completes and mean latency stays below
-/// `latency_limit` cycles.
-pub fn find_saturation(
-    flow: &FlowControl,
-    mesh: Mesh,
-    packet_length: u32,
-    sim: &SimConfig,
-    latency_limit: f64,
-    tol: f64,
-) -> f64 {
-    let sustains = |fraction: f64| -> bool {
-        let load = LoadSpec::fraction_of_capacity(fraction, packet_length);
-        let r = flow.run(mesh, load, sim);
-        r.completed && r.mean_latency() <= latency_limit
-    };
-    let mut lo = 0.2;
-    let mut hi = 1.0;
-    if !sustains(lo) {
-        return 0.0;
-    }
-    while hi - lo > tol {
-        let mid = 0.5 * (lo + hi);
-        if sustains(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 #[cfg(test)]
@@ -511,11 +328,11 @@ mod tests {
 
     #[test]
     fn labels_match_paper_names() {
-        let vc8 = FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control());
+        let vc8 = FlowControl::vc8();
         assert_eq!(vc8.label(), "VC8");
         let vc32 = FlowControl::VirtualChannel(VcConfig::vc32(), LinkTiming::fast_control());
         assert_eq!(vc32.label(), "VC32");
-        let fr6 = FlowControl::FlitReservation(FrConfig::fr6());
+        let fr6 = FlowControl::fr6();
         assert_eq!(fr6.label(), "FR6");
         let fr13 = FlowControl::FlitReservation(FrConfig::fr13());
         assert_eq!(fr13.label(), "FR13");
@@ -525,7 +342,7 @@ mod tests {
     #[test]
     fn sweep_produces_monotone_low_load_points() {
         let mesh = Mesh::new(4, 4);
-        let fr6 = FlowControl::FlitReservation(FrConfig::fr6());
+        let fr6 = FlowControl::fr6();
         let curve = sweep_loads(&fr6, mesh, 5, &[0.1, 0.3], &tiny_sim(2), 1);
         assert_eq!(curve.label, "FR6");
         assert_eq!(curve.points.len(), 2);
@@ -543,7 +360,7 @@ mod tests {
     #[test]
     fn saturation_throughput_uses_latency_limit() {
         let mesh = Mesh::new(4, 4);
-        let vc8 = FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control());
+        let vc8 = FlowControl::vc8();
         let curve = sweep_loads(&vc8, mesh, 5, &[0.2, 0.5, 1.2], &tiny_sim(3), 1);
         let base = curve.base_latency();
         let sat = curve.saturation_throughput(base * 3.0);

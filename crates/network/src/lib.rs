@@ -2,8 +2,9 @@
 //!
 //! Network composition and measurement: wires `noc-vc` or
 //! `flit-reservation` routers into the paper's 8×8 mesh, drives the
-//! warm-up / measure / drain methodology, and provides the sweep and
-//! saturation-search harness every figure and table is built from.
+//! warm-up / measure / drain methodology, and provides the sweep harness
+//! every figure and table is built from. A [`RunSpec`] describes one run
+//! end to end; [`FlowControl::build`] is the one construction path.
 //!
 //! # Examples
 //!
@@ -14,7 +15,7 @@
 //! use noc_vc::VcConfig;
 //!
 //! let mesh = Mesh::new(8, 8);
-//! let vc8 = FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control());
+//! let vc8 = FlowControl::vc8();
 //! let curve = sweep_loads(&vc8, mesh, 5, &[0.2, 0.4, 0.6], &SimConfig::quick(1), 1);
 //! println!("VC8 base latency ≈ {:.1} cycles", curve.base_latency());
 //! ```
@@ -28,17 +29,14 @@ mod network;
 pub mod profile;
 mod runner;
 mod shard;
+mod spec;
 mod tracker;
 
-pub use blackbox::{
-    capture_at_cycle, replay_to_cycle, run_blackbox, BlackboxNet, BlackboxRun, ReplayReport,
-    ReplaySpec, Trigger,
-};
-pub use experiment::{
-    base_latency, find_saturation, sweep_loads, Curve, FlowControl, LoadPoint, TelemetryRun,
-};
-pub use network::{FaultSummary, Network, ProbeConfig, ProbeState};
+pub use blackbox::{capture_at_cycle, replay_to_cycle, BlackboxRun, ReplayReport, Trigger};
+pub use experiment::{sweep_loads, AnyNetwork, Curve, FlowControl, LoadPoint, TRAFFIC_STREAM};
+pub use network::{FaultSummary, Network, ProbeState};
 pub use profile::{EngineProfile, ProfileSample};
-pub use runner::{run_simulation, run_simulation_sharded, RunResult, SimConfig};
+pub use runner::{run_simulation, RunResult, SimConfig};
 pub use shard::ShardPlan;
+pub use spec::{injection_label, parse_injection, Pattern, RunOutput, RunSpec, Schedule};
 pub use tracker::{DeliveryError, DeliveryTracker};

@@ -480,7 +480,7 @@ fn lock_shard<'a, 'b, R>(
 
 /// Per-cycle observation knobs (warm-up signal, occupancy probe).
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ProbeConfig {
+pub(crate) struct ProbeConfig {
     /// Node whose buffer pools are sampled for the Section 4.2 occupancy
     /// probe (defaults to the mesh centre).
     pub node: NodeId,
@@ -621,35 +621,13 @@ impl<R: Router> Network<R> {
         generator: TrafficGenerator,
         make_router: impl FnMut(NodeId) -> R,
     ) -> Self {
-        Network::with_tracer(
-            mesh,
-            timing,
-            control_bandwidth,
-            generator,
-            make_router,
-            NullSink,
-        )
-    }
-}
-
-impl<R: Router, S: TraceSink> Network<R, S> {
-    /// Builds a network whose end-to-end events go to `sink`. Routers
-    /// trace separately — pass them their own sinks inside `make_router`.
-    pub fn with_tracer(
-        mesh: Mesh,
-        timing: LinkTiming,
-        control_bandwidth: u32,
-        generator: TrafficGenerator,
-        make_router: impl FnMut(NodeId) -> R,
-        sink: S,
-    ) -> Self {
         Network::with_instruments(
             mesh,
             timing,
             control_bandwidth,
             generator,
             make_router,
-            sink,
+            NullSink,
             NullRecorder,
         )
     }
@@ -657,8 +635,8 @@ impl<R: Router, S: TraceSink> Network<R, S> {
 
 impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
     /// Builds a network with both a trace sink and a metrics recorder.
-    /// This is the fully instrumented constructor; [`Network::new`] and
-    /// [`Network::with_tracer`] delegate here with null instruments.
+    /// This is the fully instrumented constructor; [`Network::new`]
+    /// delegates here with null instruments.
     pub fn with_instruments(
         mesh: Mesh,
         timing: LinkTiming,
@@ -812,11 +790,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         )));
     }
 
-    /// The armed telemetry window exponent, if any.
-    pub fn telemetry_log2(&self) -> Option<u32> {
-        self.instruments.win.as_ref().map(|w| w.log2)
-    }
-
     /// Turns the runtime profiler on or off: sequential-tail timers,
     /// whole-cycle wall clock, worker busy/barrier-wait accounting and
     /// shard-lock acquisition counts, read back via
@@ -827,11 +800,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         if let Some(engine) = self.parallel.as_ref() {
             engine.pool.set_profiling(M::ENABLED && on);
         }
-    }
-
-    /// Whether the runtime profiler is on.
-    pub fn profiling(&self) -> bool {
-        self.profiling
     }
 
     /// Snapshot of the runtime profiler: engine phase and sequential-tail
@@ -881,12 +849,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
     /// The network-level trace sink.
     pub fn tracer(&self) -> &S {
         &self.sink
-    }
-
-    /// Mutable access to the network-level trace sink (e.g. to drain a
-    /// [`noc_engine::trace::VecSink`] between measurement windows).
-    pub fn tracer_mut(&mut self) -> &mut S {
-        &mut self.sink
     }
 
     /// Enables the control-wire error model: every control flit
@@ -949,11 +911,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         }));
     }
 
-    /// Whether a (non-trivial) fault plan is armed.
-    pub fn faults_active(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Snapshot of the fault layer's activity; `None` without an armed
     /// plan.
     pub fn fault_summary(&self) -> Option<FaultSummary> {
@@ -988,11 +945,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
     /// [`Network::set_watchdog`].
     pub fn watchdog_tripped(&self) -> bool {
         self.watchdog_tripped
-    }
-
-    /// Consecutive no-progress cycles observed by the armed watchdog.
-    pub fn watchdog_stalled_cycles(&self) -> u64 {
-        self.watchdog_stalled
     }
 
     /// Dumps the complete deterministic simulator state — clock, link
@@ -1172,14 +1124,15 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         &self.generator
     }
 
-    /// Immutable access to a router, e.g. for FR statistics.
-    pub fn router(&self, node: NodeId) -> &R {
-        &self.slots[node.index()].router
-    }
-
     /// Iterates over all routers.
     pub fn routers(&self) -> impl Iterator<Item = &R> {
         self.slots.iter().map(|s| &s.router)
+    }
+
+    /// Iterates mutably over all routers, e.g. to enable their contract
+    /// checkers before the first cycle.
+    pub fn routers_mut(&mut self) -> impl Iterator<Item = &mut R> {
+        self.slots.iter_mut().map(|s| &mut s.router)
     }
 
     /// Starts/stops marking newly injected packets as measured.
@@ -1196,11 +1149,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
     /// Occupancy probe results.
     pub fn probe_state(&self) -> ProbeState {
         self.probe_state
-    }
-
-    /// Overrides the probed node/port.
-    pub fn set_probe(&mut self, probe: ProbeConfig) {
-        self.probe = probe;
     }
 
     /// Average number of flits queued per router — the warm-up signal.
@@ -2375,8 +2323,8 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimConfig;
-    use flit_reservation::{FrConfig, FrRouter};
+    use crate::{AnyNetwork, FlowControl, SimConfig};
+    use flit_reservation::FrRouter;
     use noc_engine::warmup::WarmupConfig;
     use noc_engine::Rng;
     use noc_traffic::LoadSpec;
@@ -2397,22 +2345,27 @@ mod tests {
         }
     }
 
-    fn vc_network(mesh: Mesh, load: f64, seed: u64) -> Network<VcRouter> {
+    /// Builds `flow` through the one construction path on traffic stream
+    /// 99 with 5-flit packets.
+    fn network(flow: FlowControl, mesh: Mesh, load: f64, seed: u64) -> AnyNetwork {
         let root = Rng::from_seed(seed);
         let spec = LoadSpec::fraction_of_capacity(load, 5);
         let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-        Network::new(mesh, LinkTiming::fast_control(), 2, generator, |node| {
-            VcRouter::new(mesh, node, VcConfig::vc8(), root.fork(node.raw() as u64))
-        })
+        flow.build(mesh, generator, &root, NullSink, NullSink, NullRecorder)
+    }
+
+    fn vc_network(mesh: Mesh, load: f64, seed: u64) -> Network<VcRouter> {
+        let AnyNetwork::Vc(net) = network(FlowControl::vc8(), mesh, load, seed) else {
+            unreachable!("a VC flow builds a VC network")
+        };
+        net
     }
 
     fn fr_network(mesh: Mesh, load: f64, seed: u64) -> Network<FrRouter> {
-        let root = Rng::from_seed(seed);
-        let spec = LoadSpec::fraction_of_capacity(load, 5);
-        let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-        Network::new(mesh, LinkTiming::fast_control(), 2, generator, |node| {
-            FrRouter::new(mesh, node, FrConfig::fr6(), root.fork(node.raw() as u64))
-        })
+        let AnyNetwork::Fr(net) = network(FlowControl::fr6(), mesh, load, seed) else {
+            unreachable!("an FR flow builds an FR network")
+        };
+        net
     }
 
     #[test]

@@ -131,25 +131,11 @@ pub fn run_simulation<R: Router, S: TraceSink, M: Recorder>(
     run_simulation_with(network, sim, |n| n.cycle())
 }
 
-/// [`run_simulation`] with the per-cycle stepping sharded over `threads`
-/// worker threads.
-///
-/// Same seeds, same methodology, same measurements: the sharded engine's
-/// hand-off protocol makes every cycle bit-identical to sequential
-/// stepping, so the returned [`RunResult`] — and any metrics registry the
-/// network fills — matches the single-threaded run exactly, whatever
-/// `threads` is.
-pub fn run_simulation_sharded<R: Router + Send, S: TraceSink, M: Recorder>(
-    network: &mut Network<R, S, M>,
-    sim: &SimConfig,
-    threads: usize,
-) -> RunResult {
-    run_simulation_with(network, sim, |n| n.cycle_sharded(threads))
-}
-
 /// Shared body of the run harness: the methodology is identical whichever
-/// way one cycle is stepped.
-fn run_simulation_with<R: Router, S: TraceSink, M: Recorder>(
+/// way one cycle is stepped. The sharded engine's hand-off protocol makes
+/// every cycle bit-identical to sequential stepping, so sharded `step`s
+/// return the same [`RunResult`] and fill any registry identically.
+pub(crate) fn run_simulation_with<R: Router, S: TraceSink, M: Recorder>(
     network: &mut Network<R, S, M>,
     sim: &SimConfig,
     mut step: impl FnMut(&mut Network<R, S, M>),
@@ -176,8 +162,6 @@ fn run_simulation_with<R: Router, S: TraceSink, M: Recorder>(
     network.set_measuring(true);
     network.enable_probe();
     let already_delivered = network.tracker().delivered_flits();
-    let sample_start_created = network.tracker().delivered_packets(); // unused marker
-    let _ = sample_start_created;
     let mut injected_all_at = None;
     while injected_all_at.is_none() {
         step(network);

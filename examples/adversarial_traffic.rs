@@ -8,17 +8,22 @@
 //! cargo run --release --example adversarial_traffic
 //! ```
 
+use frfc::engine::trace::NullSink;
 use frfc::engine::Rng;
-use frfc::flow::LinkTiming;
-use frfc::fr::{FrConfig, FrRouter};
-use frfc::network::{run_simulation, Network, SimConfig};
+use frfc::metrics::NullRecorder;
+use frfc::network::{FlowControl, SimConfig};
 use frfc::topology::Mesh;
 use frfc::traffic::{
     Hotspot, InjectionKind, LoadSpec, Tornado, TrafficGenerator, TrafficPattern, Transpose,
 };
-use frfc::vc::{VcConfig, VcRouter};
 
-fn run_fr(mesh: Mesh, pattern: Box<dyn TrafficPattern>, load: f64, sim: &SimConfig) -> f64 {
+fn mean_latency(
+    flow: FlowControl,
+    mesh: Mesh,
+    pattern: Box<dyn TrafficPattern>,
+    load: f64,
+    sim: &SimConfig,
+) -> f64 {
     let root = Rng::from_seed(sim.seed);
     let spec = LoadSpec::fraction_of_capacity(load, 5);
     let generator = TrafficGenerator::new(
@@ -28,30 +33,10 @@ fn run_fr(mesh: Mesh, pattern: Box<dyn TrafficPattern>, load: f64, sim: &SimConf
         InjectionKind::ConstantRate,
         root.fork(1),
     );
-    let cfg = FrConfig::fr6();
-    let mut network = Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |node| {
-        FrRouter::new(mesh, node, cfg, root.fork(node.raw() as u64))
-    });
-    run_simulation(&mut network, sim).mean_latency()
+    flow.build(mesh, generator, &root, NullSink, NullSink, NullRecorder)
+        .simulate(sim)
+        .mean_latency()
 }
-
-fn run_vc(mesh: Mesh, pattern: Box<dyn TrafficPattern>, load: f64, sim: &SimConfig) -> f64 {
-    let root = Rng::from_seed(sim.seed);
-    let spec = LoadSpec::fraction_of_capacity(load, 5);
-    let generator = TrafficGenerator::new(
-        mesh,
-        spec,
-        pattern,
-        InjectionKind::ConstantRate,
-        root.fork(1),
-    );
-    let mut network = Network::new(mesh, LinkTiming::fast_control(), 2, generator, |node| {
-        VcRouter::new(mesh, node, VcConfig::vc8(), root.fork(node.raw() as u64))
-    });
-    run_simulation(&mut network, sim).mean_latency()
-}
-
-type PatternFactory = Box<dyn Fn() -> Box<dyn TrafficPattern>>;
 
 fn main() {
     let mesh = Mesh::new(8, 8);
@@ -62,18 +47,17 @@ fn main() {
         load * 100.0
     );
     println!("{:<12} {:>10} {:>10}", "pattern", "VC8", "FR6");
-    let hotspot_node = mesh.node_at(4, 4);
-    let patterns: Vec<(&str, PatternFactory)> = vec![
-        ("transpose", Box::new(|| Box::new(Transpose))),
-        ("tornado", Box::new(|| Box::new(Tornado))),
-        (
-            "hotspot10%",
-            Box::new(move || Box::new(Hotspot::new(hotspot_node, 0.1))),
-        ),
-    ];
-    for (name, make) in &patterns {
-        let vc = run_vc(mesh, make(), load, &sim);
-        let fr = run_fr(mesh, make(), load, &sim);
+    for name in ["transpose", "tornado", "hotspot10%"] {
+        let pattern = || -> Box<dyn TrafficPattern> {
+            match name {
+                "transpose" => Box::new(Transpose),
+                "tornado" => Box::new(Tornado),
+                // The hotspot is the mesh centre, node (4, 4).
+                _ => Box::new(Hotspot::new(mesh.node_at(4, 4), 0.1)),
+            }
+        };
+        let vc = mean_latency(FlowControl::vc8(), mesh, pattern(), load, &sim);
+        let fr = mean_latency(FlowControl::fr6(), mesh, pattern(), load, &sim);
         println!("{name:<12} {vc:>9.1}c {fr:>9.1}c");
     }
     println!("\nAdvance reservations help under non-uniform loads too: the");

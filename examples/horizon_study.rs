@@ -7,10 +7,12 @@
 //! cargo run --release --example horizon_study
 //! ```
 
+use frfc::engine::trace::NullSink;
 use frfc::engine::Rng;
 use frfc::flow::LinkTiming;
-use frfc::fr::{FrConfig, FrRouter};
-use frfc::network::{run_simulation, Network, SimConfig};
+use frfc::fr::FrConfig;
+use frfc::metrics::NullRecorder;
+use frfc::network::{run_simulation, AnyNetwork, FlowControl, SimConfig};
 use frfc::topology::Mesh;
 use frfc::traffic::{LoadSpec, TrafficGenerator};
 
@@ -18,9 +20,12 @@ fn run(cfg: FrConfig, mesh: Mesh, load: f64, sim: &SimConfig) -> (f64, f64) {
     let root = Rng::from_seed(sim.seed);
     let spec = LoadSpec::fraction_of_capacity(load, 5);
     let generator = TrafficGenerator::uniform(mesh, spec, root.fork(1));
-    let mut network = Network::new(mesh, cfg.timing, cfg.control_lanes, generator, |node| {
-        FrRouter::new(mesh, node, cfg, root.fork(node.raw() as u64))
-    });
+    let flow = FlowControl::FlitReservation(cfg);
+    let AnyNetwork::Fr(mut network) =
+        flow.build(mesh, generator, &root, NullSink, NullSink, NullRecorder)
+    else {
+        unreachable!("an FR flow builds an FR network")
+    };
     let r = run_simulation(&mut network, sim);
     // Average, over all routers, of the control flits' lead over their
     // data flits when scheduling ejections.

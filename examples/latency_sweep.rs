@@ -9,11 +9,8 @@
 //! Arguments: `[packet_length] [lo] [hi] [points]`.
 
 use frfc::engine::sweep::linspace;
-use frfc::flow::LinkTiming;
-use frfc::fr::FrConfig;
 use frfc::network::{sweep_loads, FlowControl, SimConfig};
 use frfc::topology::Mesh;
-use frfc::vc::VcConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,22 +25,8 @@ fn main() {
 
     println!("latency vs offered load, {length}-flit packets, 8x8 mesh\n");
     println!("{:>9} {:>12} {:>12}", "offered", "VC8", "FR6");
-    let vc = sweep_loads(
-        &FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
-        mesh,
-        length,
-        &loads,
-        &sim,
-        1,
-    );
-    let fr = sweep_loads(
-        &FlowControl::FlitReservation(FrConfig::fr6()),
-        mesh,
-        length,
-        &loads,
-        &sim,
-        1,
-    );
+    let vc = sweep_loads(&FlowControl::vc8(), mesh, length, &loads, &sim, 1);
+    let fr = sweep_loads(&FlowControl::fr6(), mesh, length, &loads, &sim, 1);
     for (a, b) in vc.points.iter().zip(&fr.points) {
         let fmt = |r: &frfc::network::RunResult| {
             if r.completed {

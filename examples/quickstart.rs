@@ -7,24 +7,16 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use frfc::flow::LinkTiming;
-use frfc::fr::FrConfig;
 use frfc::network::{FlowControl, SimConfig};
 use frfc::topology::Mesh;
-use frfc::traffic::LoadSpec;
-use frfc::vc::VcConfig;
 
 fn main() {
     let mesh = Mesh::new(8, 8);
     let sim = SimConfig::quick(2000);
-    let load = LoadSpec::fraction_of_capacity(0.5, 5);
 
     println!("8x8 mesh, uniform traffic, 5-flit packets, 50% of capacity\n");
-    for flow in [
-        FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
-        FlowControl::FlitReservation(FrConfig::fr6()),
-    ] {
-        let r = flow.run(mesh, load, &sim);
+    for flow in [FlowControl::vc8(), FlowControl::fr6()] {
+        let r = flow.run(mesh, 0.5, 5, &sim);
         println!(
             "{:<5}  latency {:>6.1} ± {:>4.1} cycles   accepted {:>5.1}% of capacity   ({} packets)",
             flow.label(),

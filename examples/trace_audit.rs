@@ -12,8 +12,8 @@
 
 use frfc::engine::trace::{InvariantChecker, SharedSink};
 use frfc::engine::Rng;
-use frfc::fr::{FrConfig, FrRouter};
-use frfc::network::Network;
+use frfc::metrics::NullRecorder;
+use frfc::network::FlowControl;
 use frfc::topology::Mesh;
 use frfc::traffic::{LoadSpec, TrafficGenerator};
 
@@ -24,25 +24,16 @@ fn main() {
     let root = Rng::from_seed(seed);
     let spec = LoadSpec::fraction_of_capacity(load, 5);
     let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let cfg = FrConfig::fr6();
+    let flow = FlowControl::fr6();
 
     let sink = SharedSink::new(InvariantChecker::new());
-    let router_sink = sink.clone();
-    let mut net = Network::with_tracer(
+    let mut net = flow.build(
         mesh,
-        cfg.timing,
-        cfg.control_lanes,
         generator,
-        move |node| {
-            FrRouter::with_tracer(
-                mesh,
-                node,
-                cfg,
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            )
-        },
+        &root,
         sink.clone(),
+        sink.clone(),
+        NullRecorder,
     );
 
     net.run_cycles(5_000);

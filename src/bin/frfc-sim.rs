@@ -10,18 +10,15 @@
 //! Prints a one-run report: mean latency with 95% CI, p50/p95/p99, accepted
 //! throughput and the occupancy probe.
 
-use frfc::engine::trace::NullSink;
-use frfc::engine::Rng;
 use frfc::flow::LinkTiming;
-use frfc::fr::{FrConfig, FrRouter};
-use frfc::metrics::{write_json_file, MetricsRegistry, RunManifest};
-use frfc::network::{run_simulation, EngineProfile, Network, RunResult, SimConfig};
-use frfc::topology::{Mesh, NodeId};
-use frfc::traffic::{
-    BitComplement, Hotspot, InjectionKind, LoadSpec, Tornado, TrafficGenerator, TrafficPattern,
-    Transpose, Uniform,
+use frfc::fr::FrConfig;
+use frfc::metrics::{write_json_file, Json, RunManifest};
+use frfc::network::{
+    capture_at_cycle, parse_injection, FlowControl, Pattern, RunResult, RunSpec, Schedule,
+    SimConfig, Trigger,
 };
-use frfc::vc::{CreditMode, VcConfig, VcRouter};
+use frfc::traffic::InjectionKind;
+use frfc::vc::VcConfig;
 
 const HELP: &str = "frfc-sim — one flit-level simulation run (Peh & Dally, HPCA 2000)
 
@@ -59,8 +56,8 @@ OPTIONS:
 Any of the last three flags switches to blackbox mode: a fixed
 inject-then-drain schedule with the flight recorder and watchdog armed,
 capturing a replayable crash sidecar on watchdog trip, panic or drain
-failure (inspect it with frfc-inspect). Blackbox mode supports
---flow vc8|vc32|fr6|fr13 on the uniform pattern.
+failure (inspect it with frfc-inspect). Both modes simulate the same
+traffic for the same flags.
 ";
 
 #[derive(Debug)]
@@ -71,7 +68,7 @@ struct Args {
     mesh: (u16, u16),
     timing: LinkTiming,
     horizon: u64,
-    pattern: String,
+    pattern: Pattern,
     injection: InjectionKind,
     error_rate: f64,
     sync_margin: u64,
@@ -91,7 +88,12 @@ impl Args {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the numeric value of `flag`.
+fn num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
+    text.parse().map_err(|_| format!("bad {flag} value {text}"))
+}
+
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         flow: "fr6".into(),
         load: 0.5,
@@ -99,7 +101,7 @@ fn parse_args() -> Result<Args, String> {
         mesh: (8, 8),
         timing: LinkTiming::fast_control(),
         horizon: 32,
-        pattern: "uniform".into(),
+        pattern: Pattern::Uniform,
         injection: InjectionKind::ConstantRate,
         error_rate: 0.0,
         sync_margin: 0,
@@ -111,128 +113,49 @@ fn parse_args() -> Result<Args, String> {
         watchdog: None,
         dump_state_out: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
+    for pair in argv.chunks(2) {
+        let flag = pair[0].as_str();
         if flag == "-h" || flag == "--help" {
             print!("{HELP}");
             std::process::exit(0);
         }
-        let value = argv
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?;
+        let value = pair.get(1).ok_or_else(|| format!("{flag} needs a value"))?;
         match flag {
             "--flow" => args.flow = value.clone(),
-            "--load" => {
-                args.load = value.parse().map_err(|_| format!("bad load {value}"))?;
-                if args.load <= 0.0 || args.load > 1.5 {
-                    return Err("load must be in (0, 1.5]".into());
-                }
-            }
-            "--length" => args.length = value.parse().map_err(|_| format!("bad length {value}"))?,
+            "--load" => args.load = num(flag, value)?,
+            "--length" => args.length = num(flag, value)?,
             "--mesh" => {
                 let (w, h) = value
                     .split_once('x')
                     .ok_or_else(|| format!("mesh must look like 8x8, got {value}"))?;
-                args.mesh = (
-                    w.parse().map_err(|_| format!("bad width {w}"))?,
-                    h.parse().map_err(|_| format!("bad height {h}"))?,
-                );
+                args.mesh = (num(flag, w)?, num(flag, h)?);
             }
             "--timing" => {
-                args.timing = if value == "fast" {
-                    LinkTiming::fast_control()
-                } else if let Some(lead) = value.strip_prefix("lead:") {
-                    LinkTiming::leading_control(
-                        lead.parse().map_err(|_| format!("bad lead {lead}"))?,
-                    )
-                } else {
-                    return Err(format!("timing must be fast or lead:<N>, got {value}"));
-                };
+                args.timing = match value.strip_prefix("lead:") {
+                    _ if value == "fast" => LinkTiming::fast_control(),
+                    Some(lead) => LinkTiming {
+                        control_lead: num(flag, lead)?,
+                        ..LinkTiming::leading_control(1)
+                    },
+                    None => return Err(format!("timing must be fast or lead:<N>, got {value}")),
+                }
             }
-            "--horizon" => {
-                args.horizon = value.parse().map_err(|_| format!("bad horizon {value}"))?
-            }
-            "--pattern" => args.pattern = value.clone(),
-            "--injection" => {
-                args.injection = if value == "constant" {
-                    InjectionKind::ConstantRate
-                } else if value == "bernoulli" {
-                    InjectionKind::Bernoulli
-                } else if let Some(spec) = value.strip_prefix("onoff:") {
-                    let (peak, on) = spec
-                        .split_once(',')
-                        .ok_or_else(|| format!("onoff needs <peak>,<mean_on>, got {spec}"))?;
-                    InjectionKind::OnOff {
-                        peak_rate: peak.parse().map_err(|_| format!("bad peak {peak}"))?,
-                        mean_on: on.parse().map_err(|_| format!("bad mean_on {on}"))?,
-                    }
-                } else {
-                    return Err(format!("unknown injection {value}"));
-                };
-            }
-            "--error-rate" => {
-                args.error_rate = value
-                    .parse()
-                    .map_err(|_| format!("bad error rate {value}"))?
-            }
-            "--sync-margin" => {
-                args.sync_margin = value.parse().map_err(|_| format!("bad margin {value}"))?
-            }
+            "--horizon" => args.horizon = num(flag, value)?,
+            "--pattern" => args.pattern = Pattern::parse(value)?,
+            "--injection" => args.injection = parse_injection(value)?,
+            "--error-rate" => args.error_rate = num(flag, value)?,
+            "--sync-margin" => args.sync_margin = num(flag, value)?,
             "--scale" => args.scale = value.clone(),
-            "--seed" => args.seed = value.parse().map_err(|_| format!("bad seed {value}"))?,
+            "--seed" => args.seed = num(flag, value)?,
             "--telemetry-out" => args.telemetry_out = Some(value.into()),
-            "--window-log2" => {
-                args.window_log2 = value
-                    .parse()
-                    .map_err(|_| format!("bad window log2 {value}"))?;
-                if args.window_log2 >= 32 {
-                    return Err("window log2 must be below 32".into());
-                }
-            }
-            "--flight-ring" => {
-                let log2: u32 = value
-                    .parse()
-                    .map_err(|_| format!("bad ring log2 {value}"))?;
-                if log2 >= 24 {
-                    return Err("flight ring log2 must be below 24".into());
-                }
-                args.flight_ring = Some(log2);
-            }
-            "--watchdog" => {
-                let cycles: u64 = value
-                    .parse()
-                    .map_err(|_| format!("bad watchdog threshold {value}"))?;
-                if cycles == 0 {
-                    return Err("watchdog threshold must be positive".into());
-                }
-                args.watchdog = Some(cycles);
-            }
+            "--window-log2" => args.window_log2 = num(flag, value)?,
+            "--flight-ring" => args.flight_ring = Some(num(flag, value)?),
+            "--watchdog" => args.watchdog = Some(num(flag, value)?),
             "--dump-state-out" => args.dump_state_out = Some(value.into()),
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
-        i += 2;
     }
     Ok(args)
-}
-
-fn make_pattern(name: &str, mesh: Mesh) -> Result<Box<dyn TrafficPattern>, String> {
-    Ok(match name {
-        "uniform" => Box::new(Uniform),
-        "transpose" => Box::new(Transpose),
-        "tornado" => Box::new(Tornado),
-        "bitcomp" => Box::new(BitComplement),
-        other => {
-            if let Some(frac) = other.strip_prefix("hotspot:") {
-                let f: f64 = frac.parse().map_err(|_| format!("bad fraction {frac}"))?;
-                let centre = mesh.node_at(mesh.width() / 2, mesh.height() / 2);
-                Box::new(Hotspot::new(centre, f))
-            } else {
-                return Err(format!("unknown pattern {other}"));
-            }
-        }
-    })
 }
 
 fn sim_for_scale(scale: &str, seed: u64) -> Result<SimConfig, String> {
@@ -249,6 +172,80 @@ fn sim_for_scale(scale: &str, seed: u64) -> Result<SimConfig, String> {
     })
 }
 
+/// The flow control `--flow`, `--timing`, `--horizon` and
+/// `--sync-margin` describe.
+fn flow_control(args: &Args) -> Result<FlowControl, String> {
+    let vc = |cfg: VcConfig| Ok(FlowControl::VirtualChannel(cfg, args.timing));
+    let fr = |base: FrConfig| {
+        Ok(FlowControl::FlitReservation(FrConfig {
+            timing: args.timing,
+            horizon: args.horizon,
+            sync_margin: args.sync_margin,
+            ..base
+        }))
+    };
+    match args.flow.as_str() {
+        "vc8" => vc(VcConfig::vc8()),
+        "vc16" => vc(VcConfig::vc16()),
+        "vc32" => vc(VcConfig::vc32()),
+        "vc8-shared" => vc(VcConfig::vc8().with_shared_pool()),
+        "fr6" => fr(FrConfig::fr6()),
+        "fr13" => fr(FrConfig::fr13()),
+        other => match other.strip_prefix("wormhole:") {
+            Some(bufs) => vc(VcConfig {
+                queue_depth: bufs
+                    .parse()
+                    .map_err(|_| format!("bad buffer count {bufs}"))?,
+                ..VcConfig::wormhole(1)
+            }),
+            None => Err(format!("unknown flow control {other}")),
+        },
+    }
+}
+
+/// The one run the flags describe. Blackbox mode swaps the schedule for
+/// inject-then-drain and arms the flight ring and watchdog; flow,
+/// traffic and seed are the same in both modes.
+fn run_spec(args: &Args) -> Result<RunSpec, String> {
+    let blackbox = args.blackbox_mode();
+    let schedule = if blackbox {
+        let inject_cycles = match args.scale.as_str() {
+            "tiny" => 500,
+            "quick" => 2_000,
+            "paper" => 10_000,
+            other => return Err(format!("unknown scale {other}")),
+        };
+        Schedule::InjectThenDrain {
+            inject_cycles,
+            drain_cap: 20 * inject_cycles,
+        }
+    } else {
+        Schedule::Methodology(sim_for_scale(&args.scale, args.seed)?)
+    };
+    let telemetry = args.telemetry_out.is_some();
+    let spec = RunSpec {
+        flow: flow_control(args)?,
+        mesh_width: args.mesh.0,
+        mesh_height: args.mesh.1,
+        load: args.load,
+        packet_flits: args.length,
+        seed: args.seed,
+        pattern: args.pattern,
+        injection: args.injection,
+        schedule,
+        threads: 1,
+        fault: None,
+        control_error_rate: args.error_rate,
+        metrics_period: telemetry.then_some(64),
+        telemetry_window_log2: telemetry.then_some(args.window_log2),
+        provenance_sample_every: None,
+        ring_log2: blackbox.then(|| args.flight_ring.unwrap_or(10)),
+        watchdog: blackbox.then(|| args.watchdog.unwrap_or(2_000)),
+    };
+    spec.validate()?;
+    Ok(spec)
+}
+
 /// `foo.json` → `foo<suffix>` (e.g. `foo.profile.json`), next to the
 /// telemetry sidecar.
 fn sibling(path: &std::path::Path, suffix: &str) -> std::path::PathBuf {
@@ -256,44 +253,36 @@ fn sibling(path: &std::path::Path, suffix: &str) -> std::path::PathBuf {
     std::path::PathBuf::from(format!("{}{suffix}", stem.display()))
 }
 
-/// Runs one telemetry-armed simulation and writes the sidecars: the
-/// metrics export (aggregates, series and windowed telemetry) to
-/// `--telemetry-out`, plus the runtime profile and its Chrome trace next
-/// to it.
-fn simulate_telemetry<R: frfc::flow::Router + Send>(
-    mut net: Network<R, NullSink, MetricsRegistry>,
-    sim: &SimConfig,
-    args: &Args,
-    label: &str,
-) -> Result<(RunResult, u64), String> {
-    if args.error_rate > 0.0 {
-        net.set_control_error_rate(args.error_rate, args.seed ^ 0xE44);
-    }
-    net.set_telemetry_windows(args.window_log2);
-    net.set_profiling(true);
+fn write(path: &std::path::Path, doc: &Json) -> Result<(), String> {
+    write_json_file(path, doc).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// Runs the methodology and, with `--telemetry-out`, writes the metrics
+/// export (aggregates, series and windowed telemetry) plus the runtime
+/// profile and its Chrome trace next to it.
+fn run(spec: &RunSpec, args: &Args) -> Result<(RunResult, u64), String> {
     let wall = std::time::Instant::now();
-    let r = run_simulation(&mut net, sim);
-    let retries = net.control_retries();
-    let profile: EngineProfile = net.engine_profile();
-    let registry = std::mem::take(net.metrics_mut());
-    let out = args.telemetry_out.as_ref().expect("telemetry path set");
-    let mut manifest = RunManifest::new("frfc-sim", args.seed, args.scale.clone(), label);
-    manifest.wall_ms = wall.elapsed().as_millis() as u64;
-    let write = |path: &std::path::Path, doc: &frfc::metrics::Json| {
-        write_json_file(path, doc).map_err(|e| format!("cannot write {}: {e}", path.display()))
-    };
-    write(out, &registry.to_json(&manifest))?;
-    let profile_path = sibling(out, ".profile.json");
-    write(&profile_path, &profile.to_json())?;
-    let trace_path = sibling(out, ".trace.json");
-    write(&trace_path, &profile.chrome_trace())?;
-    eprintln!(
-        "telemetry : {} (+ {} / {})",
-        out.display(),
-        profile_path.display(),
-        trace_path.display()
-    );
-    Ok((r, retries))
+    let out = spec.run()?;
+    if let (Some(path), Some(registry), Some(profile)) =
+        (&args.telemetry_out, &out.registry, &out.profile)
+    {
+        let mut manifest =
+            RunManifest::new("frfc-sim", args.seed, args.scale.clone(), spec.flow.label());
+        manifest.wall_ms = wall.elapsed().as_millis() as u64;
+        write(path, &registry.to_json(&manifest))?;
+        let profile_path = sibling(path, ".profile.json");
+        write(&profile_path, &profile.to_json())?;
+        let trace_path = sibling(path, ".trace.json");
+        write(&trace_path, &profile.chrome_trace())?;
+        eprintln!(
+            "telemetry : {} (+ {} / {})",
+            path.display(),
+            profile_path.display(),
+            trace_path.display()
+        );
+    }
+    let result = out.result.ok_or("methodology run produced no result")?;
+    Ok((result, out.control_retries))
 }
 
 /// Blackbox mode: a fixed inject-then-drain schedule with the flight
@@ -301,50 +290,20 @@ fn simulate_telemetry<R: frfc::flow::Router + Send>(
 /// panic, exhausted drain) captures a crash sidecar; with
 /// `--dump-state-out` a clean run also writes an unconditional state
 /// capture at its final cycle, which is the checkpoint write path.
-fn run_blackbox_mode(args: &Args) -> Result<(), String> {
-    use frfc::network::blackbox::{capture_at_cycle, run_blackbox, ReplaySpec, Trigger};
-    let config = match args.flow.as_str() {
-        "vc8" => "VC8",
-        "vc32" => "VC32",
-        "fr6" => "FR6",
-        "fr13" => "FR13",
-        other => {
-            return Err(format!(
-                "blackbox mode supports vc8|vc32|fr6|fr13, got {other}"
-            ))
-        }
-    };
-    if args.pattern != "uniform" {
-        return Err("blackbox mode supports only the uniform pattern".into());
-    }
-    let inject_cycles = match args.scale.as_str() {
-        "tiny" => 500,
-        "quick" => 2_000,
-        "paper" => 10_000,
-        other => return Err(format!("unknown scale {other}")),
-    };
-    let spec = ReplaySpec {
-        config: config.into(),
-        mesh_width: args.mesh.0,
-        mesh_height: args.mesh.1,
-        load: args.load,
-        packet_flits: args.length,
-        seed: args.seed,
-        inject_cycles,
-        drain_cap: 20 * inject_cycles,
-        ring_log2: args.flight_ring.unwrap_or(10),
-        watchdog: Some(args.watchdog.unwrap_or(2_000)),
-        fault: None,
-    };
-    let run = run_blackbox(&spec, 1)?;
+fn run_blackbox_mode(spec: &RunSpec, args: &Args) -> Result<(), String> {
+    let run = spec
+        .run()?
+        .blackbox
+        .ok_or("blackbox run produced no outcome")?;
+    let label = spec.flow.label();
     println!(
-        "{config} blackbox on {}x{} mesh | {:.0}% load | seed {} | ring 2^{} | watchdog {}",
+        "{label} blackbox on {}x{} mesh | {:.0}% load | seed {} | ring 2^{} | watchdog {}",
         spec.mesh_width,
         spec.mesh_height,
         spec.load * 100.0,
         spec.seed,
-        spec.ring_log2,
-        spec.watchdog.expect("armed above"),
+        spec.ring_log2.unwrap_or(0),
+        spec.watchdog.unwrap_or(0),
     );
     println!(
         "outcome   : {} after {} cycles ({} flits delivered) — {}",
@@ -357,22 +316,21 @@ fn run_blackbox_mode(args: &Args) -> Result<(), String> {
         Some(doc) => Some(doc),
         None => match &args.dump_state_out {
             // Clean run: only capture when the caller asked for a dump.
-            Some(_) => Some(capture_at_cycle(&spec, run.cycles, 1)?),
+            Some(_) => Some(capture_at_cycle(spec, run.cycles)?),
             None => None,
         },
     };
     if let Some(doc) = sidecar {
         let default_path = std::path::PathBuf::from(format!(
             "results/state/frfc-sim-{}-{}.json",
-            config.to_lowercase(),
+            label.to_lowercase(),
             spec.seed
         ));
         let path = args.dump_state_out.clone().unwrap_or(default_path);
-        write_json_file(&path, &doc)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        write(&path, &doc)?;
         let digest = doc
             .get("state_digest")
-            .and_then(frfc::metrics::Json::as_str)
+            .and_then(Json::as_str)
             .unwrap_or("?");
         println!("sidecar   : {} (state digest {digest})", path.display());
         println!("inspect   : frfc-inspect show {}", path.display());
@@ -383,126 +341,28 @@ fn run_blackbox_mode(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn run(args: &Args) -> Result<(String, RunResult, u64), String> {
-    let mesh = Mesh::new(args.mesh.0, args.mesh.1);
-    let sim = sim_for_scale(&args.scale, args.seed)?;
-    let load = LoadSpec::fraction_of_capacity(args.load, args.length);
-    let root = Rng::from_seed(sim.seed);
-    let make_generator = || -> Result<TrafficGenerator, String> {
-        let pattern = make_pattern(&args.pattern, mesh)?;
-        Ok(TrafficGenerator::new(
-            mesh,
-            load,
-            pattern,
-            args.injection,
-            root.fork(1),
-        ))
-    };
-
-    let make_vc = |cfg: VcConfig| -> Result<(String, RunResult, u64), String> {
-        let label = format!("VC{}", cfg.buffers_per_input());
-        let generator = make_generator()?;
-        let make_router = |n: NodeId| VcRouter::new(mesh, n, cfg, root.fork(n.raw() as u64));
-        if args.telemetry_out.is_some() {
-            let net = Network::with_instruments(
-                mesh,
-                args.timing,
-                2,
-                generator,
-                make_router,
-                NullSink,
-                MetricsRegistry::new(),
-            );
-            let (r, retries) = simulate_telemetry(net, &sim, args, &label)?;
-            return Ok((label, r, retries));
-        }
-        let mut net = Network::new(mesh, args.timing, 2, generator, make_router);
-        if args.error_rate > 0.0 {
-            net.set_control_error_rate(args.error_rate, args.seed ^ 0xE44);
-        }
-        let r = run_simulation(&mut net, &sim);
-        Ok((label, r, net.control_retries()))
-    };
-
-    Ok(match args.flow.as_str() {
-        "vc8" => make_vc(VcConfig::vc8())?,
-        "vc16" => make_vc(VcConfig::vc16())?,
-        "vc32" => make_vc(VcConfig::vc32())?,
-        "vc8-shared" => make_vc(VcConfig::vc8().with_shared_pool())?,
-        flow => {
-            if let Some(bufs) = flow.strip_prefix("wormhole:") {
-                let b: usize = bufs
-                    .parse()
-                    .map_err(|_| format!("bad buffer count {bufs}"))?;
-                make_vc(VcConfig::new(1, b, CreditMode::PerVc))?
-            } else {
-                let base = match flow {
-                    "fr6" => FrConfig::fr6(),
-                    "fr13" => FrConfig::fr13(),
-                    other => return Err(format!("unknown flow control {other}")),
-                };
-                let cfg = base
-                    .with_timing(args.timing)
-                    .with_horizon(args.horizon)
-                    .with_sync_margin(args.sync_margin);
-                let label = format!("FR{}", cfg.data_buffers);
-                let generator = make_generator()?;
-                let make_router =
-                    |n: NodeId| FrRouter::new(mesh, n, cfg, root.fork(n.raw() as u64));
-                if args.telemetry_out.is_some() {
-                    let net = Network::with_instruments(
-                        mesh,
-                        cfg.timing,
-                        cfg.control_lanes,
-                        generator,
-                        make_router,
-                        NullSink,
-                        MetricsRegistry::new(),
-                    );
-                    let (r, retries) = simulate_telemetry(net, &sim, args, &label)?;
-                    return Ok((label, r, retries));
-                }
-                let mut net =
-                    Network::new(mesh, cfg.timing, cfg.control_lanes, generator, make_router);
-                if args.error_rate > 0.0 {
-                    net.set_control_error_rate(args.error_rate, args.seed ^ 0xE44);
-                }
-                let r = run_simulation(&mut net, &sim);
-                let retries = net.control_retries();
-                (label, r, retries)
-            }
-        }
-    })
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("run with --help for usage");
-            std::process::exit(2);
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let fail = |e: String| -> ! {
+        eprintln!("error: {e}");
+        eprintln!("run with --help for usage");
+        std::process::exit(2);
     };
+    let args = parse_args(&argv).unwrap_or_else(|e| fail(e));
+    let spec = run_spec(&args).unwrap_or_else(|e| fail(e));
     if args.blackbox_mode() {
-        if let Err(e) = run_blackbox_mode(&args) {
-            eprintln!("error: {e}");
-            std::process::exit(2);
+        if let Err(e) = run_blackbox_mode(&spec, &args) {
+            fail(e);
         }
         return;
     }
-    let (label, r, retries) = match run(&args) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let (r, retries) = run(&spec, &args).unwrap_or_else(|e| fail(e));
+    let label = spec.flow.label();
     println!(
         "{label} on {}x{} mesh | {} pattern | {:.0}% load | {}-flit packets | seed {}",
         args.mesh.0,
         args.mesh.1,
-        args.pattern,
+        args.pattern.label(),
         args.load * 100.0,
         args.length,
         args.seed
@@ -540,4 +400,50 @@ fn main() {
         "window    : warm-up ended at cycle {}, run ended at cycle {}",
         r.measure_start, r.end_cycle
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn spec_of(flags: &str) -> Result<RunSpec, String> {
+        let argv: Vec<String> = flags.split_whitespace().map(String::from).collect();
+        parse_args(&argv).and_then(|args| run_spec(&args))
+    }
+
+    /// Re-running a command with `--watchdog` to capture it must simulate
+    /// the same traffic: the two specs agree on everything but the
+    /// observers and the inject-then-drain schedule those select.
+    #[test]
+    fn watchdog_flag_changes_only_observer_fields() {
+        let flags = "--flow vc16 --mesh 4x4 --load 0.3 --scale tiny --pattern transpose \
+                     --error-rate 0.01 --seed 7";
+        let plain = spec_of(flags).expect("plain spec");
+        let watched = spec_of(&format!("{flags} --watchdog 500")).expect("blackbox spec");
+        assert_eq!((watched.watchdog, watched.ring_log2), (Some(500), Some(10)));
+        assert_eq!((plain.watchdog, plain.ring_log2), (None, None));
+        assert!(matches!(watched.schedule, Schedule::InjectThenDrain { .. }));
+        let observers_cleared = RunSpec {
+            schedule: plain.schedule,
+            ring_log2: None,
+            watchdog: None,
+            ..watched
+        };
+        assert_eq!(observers_cleared, plain);
+    }
+
+    #[test]
+    fn hostile_flags_are_errors_not_panics() {
+        for flags in [
+            "--mesh 0x4",
+            "--mesh 300x300",
+            "--length 0",
+            "--flow fr6 --horizon 0",
+            "--flow fr6 --timing lead:0",
+            "--flow wormhole:0",
+            "--pattern hotspot:2",
+        ] {
+            assert!(spec_of(flags).is_err(), "{flags} must be rejected");
+        }
+    }
 }

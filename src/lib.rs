@@ -24,17 +24,25 @@
 //!
 //! # Quickstart
 //!
+//! A [`network::RunSpec`] describes one run end to end — flow control,
+//! mesh, traffic, seed, schedule and the observers to arm — and
+//! [`network::RunSpec::run`] builds and runs it:
+//!
 //! ```no_run
 //! use frfc::fr::FrConfig;
-//! use frfc::network::{FlowControl, SimConfig};
+//! use frfc::network::{FlowControl, RunSpec, SimConfig};
 //! use frfc::topology::Mesh;
-//! use frfc::traffic::LoadSpec;
 //!
-//! // The paper's network: 8x8 mesh, FR6 router, 50% offered load.
-//! let mesh = Mesh::new(8, 8);
-//! let fr6 = FlowControl::FlitReservation(FrConfig::fr6());
-//! let result = fr6.run(mesh, LoadSpec::fraction_of_capacity(0.5, 5), &SimConfig::quick(1));
+//! // The paper's network: 8x8 mesh, FR6 router, 50% offered load of
+//! // 5-flit packets, measured with the quick methodology.
+//! let fr6 = FlowControl::fr6();
+//! let spec = RunSpec::new(fr6, Mesh::new(8, 8), 0.5, 5, SimConfig::quick(1));
+//! let result = spec.run()?.result.expect("methodology run");
 //! println!("mean latency: {:.1} cycles", result.mean_latency());
+//!
+//! // Observers are fields: the same run with a metrics registry.
+//! let registry = RunSpec { metrics_period: Some(64), ..spec }.run()?.registry;
+//! # Ok::<(), String>(())
 //! ```
 
 #![forbid(unsafe_code)]

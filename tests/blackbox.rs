@@ -16,151 +16,33 @@
 //!   and the captured crash sidecar round-trips through the text form
 //!   and replays cleanly.
 //!
-//! The network-construction helpers mirror `tests/staged_golden.rs`
-//! exactly (same seeds, same RNG forks) — the golden fingerprints were
-//! blessed through those recipes, and this suite's whole point is to
-//! rerun them with the recorder armed.
+//! The networks come from the shared staged-golden recipe
+//! (`tests/common`) — the golden fingerprints were blessed through it,
+//! and this suite's whole point is to rerun it with the recorder armed.
 
-use frfc::engine::trace::{RingSink, TeeSink, TraceEvent, TraceSink, VecSink};
-use frfc::engine::Rng;
+mod common;
+
+use common::{fault_plan, fingerprint, golden_net, golden_net_line, run_to_drain_seq, MESH};
+use frfc::engine::trace::{RingSink, TeeSink, TraceEvent, VecSink};
 use frfc::faults::{DeadLink, FaultPlan};
-use frfc::flow::{LinkTiming, Router};
-use frfc::fr::{FrConfig, FrRouter};
-use frfc::metrics::{json_diff, Json};
-use frfc::network::{
-    capture_at_cycle, replay_to_cycle, run_blackbox, Network, ReplaySpec, Trigger,
-};
+use frfc::metrics::{json_diff, Json, NullRecorder};
+use frfc::network::{capture_at_cycle, replay_to_cycle, FlowControl, RunSpec, Schedule, Trigger};
 use frfc::topology::{Mesh, Port};
-use frfc::traffic::{LoadSpec, TrafficGenerator};
-use frfc::vc::{VcConfig, VcRouter};
-use std::fmt::Write as _;
+use frfc::vc::VcConfig;
 
-const MESH: (u16, u16) = (4, 4);
-const PACKET_FLITS: u32 = 5;
 /// Small enough that every golden cell overflows it, so the wraparound
 /// path (not just the filling path) is what the proof exercises.
 const RING_CAP: usize = 256;
 
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/staged_traces.txt"
-);
-
-/// FNV-1a over the debug rendering of every event — the same
-/// fingerprint `tests/staged_golden.rs` blessed the fixture with.
-fn fingerprint(events: &[TraceEvent]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut line = String::new();
-    for event in events {
-        line.clear();
-        write!(line, "{event:?}").expect("format into string");
-        for &b in line.as_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash ^= 0x0a;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// The staged-golden fault plan: transient corruption, control drops
-/// and one permanent link failure at cycle 300.
-fn fault_plan(seed: u64, mesh: Mesh) -> FaultPlan {
-    let mut plan = FaultPlan::quiet(seed);
-    plan.data_corrupt_rate = 2e-3;
-    plan.control_drop_rate = 2e-3;
-    plan.repair_delay = 4;
-    plan.ack_latency = 8;
-    plan.retransmit_timeout = 64;
-    plan.max_backoff_exp = 2;
-    plan.dead_links.push(DeadLink {
-        node: mesh.node_at(1, 1),
-        port: Port::East,
-        at_cycle: 300,
-    });
-    plan
-}
-
-fn vc_net<S: TraceSink + Clone>(load: f64, seed: u64, sink: S) -> Network<VcRouter<S>, S> {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let root = Rng::from_seed(seed);
-    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let router_sink = sink.clone();
-    Network::with_tracer(
-        mesh,
-        LinkTiming::fast_control(),
-        2,
-        generator,
-        move |node| {
-            VcRouter::with_tracer(
-                mesh,
-                node,
-                VcConfig::vc8(),
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            )
+/// `spec` with `inject_cycles` of traffic and a 20k-cycle drain cap.
+fn injecting(spec: RunSpec, inject_cycles: u64) -> RunSpec {
+    RunSpec {
+        schedule: Schedule::InjectThenDrain {
+            inject_cycles,
+            drain_cap: 20_000,
         },
-        sink,
-    )
-}
-
-fn fr_net<S: TraceSink + Clone>(load: f64, seed: u64, sink: S) -> Network<FrRouter<S>, S> {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let root = Rng::from_seed(seed);
-    let cfg = FrConfig::fr6();
-    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let router_sink = sink.clone();
-    Network::with_tracer(
-        mesh,
-        cfg.timing,
-        cfg.control_lanes,
-        generator,
-        move |node| {
-            FrRouter::with_tracer(
-                mesh,
-                node,
-                cfg,
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            )
-        },
-        sink,
-    )
-}
-
-/// Sequential inject-then-drain schedule from the golden suite.
-fn run_to_drain<R: Router, S: TraceSink>(net: &mut Network<R, S>) {
-    net.run_cycles(500);
-    net.stop_injection();
-    for _ in 0..20 {
-        if net.tracker().in_flight() == 0 {
-            break;
-        }
-        net.run_cycles(1_000);
+        ..spec
     }
-    assert_eq!(net.tracker().in_flight(), 0, "network failed to drain");
-}
-
-/// Looks up one `net` line of the golden fixture: (event count, fnv).
-fn golden_net_line(family: &str, load: f64, faults: bool) -> (usize, u64) {
-    let fixture = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden fixture missing; bless it via tests/staged_golden.rs");
-    let needle = format!("net {family} load={load:.2} faults={faults} ");
-    let line = fixture
-        .lines()
-        .find(|l| l.starts_with(&needle))
-        .unwrap_or_else(|| panic!("fixture has no line starting with `{needle}`"));
-    let field = |prefix: &str| -> &str {
-        line.split_whitespace()
-            .find_map(|tok| tok.strip_prefix(prefix))
-            .unwrap_or_else(|| panic!("`{line}` lacks a {prefix} field"))
-    };
-    let count = field("events=").parse().expect("events field parses");
-    let hash = u64::from_str_radix(field("fnv="), 16).expect("fnv field parses");
-    (count, hash)
 }
 
 /// The ring must be a pure observer: with a `RingSink` teed next to the
@@ -170,30 +52,12 @@ fn golden_net_line(family: &str, load: f64, faults: bool) -> (usize, u64) {
 #[test]
 fn ring_recorder_is_zero_perturbation() {
     let load = 0.55;
-    let seed = 0x60_1D + (load * 100.0) as u64;
-    let mesh = Mesh::new(MESH.0, MESH.1);
     for family in ["vc8", "fr6"] {
         for faults in [false, true] {
             let tee = TeeSink::new(VecSink::new(), RingSink::new(RING_CAP));
-            let (full, ring) = match family {
-                "vc8" => {
-                    let mut net = vc_net(load, seed, tee);
-                    if faults {
-                        net.set_fault_plan(fault_plan(0xFA_01, mesh));
-                    }
-                    run_to_drain(&mut net);
-                    (net.tracer().a.events().to_vec(), net.tracer().b.clone())
-                }
-                "fr6" => {
-                    let mut net = fr_net(load, seed, tee);
-                    if faults {
-                        net.set_fault_plan(fault_plan(0xFA_02, mesh));
-                    }
-                    run_to_drain(&mut net);
-                    (net.tracer().a.events().to_vec(), net.tracer().b.clone())
-                }
-                other => panic!("unknown family {other}"),
-            };
+            let mut net = golden_net(family, load, faults, tee.clone(), tee, NullRecorder);
+            run_to_drain_seq(&mut net);
+            let (full, ring) = (net.tracer().a.events().to_vec(), net.tracer().b.clone());
             let cell = format!("{family} load={load:.2} faults={faults}");
             let (want_count, want_hash) = golden_net_line(family, load, faults);
             assert_eq!(full.len(), want_count, "{cell}: event count perturbed");
@@ -227,11 +91,19 @@ fn ring_recorder_is_zero_perturbation() {
 /// sharded run equals the sequential capture.
 #[test]
 fn replay_digest_matches_across_thread_counts() {
-    for config in ["FR6", "VC8"] {
-        let mut spec = ReplaySpec::fr6_small(0xB1_AC);
-        spec.config = config.into();
-        spec.inject_cycles = 150;
-        let sidecar = capture_at_cycle(&spec, 220, 1).expect("capture");
+    for flow in [
+        FlowControl::fr6(),
+        FlowControl::VirtualChannel(VcConfig::vc8(), frfc::flow::LinkTiming::fast_control()),
+    ] {
+        let config = flow.label();
+        let spec = injecting(
+            RunSpec {
+                flow,
+                ..RunSpec::fr6_small(0xB1_AC)
+            },
+            150,
+        );
+        let sidecar = capture_at_cycle(&spec, 220).expect("capture");
         for threads in [1usize, 4, 8] {
             let report = replay_to_cycle(&sidecar, threads).expect("replay");
             assert!(
@@ -243,7 +115,8 @@ fn replay_digest_matches_across_thread_counts() {
                 report.diffs.first()
             );
         }
-        let sharded = capture_at_cycle(&spec, 220, 4).expect("sharded capture");
+        let sharded =
+            capture_at_cycle(&RunSpec { threads: 4, ..spec }, 220).expect("sharded capture");
         assert_eq!(
             sidecar.get("state_digest").and_then(Json::as_str),
             sharded.get("state_digest").and_then(Json::as_str),
@@ -256,10 +129,9 @@ fn replay_digest_matches_across_thread_counts() {
 /// capture lands after the dead link fires, mid-retransmission.
 #[test]
 fn replay_digest_matches_under_an_active_fault_plan() {
-    let mut spec = ReplaySpec::fr6_small(0xFA_CE);
-    spec.inject_cycles = 350;
+    let mut spec = injecting(RunSpec::fr6_small(0xFA_CE), 350);
     spec.fault = Some(fault_plan(0xFA_02, Mesh::new(MESH.0, MESH.1)));
-    let sidecar = capture_at_cycle(&spec, 450, 1).expect("capture");
+    let sidecar = capture_at_cycle(&spec, 450).expect("capture");
     for threads in [1usize, 4, 8] {
         let report = replay_to_cycle(&sidecar, threads).expect("replay");
         assert!(
@@ -277,9 +149,9 @@ fn replay_digest_matches_under_an_active_fault_plan() {
 /// eastbound link out of column 0 strands eastbound traffic injected
 /// there, so after the deliverable packets drain the network makes no
 /// progress with packets still in flight.
-fn livelock_spec() -> ReplaySpec {
+fn livelock_spec() -> RunSpec {
     let mesh = Mesh::new(MESH.0, MESH.1);
-    let mut spec = ReplaySpec::fr6_small(0xDEAD_0001);
+    let mut spec = RunSpec::fr6_small(0xDEAD_0001);
     spec.watchdog = Some(500);
     spec.fault = Some(FaultPlan {
         dead_links: (0..MESH.1)
@@ -298,7 +170,11 @@ fn livelock_spec() -> ReplaySpec {
 /// survives a text round trip and replays bit for bit.
 #[test]
 fn watchdog_catches_a_dead_link_livelock() {
-    let run = run_blackbox(&livelock_spec(), 1).expect("run");
+    let run = livelock_spec()
+        .run()
+        .expect("run")
+        .blackbox
+        .expect("blackbox run");
     assert_eq!(
         run.trigger,
         Trigger::Watchdog,
@@ -345,9 +221,9 @@ fn watchdog_catches_a_dead_link_livelock() {
 /// the `busy` strings `frfc-inspect show` renders must have substance.
 #[test]
 fn state_dump_carries_reservation_timelines() {
-    let mut spec = ReplaySpec::fr6_small(0x71_3E);
+    let mut spec = RunSpec::fr6_small(0x71_3E);
     spec.load = 0.6;
-    let sidecar = capture_at_cycle(&spec, 120, 1).expect("capture");
+    let sidecar = capture_at_cycle(&spec, 120).expect("capture");
     let routers = sidecar
         .get("state")
         .and_then(|s| s.get("routers"))

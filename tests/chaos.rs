@@ -11,73 +11,21 @@
 //! timeouts that caused them, and dead links are masked while traffic
 //! keeps flowing around them.
 
+mod common;
+
+use common::mesh4_net;
 use frfc::engine::trace::{InvariantChecker, SharedSink};
-use frfc::engine::Rng;
 use frfc::faults::{DeadLink, FaultPlan};
-use frfc::flow::LinkTiming;
-use frfc::fr::{FrConfig, FrRouter};
-use frfc::network::{FaultSummary, Network};
+use frfc::metrics::NullRecorder;
+use frfc::network::{AnyNetwork, FaultSummary, FlowControl};
 use frfc::topology::{Mesh, Port};
-use frfc::traffic::{LoadSpec, TrafficGenerator};
-use frfc::vc::{VcConfig, VcRouter};
 
 type Checker = SharedSink<InvariantChecker>;
 
-fn traced_vc(
-    mesh: Mesh,
-    load: f64,
-    seed: u64,
-    sink: Checker,
-) -> Network<VcRouter<Checker>, Checker> {
-    let root = Rng::from_seed(seed);
-    let spec = LoadSpec::fraction_of_capacity(load, 5);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let router_sink = sink.clone();
-    Network::with_tracer(
-        mesh,
-        LinkTiming::fast_control(),
-        2,
-        generator,
-        move |node| {
-            VcRouter::with_tracer(
-                mesh,
-                node,
-                VcConfig::vc8(),
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            )
-        },
-        sink,
-    )
-}
-
-fn traced_fr(
-    mesh: Mesh,
-    load: f64,
-    seed: u64,
-    sink: Checker,
-) -> Network<FrRouter<Checker>, Checker> {
-    let root = Rng::from_seed(seed);
-    let cfg = FrConfig::fr6();
-    let spec = LoadSpec::fraction_of_capacity(load, 5);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let router_sink = sink.clone();
-    Network::with_tracer(
-        mesh,
-        cfg.timing,
-        cfg.control_lanes,
-        generator,
-        move |node| {
-            FrRouter::with_tracer(
-                mesh,
-                node,
-                cfg,
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            )
-        },
-        sink,
-    )
+/// `flow`'s network with every router and the harness feeding the
+/// checker.
+fn traced(flow: &FlowControl, load: f64, seed: u64, sink: Checker) -> AnyNetwork<Checker, Checker> {
+    mesh4_net(flow, load, seed, sink.clone(), sink, NullRecorder)
 }
 
 /// A transient-plus-permanent plan sized for a short 4x4 test run: rates
@@ -100,7 +48,7 @@ fn chaos_plan(seed: u64, mesh: Mesh) -> FaultPlan {
 }
 
 /// Runs until drained (bounded), then returns the fault summary.
-fn run_and_drain<R: frfc::flow::Router>(net: &mut Network<R, Checker>) -> FaultSummary {
+fn run_and_drain(net: &mut AnyNetwork<Checker, Checker>) -> FaultSummary {
     net.run_cycles(2_000);
     net.stop_injection();
     for _ in 0..20 {
@@ -135,14 +83,16 @@ fn check_protocol_accounting(label: &str, s: &FaultSummary) {
     );
 }
 
-#[test]
-fn vc_survives_chaos_with_exactly_once_delivery() {
+/// Runs `flow` under the chaos plan and audits exactly-once delivery;
+/// returns the fault summary for family-specific checks.
+fn survives_chaos(flow: &FlowControl, seed: u64, plan_seed: u64) -> FaultSummary {
     let mesh = Mesh::new(4, 4);
+    let label = flow.label();
     let shared = SharedSink::new(InvariantChecker::new());
-    let mut net = traced_vc(mesh, 0.4, 101, shared.clone());
-    net.set_fault_plan(chaos_plan(0xC0A5, mesh));
+    let mut net = traced(flow, 0.4, seed, shared.clone());
+    net.set_fault_plan(chaos_plan(plan_seed, mesh));
     let summary = run_and_drain(&mut net);
-    check_protocol_accounting("VC8", &summary);
+    check_protocol_accounting(&label, &summary);
     assert!(
         net.tracker().delivered_packets() > 100,
         "want a non-trivial sample, got {}",
@@ -152,32 +102,24 @@ fn vc_survives_chaos_with_exactly_once_delivery() {
     let checker = shared.into_inner();
     assert!(
         checker.discarded_flits() > 0,
-        "corrupt copies must be discarded at the NI"
+        "{label}: corrupt copies must be discarded at the NI"
     );
     checker.assert_drained_under_faults();
+    summary
+}
+
+#[test]
+fn vc_survives_chaos_with_exactly_once_delivery() {
+    survives_chaos(&FlowControl::vc8(), 101, 0xC0A5);
 }
 
 #[test]
 fn fr_survives_chaos_with_exactly_once_delivery() {
-    let mesh = Mesh::new(4, 4);
-    let shared = SharedSink::new(InvariantChecker::new());
-    let mut net = traced_fr(mesh, 0.4, 102, shared.clone());
-    net.set_fault_plan(chaos_plan(0xC0A6, mesh));
-    let summary = run_and_drain(&mut net);
-    check_protocol_accounting("FR6", &summary);
+    let summary = survives_chaos(&FlowControl::fr6(), 102, 0xC0A6);
     assert!(
         summary.counters.control_dropped > 0,
         "FR6: plan never dropped a control flit"
     );
-    assert!(
-        net.tracker().delivered_packets() > 100,
-        "want a non-trivial sample, got {}",
-        net.tracker().delivered_packets()
-    );
-    drop(net);
-    let checker = shared.into_inner();
-    assert!(checker.discarded_flits() > 0);
-    checker.assert_drained_under_faults();
 }
 
 /// A permanent failure alone (no transient faults): routing must mask
@@ -194,15 +136,15 @@ fn dead_link_alone_degrades_gracefully_without_retransmits() {
             port: Port::East,
             at_cycle: 200,
         });
-        let summary = if chaos {
-            let mut net = traced_fr(mesh, 0.35, 103, shared.clone());
-            net.set_fault_plan(plan);
-            run_and_drain(&mut net)
+        let flow = if chaos {
+            FlowControl::fr6()
         } else {
-            let mut net = traced_vc(mesh, 0.35, 103, shared.clone());
-            net.set_fault_plan(plan);
-            run_and_drain(&mut net)
+            FlowControl::vc8()
         };
+        let mut net = traced(&flow, 0.35, 103, shared.clone());
+        net.set_fault_plan(plan);
+        let summary = run_and_drain(&mut net);
+        drop(net);
         assert_eq!(summary.counters.links_masked, 1, "{label}");
         assert_eq!(
             summary.counters.retransmits, 0,
@@ -228,7 +170,7 @@ fn chaos_runs_replay_deterministically() {
     let mut delivered = Vec::new();
     for _ in 0..2 {
         let shared = SharedSink::new(InvariantChecker::new());
-        let mut net = traced_fr(mesh, 0.4, 104, shared.clone());
+        let mut net = traced(&FlowControl::fr6(), 0.4, 104, shared.clone());
         net.set_fault_plan(chaos_plan(0xC0A7, mesh));
         summaries.push(run_and_drain(&mut net));
         delivered.push(net.tracker().delivered_packets());

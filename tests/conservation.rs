@@ -4,44 +4,47 @@
 //! duplicate, loss-after-delivery or misdelivery, so "the run finishes
 //! and drains" is itself a strong end-to-end check.
 
+use frfc::engine::trace::NullSink;
 use frfc::engine::Rng;
 use frfc::flow::LinkTiming;
-use frfc::fr::{FrConfig, FrRouter};
-use frfc::network::Network;
+use frfc::fr::FrConfig;
+use frfc::metrics::NullRecorder;
+use frfc::network::{AnyNetwork, FlowControl};
 use frfc::topology::Mesh;
 use frfc::traffic::{LoadSpec, TrafficGenerator};
-use frfc::vc::{VcConfig, VcRouter};
+use frfc::vc::VcConfig;
 
-fn fr_net(mesh: Mesh, cfg: FrConfig, load: f64, length: u32, seed: u64) -> Network<FrRouter> {
+fn net(mesh: Mesh, flow: FlowControl, load: f64, length: u32, seed: u64) -> AnyNetwork {
     let root = Rng::from_seed(seed);
     let spec = LoadSpec::fraction_of_capacity(load, length);
     let generator = TrafficGenerator::uniform(mesh, spec, root.fork(1));
-    Network::new(
-        mesh,
-        cfg.timing,
-        cfg.control_lanes,
-        generator,
-        move |node| FrRouter::new(mesh, node, cfg, root.fork(node.raw() as u64)),
-    )
+    flow.build(mesh, generator, &root, NullSink, NullSink, NullRecorder)
 }
 
-fn vc_net(
-    mesh: Mesh,
-    cfg: VcConfig,
-    timing: LinkTiming,
-    load: f64,
-    length: u32,
-    seed: u64,
-) -> Network<VcRouter> {
-    let root = Rng::from_seed(seed);
-    let spec = LoadSpec::fraction_of_capacity(load, length);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(1));
-    Network::new(mesh, timing, 2, generator, move |node| {
-        VcRouter::new(mesh, node, cfg, root.fork(node.raw() as u64))
-    })
+fn fr_net(mesh: Mesh, cfg: FrConfig, load: f64, length: u32, seed: u64) -> AnyNetwork {
+    net(mesh, FlowControl::FlitReservation(cfg), load, length, seed)
 }
 
-fn assert_drains<R: frfc::flow::Router>(net: &mut Network<R>, run: u64, drain: u64, min: u64) {
+/// The VC baseline with fast-control wires.
+fn vc_net(mesh: Mesh, cfg: VcConfig, load: f64, length: u32, seed: u64) -> AnyNetwork {
+    let flow = FlowControl::VirtualChannel(cfg, LinkTiming::fast_control());
+    net(mesh, flow, load, length, seed)
+}
+
+/// Overloads `net` for 2,000 cycles, then stops injection: everything
+/// that was injected must still drain.
+fn drains_after_overload(mut net: AnyNetwork) {
+    net.run_cycles(2_000);
+    net.stop_injection();
+    net.run_cycles(20_000);
+    assert_eq!(
+        net.tracker().in_flight(),
+        0,
+        "overloaded network must drain"
+    );
+}
+
+fn assert_drains(net: &mut AnyNetwork, run: u64, drain: u64, min: u64) {
     net.run_cycles(run);
     net.stop_injection();
     net.run_cycles(drain);
@@ -112,29 +115,13 @@ fn fr_small_horizon_conserves() {
 fn fr_conserves_under_overload() {
     // Offered load beyond capacity: the network must still deliver
     // everything that was injected once injection stops.
-    let mesh = Mesh::new(4, 4);
-    let mut net = fr_net(mesh, FrConfig::fr6(), 1.3, 5, 48);
-    net.run_cycles(2_000);
-    net.stop_injection();
-    net.run_cycles(20_000);
-    assert_eq!(
-        net.tracker().in_flight(),
-        0,
-        "overloaded network must drain"
-    );
+    drains_after_overload(fr_net(Mesh::new(4, 4), FrConfig::fr6(), 1.3, 5, 48));
 }
 
 #[test]
 fn vc_fast_control_conserves() {
     let mesh = Mesh::new(6, 6);
-    let mut net = vc_net(
-        mesh,
-        VcConfig::vc8(),
-        LinkTiming::fast_control(),
-        0.5,
-        5,
-        49,
-    );
+    let mut net = vc_net(mesh, VcConfig::vc8(), 0.5, 5, 49);
     assert_drains(&mut net, 3_000, 3_000, 150);
 }
 
@@ -142,7 +129,7 @@ fn vc_fast_control_conserves() {
 fn vc_shared_pool_conserves() {
     let mesh = Mesh::new(6, 6);
     let cfg = VcConfig::vc8().with_shared_pool();
-    let mut net = vc_net(mesh, cfg, LinkTiming::fast_control(), 0.5, 5, 50);
+    let mut net = vc_net(mesh, cfg, 0.5, 5, 50);
     assert_drains(&mut net, 3_000, 3_000, 150);
 }
 
@@ -150,23 +137,11 @@ fn vc_shared_pool_conserves() {
 fn wormhole_conserves() {
     let mesh = Mesh::new(6, 6);
     let cfg = VcConfig::wormhole(8);
-    let mut net = vc_net(mesh, cfg, LinkTiming::fast_control(), 0.3, 5, 51);
+    let mut net = vc_net(mesh, cfg, 0.3, 5, 51);
     assert_drains(&mut net, 3_000, 4_000, 90);
 }
 
 #[test]
 fn vc_conserves_under_overload() {
-    let mesh = Mesh::new(4, 4);
-    let mut net = vc_net(
-        mesh,
-        VcConfig::vc8(),
-        LinkTiming::fast_control(),
-        1.3,
-        5,
-        52,
-    );
-    net.run_cycles(2_000);
-    net.stop_injection();
-    net.run_cycles(20_000);
-    assert_eq!(net.tracker().in_flight(), 0);
+    drains_after_overload(vc_net(Mesh::new(4, 4), VcConfig::vc8(), 1.3, 5, 52));
 }

@@ -20,12 +20,11 @@
 //!   cross-router effects, which all commit in the sequential apply
 //!   phase.
 
-use frfc::engine::trace::{SharedSink, TraceEvent, VecSink};
+use frfc::engine::trace::{NullSink, SharedSink, TraceEvent, TraceSink, VecSink};
 use frfc::engine::Rng;
 use frfc::faults::FaultPlan;
-use frfc::flow::{LinkTiming, Router};
-use frfc::fr::{FrConfig, FrRouter};
-use frfc::network::Network;
+use frfc::metrics::NullRecorder;
+use frfc::network::{AnyNetwork, FlowControl};
 use frfc::topology::Mesh;
 use frfc::traffic::{
     Hotspot, InjectionKind, LoadSpec, TrafficGenerator, TrafficPattern, Transpose, Uniform,
@@ -56,23 +55,31 @@ fn patterns(mesh: Mesh) -> Vec<PatternFactory> {
     ]
 }
 
-fn generator(
-    mesh: Mesh,
+/// `flow` on the 4×4 mesh with `pattern` traffic (stream 99); routers
+/// trace into `router_sink`, the harness into `sink`.
+fn net<RS: TraceSink + Clone, S: TraceSink>(
+    flow: &FlowControl,
     pattern: Box<dyn TrafficPattern>,
     load: f64,
-    root: &Rng,
-) -> TrafficGenerator {
-    TrafficGenerator::new(
+    seed: u64,
+    router_sink: RS,
+    sink: S,
+) -> AnyNetwork<RS, S> {
+    let mesh = Mesh::new(MESH.0, MESH.1);
+    let root = Rng::from_seed(seed);
+    let generator = TrafficGenerator::new(
         mesh,
         LoadSpec::fraction_of_capacity(load, PACKET_FLITS),
         pattern,
         InjectionKind::ConstantRate,
         root.fork(99),
-    )
+    );
+    flow.build(mesh, generator, &root, router_sink, sink, NullRecorder)
 }
 
-/// Fully traced sequential FR run; returns the complete event stream.
-fn fr_full_trace(
+/// Fully traced sequential run; returns the complete event stream.
+fn full_trace(
+    flow: &FlowControl,
     pattern: Box<dyn TrafficPattern>,
     load: f64,
     seed: u64,
@@ -81,64 +88,7 @@ fn fr_full_trace(
     drain: u64,
 ) -> Vec<TraceEvent> {
     let shared = SharedSink::new(VecSink::new());
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let root = Rng::from_seed(seed);
-    let cfg = FrConfig::fr6();
-    let router_sink = shared.clone();
-    let mut net = Network::with_tracer(
-        mesh,
-        cfg.timing,
-        cfg.control_lanes,
-        generator(mesh, pattern, load, &root),
-        move |node| {
-            FrRouter::with_tracer(
-                mesh,
-                node,
-                cfg,
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            )
-        },
-        shared.clone(),
-    );
-    net.set_idle_skip(idle_skip);
-    net.run_cycles(cycles);
-    net.stop_injection();
-    net.run_cycles(drain);
-    assert_eq!(net.tracker().in_flight(), 0, "network must drain");
-    drop(net);
-    shared.into_inner().into_events()
-}
-
-/// Fully traced sequential VC run; returns the complete event stream.
-fn vc_full_trace(
-    pattern: Box<dyn TrafficPattern>,
-    load: f64,
-    seed: u64,
-    idle_skip: bool,
-    cycles: u64,
-    drain: u64,
-) -> Vec<TraceEvent> {
-    let shared = SharedSink::new(VecSink::new());
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let root = Rng::from_seed(seed);
-    let router_sink = shared.clone();
-    let mut net = Network::with_tracer(
-        mesh,
-        LinkTiming::fast_control(),
-        2,
-        generator(mesh, pattern, load, &root),
-        move |node| {
-            frfc::vc::VcRouter::with_tracer(
-                mesh,
-                node,
-                frfc::vc::VcConfig::vc8(),
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            )
-        },
-        shared.clone(),
-    );
+    let mut net = net(flow, pattern, load, seed, shared.clone(), shared.clone());
     net.set_idle_skip(idle_skip);
     net.run_cycles(cycles);
     net.stop_injection();
@@ -150,8 +100,8 @@ fn vc_full_trace(
 
 /// Network-level trace of a run whose step phase is sharded over
 /// `threads` worker threads (untraced routers: they must be `Send`).
-fn network_trace_sharded<R: Router + Send>(
-    make: impl FnOnce(VecSink) -> Network<R, VecSink>,
+fn network_trace_sharded(
+    make: impl FnOnce(VecSink) -> AnyNetwork<NullSink, VecSink>,
     threads: usize,
     cycles: u64,
     drain: u64,
@@ -170,124 +120,68 @@ fn network_trace_sharded<R: Router + Send>(
     net.tracer().events().to_vec()
 }
 
-fn fr_net(
-    pattern: Box<dyn TrafficPattern>,
-    load: f64,
-    seed: u64,
-    sink: VecSink,
-) -> Network<FrRouter, VecSink> {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let root = Rng::from_seed(seed);
-    let cfg = FrConfig::fr6();
-    Network::with_tracer(
-        mesh,
-        cfg.timing,
-        cfg.control_lanes,
-        generator(mesh, pattern, load, &root),
-        |node| FrRouter::new(mesh, node, cfg, root.fork(node.raw() as u64)),
-        sink,
-    )
-}
-
-fn vc_net(
-    pattern: Box<dyn TrafficPattern>,
-    load: f64,
-    seed: u64,
-    sink: VecSink,
-) -> Network<frfc::vc::VcRouter, VecSink> {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let root = Rng::from_seed(seed);
-    Network::with_tracer(
-        mesh,
-        LinkTiming::fast_control(),
-        2,
-        generator(mesh, pattern, load, &root),
-        |node| {
-            frfc::vc::VcRouter::new(
-                mesh,
-                node,
-                frfc::vc::VcConfig::vc8(),
-                root.fork(node.raw() as u64),
-            )
-        },
-        sink,
-    )
-}
-
 /// The load points swept: low (where idle-skip matters most), moderate,
 /// and near saturation (where nearly every router is always awake).
 const LOADS: [f64; 3] = [0.1, 0.4, 0.7];
 
-#[test]
-fn fr_idle_skip_preserves_full_trace() {
+/// Idle-skip on vs off over the pattern × load matrix, fully traced.
+fn idle_skip_preserves_full_trace(flow: &FlowControl, seed_base: u64) {
     let mesh = Mesh::new(MESH.0, MESH.1);
+    let label = flow.label();
     for (name, make_pattern) in patterns(mesh) {
         for (i, &load) in LOADS.iter().enumerate() {
-            let seed = 0x1000 + i as u64;
-            let skip = fr_full_trace(make_pattern(), load, seed, true, 700, 3_000);
-            let step = fr_full_trace(make_pattern(), load, seed, false, 700, 3_000);
+            let seed = seed_base + i as u64;
+            let skip = full_trace(flow, make_pattern(), load, seed, true, 700, 3_000);
+            let step = full_trace(flow, make_pattern(), load, seed, false, 700, 3_000);
             assert!(!skip.is_empty(), "{name}@{load}: run produced no events");
             assert_eq!(
                 skip, step,
-                "{name}@{load}: idle-skip changed the FR event stream"
+                "{name}@{load}: idle-skip changed the {label} event stream"
             );
         }
     }
+}
+
+/// Sequential vs 4-thread sharded stepping over the same matrix, traced
+/// at network level.
+fn sharded_step_preserves_network_trace(flow: &FlowControl, seed_base: u64) {
+    let mesh = Mesh::new(MESH.0, MESH.1);
+    let label = flow.label();
+    for (name, make_pattern) in patterns(mesh) {
+        for (i, &load) in LOADS.iter().enumerate() {
+            let seed = seed_base + i as u64;
+            let trace = |threads| {
+                let make = |s| net(flow, make_pattern(), load, seed, NullSink, s);
+                network_trace_sharded(make, threads, 700, 3_000)
+            };
+            let (seq, par) = (trace(1), trace(4));
+            assert!(!seq.is_empty(), "{name}@{load}: run produced no events");
+            assert_eq!(
+                seq, par,
+                "{name}@{load}: sharding changed the {label} network trace"
+            );
+        }
+    }
+}
+
+#[test]
+fn fr_idle_skip_preserves_full_trace() {
+    idle_skip_preserves_full_trace(&FlowControl::fr6(), 0x1000);
 }
 
 #[test]
 fn vc_idle_skip_preserves_full_trace() {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    for (name, make_pattern) in patterns(mesh) {
-        for (i, &load) in LOADS.iter().enumerate() {
-            let seed = 0x2000 + i as u64;
-            let skip = vc_full_trace(make_pattern(), load, seed, true, 700, 3_000);
-            let step = vc_full_trace(make_pattern(), load, seed, false, 700, 3_000);
-            assert!(!skip.is_empty(), "{name}@{load}: run produced no events");
-            assert_eq!(
-                skip, step,
-                "{name}@{load}: idle-skip changed the VC event stream"
-            );
-        }
-    }
+    idle_skip_preserves_full_trace(&FlowControl::vc8(), 0x2000);
 }
 
 #[test]
 fn fr_sharded_step_preserves_network_trace() {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    for (name, make_pattern) in patterns(mesh) {
-        for (i, &load) in LOADS.iter().enumerate() {
-            let seed = 0x3000 + i as u64;
-            let seq =
-                network_trace_sharded(|s| fr_net(make_pattern(), load, seed, s), 1, 700, 3_000);
-            let par =
-                network_trace_sharded(|s| fr_net(make_pattern(), load, seed, s), 4, 700, 3_000);
-            assert!(!seq.is_empty(), "{name}@{load}: run produced no events");
-            assert_eq!(
-                seq, par,
-                "{name}@{load}: sharding changed the FR network trace"
-            );
-        }
-    }
+    sharded_step_preserves_network_trace(&FlowControl::fr6(), 0x3000);
 }
 
 #[test]
 fn vc_sharded_step_preserves_network_trace() {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    for (name, make_pattern) in patterns(mesh) {
-        for (i, &load) in LOADS.iter().enumerate() {
-            let seed = 0x4000 + i as u64;
-            let seq =
-                network_trace_sharded(|s| vc_net(make_pattern(), load, seed, s), 1, 700, 3_000);
-            let par =
-                network_trace_sharded(|s| vc_net(make_pattern(), load, seed, s), 4, 700, 3_000);
-            assert!(!seq.is_empty(), "{name}@{load}: run produced no events");
-            assert_eq!(
-                seq, par,
-                "{name}@{load}: sharding changed the VC network trace"
-            );
-        }
-    }
+    sharded_step_preserves_network_trace(&FlowControl::vc8(), 0x4000);
 }
 
 /// Sharding composes with idle-skipping off too: the skip flag and the
@@ -297,7 +191,14 @@ fn sharding_and_idle_skip_axes_are_independent() {
     let mesh = Mesh::new(MESH.0, MESH.1);
     let hotspot = mesh.node_at(1, 1);
     let make = |skip: bool, sink: VecSink| {
-        let mut net = fr_net(Box::new(Hotspot::new(hotspot, 0.2)), 0.3, 0x5005, sink);
+        let mut net = net(
+            &FlowControl::fr6(),
+            Box::new(Hotspot::new(hotspot, 0.2)),
+            0.3,
+            0x5005,
+            NullSink,
+            sink,
+        );
         net.set_idle_skip(skip);
         net
     };
@@ -331,7 +232,14 @@ fn faulty_run_composes_with_sharding_and_idle_skip() {
     plan.retransmit_timeout = 64;
     plan.max_backoff_exp = 2;
     let run = |skip: bool, threads: usize| {
-        let mut net = fr_net(Box::new(Uniform), 0.4, 0x7007, VecSink::new());
+        let mut net = net(
+            &FlowControl::fr6(),
+            Box::new(Uniform),
+            0.4,
+            0x7007,
+            NullSink,
+            VecSink::new(),
+        );
         net.set_fault_plan(plan.clone());
         net.set_idle_skip(skip);
         if threads == 1 {
@@ -381,7 +289,14 @@ fn faulty_run_composes_with_sharding_and_idle_skip() {
 #[test]
 fn sharded_step_is_deterministic_under_control_errors() {
     let run = |threads: usize| {
-        let mut net = fr_net(Box::new(Uniform), 0.3, 0x6006, VecSink::new());
+        let mut net = net(
+            &FlowControl::fr6(),
+            Box::new(Uniform),
+            0.3,
+            0x6006,
+            NullSink,
+            VecSink::new(),
+        );
         net.set_control_error_rate(0.02, 0xBAD5EED);
         if threads == 1 {
             net.run_cycles(700);

@@ -3,10 +3,12 @@
 //! margin, bursty injection and packet-length mixes — each exercised
 //! end-to-end with conservation checking.
 
+use frfc::engine::trace::NullSink;
 use frfc::engine::warmup::WarmupConfig;
 use frfc::engine::Rng;
 use frfc::fr::{FrConfig, FrRouter};
-use frfc::network::{run_simulation, Network, SimConfig};
+use frfc::metrics::NullRecorder;
+use frfc::network::{run_simulation, AnyNetwork, FlowControl, Network, SimConfig};
 use frfc::topology::Mesh;
 use frfc::traffic::{InjectionKind, LengthDistribution, LoadSpec, TrafficGenerator, Uniform};
 
@@ -34,13 +36,11 @@ fn fr_network(
 ) -> Network<FrRouter> {
     let root = Rng::from_seed(seed);
     let generator = TrafficGenerator::new(mesh, load, Box::new(Uniform), kind, root.fork(1));
-    Network::new(
-        mesh,
-        cfg.timing,
-        cfg.control_lanes,
-        generator,
-        move |node| FrRouter::new(mesh, node, cfg, root.fork(node.raw() as u64)),
-    )
+    let flow = FlowControl::FlitReservation(cfg);
+    match flow.build(mesh, generator, &root, NullSink, NullSink, NullRecorder) {
+        AnyNetwork::Fr(net) => net,
+        AnyNetwork::Vc(_) => unreachable!("an FR flow builds an FR network"),
+    }
 }
 
 /// Section 5 error recovery: with control flits corrupted and

@@ -18,15 +18,13 @@
 //! * `FRFC_LARGE=full` switches to the full 32×32 mesh — minutes, not
 //!   seconds, meant for release-profile soak runs.
 
-use frfc::engine::trace::{InvariantChecker, SharedSink, VecSink};
+use frfc::engine::trace::{InvariantChecker, NullSink, SharedSink, TraceSink, VecSink};
 use frfc::engine::warmup::WarmupConfig;
 use frfc::engine::Rng;
-use frfc::flow::LinkTiming;
-use frfc::fr::{FrConfig, FrRouter};
-use frfc::network::{FlowControl, Network, SimConfig};
+use frfc::metrics::NullRecorder;
+use frfc::network::{AnyNetwork, FlowControl, RunSpec, SimConfig};
 use frfc::topology::Mesh;
 use frfc::traffic::{LoadSpec, TrafficGenerator};
-use frfc::vc::{VcConfig, VcRouter};
 
 const LOAD: f64 = 0.8;
 const PACKET_FLITS: u32 = 5;
@@ -58,12 +56,23 @@ fn scale() -> Scale {
     }
 }
 
+/// `flow` on `mesh` at the heavy load (traffic stream 99).
+fn net<RS: TraceSink + Clone, S: TraceSink>(
+    flow: &FlowControl,
+    mesh: Mesh,
+    seed: u64,
+    router_sink: RS,
+    sink: S,
+) -> AnyNetwork<RS, S> {
+    let root = Rng::from_seed(seed);
+    let spec = LoadSpec::fraction_of_capacity(LOAD, PACKET_FLITS);
+    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
+    flow.build(mesh, generator, &root, router_sink, sink, NullRecorder)
+}
+
 /// Stops injection and steps until the tracker reports empty, within the
 /// scale's drain budget.
-fn drain<R: frfc::flow::Router, S: frfc::engine::trace::TraceSink>(
-    net: &mut Network<R, S>,
-    cap: u64,
-) {
+fn drain<RS: TraceSink, S: TraceSink>(net: &mut AnyNetwork<RS, S>, cap: u64) {
     net.stop_injection();
     let mut waited = 0;
     while net.tracker().in_flight() > 0 && waited < cap {
@@ -77,40 +86,18 @@ fn drain<R: frfc::flow::Router, S: frfc::engine::trace::TraceSink>(
     );
 }
 
-/// Full-delivery + drained-audit smoke for the FR family: every router
-/// feeds the invariant checker, so the end state proves every buffer
-/// freed and every injected flit ejected exactly once.
-#[test]
-fn fr_large_mesh_at_heavy_load_delivers_everything_and_drains() {
+/// Full-delivery + drained-audit smoke: every router feeds the
+/// invariant checker, so the end state proves every buffer freed and
+/// every injected flit ejected exactly once.
+fn delivers_everything_and_drains(flow: &FlowControl, seed: u64) {
     let s = scale();
     let shared = SharedSink::new(InvariantChecker::new());
-    let root = Rng::from_seed(0x1A26E);
-    let cfg = FrConfig::fr6();
-    let spec = LoadSpec::fraction_of_capacity(LOAD, PACKET_FLITS);
-    let generator = TrafficGenerator::uniform(s.mesh, spec, root.fork(99));
-    let router_sink = shared.clone();
-    let mesh = s.mesh;
-    let mut net = Network::with_tracer(
-        mesh,
-        cfg.timing,
-        cfg.control_lanes,
-        generator,
-        move |node| {
-            FrRouter::with_tracer(
-                mesh,
-                node,
-                cfg,
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            )
-        },
-        shared.clone(),
-    );
+    let mut net = net(flow, s.mesh, seed, shared.clone(), shared.clone());
     net.run_cycles(s.inject);
     drain(&mut net, s.drain_cap);
     let delivered = net.tracker().delivered_packets();
     assert!(
-        delivered > mesh.node_count() as u64,
+        delivered > s.mesh.node_count() as u64,
         "heavy load must deliver a dense sample, got {delivered} packets"
     );
     drop(net);
@@ -119,39 +106,15 @@ fn fr_large_mesh_at_heavy_load_delivers_everything_and_drains() {
     checker.assert_drained();
 }
 
+#[test]
+fn fr_large_mesh_at_heavy_load_delivers_everything_and_drains() {
+    delivers_everything_and_drains(&FlowControl::fr6(), 0x1A26E);
+}
+
 /// The same smoke for the VC baseline.
 #[test]
 fn vc_large_mesh_at_heavy_load_delivers_everything_and_drains() {
-    let s = scale();
-    let shared = SharedSink::new(InvariantChecker::new());
-    let root = Rng::from_seed(0x1A26F);
-    let spec = LoadSpec::fraction_of_capacity(LOAD, PACKET_FLITS);
-    let generator = TrafficGenerator::uniform(s.mesh, spec, root.fork(99));
-    let router_sink = shared.clone();
-    let mesh = s.mesh;
-    let mut net = Network::with_tracer(
-        mesh,
-        LinkTiming::fast_control(),
-        2,
-        generator,
-        move |node| {
-            VcRouter::with_tracer(
-                mesh,
-                node,
-                VcConfig::vc8(),
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            )
-        },
-        shared.clone(),
-    );
-    net.run_cycles(s.inject);
-    drain(&mut net, s.drain_cap);
-    assert!(net.tracker().delivered_packets() > mesh.node_count() as u64);
-    drop(net);
-    let checker = shared.into_inner();
-    assert!(checker.events_seen() > 100_000, "expect a dense audit");
-    checker.assert_drained();
+    delivers_everything_and_drains(&FlowControl::vc8(), 0x1A26F);
 }
 
 /// Sharded stepping at a scale where a shard owns multiple full mesh
@@ -162,18 +125,7 @@ fn large_mesh_sharded_trace_matches_sequential() {
     let s = scale();
     let mesh = s.mesh;
     let run = |threads: usize| {
-        let root = Rng::from_seed(0x5CA1E);
-        let cfg = FrConfig::fr6();
-        let spec = LoadSpec::fraction_of_capacity(LOAD, PACKET_FLITS);
-        let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-        let mut net = Network::with_tracer(
-            mesh,
-            cfg.timing,
-            cfg.control_lanes,
-            generator,
-            |node| FrRouter::new(mesh, node, cfg, root.fork(node.raw() as u64)),
-            VecSink::new(),
-        );
+        let mut net = net(&FlowControl::fr6(), mesh, 0x5CA1E, NullSink, VecSink::new());
         if threads > 1 {
             net.run_cycles_sharded(s.inject, threads);
             net.stop_injection();
@@ -217,14 +169,18 @@ fn large_mesh_provenance_sums_are_exact() {
         drain_cap: s.drain_cap,
         warmup_probe_period: 16,
     };
-    let spec = LoadSpec::fraction_of_capacity(LOAD, PACKET_FLITS);
-    for fc in [
-        FlowControl::FlitReservation(FrConfig::fr6()),
-        FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
-    ] {
+    for fc in [FlowControl::fr6(), FlowControl::vc8()] {
         let label = fc.label();
         // Sample sparsely: the claim is exactness per record, not volume.
-        let (_, report) = fc.run_traced(s.mesh, spec, &sim, 61);
+        let spec = RunSpec {
+            provenance_sample_every: Some(61),
+            ..RunSpec::new(fc, s.mesh, LOAD, PACKET_FLITS, sim)
+        };
+        let report = spec
+            .run()
+            .expect("valid spec")
+            .provenance
+            .expect("provenance run");
         assert_eq!(report.malformed, 0, "{label}: malformed folds");
         assert!(!report.records.is_empty(), "{label}: nothing sampled");
         for r in &report.records {

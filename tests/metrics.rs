@@ -10,13 +10,12 @@
 //! load must record reservation-table hits and zero-turnaround
 //! departures — the paper's signature behaviours.
 
-use flit_reservation::FrConfig;
-use noc_flow::LinkTiming;
+mod common;
+
+use common::{families, metered};
 use noc_metrics::{strip_nondeterministic, Json, RunManifest};
 use noc_network::{FlowControl, SimConfig};
 use noc_topology::Mesh;
-use noc_traffic::LoadSpec;
-use noc_vc::VcConfig;
 
 fn tiny_sim(seed: u64) -> SimConfig {
     let mut sim = SimConfig::quick(seed);
@@ -26,21 +25,14 @@ fn tiny_sim(seed: u64) -> SimConfig {
     sim
 }
 
-fn configs() -> [FlowControl; 2] {
-    [
-        FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
-        FlowControl::FlitReservation(FrConfig::fr6()),
-    ]
-}
-
 #[test]
 fn metered_run_does_not_perturb_the_simulation() {
     let mesh = Mesh::new(4, 4);
     let sim = tiny_sim(11);
-    let load = LoadSpec::fraction_of_capacity(0.4, 5);
-    for fc in configs() {
-        let plain = fc.run(mesh, load, &sim);
-        let (metered, _) = fc.run_metered(mesh, load, &sim, 32);
+    let load = 0.4;
+    for fc in families() {
+        let plain = fc.run(mesh, load, 5, &sim);
+        let (metered, _) = metered(&fc, load, sim, 1);
         let label = fc.label();
         assert_eq!(plain.delivered, metered.delivered, "{label}");
         assert_eq!(plain.end_cycle, metered.end_cycle, "{label}");
@@ -63,13 +55,12 @@ fn metered_run_does_not_perturb_the_simulation() {
 
 #[test]
 fn same_seed_metered_runs_export_identical_stripped_json() {
-    let mesh = Mesh::new(4, 4);
     let sim = tiny_sim(17);
-    let load = LoadSpec::fraction_of_capacity(0.4, 5);
-    for fc in configs() {
+    let load = 0.4;
+    for fc in families() {
         let label = fc.label();
-        let (_, reg1) = fc.run_metered(mesh, load, &sim, 32);
-        let (_, reg2) = fc.run_metered(mesh, load, &sim, 32);
+        let (_, reg1) = metered(&fc, load, sim, 1);
+        let (_, reg2) = metered(&fc, load, sim, 1);
         // Same manifest fields on both sides; wall_ms differs on purpose
         // to prove stripping removes it.
         let mut m1 = RunManifest::new("test", 17, "tiny", label.clone());
@@ -87,11 +78,10 @@ fn same_seed_metered_runs_export_identical_stripped_json() {
 
 #[test]
 fn fr_run_records_reservation_signature() {
-    let mesh = Mesh::new(4, 4);
     let sim = tiny_sim(23);
-    let load = LoadSpec::fraction_of_capacity(0.5, 5);
-    let fc = FlowControl::FlitReservation(FrConfig::fr6());
-    let (result, reg) = fc.run_metered(mesh, load, &sim, 32);
+    let load = 0.5;
+    let fc = FlowControl::fr6();
+    let (result, reg) = metered(&fc, load, sim, 1);
     assert!(result.completed, "moderate load must complete");
     assert!(
         reg.counter("total.reservation_hits") > 0,
@@ -123,11 +113,10 @@ fn fr_run_records_reservation_signature() {
 
 #[test]
 fn vc_run_records_stall_and_utilization_metrics() {
-    let mesh = Mesh::new(4, 4);
     let sim = tiny_sim(29);
-    let load = LoadSpec::fraction_of_capacity(0.6, 5);
-    let fc = FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control());
-    let (result, reg) = fc.run_metered(mesh, load, &sim, 32);
+    let load = 0.6;
+    let fc = FlowControl::vc8();
+    let (result, reg) = metered(&fc, load, sim, 1);
     assert!(result.delivered > 0);
     assert!(reg.counter("total.data_flits_sent") > 0);
     let util = reg

@@ -8,7 +8,6 @@ use frfc::flow::LinkTiming;
 use frfc::fr::FrConfig;
 use frfc::network::{FlowControl, SimConfig};
 use frfc::topology::Mesh;
-use frfc::traffic::LoadSpec;
 use frfc::vc::VcConfig;
 
 fn sim(seed: u64) -> SimConfig {
@@ -27,30 +26,18 @@ fn sim(seed: u64) -> SimConfig {
 }
 
 fn latency(flow: &FlowControl, load: f64, length: u32) -> f64 {
-    let mesh = Mesh::new(8, 8);
-    let spec = LoadSpec::fraction_of_capacity(load, length);
-    let r = flow.run(mesh, spec, &sim(2000));
+    let r = flow.run(Mesh::new(8, 8), load, length, &sim(2000));
     assert!(r.completed, "{} must sustain {load}", flow.label());
     r.mean_latency()
 }
 
 fn sustains(flow: &FlowControl, load: f64, length: u32, limit: f64) -> bool {
-    let mesh = Mesh::new(8, 8);
-    let spec = LoadSpec::fraction_of_capacity(load, length);
-    let r = flow.run(mesh, spec, &sim(2000));
+    let r = flow.run(Mesh::new(8, 8), load, length, &sim(2000));
     r.completed && r.mean_latency() <= limit
-}
-
-fn vc8() -> FlowControl {
-    FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control())
 }
 
 fn vc16() -> FlowControl {
     FlowControl::VirtualChannel(VcConfig::vc16(), LinkTiming::fast_control())
-}
-
-fn fr6() -> FlowControl {
-    FlowControl::FlitReservation(FrConfig::fr6())
 }
 
 fn fr13() -> FlowControl {
@@ -62,8 +49,8 @@ fn fr13() -> FlowControl {
 /// advance by the control flits.
 #[test]
 fn fr_base_latency_beats_vc() {
-    let vc = latency(&vc8(), 0.1, 5);
-    let fr = latency(&fr6(), 0.1, 5);
+    let vc = latency(&FlowControl::vc8(), 0.1, 5);
+    let fr = latency(&FlowControl::fr6(), 0.1, 5);
     assert!(fr < vc, "FR base latency {fr:.1} must undercut VC {vc:.1}");
     let saving = (vc - fr) / vc;
     assert!(
@@ -76,14 +63,17 @@ fn fr_base_latency_beats_vc() {
 /// (paper: 77% vs 63%).
 #[test]
 fn fr6_outlives_vc8_saturation() {
-    let limit = 3.0 * latency(&vc8(), 0.1, 5);
-    assert!(sustains(&vc8(), 0.45, 5, limit), "VC8 sustains 45%");
+    let limit = 3.0 * latency(&FlowControl::vc8(), 0.1, 5);
     assert!(
-        !sustains(&vc8(), 0.72, 5, limit),
+        sustains(&FlowControl::vc8(), 0.45, 5, limit),
+        "VC8 sustains 45%"
+    );
+    assert!(
+        !sustains(&FlowControl::vc8(), 0.72, 5, limit),
         "VC8 must be saturated at 72% (paper: 63%)"
     );
     assert!(
-        sustains(&fr6(), 0.72, 5, limit),
+        sustains(&FlowControl::fr6(), 0.72, 5, limit),
         "FR6 must sustain 72% (paper: 77%)"
     );
 }
@@ -96,7 +86,7 @@ fn fr6_matches_vc16_class_throughput() {
     let load = 0.7;
     assert!(sustains(&vc16(), load, 5, limit), "VC16 sustains {load}");
     assert!(
-        sustains(&fr6(), load, 5, limit),
+        sustains(&FlowControl::fr6(), load, 5, limit),
         "FR6 with 6 buffers must keep up with VC16's 16 buffers at {load}"
     );
 }
@@ -117,12 +107,15 @@ fn fr13_extends_vc16() {
 /// tempered — it saturates well below its 5-flit saturation point.
 #[test]
 fn long_packets_temper_fr6() {
-    let limit = 3.0 * latency(&fr6(), 0.1, 21);
+    let limit = 3.0 * latency(&FlowControl::fr6(), 0.1, 21);
     assert!(
-        !sustains(&fr6(), 0.72, 21, limit),
+        !sustains(&FlowControl::fr6(), 0.72, 21, limit),
         "FR6 must saturate below 72% with 21-flit packets (paper: 60%)"
     );
-    assert!(sustains(&fr6(), 0.4, 21, limit), "FR6 sustains 40%");
+    assert!(
+        sustains(&FlowControl::fr6(), 0.4, 21, limit),
+        "FR6 sustains 40%"
+    );
 }
 
 /// Section 4.3: throughput is relatively insensitive to the scheduling

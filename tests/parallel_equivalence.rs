@@ -16,83 +16,29 @@
 //! directly: every injected packet is delivered exactly once
 //! (conservation) and the network drains to empty.
 
-use frfc::engine::propcheck::{check, vec_of};
-use frfc::engine::trace::{TraceEvent, TraceKind, VecSink};
-use frfc::engine::warmup::WarmupConfig;
-use frfc::engine::Rng;
-use frfc::flow::{LinkTiming, Router};
-use frfc::fr::{FrConfig, FrRouter};
-use frfc::metrics::{strip_nondeterministic, RunManifest};
-use frfc::network::{FlowControl, Network, ShardPlan, SimConfig};
-use frfc::topology::Mesh;
-use frfc::traffic::{LoadSpec, TrafficGenerator};
-use frfc::vc::{VcConfig, VcRouter};
-use std::collections::BTreeSet;
+mod common;
 
-const MESH: (u16, u16) = (4, 4);
-const PACKET_FLITS: u32 = 5;
+use common::{families, mesh4_net, metered, thread_matrix, tiny_sim};
+use frfc::engine::propcheck::{check, vec_of};
+use frfc::engine::trace::{NullSink, TraceEvent, TraceKind, VecSink};
+use frfc::metrics::{strip_nondeterministic, MetricsRegistry, NullRecorder, RunManifest};
+use frfc::network::{AnyNetwork, FlowControl, ShardPlan};
+use std::collections::BTreeSet;
 
 /// The load matrix from the issue: light, moderate, near-saturation.
 const LOADS: [f64; 3] = [0.2, 0.55, 0.8];
 
-/// The thread-count matrix. 1 exercises the planned engine's inline
-/// path; 2/4/8 exercise real concurrent shard rounds (8 shards on a
-/// 16-node mesh leaves two nodes per shard, maximising hand-off
-/// traffic). CI's `FRFC_THREADS` matrix appends its value so the tier-1
-/// suite re-proves equivalence at whatever width the job pins.
-fn thread_matrix() -> Vec<usize> {
-    let mut threads = vec![1, 2, 4, 8];
-    if let Ok(v) = std::env::var("FRFC_THREADS") {
-        let n: usize = v
-            .parse()
-            .unwrap_or_else(|_| panic!("FRFC_THREADS must be a positive integer, got {v}"));
-        if n > 0 && !threads.contains(&n) {
-            threads.push(n);
-        }
-    }
-    threads
-}
+type TracedNet = AnyNetwork<NullSink, VecSink>;
 
-fn fr_net(load: f64, seed: u64, sink: VecSink) -> Network<FrRouter, VecSink> {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let root = Rng::from_seed(seed);
-    let cfg = FrConfig::fr6();
-    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    Network::with_tracer(
-        mesh,
-        cfg.timing,
-        cfg.control_lanes,
-        generator,
-        |node| FrRouter::new(mesh, node, cfg, root.fork(node.raw() as u64)),
-        sink,
-    )
-}
-
-fn vc_net(load: f64, seed: u64, sink: VecSink) -> Network<VcRouter, VecSink> {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let root = Rng::from_seed(seed);
-    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    Network::with_tracer(
-        mesh,
-        LinkTiming::fast_control(),
-        2,
-        generator,
-        |node| VcRouter::new(mesh, node, VcConfig::vc8(), root.fork(node.raw() as u64)),
-        sink,
-    )
+/// `flow` on the 4×4 mesh, network-level trace only.
+fn net(flow: &FlowControl, load: f64, seed: u64, sink: VecSink) -> TracedNet {
+    mesh4_net(flow, load, seed, NullSink, sink, NullRecorder)
 }
 
 /// Injects, stops, drains; returns the full network-level event stream.
 /// `threads == 0` is the sequential baseline ([`Network::cycle`]);
 /// anything else steps sharded.
-fn run_trace<R: Router + Send>(
-    mut net: Network<R, VecSink>,
-    threads: usize,
-    cycles: u64,
-    drain: u64,
-) -> Vec<TraceEvent> {
+fn run_trace(mut net: TracedNet, threads: usize, cycles: u64, drain: u64) -> Vec<TraceEvent> {
     if threads == 0 {
         net.run_cycles(cycles);
         net.stop_injection();
@@ -106,68 +52,46 @@ fn run_trace<R: Router + Send>(
     net.tracer().events().to_vec()
 }
 
-#[test]
-fn fr_trace_is_identical_across_all_thread_counts_and_loads() {
+/// Every thread count reproduces the sequential trace at every load.
+fn trace_is_identical_across_thread_counts(flow: &FlowControl, seed_base: u64) {
+    let label = flow.label();
     for (i, &load) in LOADS.iter().enumerate() {
-        let seed = 0xF100 + i as u64;
-        let sequential = run_trace(fr_net(load, seed, VecSink::new()), 0, 500, 6_000);
-        assert!(!sequential.is_empty(), "FR6@{load}: run produced no events");
+        let seed = seed_base + i as u64;
+        let trace = |threads| run_trace(net(flow, load, seed, VecSink::new()), threads, 500, 6_000);
+        let sequential = trace(0);
+        assert!(
+            !sequential.is_empty(),
+            "{label}@{load}: run produced no events"
+        );
         for threads in thread_matrix() {
-            let sharded = run_trace(fr_net(load, seed, VecSink::new()), threads, 500, 6_000);
             assert_eq!(
-                sequential, sharded,
-                "FR6@{load}: {threads}-thread trace diverged from sequential"
+                sequential,
+                trace(threads),
+                "{label}@{load}: {threads}-thread trace diverged from sequential"
             );
         }
     }
+}
+
+#[test]
+fn fr_trace_is_identical_across_all_thread_counts_and_loads() {
+    trace_is_identical_across_thread_counts(&FlowControl::fr6(), 0xF100);
 }
 
 #[test]
 fn vc_trace_is_identical_across_all_thread_counts_and_loads() {
-    for (i, &load) in LOADS.iter().enumerate() {
-        let seed = 0xC100 + i as u64;
-        let sequential = run_trace(vc_net(load, seed, VecSink::new()), 0, 500, 6_000);
-        assert!(!sequential.is_empty(), "VC8@{load}: run produced no events");
-        for threads in thread_matrix() {
-            let sharded = run_trace(vc_net(load, seed, VecSink::new()), threads, 500, 6_000);
-            assert_eq!(
-                sequential, sharded,
-                "VC8@{load}: {threads}-thread trace diverged from sequential"
-            );
-        }
-    }
+    trace_is_identical_across_thread_counts(&FlowControl::vc8(), 0xC100);
 }
 
-/// A sim small enough to run the full metered matrix in the debug
-/// profile while still exercising warm-up, measurement and drain.
-fn tiny_sim(seed: u64) -> SimConfig {
-    SimConfig {
-        seed,
-        warmup: WarmupConfig {
-            min_cycles: 400,
-            max_cycles: 3_000,
-            window: 4,
-            tolerance: 0.1,
-        },
-        sample_packets: 150,
-        drain_cap: 6_000,
-        warmup_probe_period: 16,
-    }
-}
-
-fn families() -> [FlowControl; 2] {
-    [
-        FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
-        FlowControl::FlitReservation(FrConfig::fr6()),
-    ]
-}
-
-/// Stripped JSON export of one metered sharded run, plus the facts of
-/// its `RunResult` that must be thread-count invariant.
+/// Stripped JSON export of one metered methodology run (series every 32
+/// cycles), plus the facts of its `RunResult` that must be thread-count
+/// invariant. `threads == 0` steps the sequential engine; any other
+/// width the planned engine, inline at 1.
 fn metered_export(fc: &FlowControl, load: f64, seed: u64, threads: usize) -> (String, Vec<u64>) {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
-    let (result, reg) = fc.run_metered_sharded(mesh, spec, &tiny_sim(seed), 32, threads);
+    let mut net = mesh4_net(fc, load, seed, NullSink, NullSink, MetricsRegistry::new());
+    net.set_metrics_period(32);
+    let result = net.simulate_on(&tiny_sim(seed), threads);
+    let reg = std::mem::take(net.metrics_mut());
     let manifest = RunManifest::new("parallel-equivalence", seed, "tiny", fc.label());
     let mut doc = reg.to_json(&manifest);
     strip_nondeterministic(&mut doc);
@@ -188,10 +112,10 @@ fn metrics_export_is_identical_across_all_thread_counts_and_loads() {
         let label = fc.label();
         for (i, &load) in LOADS.iter().enumerate() {
             let seed = 0xE100 + i as u64;
-            // threads == 1 runs the planned engine inline — itself
-            // compared against the plain sequential harness below.
-            let (base_json, base_facts) = metered_export(&fc, load, seed, 1);
-            for &threads in &thread_matrix()[1..] {
+            // The sequential engine is the reference every planned width,
+            // the one-thread inline path included, must reproduce.
+            let (base_json, base_facts) = metered_export(&fc, load, seed, 0);
+            for threads in thread_matrix() {
                 let (json, facts) = metered_export(&fc, load, seed, threads);
                 assert_eq!(
                     base_facts, facts,
@@ -207,15 +131,13 @@ fn metrics_export_is_identical_across_all_thread_counts_and_loads() {
 }
 
 /// Anchors the matrix above to the plain sequential harness: the metered
-/// sharded run at one thread must equal `run_metered` exactly.
+/// run sharded over four threads must equal the sequential one exactly.
 #[test]
 fn metered_sharded_run_matches_the_sequential_harness() {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let spec = LoadSpec::fraction_of_capacity(0.55, PACKET_FLITS);
     for fc in families() {
         let label = fc.label();
-        let (seq_result, seq_reg) = fc.run_metered(mesh, spec, &tiny_sim(0xA11), 32);
-        let (shr_result, shr_reg) = fc.run_metered_sharded(mesh, spec, &tiny_sim(0xA11), 32, 4);
+        let (seq_result, seq_reg) = metered(&fc, 0.55, tiny_sim(0xA11), 1);
+        let (shr_result, shr_reg) = metered(&fc, 0.55, tiny_sim(0xA11), 4);
         assert_eq!(seq_result.delivered, shr_result.delivered, "{label}");
         assert_eq!(seq_result.end_cycle, shr_result.end_cycle, "{label}");
         assert_eq!(
@@ -231,7 +153,7 @@ fn metered_sharded_run_matches_the_sequential_harness() {
         assert_eq!(
             seq_doc.render(),
             shr_doc.render(),
-            "{label}: sharded metered export diverged from run_metered"
+            "{label}: sharded metered export diverged from the sequential run"
         );
     }
 }
@@ -258,11 +180,7 @@ fn delivered_set(events: &[TraceEvent]) -> BTreeSet<u64> {
 
 /// Drives one run under an arbitrary shard partition and checks the
 /// physical invariants plus trace equality against `sequential`.
-fn check_partition<R: Router + Send>(
-    mut net: Network<R, VecSink>,
-    cuts: &[usize],
-    sequential: &[TraceEvent],
-) {
+fn check_partition(mut net: TracedNet, cuts: &[usize], sequential: &[TraceEvent]) {
     let nodes = net.mesh().node_count();
     net.set_shard_plan(ShardPlan::from_cuts(nodes, cuts));
     net.run_cycles_planned(500);
@@ -293,18 +211,20 @@ fn check_partition<R: Router + Send>(
 
 #[test]
 fn random_shard_partitions_preserve_fr_invariants() {
-    let sequential = run_trace(fr_net(0.55, 0x9A9A, VecSink::new()), 0, 500, 6_000);
+    let fr6 = FlowControl::fr6();
+    let sequential = run_trace(net(&fr6, 0.55, 0x9A9A, VecSink::new()), 0, 500, 6_000);
     // Cuts may exceed the node count (from_cuts clamps), repeat (empty
     // shards) or be absent entirely (one shard).
     check(10, vec_of(0usize..20, 0..6), |cuts| {
-        check_partition(fr_net(0.55, 0x9A9A, VecSink::new()), &cuts, &sequential);
+        check_partition(net(&fr6, 0.55, 0x9A9A, VecSink::new()), &cuts, &sequential);
     });
 }
 
 #[test]
 fn random_shard_partitions_preserve_vc_invariants() {
-    let sequential = run_trace(vc_net(0.55, 0x9B9B, VecSink::new()), 0, 500, 6_000);
+    let vc8 = FlowControl::vc8();
+    let sequential = run_trace(net(&vc8, 0.55, 0x9B9B, VecSink::new()), 0, 500, 6_000);
     check(6, vec_of(0usize..20, 0..6), |cuts| {
-        check_partition(vc_net(0.55, 0x9B9B, VecSink::new()), &cuts, &sequential);
+        check_partition(net(&vc8, 0.55, 0x9B9B, VecSink::new()), &cuts, &sequential);
     });
 }

@@ -19,13 +19,9 @@
 use frfc::engine::propcheck::{check, AnyBool};
 use frfc::engine::trace::TraceKind;
 use frfc::engine::warmup::WarmupConfig;
-use frfc::flow::LinkTiming;
-use frfc::fr::FrConfig;
-use frfc::network::{FlowControl, SimConfig};
+use frfc::network::{FlowControl, RunSpec, SimConfig};
 use frfc::provenance::{chrome_trace, stall_phase, Phase, ProvenanceReport};
 use frfc::topology::Mesh;
-use frfc::traffic::LoadSpec;
-use frfc::vc::VcConfig;
 
 /// A seconds-fast measurement config on the 4x4 mesh.
 fn tiny_sim(seed: u64) -> SimConfig {
@@ -108,14 +104,18 @@ fn traced_runs_are_well_formed_and_deterministic() {
     check(6, strategy, |(seed, load_idx, sample_every, use_fr)| {
         let load = [0.15, 0.35, 0.55][load_idx];
         let fc = if use_fr {
-            FlowControl::FlitReservation(FrConfig::fr6())
+            FlowControl::fr6()
         } else {
-            FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control())
+            FlowControl::vc8()
         };
         let label = format!("{}@{load}/s{seed}/k{sample_every}", fc.label());
         let sim = tiny_sim(seed);
-        let spec = LoadSpec::fraction_of_capacity(load, 5);
-        let (_, report) = fc.run_traced(mesh, spec, &sim, sample_every);
+        let spec = RunSpec {
+            provenance_sample_every: Some(sample_every),
+            ..RunSpec::new(fc.clone(), mesh, load, 5, sim)
+        };
+        let traced = || spec.run().expect("valid spec").provenance.expect("report");
+        let report = traced();
         assert_well_formed(&label, &report);
         if use_fr {
             for r in &report.records {
@@ -132,7 +132,7 @@ fn traced_runs_are_well_formed_and_deterministic() {
             }
         }
         // Byte-identical export on a same-seed rerun.
-        let (_, report2) = fc.run_traced(mesh, spec, &sim, sample_every);
+        let report2 = traced();
         assert_eq!(
             chrome_trace(&report, mesh.width()).render(),
             chrome_trace(&report2, mesh.width()).render(),

@@ -20,165 +20,49 @@
 //! `FRFC_THREADS` × `FRFC_ARBITER` matrix; both env vars are honored
 //! below.
 
-use frfc::engine::trace::{InvariantChecker, SharedSink, TraceEvent, TraceSink, VecSink};
-use frfc::engine::{Cycle, Rng};
-use frfc::faults::{DeadLink, FaultPlan};
+mod common;
+
+use common::{fault_plan, fingerprint, mesh4_net, run_to_drain, run_to_drain_seq, MESH};
+use frfc::engine::trace::{InvariantChecker, SharedSink, TraceSink, VecSink};
+use frfc::engine::Cycle;
 use frfc::flow::pipeline::{
     code, ReservationGrant, ReservationRequest, StageContractChecker, SwitchBid, SwitchContender,
     VcAllocGrant, VcAllocRequest,
 };
-use frfc::flow::{ArbiterKind, LinkTiming, Router};
-use frfc::fr::{FrConfig, FrRouter};
-use frfc::network::Network;
+use frfc::flow::{ArbiterKind, LinkTiming};
+use frfc::metrics::NullRecorder;
+use frfc::network::{AnyNetwork, FlowControl};
 use frfc::topology::{Mesh, Port};
-use frfc::traffic::{LoadSpec, TrafficGenerator};
-use frfc::vc::{VcConfig, VcRouter};
-use std::fmt::Write as _;
+use frfc::vc::VcConfig;
 
-const MESH: (u16, u16) = (4, 4);
-const PACKET_FLITS: u32 = 5;
 const LOAD: f64 = 0.55;
 const SEED: u64 = 0xC0_47;
 
 // ---------------------------------------------------------------------------
-// Harness (mirrors tests/staged_golden.rs)
+// Harness (the staged-golden recipe of tests/common, own seed and load)
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over the debug rendering of every event — same digest the
-/// golden suite uses, so "equal fingerprints" means the same thing in
-/// both files.
-fn fingerprint(events: &[TraceEvent]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut line = String::new();
-    for event in events {
-        line.clear();
-        write!(line, "{event:?}").expect("format into string");
-        for &b in line.as_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash ^= 0x0a;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-fn fault_plan(seed: u64, mesh: Mesh) -> FaultPlan {
-    let mut plan = FaultPlan::quiet(seed);
-    plan.data_corrupt_rate = 2e-3;
-    plan.control_drop_rate = 2e-3;
-    plan.repair_delay = 4;
-    plan.ack_latency = 8;
-    plan.retransmit_timeout = 64;
-    plan.max_backoff_exp = 2;
-    plan.dead_links.push(DeadLink {
-        node: mesh.node_at(1, 1),
-        port: Port::East,
-        at_cycle: 300,
-    });
-    plan
-}
-
-fn vc_net<S: TraceSink + Clone>(
-    cfg: VcConfig,
+/// `flow` on the 4×4 mesh (traffic stream 99) with every router and the
+/// harness tracing into clones of `sink`, contract checks optional.
+fn net<S: TraceSink + Clone>(
+    flow: &FlowControl,
     load: f64,
     seed: u64,
     sink: S,
     checks: bool,
-) -> Network<VcRouter<S>, S> {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let root = Rng::from_seed(seed);
-    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let router_sink = sink.clone();
-    Network::with_tracer(
-        mesh,
-        LinkTiming::fast_control(),
-        2,
-        generator,
-        move |node| {
-            let mut router = VcRouter::with_tracer(
-                mesh,
-                node,
-                cfg,
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            );
-            if checks {
-                router.enable_contract_checks();
-            }
-            router
-        },
-        sink,
-    )
-}
-
-fn fr_net<S: TraceSink + Clone>(
-    load: f64,
-    seed: u64,
-    sink: S,
-    checks: bool,
-) -> Network<FrRouter<S>, S> {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let root = Rng::from_seed(seed);
-    let cfg = FrConfig::fr6();
-    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let router_sink = sink.clone();
-    Network::with_tracer(
-        mesh,
-        cfg.timing,
-        cfg.control_lanes,
-        generator,
-        move |node| {
-            let mut router = FrRouter::with_tracer(
-                mesh,
-                node,
-                cfg,
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            );
-            if checks {
-                router.enable_contract_checks();
-            }
-            router
-        },
-        sink,
-    )
-}
-
-/// Injects for 500 cycles, then drains in bounded chunks. `threads == 0`
-/// is the sequential engine; anything else steps sharded.
-fn run_to_drain<R: Router + Send, S: TraceSink>(net: &mut Network<R, S>, threads: usize) {
-    let chunk = |net: &mut Network<R, S>, cycles: u64| {
-        if threads == 0 {
-            net.run_cycles(cycles);
-        } else {
-            net.run_cycles_sharded(cycles, threads);
+) -> AnyNetwork<S, S> {
+    let mut net = mesh4_net(flow, load, seed, sink.clone(), sink, NullRecorder);
+    if checks {
+        match &mut net {
+            AnyNetwork::Vc(n) => n.routers_mut().for_each(|r| r.enable_contract_checks()),
+            AnyNetwork::Fr(n) => n.routers_mut().for_each(|r| r.enable_contract_checks()),
         }
-    };
-    chunk(net, 500);
-    net.stop_injection();
-    for _ in 0..20 {
-        if net.tracker().in_flight() == 0 {
-            break;
-        }
-        chunk(net, 1_000);
     }
-    assert_eq!(net.tracker().in_flight(), 0, "network failed to drain");
+    net
 }
 
-/// Sequential-only variant for routers carrying a non-`Send` shared sink.
-fn run_to_drain_seq<R: Router, S: TraceSink>(net: &mut Network<R, S>) {
-    net.run_cycles(500);
-    net.stop_injection();
-    for _ in 0..20 {
-        if net.tracker().in_flight() == 0 {
-            break;
-        }
-        net.run_cycles(1_000);
-    }
-    assert_eq!(net.tracker().in_flight(), 0, "network failed to drain");
+fn vc(cfg: VcConfig) -> FlowControl {
+    FlowControl::VirtualChannel(cfg, LinkTiming::fast_control())
 }
 
 fn shard_threads() -> usize {
@@ -432,71 +316,47 @@ fn checker_flags_each_contract_breach() {
 // Whole-router: staged drivers keep the contracts under load
 // ---------------------------------------------------------------------------
 
-/// Both router families expose `contract_checker`, but there is no
-/// common trait for it, so each network type gets a tiny impl of this
-/// assertion hook.
-trait NetContracts {
-    fn assert_router_contracts(&self, what: &str);
-}
-
-impl NetContracts
-    for Network<VcRouter<SharedSink<InvariantChecker>>, SharedSink<InvariantChecker>>
-{
-    fn assert_router_contracts(&self, what: &str) {
-        for router in self.routers() {
-            let ck = router
-                .contract_checker()
-                .expect("contract checks were enabled");
-            assert!(ck.is_clean(), "{what}: {:?}", ck.violations());
-        }
+/// Asserts every router's stage-contract checker is enabled and clean.
+fn assert_router_contracts<S: TraceSink>(net: &AnyNetwork<S, S>, what: &str) {
+    let checkers: Vec<_> = match net {
+        AnyNetwork::Vc(n) => n.routers().map(|r| r.contract_checker()).collect(),
+        AnyNetwork::Fr(n) => n.routers().map(|r| r.contract_checker()).collect(),
+    };
+    for ck in checkers {
+        let ck = ck.expect("contract checks were enabled");
+        assert!(ck.is_clean(), "{what}: {:?}", ck.violations());
     }
 }
 
-impl NetContracts
-    for Network<FrRouter<SharedSink<InvariantChecker>>, SharedSink<InvariantChecker>>
-{
-    fn assert_router_contracts(&self, what: &str) {
-        for router in self.routers() {
-            let ck = router
-                .contract_checker()
-                .expect("contract checks were enabled");
-            assert!(ck.is_clean(), "{what}: {:?}", ck.violations());
+/// Runs `flow` with contract checks on, with and without the fault plan
+/// seeded `fault_seed`: every router must finish contract-clean and the
+/// invariant checker must see no violation.
+fn contracts_hold_under_load(flow: &FlowControl, fault_seed: u64, what: &str) {
+    for faults in [false, true] {
+        let shared = SharedSink::new(InvariantChecker::new());
+        let mut net = net(flow, LOAD, SEED, shared.clone(), true);
+        if faults {
+            net.set_fault_plan(fault_plan(fault_seed, Mesh::new(MESH.0, MESH.1)));
         }
+        run_to_drain_seq(&mut net);
+        assert_router_contracts(&net, what);
+        drop(net);
+        let checker = shared.into_inner();
+        assert!(checker.events_seen() > 0, "tracer saw no events");
+        checker.assert_clean();
     }
 }
 
 #[test]
 fn vc_router_contracts_hold_under_load() {
-    for faults in [false, true] {
-        let shared = SharedSink::new(InvariantChecker::new());
-        let mut net = vc_net(VcConfig::vc8(), LOAD, SEED, shared.clone(), true);
-        if faults {
-            net.set_fault_plan(fault_plan(0xFA_01, Mesh::new(MESH.0, MESH.1)));
-        }
-        run_to_drain_seq(&mut net);
-        net.assert_router_contracts("vc8 staged driver broke a stage contract");
-        drop(net);
-        let checker = shared.into_inner();
-        assert!(checker.events_seen() > 0, "tracer saw no events");
-        checker.assert_clean();
-    }
+    let what = "vc8 staged driver broke a stage contract";
+    contracts_hold_under_load(&vc(VcConfig::vc8()), 0xFA_01, what);
 }
 
 #[test]
 fn fr_router_contracts_hold_under_load() {
-    for faults in [false, true] {
-        let shared = SharedSink::new(InvariantChecker::new());
-        let mut net = fr_net(LOAD, SEED, shared.clone(), true);
-        if faults {
-            net.set_fault_plan(fault_plan(0xFA_02, Mesh::new(MESH.0, MESH.1)));
-        }
-        run_to_drain_seq(&mut net);
-        net.assert_router_contracts("fr6 staged driver broke a stage contract");
-        drop(net);
-        let checker = shared.into_inner();
-        assert!(checker.events_seen() > 0, "tracer saw no events");
-        checker.assert_clean();
-    }
+    let fr6 = FlowControl::fr6();
+    contracts_hold_under_load(&fr6, 0xFA_02, "fr6 staged driver broke a stage contract");
 }
 
 // ---------------------------------------------------------------------------
@@ -506,18 +366,9 @@ fn fr_router_contracts_hold_under_load() {
 #[test]
 fn swapped_arbiters_pass_invariants_and_contracts() {
     for kind in arbiter_kinds() {
-        let cfg = VcConfig::vc8().with_switch_arbiter(kind);
-        for faults in [false, true] {
-            let shared = SharedSink::new(InvariantChecker::new());
-            let mut net = vc_net(cfg, LOAD, SEED, shared.clone(), true);
-            if faults {
-                net.set_fault_plan(fault_plan(0xFA_01, Mesh::new(MESH.0, MESH.1)));
-            }
-            run_to_drain_seq(&mut net);
-            net.assert_router_contracts(&format!("{kind:?} arbiter broke a stage contract"));
-            drop(net);
-            shared.into_inner().assert_clean();
-        }
+        let flow = vc(VcConfig::vc8().with_switch_arbiter(kind));
+        let what = format!("{kind:?} arbiter broke a stage contract");
+        contracts_hold_under_load(&flow, 0xFA_01, &what);
     }
 }
 
@@ -531,10 +382,10 @@ fn swapped_arbiters_are_thread_count_invariant() {
     // itself.
     let threads = shard_threads();
     for kind in arbiter_kinds() {
-        let cfg = VcConfig::vc8().with_switch_arbiter(kind);
+        let flow = vc(VcConfig::vc8().with_switch_arbiter(kind));
         let mut reference = None;
         for t in [0, 1, threads] {
-            let mut net = vc_net(cfg, LOAD, SEED, VecSink::new(), false);
+            let mut net = net(&flow, LOAD, SEED, VecSink::new(), false);
             run_to_drain(&mut net, t);
             let digest = (
                 fingerprint(net.tracer().events()),

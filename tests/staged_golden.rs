@@ -18,19 +18,11 @@
 //! staged_golden` — but only when a behavior change is *intended*; the
 //! whole point of this file is that the stage refactor is not one.
 
-use frfc::engine::trace::{SharedSink, TraceEvent, TraceSink, VecSink};
-use frfc::engine::Rng;
-use frfc::faults::{DeadLink, FaultPlan};
-use frfc::flow::{LinkTiming, Router};
-use frfc::fr::{FrConfig, FrRouter};
-use frfc::network::Network;
-use frfc::topology::{Mesh, Port};
-use frfc::traffic::{LoadSpec, TrafficGenerator};
-use frfc::vc::{VcConfig, VcRouter};
-use std::fmt::Write as _;
+mod common;
 
-const MESH: (u16, u16) = (4, 4);
-const PACKET_FLITS: u32 = 5;
+use common::{fingerprint, golden_net, run_to_drain, run_to_drain_seq, GOLDEN_PATH};
+use frfc::engine::trace::{SharedSink, VecSink};
+use frfc::metrics::NullRecorder;
 
 /// The acceptance matrix from the issue: light, moderate, near-saturation.
 const LOADS: [f64; 3] = [0.2, 0.55, 0.8];
@@ -40,183 +32,29 @@ const LOADS: [f64; 3] = [0.2, 0.55, 0.8];
 /// concurrent shard rounds.
 const THREADS: [usize; 3] = [0, 1, 4];
 
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/staged_traces.txt"
-);
-
-/// FNV-1a over the debug rendering of every event: cheap, dependency-free
-/// and sensitive to any reordering, relabeling or drop.
-fn fingerprint(events: &[TraceEvent]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut line = String::new();
-    for event in events {
-        line.clear();
-        write!(line, "{event:?}").expect("format into string");
-        for &b in line.as_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash ^= 0x0a;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// The chaos-suite fault plan scaled for these runs: transient data
-/// corruption, control drops and one permanent link failure.
-fn fault_plan(seed: u64, mesh: Mesh) -> FaultPlan {
-    let mut plan = FaultPlan::quiet(seed);
-    plan.data_corrupt_rate = 2e-3;
-    plan.control_drop_rate = 2e-3;
-    plan.repair_delay = 4;
-    plan.ack_latency = 8;
-    plan.retransmit_timeout = 64;
-    plan.max_backoff_exp = 2;
-    plan.dead_links.push(DeadLink {
-        node: mesh.node_at(1, 1),
-        port: Port::East,
-        at_cycle: 300,
-    });
-    plan
-}
-
-fn vc_net<S: TraceSink + Clone>(load: f64, seed: u64, sink: S) -> Network<VcRouter<S>, S> {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let root = Rng::from_seed(seed);
-    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let router_sink = sink.clone();
-    Network::with_tracer(
-        mesh,
-        LinkTiming::fast_control(),
-        2,
-        generator,
-        move |node| {
-            VcRouter::with_tracer(
-                mesh,
-                node,
-                VcConfig::vc8(),
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            )
-        },
-        sink,
-    )
-}
-
-fn fr_net<S: TraceSink + Clone>(load: f64, seed: u64, sink: S) -> Network<FrRouter<S>, S> {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let root = Rng::from_seed(seed);
-    let cfg = FrConfig::fr6();
-    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let router_sink = sink.clone();
-    Network::with_tracer(
-        mesh,
-        cfg.timing,
-        cfg.control_lanes,
-        generator,
-        move |node| {
-            FrRouter::with_tracer(
-                mesh,
-                node,
-                cfg,
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            )
-        },
-        sink,
-    )
-}
-
-/// Injects for 500 cycles, then drains in bounded chunks (fault plans
-/// with retransmission need an open-ended drain). `threads == 0` is the
-/// sequential engine; anything else steps sharded.
-fn run_to_drain<R: Router + Send, S: TraceSink>(net: &mut Network<R, S>, threads: usize) {
-    let chunk = |net: &mut Network<R, S>, cycles: u64| {
-        if threads == 0 {
-            net.run_cycles(cycles);
-        } else {
-            net.run_cycles_sharded(cycles, threads);
-        }
-    };
-    chunk(net, 500);
-    net.stop_injection();
-    for _ in 0..20 {
-        if net.tracker().in_flight() == 0 {
-            break;
-        }
-        chunk(net, 1_000);
-    }
-    assert_eq!(net.tracker().in_flight(), 0, "network failed to drain");
-}
-
-/// Sequential-only variant of [`run_to_drain`] for routers carrying a
-/// non-`Send` shared sink.
-fn run_to_drain_seq<R: Router, S: TraceSink>(net: &mut Network<R, S>) {
-    net.run_cycles(500);
-    net.stop_injection();
-    for _ in 0..20 {
-        if net.tracker().in_flight() == 0 {
-            break;
-        }
-        net.run_cycles(1_000);
-    }
-    assert_eq!(net.tracker().in_flight(), 0, "network failed to drain");
-}
-
 /// One golden cell: the fingerprint and event count of a run.
 fn net_cell(family: &str, load: f64, faults: bool, threads: usize) -> (u64, usize) {
-    let seed = 0x60_1D + (load * 100.0) as u64;
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let events = match family {
-        "vc8" => {
-            let mut net = vc_net(load, seed, VecSink::new());
-            if faults {
-                net.set_fault_plan(fault_plan(0xFA_01, mesh));
-            }
-            run_to_drain(&mut net, threads);
-            net.tracer().events().to_vec()
-        }
-        "fr6" => {
-            let mut net = fr_net(load, seed, VecSink::new());
-            if faults {
-                net.set_fault_plan(fault_plan(0xFA_02, mesh));
-            }
-            run_to_drain(&mut net, threads);
-            net.tracer().events().to_vec()
-        }
-        other => panic!("unknown family {other}"),
-    };
-    (fingerprint(&events), events.len())
+    let sink = VecSink::new();
+    let mut net = golden_net(family, load, faults, sink.clone(), sink, NullRecorder);
+    run_to_drain(&mut net, threads);
+    let events = net.tracer().events();
+    (fingerprint(events), events.len())
 }
 
 /// Router-level cell: full per-router event streams through a shared
 /// sink (single-threaded only — the shared sink is deliberately `Rc`).
 fn router_cell(family: &str, load: f64, faults: bool) -> (u64, usize) {
-    let seed = 0x60_1D + (load * 100.0) as u64;
-    let mesh = Mesh::new(MESH.0, MESH.1);
     let shared = SharedSink::new(VecSink::new());
-    match family {
-        "vc8" => {
-            let mut net = vc_net(load, seed, shared.clone());
-            if faults {
-                net.set_fault_plan(fault_plan(0xFA_01, mesh));
-            }
-            run_to_drain_seq(&mut net);
-            drop(net);
-        }
-        "fr6" => {
-            let mut net = fr_net(load, seed, shared.clone());
-            if faults {
-                net.set_fault_plan(fault_plan(0xFA_02, mesh));
-            }
-            run_to_drain_seq(&mut net);
-            drop(net);
-        }
-        other => panic!("unknown family {other}"),
-    }
+    let mut net = golden_net(
+        family,
+        load,
+        faults,
+        shared.clone(),
+        shared.clone(),
+        NullRecorder,
+    );
+    run_to_drain_seq(&mut net);
+    drop(net);
     let events = shared.into_inner().into_events();
     (fingerprint(&events), events.len())
 }

@@ -19,160 +19,39 @@
 //! profiler must attribute the engine's measured wall-clock to named
 //! phases.
 
-use frfc::engine::propcheck::{check, vec_of};
-use frfc::engine::trace::{TraceEvent, VecSink};
-use frfc::engine::warmup::WarmupConfig;
-use frfc::engine::Rng;
-use frfc::faults::{DeadLink, FaultPlan};
-use frfc::flow::{LinkTiming, Router};
-use frfc::fr::{FrConfig, FrRouter};
-use frfc::metrics::{strip_nondeterministic, MetricsRegistry, RunManifest, WindowKind};
-use frfc::network::{FlowControl, Network, ShardPlan, SimConfig};
-use frfc::topology::{Mesh, Port};
-use frfc::traffic::{LoadSpec, TrafficGenerator};
-use frfc::vc::{VcConfig, VcRouter};
-use std::collections::HashMap;
-use std::fmt::Write as _;
+mod common;
 
-const MESH: (u16, u16) = (4, 4);
-const PACKET_FLITS: u32 = 5;
+use common::{
+    families, golden_net, golden_net_line, mesh4_net, run_to_drain, thread_matrix, tiny_sim, MESH,
+    PACKET_FLITS,
+};
+use frfc::engine::propcheck::{check, vec_of};
+use frfc::engine::trace::{NullSink, VecSink};
+use frfc::metrics::{strip_nondeterministic, MetricsRegistry, RunManifest, WindowKind};
+use frfc::network::{AnyNetwork, FlowControl, RunOutput, RunSpec, ShardPlan};
+use frfc::topology::Mesh;
+
 const LOADS: [f64; 3] = [0.2, 0.55, 0.8];
 const WINDOW_LOG2: u32 = 6;
 
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/staged_traces.txt"
-);
-
-/// Same FNV-1a fingerprint as `tests/staged_golden.rs` — the fixture
-/// lines were written with it.
-fn fingerprint(events: &[TraceEvent]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut line = String::new();
-    for event in events {
-        line.clear();
-        write!(line, "{event:?}").expect("format into string");
-        for &b in line.as_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash ^= 0x0a;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// The staged-golden fault plan, bit for bit.
-fn fault_plan(seed: u64, mesh: Mesh) -> FaultPlan {
-    let mut plan = FaultPlan::quiet(seed);
-    plan.data_corrupt_rate = 2e-3;
-    plan.control_drop_rate = 2e-3;
-    plan.repair_delay = 4;
-    plan.ack_latency = 8;
-    plan.retransmit_timeout = 64;
-    plan.max_backoff_exp = 2;
-    plan.dead_links.push(DeadLink {
-        node: mesh.node_at(1, 1),
-        port: Port::East,
-        at_cycle: 300,
-    });
-    plan
-}
-
-/// A telemetry-armed network: network-level tracer for the fingerprint,
-/// metrics registry with windows and the profiler on.
-fn fr_net_telemetry(load: f64, seed: u64) -> Network<FrRouter, VecSink, MetricsRegistry> {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let root = Rng::from_seed(seed);
-    let cfg = FrConfig::fr6();
-    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let mut net = Network::with_instruments(
-        mesh,
-        cfg.timing,
-        cfg.control_lanes,
-        generator,
-        |node| FrRouter::new(mesh, node, cfg, root.fork(node.raw() as u64)),
+/// A telemetry-armed golden cell: network-level tracer for the
+/// fingerprint, metrics registry with windows and the profiler on.
+fn net_telemetry(
+    family: &str,
+    load: f64,
+    faults: bool,
+) -> AnyNetwork<NullSink, VecSink, MetricsRegistry> {
+    let mut net = golden_net(
+        family,
+        load,
+        faults,
+        NullSink,
         VecSink::new(),
         MetricsRegistry::new(),
     );
     net.set_telemetry_windows(WINDOW_LOG2);
     net.set_profiling(true);
     net
-}
-
-fn vc_net_telemetry(load: f64, seed: u64) -> Network<VcRouter, VecSink, MetricsRegistry> {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let root = Rng::from_seed(seed);
-    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let mut net = Network::with_instruments(
-        mesh,
-        LinkTiming::fast_control(),
-        2,
-        generator,
-        |node| VcRouter::new(mesh, node, VcConfig::vc8(), root.fork(node.raw() as u64)),
-        VecSink::new(),
-        MetricsRegistry::new(),
-    );
-    net.set_telemetry_windows(WINDOW_LOG2);
-    net.set_profiling(true);
-    net
-}
-
-/// The staged-golden drive: 500 cycles of injection, then bounded drain
-/// chunks. `threads == 0` is the sequential engine.
-fn run_to_drain<R: Router + Send>(net: &mut Network<R, VecSink, MetricsRegistry>, threads: usize) {
-    let chunk = |net: &mut Network<R, VecSink, MetricsRegistry>, cycles: u64| {
-        if threads == 0 {
-            net.run_cycles(cycles);
-        } else {
-            net.run_cycles_sharded(cycles, threads);
-        }
-    };
-    chunk(net, 500);
-    net.stop_injection();
-    for _ in 0..20 {
-        if net.tracker().in_flight() == 0 {
-            break;
-        }
-        chunk(net, 1_000);
-    }
-    assert_eq!(net.tracker().in_flight(), 0, "network failed to drain");
-}
-
-/// Parses the golden fixture's network-level lines into
-/// `(family, load-in-hundredths, faults) -> (events, fnv)`.
-fn golden_net_lines() -> HashMap<(String, u64, bool), (usize, u64)> {
-    let fixture = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden fixture missing; run staged_golden with FRFC_BLESS=1 first");
-    let mut map = HashMap::new();
-    for line in fixture.lines() {
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != 6 || fields[0] != "net" {
-            continue;
-        }
-        let family = fields[1].to_string();
-        let load: f64 = fields[2]
-            .strip_prefix("load=")
-            .expect("load field")
-            .parse()
-            .expect("load value");
-        let faults = fields[3] == "faults=true";
-        let events: usize = fields[4]
-            .strip_prefix("events=")
-            .expect("events field")
-            .parse()
-            .expect("event count");
-        let fnv = u64::from_str_radix(fields[5].strip_prefix("fnv=").expect("fnv field"), 16)
-            .expect("fnv hash");
-        map.insert(
-            (family, (load * 100.0).round() as u64, faults),
-            (events, fnv),
-        );
-    }
-    assert!(!map.is_empty(), "no net lines parsed from the fixture");
-    map
 }
 
 /// Telemetry on, profiler on: the network trace must still match the
@@ -180,37 +59,16 @@ fn golden_net_lines() -> HashMap<(String, u64, bool), (usize, u64)> {
 /// engine and under concurrent shard rounds.
 #[test]
 fn telemetry_does_not_perturb_golden_traces() {
-    let golden = golden_net_lines();
-    let mesh = Mesh::new(MESH.0, MESH.1);
     for family in ["vc8", "fr6"] {
         for &load in &LOADS {
             for faults in [false, true] {
-                let seed = 0x60_1D + (load * 100.0) as u64;
                 for threads in [0usize, 4] {
-                    let events = match family {
-                        "vc8" => {
-                            let mut net = vc_net_telemetry(load, seed);
-                            if faults {
-                                net.set_fault_plan(fault_plan(0xFA_01, mesh));
-                            }
-                            run_to_drain(&mut net, threads);
-                            net.tracer().events().to_vec()
-                        }
-                        _ => {
-                            let mut net = fr_net_telemetry(load, seed);
-                            if faults {
-                                net.set_fault_plan(fault_plan(0xFA_02, mesh));
-                            }
-                            run_to_drain(&mut net, threads);
-                            net.tracer().events().to_vec()
-                        }
-                    };
-                    let key = (family.to_string(), (load * 100.0).round() as u64, faults);
-                    let &(want_events, want_fnv) = golden
-                        .get(&key)
-                        .unwrap_or_else(|| panic!("fixture has no net line for {key:?}"));
+                    let mut net = net_telemetry(family, load, faults);
+                    run_to_drain(&mut net, threads);
+                    let events = net.tracer().events();
+                    let (want_events, want_fnv) = golden_net_line(family, load, faults);
                     assert_eq!(
-                        (events.len(), fingerprint(&events)),
+                        (events.len(), common::fingerprint(events)),
                         (want_events, want_fnv),
                         "{family}@{load} faults={faults} threads={threads}: \
                          telemetry-on trace diverged from the golden fixture"
@@ -221,52 +79,26 @@ fn telemetry_does_not_perturb_golden_traces() {
     }
 }
 
-/// The tiny methodology config shared with `parallel_equivalence.rs`.
-fn tiny_sim(seed: u64) -> SimConfig {
-    SimConfig {
-        seed,
-        warmup: WarmupConfig {
-            min_cycles: 400,
-            max_cycles: 3_000,
-            window: 4,
-            tolerance: 0.1,
-        },
-        sample_packets: 150,
-        drain_cap: 6_000,
-        warmup_probe_period: 16,
-    }
-}
-
-/// Thread counts the windowed export must be byte-identical under, with
-/// CI's `FRFC_THREADS` pin appended like the rest of the tier-1 suite.
-fn thread_matrix() -> Vec<usize> {
-    let mut threads = vec![1, 2, 4, 8];
-    if let Ok(v) = std::env::var("FRFC_THREADS") {
-        let n: usize = v
-            .parse()
-            .unwrap_or_else(|_| panic!("FRFC_THREADS must be a positive integer, got {v}"));
-        if n > 0 && !threads.contains(&n) {
-            threads.push(n);
-        }
-    }
-    threads
-}
-
-fn families() -> [FlowControl; 2] {
-    [
-        FlowControl::VirtualChannel(VcConfig::vc8(), LinkTiming::fast_control()),
-        FlowControl::FlitReservation(FrConfig::fr6()),
-    ]
+/// One telemetry-armed methodology run on `threads` workers.
+fn telemetry_run(fc: &FlowControl, load: f64, seed: u64, threads: usize) -> RunOutput {
+    let mesh = Mesh::new(MESH.0, MESH.1);
+    let spec = RunSpec {
+        threads,
+        metrics_period: Some(32),
+        telemetry_window_log2: Some(WINDOW_LOG2),
+        ..RunSpec::new(fc.clone(), mesh, load, PACKET_FLITS, tiny_sim(seed))
+    };
+    spec.run().expect("valid spec")
 }
 
 /// One telemetry run rendered with a fixed manifest and stripped of
 /// wall-clock data, so only the simulated history remains.
 fn stripped_export(fc: &FlowControl, load: f64, seed: u64, threads: usize) -> String {
-    let mesh = Mesh::new(MESH.0, MESH.1);
-    let spec = LoadSpec::fraction_of_capacity(load, PACKET_FLITS);
-    let run = fc.run_telemetry(mesh, spec, &tiny_sim(seed), 32, WINDOW_LOG2, threads);
+    let registry = telemetry_run(fc, load, seed, threads)
+        .registry
+        .expect("registry");
     let manifest = RunManifest::new("telemetry", seed, "tiny", fc.label());
-    let mut doc = run.registry.to_json(&manifest);
+    let mut doc = registry.to_json(&manifest);
     strip_nondeterministic(&mut doc);
     doc.render()
 }
@@ -296,7 +128,17 @@ fn windowed_export_is_byte_identical_across_thread_counts() {
 /// Drives one telemetry run under an arbitrary shard partition and
 /// byte-compares the stripped export against the sequential baseline.
 fn partition_export(cuts: Option<&[usize]>) -> String {
-    let mut net = fr_net_telemetry(0.55, 0x9A9A);
+    let fr6 = FlowControl::fr6();
+    let mut net = mesh4_net(
+        &fr6,
+        0.55,
+        0x9A9A,
+        NullSink,
+        VecSink::new(),
+        MetricsRegistry::new(),
+    );
+    net.set_telemetry_windows(WINDOW_LOG2);
+    net.set_profiling(true);
     match cuts {
         None => {
             net.run_cycles(500);
@@ -337,13 +179,15 @@ fn windowed_export_is_byte_identical_across_random_shard_partitions() {
 
 #[test]
 fn window_sums_equal_aggregate_totals_and_profiler_attributes() {
-    let mesh = Mesh::new(MESH.0, MESH.1);
     for fc in families() {
         let label = fc.label();
         for threads in [1usize, 4] {
-            let spec = LoadSpec::fraction_of_capacity(0.55, PACKET_FLITS);
-            let run = fc.run_telemetry(mesh, spec, &tiny_sim(0xACC7), 32, WINDOW_LOG2, threads);
-            let reg = &run.registry;
+            let run = telemetry_run(&fc, 0.55, 0xACC7, threads);
+            let (result, reg, profile) = (
+                run.result.expect("result"),
+                run.registry.expect("registry"),
+                run.profile.expect("profile"),
+            );
             let mut sums = 0;
             for (name, w) in reg.windows() {
                 if w.kind == WindowKind::Sum {
@@ -363,18 +207,18 @@ fn window_sums_equal_aggregate_totals_and_profiler_attributes() {
             // latency sample the run measured plus the warm-up/drain
             // deliveries — i.e. everything the tracker saw.
             assert!(
-                reg.counter("net.delivered_packets") >= run.result.delivered,
+                reg.counter("net.delivered_packets") >= result.delivered,
                 "{label} threads={threads}: fewer deliveries recorded than sampled"
             );
             // Debug builds time the same phases release builds do; the
             // release gate in telemetry_report --quick holds the 95%
             // acceptance line, this guards against gross regressions.
             assert!(
-                run.profile.attributed_fraction() >= 0.90,
+                profile.attributed_fraction() >= 0.90,
                 "{label} threads={threads}: profiler attributes only {:.1}%",
-                run.profile.attributed_fraction() * 100.0
+                profile.attributed_fraction() * 100.0
             );
-            assert_eq!(run.profile.threads as usize, threads);
+            assert_eq!(profile.threads as usize, threads);
         }
     }
 }
@@ -385,22 +229,21 @@ fn window_sums_equal_aggregate_totals_and_profiler_attributes() {
 #[test]
 fn telemetry_run_result_matches_uninstrumented_run() {
     let mesh = Mesh::new(MESH.0, MESH.1);
-    let spec = LoadSpec::fraction_of_capacity(0.55, PACKET_FLITS);
     for fc in families() {
         let label = fc.label();
-        let plain = fc.run(mesh, spec, &tiny_sim(0xBEE));
-        let telem = fc.run_telemetry(mesh, spec, &tiny_sim(0xBEE), 32, WINDOW_LOG2, 1);
-        assert_eq!(plain.delivered, telem.result.delivered, "{label}");
-        assert_eq!(plain.end_cycle, telem.result.end_cycle, "{label}");
-        assert_eq!(plain.measure_start, telem.result.measure_start, "{label}");
+        let plain = fc.run(mesh, 0.55, PACKET_FLITS, &tiny_sim(0xBEE));
+        let telem = telemetry_run(&fc, 0.55, 0xBEE, 1).result.expect("result");
+        assert_eq!(plain.delivered, telem.delivered, "{label}");
+        assert_eq!(plain.end_cycle, telem.end_cycle, "{label}");
+        assert_eq!(plain.measure_start, telem.measure_start, "{label}");
         assert_eq!(
             plain.mean_latency().to_bits(),
-            telem.result.mean_latency().to_bits(),
+            telem.mean_latency().to_bits(),
             "{label}"
         );
         assert_eq!(
             plain.accepted_fraction.to_bits(),
-            telem.result.accepted_fraction.to_bits(),
+            telem.accepted_fraction.to_bits(),
             "{label}"
         );
     }

@@ -8,81 +8,36 @@
 //! no flit delivered twice — and the VC baseline and the FR router are
 //! compared as black boxes: same offered traffic, same delivered set.
 
-use frfc::engine::trace::{InvariantChecker, SharedSink, TraceEvent, TraceKind, VecSink};
-use frfc::engine::{sweep, Rng};
+mod common;
+
+use common::mesh4_net;
+use frfc::engine::sweep;
+use frfc::engine::trace::{
+    InvariantChecker, SharedSink, TraceEvent, TraceKind, TraceSink, VecSink,
+};
 use frfc::flow::LinkTiming;
-use frfc::fr::{FrConfig, FrRouter};
-use frfc::network::Network;
-use frfc::topology::Mesh;
-use frfc::traffic::{LoadSpec, TrafficGenerator};
-use frfc::vc::{VcConfig, VcRouter};
+use frfc::fr::FrConfig;
+use frfc::metrics::NullRecorder;
+use frfc::network::{AnyNetwork, FlowControl};
 use std::collections::BTreeSet;
 
 type Shared<S> = SharedSink<S>;
 
-/// FR network with every router and the harness feeding one shared sink.
-fn traced_fr<S: frfc::engine::trace::TraceSink>(
-    mesh: Mesh,
+/// `flow`'s network with every router and the harness feeding one
+/// shared sink.
+fn traced<S: TraceSink>(
+    flow: &FlowControl,
     load: f64,
     seed: u64,
     sink: Shared<S>,
-) -> Network<FrRouter<Shared<S>>, Shared<S>> {
-    let root = Rng::from_seed(seed);
-    let spec = LoadSpec::fraction_of_capacity(load, 5);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let cfg = FrConfig::fr6();
-    let router_sink = sink.clone();
-    Network::with_tracer(
-        mesh,
-        cfg.timing,
-        cfg.control_lanes,
-        generator,
-        move |node| {
-            FrRouter::with_tracer(
-                mesh,
-                node,
-                cfg,
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            )
-        },
-        sink,
-    )
+) -> AnyNetwork<Shared<S>, Shared<S>> {
+    mesh4_net(flow, load, seed, sink.clone(), sink, NullRecorder)
 }
 
-/// VC network with every router and the harness feeding one shared sink.
-fn traced_vc<S: frfc::engine::trace::TraceSink>(
-    mesh: Mesh,
-    load: f64,
-    seed: u64,
-    sink: Shared<S>,
-) -> Network<VcRouter<Shared<S>>, Shared<S>> {
-    let root = Rng::from_seed(seed);
-    let spec = LoadSpec::fraction_of_capacity(load, 5);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let router_sink = sink.clone();
-    Network::with_tracer(
-        mesh,
-        LinkTiming::fast_control(),
-        2,
-        generator,
-        move |node| {
-            VcRouter::with_tracer(
-                mesh,
-                node,
-                VcConfig::vc8(),
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            )
-        },
-        sink,
-    )
-}
-
-/// Full event stream of one traced FR run (inject, drain).
-fn fr_trace(load: f64, seed: u64, cycles: u64, drain: u64) -> Vec<TraceEvent> {
+/// Full event stream of one traced run (inject, drain).
+fn trace(flow: &FlowControl, load: f64, seed: u64, cycles: u64, drain: u64) -> Vec<TraceEvent> {
     let shared = SharedSink::new(VecSink::new());
-    let mut net = traced_fr(Mesh::new(4, 4), load, seed, shared.clone());
+    let mut net = traced(flow, load, seed, shared.clone());
     net.run_cycles(cycles);
     net.stop_injection();
     net.run_cycles(drain);
@@ -90,37 +45,27 @@ fn fr_trace(load: f64, seed: u64, cycles: u64, drain: u64) -> Vec<TraceEvent> {
     shared.into_inner().into_events()
 }
 
-/// Full event stream of one traced VC run (inject, drain).
-fn vc_trace(load: f64, seed: u64, cycles: u64, drain: u64) -> Vec<TraceEvent> {
-    let shared = SharedSink::new(VecSink::new());
-    let mut net = traced_vc(Mesh::new(4, 4), load, seed, shared.clone());
-    net.run_cycles(cycles);
-    net.stop_injection();
-    net.run_cycles(drain);
-    drop(net);
-    shared.into_inner().into_events()
-}
-
-#[test]
-fn same_seed_gives_bit_identical_fr_traces() {
-    let a = fr_trace(0.4, 7, 1_000, 2_000);
-    let b = fr_trace(0.4, 7, 1_000, 2_000);
+fn same_seed_gives_bit_identical_traces(flow: &FlowControl) {
+    let a = trace(flow, 0.4, 7, 1_000, 2_000);
+    let b = trace(flow, 0.4, 7, 1_000, 2_000);
     assert!(!a.is_empty(), "a moderate-load run must produce events");
     assert_eq!(a, b, "same seed must replay the exact event stream");
 }
 
 #[test]
+fn same_seed_gives_bit_identical_fr_traces() {
+    same_seed_gives_bit_identical_traces(&FlowControl::fr6());
+}
+
+#[test]
 fn same_seed_gives_bit_identical_vc_traces() {
-    let a = vc_trace(0.4, 7, 1_000, 2_000);
-    let b = vc_trace(0.4, 7, 1_000, 2_000);
-    assert!(!a.is_empty());
-    assert_eq!(a, b);
+    same_seed_gives_bit_identical_traces(&FlowControl::vc8());
 }
 
 #[test]
 fn different_seeds_give_different_traces() {
-    let a = fr_trace(0.4, 7, 1_000, 2_000);
-    let b = fr_trace(0.4, 8, 1_000, 2_000);
+    let a = trace(&FlowControl::fr6(), 0.4, 7, 1_000, 2_000);
+    let b = trace(&FlowControl::fr6(), 0.4, 8, 1_000, 2_000);
     assert_ne!(a, b, "different seeds must diverge somewhere in the stream");
 }
 
@@ -129,7 +74,8 @@ fn different_seeds_give_different_traces() {
 #[test]
 fn traces_are_identical_across_sweep_thread_counts() {
     let points: Vec<(f64, u64)> = vec![(0.2, 1), (0.3, 2), (0.4, 3), (0.5, 4), (0.3, 5), (0.2, 6)];
-    let job = |_i: usize, &(load, seed): &(f64, u64)| fr_trace(load, seed, 600, 2_000);
+    let job =
+        |_i: usize, &(load, seed): &(f64, u64)| trace(&FlowControl::fr6(), load, seed, 600, 2_000);
     let serial = sweep::run_parallel(&points, 1, job);
     let threaded = sweep::run_parallel(&points, 8, job);
     assert_eq!(serial.len(), threaded.len());
@@ -165,8 +111,8 @@ fn injected_set(events: &[TraceEvent]) -> BTreeSet<u64> {
 /// they must deliver exactly the same set of packets.
 #[test]
 fn vc_and_fr_deliver_the_same_packet_set() {
-    let vc = vc_trace(0.4, 21, 1_500, 4_000);
-    let fr = fr_trace(0.4, 21, 1_500, 4_000);
+    let vc = trace(&FlowControl::vc8(), 0.4, 21, 1_500, 4_000);
+    let fr = trace(&FlowControl::fr6(), 0.4, 21, 1_500, 4_000);
     let vc_in = injected_set(&vc);
     let fr_in = injected_set(&fr);
     assert_eq!(
@@ -185,11 +131,10 @@ fn vc_and_fr_deliver_the_same_packet_set() {
     assert_eq!(vc_out, fr_out);
 }
 
-/// Fig. 5-style moderate-load FR run, audited event by event.
-#[test]
-fn invariant_checker_passes_a_moderate_load_fr_run() {
+/// Fig. 5-style moderate-load run, audited event by event.
+fn moderate_load_run_is_invariant_clean(flow: &FlowControl) {
     let shared = SharedSink::new(InvariantChecker::new());
-    let mut net = traced_fr(Mesh::new(4, 4), 0.5, 13, shared.clone());
+    let mut net = traced(flow, 0.5, 13, shared.clone());
     net.run_cycles(2_000);
     net.stop_injection();
     net.run_cycles(3_000);
@@ -204,20 +149,15 @@ fn invariant_checker_passes_a_moderate_load_fr_run() {
     checker.assert_drained();
 }
 
+#[test]
+fn invariant_checker_passes_a_moderate_load_fr_run() {
+    moderate_load_run_is_invariant_clean(&FlowControl::fr6());
+}
+
 /// The same audit for the VC baseline (FIFO + conservation invariants).
 #[test]
 fn invariant_checker_passes_a_moderate_load_vc_run() {
-    let shared = SharedSink::new(InvariantChecker::new());
-    let mut net = traced_vc(Mesh::new(4, 4), 0.5, 13, shared.clone());
-    net.run_cycles(2_000);
-    net.stop_injection();
-    net.run_cycles(3_000);
-    assert_eq!(net.tracker().in_flight(), 0, "network must drain");
-    drop(net);
-    let checker = shared.into_inner();
-    assert!(checker.events_seen() > 10_000);
-    checker.assert_clean();
-    checker.assert_drained();
+    moderate_load_run_is_invariant_clean(&FlowControl::vc8());
 }
 
 /// FR with leading control / slow data timing, plus the error model off:
@@ -225,28 +165,8 @@ fn invariant_checker_passes_a_moderate_load_vc_run() {
 #[test]
 fn invariant_checker_passes_leading_control_fr() {
     let shared = SharedSink::new(InvariantChecker::new());
-    let root = Rng::from_seed(31);
-    let mesh = Mesh::new(4, 4);
     let cfg = FrConfig::fr6().with_timing(LinkTiming::leading_control(2));
-    let spec = LoadSpec::fraction_of_capacity(0.4, 5);
-    let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
-    let router_sink = shared.clone();
-    let mut net = Network::with_tracer(
-        mesh,
-        cfg.timing,
-        cfg.control_lanes,
-        generator,
-        move |node| {
-            FrRouter::with_tracer(
-                mesh,
-                node,
-                cfg,
-                root.fork(node.raw() as u64),
-                router_sink.clone(),
-            )
-        },
-        shared.clone(),
-    );
+    let mut net = traced(&FlowControl::FlitReservation(cfg), 0.4, 31, shared.clone());
     net.run_cycles(1_500);
     net.stop_injection();
     net.run_cycles(3_000);
@@ -262,7 +182,7 @@ fn invariant_checker_passes_leading_control_fr() {
 #[test]
 fn invariant_checker_passes_with_control_errors() {
     let shared = SharedSink::new(InvariantChecker::new());
-    let mut net = traced_fr(Mesh::new(4, 4), 0.3, 17, shared.clone());
+    let mut net = traced(&FlowControl::fr6(), 0.3, 17, shared.clone());
     net.set_control_error_rate(0.02, 0xBAD5EED);
     net.run_cycles(1_500);
     net.stop_injection();
