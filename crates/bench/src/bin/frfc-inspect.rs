@@ -431,3 +431,115 @@ fn self_check() -> Result<(), String> {
     println!("\nself-check: PASS");
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use noc_bench::Scale;
+    use noc_engine::propcheck::check;
+    use noc_engine::Rng;
+    use noc_metrics::RunManifest;
+    use noc_network::{capture_at_cycle, FlowControl};
+
+    /// A real crash sidecar and a real metrics export.
+    fn real_documents() -> [Json; 2] {
+        let sidecar = capture_at_cycle(&RunSpec::fr6_small(0x1D), 40).expect("capture");
+        let spec = RunSpec {
+            metrics_period: Some(32),
+            ..RunSpec::new(
+                FlowControl::vc8(),
+                Mesh::new(4, 4),
+                0.4,
+                5,
+                Scale::Tiny.sim(7),
+            )
+        };
+        let registry = spec.run().expect("run").registry.expect("registry");
+        let manifest = RunManifest::new("inspect_fuzz", 7, "tiny", "VC8");
+        [sidecar, registry.to_json(&manifest)]
+    }
+
+    /// Replaces one value of `doc` with `value`. The walk from the root
+    /// stops at each container with probability 1/8 and otherwise
+    /// descends into a random child, so every depth gets hit, not just
+    /// the leaf-heavy state dump.
+    fn replace_on_walk(doc: &mut Json, rng: &mut Rng, value: Json) {
+        let children = match doc {
+            Json::Obj(pairs) => pairs.len(),
+            Json::Arr(items) => items.len(),
+            _ => 0,
+        };
+        if children == 0 || rng.chance(0.125) {
+            *doc = value;
+            return;
+        }
+        let i = rng.below(children as u64) as usize;
+        match doc {
+            Json::Obj(pairs) => replace_on_walk(&mut pairs[i].1, rng, value),
+            Json::Arr(items) => replace_on_walk(&mut items[i], rng, value),
+            _ => unreachable!("only containers have children"),
+        }
+    }
+
+    /// Values and bytes a hand-edited or corrupted file might carry.
+    fn hostile(i: usize) -> (Json, u8) {
+        let values = [
+            Json::Null,
+            Json::Bool(true),
+            Json::Num(-1.0),
+            Json::Num(1e300),
+            Json::Num(0.5),
+            Json::Num(70_000.0),
+            Json::str("X"),
+            Json::Arr(Vec::new()),
+            Json::Obj(Vec::new()),
+        ];
+        let bytes = *b"[]{}\",:\\-0en ";
+        (values[i % values.len()].clone(), bytes[i % bytes.len()])
+    }
+
+    /// Cutting a real sidecar or metrics export anywhere, replacing any
+    /// one of its values, or overwriting any one byte never panics:
+    /// `Json::parse` either rejects the text or `show` and `diff` render
+    /// the parsed document.
+    #[test]
+    fn truncated_and_mutated_documents_never_panic() {
+        let docs = real_documents();
+        let texts = docs.each_ref().map(Json::render);
+        check(
+            192,
+            (0usize..2, 0usize..3, 0usize..1_000_000, 0usize..126),
+            |(d, mode, at, pick)| {
+                let (doc, text) = (&docs[d], &texts[d]);
+                let (value, byte) = hostile(pick);
+                let mutated = match mode {
+                    0 => {
+                        let cut = (0..=at % text.len())
+                            .rev()
+                            .find(|&i| text.is_char_boundary(i));
+                        text[..cut.unwrap_or(0)].to_string()
+                    }
+                    1 => {
+                        let mut copy = doc.clone();
+                        replace_on_walk(&mut copy, &mut Rng::from_seed(at as u64), value);
+                        copy.render()
+                    }
+                    _ => {
+                        let mut bytes = text.clone().into_bytes();
+                        bytes[at % text.len()] = byte;
+                        let Ok(text) = String::from_utf8(bytes) else {
+                            return;
+                        };
+                        text
+                    }
+                };
+                let Ok(parsed) = Json::parse(&mutated) else {
+                    return;
+                };
+                show(&parsed);
+                diff(doc, &parsed, "original", "mutated");
+                diff(&parsed, doc, "mutated", "original");
+            },
+        );
+    }
+}

@@ -14,7 +14,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod harness;
 pub mod report;
 
 use noc_engine::warmup::WarmupConfig;

@@ -111,16 +111,6 @@ impl RunningStats {
         1.96 * self.std_dev() / (self.count as f64).sqrt()
     }
 
-    /// Relative half-width of the 95% CI (half-width / mean), used by the
-    /// paper's "within 1% error" criterion.
-    pub fn ci95_relative(&self) -> f64 {
-        if self.mean == 0.0 {
-            f64::INFINITY
-        } else {
-            self.ci95_half_width() / self.mean.abs()
-        }
-    }
-
     /// Merges another accumulator into this one (parallel Welford).
     pub fn merge(&mut self, other: &RunningStats) {
         if other.count == 0 {

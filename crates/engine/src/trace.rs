@@ -498,11 +498,6 @@ impl<S> SharedSink<S> {
         f(&self.0.borrow())
     }
 
-    /// Runs `f` with exclusive access to the inner sink.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        f(&mut self.0.borrow_mut())
-    }
-
     /// Unwraps the inner sink.
     ///
     /// # Panics

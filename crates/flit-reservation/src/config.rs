@@ -75,13 +75,6 @@ pub struct FrConfig {
     pub buffer_alloc: BufferAllocPolicy,
     /// Wire delays and control lead.
     pub timing: LinkTiming,
-    /// Whether a data flit whose reservation is already in the input
-    /// table may depart the router in its arrival cycle ("bypasses the
-    /// flit directly to the output port"). This is what removes all
-    /// routing/arbitration latency from the data path; disabling it
-    /// forces the `t_d > t_a` of the paper's Figure 4 walk-through even
-    /// for pre-scheduled flits.
-    pub same_cycle_bypass: bool,
     /// Extra cycles a buffer is *accounted* busy after its flit departs.
     /// Models the paper's plesiochronous links (Section 5,
     /// "Synchronization issues"): "buffers must be held for one extra
@@ -104,7 +97,6 @@ impl FrConfig {
             policy: SchedulingPolicy::PerFlit,
             buffer_alloc: BufferAllocPolicy::JustBeforeArrival,
             timing: LinkTiming::fast_control(),
-            same_cycle_bypass: true,
             sync_margin: 0,
         }
     }
@@ -147,15 +139,6 @@ impl FrConfig {
     pub fn with_sync_margin(self, sync_margin: u64) -> Self {
         FrConfig {
             sync_margin,
-            ..self
-        }
-    }
-
-    /// Enables or disables same-cycle bypass (ablation knob).
-    #[must_use]
-    pub fn with_bypass(self, same_cycle_bypass: bool) -> Self {
-        FrConfig {
-            same_cycle_bypass,
             ..self
         }
     }

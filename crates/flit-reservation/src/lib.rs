@@ -38,4 +38,4 @@ pub mod transfers;
 pub use config::{BufferAllocPolicy, FrConfig, SchedulingPolicy};
 pub use input_table::{ArrivalOutcome, InputReservationTable, Reservation};
 pub use output_table::OutputReservationTable;
-pub use router::{FrRouter, FrStats};
+pub use router::FrRouter;

@@ -34,30 +34,6 @@ use noc_flow::{LinkEvent, RouteCompute, Router, StageContractChecker, StepOutput
 use noc_topology::{Mesh, NodeId, Port};
 use noc_traffic::Packet;
 
-/// Aggregate statistics a flit-reservation router collects, assembled
-/// by [`FrRouter::stats`] from the stages that own the counters.
-#[derive(Clone, Debug, Default)]
-pub struct FrStats {
-    /// Lead (in cycles) of ejection-scheduling control flits over their
-    /// data flits at this node, sampled when the reservation is made.
-    pub dest_lead: RunningStats,
-    /// Data flit reservations committed by this router's output schedulers.
-    pub scheduled_flits: u64,
-    /// Data flits that arrived before their reservation (schedule list).
-    pub parked_arrivals: u64,
-    /// Data flits that crossed the router in their arrival cycle.
-    pub bypassed_flits: u64,
-    /// Scheduling attempts that found no feasible departure slot and
-    /// stalled their control flit for at least a cycle (table misses).
-    pub reservation_misses: u64,
-    /// Control flits forwarded onto outgoing control links.
-    pub control_flits_sent: u64,
-    /// Data flits forwarded onto outgoing data links (excludes ejections).
-    pub data_flits_sent: u64,
-    /// Route computations that detoured around a dead output link.
-    pub masked_routes: u64,
-}
-
 /// A flit-reservation flow-control router.
 ///
 /// Generic over a [`TraceSink`]; the default [`NullSink`] disables
@@ -138,19 +114,10 @@ impl<S: TraceSink> FrRouter<S> {
         &self.config
     }
 
-    /// Statistics collected so far, assembled from the stages that own
-    /// the counters.
-    pub fn stats(&self) -> FrStats {
-        FrStats {
-            dest_lead: self.reservation.dest_lead().clone(),
-            scheduled_flits: self.reservation.scheduled_flits(),
-            parked_arrivals: self.data.parked_arrivals(),
-            bypassed_flits: self.data.bypassed_flits(),
-            reservation_misses: self.reservation.reservation_misses(),
-            control_flits_sent: self.control.control_flits_sent(),
-            data_flits_sent: self.data.data_flits_sent(),
-            masked_routes: self.route.masked_routes(),
-        }
+    /// Lead (in cycles) of ejection-scheduling control flits over their
+    /// data flits at this node, sampled when each reservation is made.
+    pub fn dest_lead(&self) -> &RunningStats {
+        self.reservation.dest_lead()
     }
 
     /// Turns on per-cycle verification of the inter-stage contracts.
@@ -247,7 +214,7 @@ impl<S: TraceSink> FrRouter<S> {
                 .led
                 .iter()
                 .filter(|l| !l.scheduled)
-                .map(|l| (l.arrival, self.config.same_cycle_bypass && l.arrival > now))
+                .map(|l| (l.arrival, l.arrival > now))
                 .collect();
             let data = &self.data;
             let feasible = self
@@ -293,7 +260,7 @@ impl<S: TraceSink> FrRouter<S> {
                 out_port,
                 arrival: t_a,
                 min_free: remaining,
-                allow_bypass: self.config.same_cycle_bypass && t_a > now,
+                allow_bypass: t_a > now,
             };
             if let Some(ck) = self.contracts.as_mut() {
                 ck.note_reservation_request(req);
@@ -687,11 +654,17 @@ impl<S: TraceSink> Router for FrRouter<S> {
 mod tests {
     use super::*;
     use crate::BufferAllocPolicy;
-    use noc_flow::{ControlFlit, ControlKind, DataFlit, LedFlit};
+    use noc_flow::{ControlFlit, ControlKind, DataFlit, LedFlit, RouterCounters};
     use noc_traffic::PacketId;
 
     fn mesh() -> Mesh {
         Mesh::new(4, 4)
+    }
+
+    fn counters(r: &FrRouter) -> RouterCounters {
+        let mut c = RouterCounters::default();
+        r.collect_counters(&mut c);
+        c
     }
 
     fn fr_router(x: u16, y: u16, config: FrConfig) -> FrRouter {
@@ -878,8 +851,8 @@ mod tests {
         assert_eq!(ejections.len(), 1);
         // With same-cycle bypass the flit can eject in its arrival cycle.
         assert!(ejections[0].0 >= 6);
-        assert_eq!(r.stats().scheduled_flits, 1);
-        assert_eq!(r.stats().parked_arrivals, 0);
+        assert_eq!(counters(&r).reservation_hits, 1);
+        assert_eq!(counters(&r).parked_arrivals, 0);
     }
 
     #[test]
@@ -895,7 +868,7 @@ mod tests {
         );
         let mut out = StepOutputs::new();
         r.step(Cycle::ZERO, &mut out);
-        assert_eq!(r.stats().parked_arrivals, 1);
+        assert_eq!(counters(&r).parked_arrivals, 1);
         assert_eq!(r.occupied_data_buffers(Port::North), 1);
         let cf = ControlFlit {
             vc: 1,
@@ -1048,7 +1021,7 @@ mod tests {
         drive_echo(&mut r, 0, 60);
         let ck = r.contract_checker().expect("checker enabled");
         ck.assert_clean();
-        assert_eq!(r.stats().scheduled_flits, 5);
+        assert_eq!(counters(&r).reservation_hits, 5);
     }
 }
 
@@ -1119,51 +1092,9 @@ mod bypass_router_tests {
             })
             .collect();
         assert_eq!(data_sends, vec![10], "flit must bypass in cycle 10");
-        assert_eq!(r.stats().bypassed_flits, 1);
+        let mut c = noc_flow::RouterCounters::default();
+        r.collect_counters(&mut c);
+        assert_eq!(c.zero_turnaround_departures, 1);
         assert_eq!(r.occupied_data_buffers(Port::West), 0);
-    }
-
-    /// Disabling bypass restores the strict `t_d > t_a` of Figure 4.
-    #[test]
-    fn bypass_can_be_disabled() {
-        let m = Mesh::new(4, 4);
-        let cfg = FrConfig::fr6().with_bypass(false);
-        let mut r = FrRouter::new(m, m.node_at(1, 0), cfg, Rng::from_seed(2));
-        let dest = m.node_at(3, 0);
-        let flit = DataFlit {
-            packet: PacketId::new(4),
-            seq: 0,
-            length: 1,
-            dest,
-            created_at: Cycle::ZERO,
-            crc_ok: true,
-        };
-        let cf = ControlFlit {
-            vc: 0,
-            kind: ControlKind::Head { dest },
-            is_tail: true,
-            led: vec![LedFlit {
-                arrival: Cycle::new(10),
-                scheduled: false,
-                flit,
-            }],
-            packet: PacketId::new(4),
-        };
-        r.receive(Port::West, LinkEvent::Control(cf), Cycle::ZERO);
-        let mut sends = Vec::new();
-        for t in 0..=12u64 {
-            if t == 10 {
-                r.receive(Port::West, LinkEvent::Data(flit), Cycle::new(10));
-            }
-            let mut out = StepOutputs::new();
-            r.step(Cycle::new(t), &mut out);
-            for (_, e) in out.sends {
-                if matches!(e, LinkEvent::Data(_)) {
-                    sends.push(t);
-                }
-            }
-        }
-        assert_eq!(sends, vec![11], "without bypass the flit buffers one cycle");
-        assert_eq!(r.stats().bypassed_flits, 0);
     }
 }

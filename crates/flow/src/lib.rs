@@ -34,6 +34,6 @@ pub use buffer::{BufferId, BufferPool};
 pub use emit::TraceEmit;
 pub use flit::{ControlFlit, ControlKind, DataFlit, FlitType, LedFlit, VcTag};
 pub use link::{BandwidthExceeded, Link};
-pub use pipeline::{ArbiterKind, RouteCompute, StageContractChecker, SwitchArbiter};
+pub use pipeline::{RouteCompute, StageContractChecker};
 pub use router::{Ejection, LinkEvent, Router, RouterCounters, StepOutputs, WireClass};
 pub use timing::LinkTiming;

@@ -256,19 +256,11 @@ mod tests {
     }
 
     fn bid(in_vc: usize, out_port: Port) -> SwitchBid {
-        SwitchBid {
-            in_vc,
-            out_port,
-            arrived: Cycle::ZERO,
-        }
+        SwitchBid { in_vc, out_port }
     }
 
     fn winner(in_port: Port, in_vc: usize) -> SwitchContender {
-        SwitchContender {
-            in_port,
-            in_vc,
-            arrived: Cycle::ZERO,
-        }
+        SwitchContender { in_port, in_vc }
     }
 
     #[test]

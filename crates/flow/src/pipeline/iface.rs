@@ -35,9 +35,6 @@ pub struct SwitchBid {
     pub in_vc: usize,
     /// Output port the flit will traverse to.
     pub out_port: Port,
-    /// Cycle the flit arrived in its input buffer (its age, for
-    /// age-based arbitration).
-    pub arrived: Cycle,
 }
 
 /// A per-input nomination contending for one output port in the second
@@ -48,9 +45,6 @@ pub struct SwitchContender {
     pub in_port: Port,
     /// Input virtual channel of the nominated flit.
     pub in_vc: usize,
-    /// Arrival cycle of the nominated flit (its age, for age-based
-    /// arbitration).
-    pub arrived: Cycle,
 }
 
 /// A led flit asking the reservation stage for a departure slot on an

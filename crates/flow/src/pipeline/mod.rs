@@ -12,9 +12,6 @@
 //!   [`SwitchContender`], [`ReservationRequest`]/[`ReservationGrant`]);
 //! * [`RouteCompute`] — the route-compute stage itself, shared by both
 //!   router families (XY routing, dead-link masking, detour counting);
-//! * [`SwitchArbiter`] — the pluggable switch-allocation arbiter
-//!   ([`ArbiterKind::Random`] reproduces the paper's random arbitration
-//!   bit-for-bit; round-robin and age-based are drop-in swaps);
 //! * [`StageContractChecker`] — runtime verification of the stage
 //!   contracts (no grant without a request, at most one traversal per
 //!   output per cycle, ...), reporting breaches through the trace
@@ -33,13 +30,11 @@
 
 #![deny(private_interfaces, private_bounds)]
 
-mod arbiter;
 mod contract;
 mod iface;
 mod route;
 mod stall;
 
-pub use arbiter::{ArbiterKind, SwitchArbiter};
 pub use contract::{code, StageContractChecker};
 pub use iface::{
     ReservationGrant, ReservationRequest, SwitchBid, SwitchContender, VcAllocGrant, VcAllocRequest,

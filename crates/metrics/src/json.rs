@@ -181,11 +181,15 @@ impl Json {
     }
 
     /// Parses a JSON document.
+    ///
+    /// Arrays and objects may nest at most 128 levels deep; a deeper
+    /// document is an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -246,10 +250,18 @@ impl std::fmt::Display for JsonError {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so this bounds its stack use; the metrics
+/// exports and crash sidecars the workspace writes nest fewer than ten
+/// levels.
+const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -294,8 +306,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -501,6 +524,18 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} extra").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_hostile_nesting() {
+        let deep = "[".repeat(100_000);
+        let err = Json::parse(&deep).expect_err("too deep");
+        assert_eq!(err.offset, MAX_NESTING);
+        assert!(err.message.contains("nesting"), "{err}");
+        let limit = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(Json::parse(&limit).is_ok());
+        let over = format!("{{\"a\":{limit}}}");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

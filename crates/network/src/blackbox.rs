@@ -23,9 +23,10 @@ use crate::{AnyNetwork, RunSpec, Schedule};
 use noc_engine::trace::{NullSink, RingSink};
 use noc_metrics::{json_diff, Json, JsonDiff, NullRecorder, RunManifest};
 
-/// Version of the crash-sidecar document layout. Version 2 stores the
-/// replay section as a full [`RunSpec`].
-pub const SIDECAR_SCHEMA_VERSION: u64 = 2;
+/// Version of the crash-sidecar document layout, whose replay section
+/// is a full [`RunSpec`]. Any change to that layout bumps it; sidecars
+/// of another version are refused, not migrated.
+pub const SIDECAR_SCHEMA_VERSION: u64 = 3;
 
 /// A network armed with the flight recorder.
 type RingNet = AnyNetwork<NullSink, RingSink, NullRecorder>;
@@ -372,11 +373,13 @@ mod tests {
     #[test]
     fn version_one_sidecars_are_refused() {
         let spec = RunSpec::fr6_small(3);
-        let mut sidecar = capture_at_cycle(&spec, 5).expect("capture");
-        if let Json::Obj(pairs) = &mut sidecar {
-            pairs[0].1 = Json::Num(1.0);
+        for old in [1, 2] {
+            let mut sidecar = capture_at_cycle(&spec, 5).expect("capture");
+            if let Json::Obj(pairs) = &mut sidecar {
+                pairs[0].1 = Json::Num(old as f64);
+            }
+            let err = replay_to_cycle(&sidecar, 1).expect_err("old schema must be refused");
+            assert!(err.contains(&format!("schema v{old}")), "{err}");
         }
-        let err = replay_to_cycle(&sidecar, 1).expect_err("v1 must be refused");
-        assert!(err.contains("schema v1"), "{err}");
     }
 }

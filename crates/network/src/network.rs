@@ -56,7 +56,8 @@ use noc_faults::{
     DeadLink, FaultCounters, FaultPlan, Reliability, ReliabilityAction, RetransmitCause,
 };
 use noc_flow::{
-    Link, LinkEvent, LinkTiming, Router, RouterCounters, StepOutputs, TraceEmit, WireClass,
+    Ejection, Link, LinkEvent, LinkTiming, Router, RouterCounters, StepOutputs, TraceEmit,
+    WireClass,
 };
 use noc_metrics::{NullRecorder, Recorder};
 use noc_topology::{Mesh, NodeId, Port, PortMap};
@@ -301,6 +302,7 @@ const IDLE_HYSTERESIS: u32 = 8;
 /// is not awake is passed over: its arena is already empty (the apply
 /// phase drains it every cycle) and, by the [`Router::is_idle`] contract,
 /// stepping it would change nothing.
+#[inline(always)]
 fn step_slot<R: Router>(slot: &mut RouterSlot<R>, now: Cycle, idle_skip: bool) {
     if idle_skip && !slot.active {
         debug_assert!(slot.out.sends.is_empty() && slot.out.ejections.is_empty());
@@ -332,6 +334,7 @@ fn wake_slot<R>(slot: &mut RouterSlot<R>) {
 /// Receiver-owned: touches only this node's slot and its inbound links
 /// (`links` may be just the owning shard's arena slice, rebased by
 /// `link_base`).
+#[inline(always)]
 fn deliver_node<R: Router>(
     slot: &mut RouterSlot<R>,
     links: &mut [LinkSet],
@@ -357,6 +360,7 @@ fn deliver_node<R: Router>(
 
 /// Offers a node's backlog to its router until it refuses, waking it on
 /// every acceptance.
+#[inline(always)]
 fn offer_backlog<R: Router>(slot: &mut RouterSlot<R>, backlog: &mut VecDeque<Packet>, now: Cycle) {
     while let Some(&packet) = backlog.front() {
         if slot.router.try_inject(packet, now) {
@@ -366,6 +370,23 @@ fn offer_backlog<R: Router>(slot: &mut RouterSlot<R>, backlog: &mut VecDeque<Pac
             break;
         }
     }
+}
+
+/// Where `node`'s send on `port` goes: the receiving neighbour and the
+/// arena index of its inbound link on the opposite port.
+fn receiver_link(
+    mesh: Mesh,
+    inbound: &[PortMap<Option<u32>>],
+    node: NodeId,
+    port: Port,
+) -> (NodeId, u32) {
+    assert!(port.is_mesh(), "routers send on mesh ports only");
+    let to = mesh
+        .neighbor(node, port)
+        .unwrap_or_else(|| panic!("send on missing link {node} {port}"));
+    let idx =
+        inbound[to.index()][port.opposite().expect("mesh port")].expect("neighbor implies link");
+    (to, idx)
 }
 
 /// State for true multi-core stepping: a persistent worker pool, the
@@ -1312,13 +1333,7 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
             // `StepOutputs` moves two Vec headers, not their contents.
             let mut out = std::mem::take(&mut self.slots[n].out);
             for (port, mut event) in out.sends.drain(..) {
-                assert!(port.is_mesh(), "routers send on mesh ports only");
-                let to = self
-                    .mesh
-                    .neighbor(node, port)
-                    .unwrap_or_else(|| panic!("send on missing link {node} {port}"));
-                let idx = self.inbound[to.index()][port.opposite().expect("mesh port")]
-                    .expect("neighbor implies link");
+                let (_, idx) = receiver_link(self.mesh, &self.inbound, node, port);
                 let class = event.wire_class();
                 let wire = wire_of(&mut self.links[idx as usize], class);
                 // Error model: a corrupted control flit is retransmitted;
@@ -1373,63 +1388,70 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
                 }
             }
             for e in out.ejections.drain(..) {
-                if let Some(f) = self.faults.as_mut() {
-                    if !e.flit.crc_ok {
-                        // The destination's CRC caught an in-flight
-                        // corruption: discard the flit and NACK the
-                        // packet back to its source (one outstanding
-                        // NACK per packet copy).
-                        f.counters.corrupt_discarded += 1;
-                        self.sink.corrupt_discarded(e.at, node, &e.flit);
-                        if f.reliability
-                            .schedule_nack(e.flit.packet, e.at.raw() + f.plan.ack_latency)
-                        {
-                            f.counters.nacks += 1;
-                            self.sink.nack_issued(e.at, node, e.flit.packet);
+                self.commit_ejection(node, e);
+            }
+            self.slots[n].out = out;
+        }
+    }
+
+    /// Commits one ejection at `node` to the delivery tracker, the sink
+    /// and the metrics window. Under a fault plan the destination's NI
+    /// also runs here: a CRC-failed flit is discarded and NACKed, a
+    /// completed packet ACKed, and a duplicate copy dropped.
+    fn commit_ejection(&mut self, node: NodeId, e: Ejection) {
+        if let Some(f) = self.faults.as_mut() {
+            if !e.flit.crc_ok {
+                // The destination's CRC caught an in-flight corruption:
+                // discard the flit and NACK the packet back to its
+                // source (one outstanding NACK per packet copy).
+                f.counters.corrupt_discarded += 1;
+                self.sink.corrupt_discarded(e.at, node, &e.flit);
+                if f.reliability
+                    .schedule_nack(e.flit.packet, e.at.raw() + f.plan.ack_latency)
+                {
+                    f.counters.nacks += 1;
+                    self.sink.nack_issued(e.at, node, e.flit.packet);
+                }
+                return;
+            }
+        }
+        match self.tracker.on_eject(e.flit.packet, e.flit.seq, node, e.at) {
+            Ok(done) => {
+                self.sink.flit_ejected(e.at, node, &e.flit);
+                if M::ENABLED {
+                    if let Some(win) = self.instruments.win.as_deref_mut() {
+                        win.ejected_flits += 1;
+                        if let Some(latency) = done {
+                            win.delivered_packets += 1;
+                            win.latencies.record(latency);
                         }
-                        continue;
                     }
                 }
-                match self.tracker.on_eject(e.flit.packet, e.flit.seq, node, e.at) {
-                    Ok(done) => {
-                        self.sink.flit_ejected(e.at, node, &e.flit);
-                        if M::ENABLED {
-                            if let Some(win) = self.instruments.win.as_deref_mut() {
-                                win.ejected_flits += 1;
-                                if let Some(latency) = done {
-                                    win.delivered_packets += 1;
-                                    win.latencies.record(latency);
-                                }
-                            }
-                        }
-                        if let Some(latency) = done {
-                            self.sink
-                                .packet_delivered(e.at, node, e.flit.packet, latency);
-                            if let Some(f) = self.faults.as_mut() {
-                                // Completion ACK: retires the source's
-                                // retransmit-buffer entry (and any armed
-                                // timeout) `ack_latency` cycles later.
-                                f.counters.acks += 1;
-                                self.sink.ack_issued(e.at, node, e.flit.packet);
-                                f.reliability
-                                    .schedule_ack(e.flit.packet, e.at.raw() + f.plan.ack_latency);
-                            }
-                        }
-                    }
-                    Err(err) => {
-                        // A retransmitted copy of a flit the destination
-                        // already accepted: the NI's dedup filter drops
-                        // it. Without faults no duplicate can exist, so
-                        // surface the tracker's verdict as a crash.
-                        let Some(f) = self.faults.as_mut() else {
-                            panic!("{err}");
-                        };
-                        f.counters.duplicate_discarded += 1;
-                        self.sink.duplicate_discarded(e.at, node, &e.flit);
+                if let Some(latency) = done {
+                    self.sink
+                        .packet_delivered(e.at, node, e.flit.packet, latency);
+                    if let Some(f) = self.faults.as_mut() {
+                        // Completion ACK: retires the source's retransmit-
+                        // buffer entry (and any armed timeout)
+                        // `ack_latency` cycles later.
+                        f.counters.acks += 1;
+                        self.sink.ack_issued(e.at, node, e.flit.packet);
+                        f.reliability
+                            .schedule_ack(e.flit.packet, e.at.raw() + f.plan.ack_latency);
                     }
                 }
             }
-            self.slots[n].out = out;
+            Err(err) => {
+                // A retransmitted copy of a flit the destination already
+                // accepted: the NI's dedup filter drops it. Without
+                // faults no duplicate can exist, so surface the
+                // tracker's verdict as a crash.
+                let Some(f) = self.faults.as_mut() else {
+                    panic!("{err}");
+                };
+                f.counters.duplicate_discarded += 1;
+                self.sink.duplicate_discarded(e.at, node, &e.flit);
+            }
         }
     }
 
@@ -2232,12 +2254,7 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
                 }
                 let node = NodeId::new((ctx.range.start + i) as u16);
                 for (port, event) in slot.out.sends.drain(..) {
-                    assert!(port.is_mesh(), "routers send on mesh ports only");
-                    let to = mesh
-                        .neighbor(node, port)
-                        .unwrap_or_else(|| panic!("send on missing link {node} {port}"));
-                    let idx = inbound[to.index()][port.opposite().expect("mesh port")]
-                        .expect("neighbor implies link");
+                    let (to, idx) = receiver_link(mesh, inbound, node, port);
                     let class = event.wire_class();
                     if M::ENABLED {
                         // Flit counters are keyed by sender, so each
@@ -2285,8 +2302,7 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
     }
 
     /// Sequential tail of the parallel apply: ejections commit to the
-    /// delivery tracker and sink in node order. Only runs on the no-RNG
-    /// path, so the fault branches of the sequential apply cannot occur.
+    /// delivery tracker and sink in node order.
     fn commit_ejections(&mut self) {
         for n in 0..self.slots.len() {
             if self.slots[n].out.ejections.is_empty() {
@@ -2295,25 +2311,7 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
             let node = NodeId::new(n as u16);
             let mut out = std::mem::take(&mut self.slots[n].out);
             for e in out.ejections.drain(..) {
-                match self.tracker.on_eject(e.flit.packet, e.flit.seq, node, e.at) {
-                    Ok(done) => {
-                        self.sink.flit_ejected(e.at, node, &e.flit);
-                        if M::ENABLED {
-                            if let Some(win) = self.instruments.win.as_deref_mut() {
-                                win.ejected_flits += 1;
-                                if let Some(latency) = done {
-                                    win.delivered_packets += 1;
-                                    win.latencies.record(latency);
-                                }
-                            }
-                        }
-                        if let Some(latency) = done {
-                            self.sink
-                                .packet_delivered(e.at, node, e.flit.packet, latency);
-                        }
-                    }
-                    Err(err) => panic!("{err}"),
-                }
+                self.commit_ejection(node, e);
             }
             self.slots[n].out = out;
         }

@@ -17,7 +17,7 @@ use noc_engine::trace::{NullSink, SharedSink, TraceSink};
 use noc_engine::warmup::WarmupConfig;
 use noc_engine::Rng;
 use noc_faults::{DeadLink, FaultPlan};
-use noc_flow::{ArbiterKind, LinkTiming};
+use noc_flow::LinkTiming;
 use noc_metrics::{Json, MetricsRegistry, NullRecorder, Recorder};
 use noc_provenance::{ProvenanceCollector, ProvenanceReport};
 use noc_topology::{Mesh, NodeId, Port};
@@ -681,7 +681,6 @@ fn flow_to_json(flow: &FlowControl) -> Json {
             ("queue_depth", num(cfg.queue_depth as u64)),
             ("credit_mode", name(cfg.credit_mode)),
             ("allocation", name(cfg.allocation)),
-            ("switch_arbiter", name(cfg.switch_arbiter)),
             ("timing", timing),
         ]),
         FlowControl::FlitReservation(cfg) => obj([
@@ -694,7 +693,6 @@ fn flow_to_json(flow: &FlowControl) -> Json {
             ("flits_per_control", num(cfg.flits_per_control)),
             ("policy", name(cfg.policy)),
             ("buffer_alloc", name(cfg.buffer_alloc)),
-            ("same_cycle_bypass", Json::Bool(cfg.same_cycle_bypass)),
             ("sync_margin", num(cfg.sync_margin)),
             ("timing", timing),
         ]),
@@ -712,11 +710,6 @@ fn flow_from_json(doc: &Json) -> Result<FlowControl, String> {
         credit_delay: t.int("credit_delay")?,
         control_lead: t.int("control_lead")?,
     };
-    let arbiters = [
-        ArbiterKind::Random,
-        ArbiterKind::RoundRobin,
-        ArbiterKind::AgeBased,
-    ];
     let binding = [
         BufferAllocPolicy::JustBeforeArrival,
         BufferAllocPolicy::AtReservation,
@@ -729,7 +722,6 @@ fn flow_from_json(doc: &Json) -> Result<FlowControl, String> {
                 credit_mode: f
                     .variant("credit_mode", &[CreditMode::PerVc, CreditMode::SharedPool])?,
                 allocation: f.variant("allocation", &[Flit, CutThrough, StoreAndForward])?,
-                switch_arbiter: f.variant("switch_arbiter", &arbiters)?,
             },
             timing,
         ),
@@ -743,7 +735,6 @@ fn flow_from_json(doc: &Json) -> Result<FlowControl, String> {
             policy: f.variant("policy", &[PerFlit, AllOrNothing, PerFlitGreedy])?,
             buffer_alloc: f.variant("buffer_alloc", &binding)?,
             timing,
-            same_cycle_bypass: f.typed("same_cycle_bypass", "a boolean", Json::as_bool)?,
             sync_margin: f.int("sync_margin")?,
         }),
         other => return Err(format!("flow: unknown family `{other}`")),
@@ -822,8 +813,6 @@ mod tests {
             vc(VcConfig::store_and_forward(8)),
             vc(VcConfig::virtual_cut_through(8)),
             vc(VcConfig::wormhole(8)),
-            vc(VcConfig::vc8().with_switch_arbiter(ArbiterKind::RoundRobin)),
-            vc(VcConfig::vc8().with_switch_arbiter(ArbiterKind::AgeBased)),
             FlowControl::VirtualChannel(VcConfig::vc16(), lead.vc_baseline_of()),
             fr(FrConfig::fr6().with_horizon(128)),
             fr(FrConfig::fr6().with_sync_margin(2)),

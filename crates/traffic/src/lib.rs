@@ -35,6 +35,4 @@ pub use burst::OnOff;
 pub use generator::{InjectionKind, LengthDistribution, LoadSpec, TrafficGenerator};
 pub use injection::{Bernoulli, ConstantRate, InjectionProcess};
 pub use packet::{Packet, PacketId};
-pub use pattern::{
-    BitComplement, Hotspot, Permutation, Tornado, TrafficPattern, Transpose, Uniform,
-};
+pub use pattern::{BitComplement, Hotspot, Tornado, TrafficPattern, Transpose, Uniform};

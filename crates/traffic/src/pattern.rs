@@ -162,49 +162,6 @@ impl TrafficPattern for Hotspot {
     }
 }
 
-/// A fixed permutation supplied by the caller.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Permutation {
-    table: Vec<NodeId>,
-}
-
-impl Permutation {
-    /// Creates a permutation pattern from an explicit destination table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any entry maps a node to itself.
-    pub fn new(table: Vec<NodeId>) -> Self {
-        for (i, d) in table.iter().enumerate() {
-            assert!(d.index() != i, "permutation maps node {i} to itself");
-        }
-        Permutation { table }
-    }
-
-    /// A uniformly random fixed-point-free permutation (random derangement
-    /// by repeated shuffling).
-    pub fn random(mesh: Mesh, rng: &mut Rng) -> Self {
-        let n = mesh.node_count();
-        let mut table: Vec<NodeId> = (0..n as u16).map(NodeId::new).collect();
-        loop {
-            rng.shuffle(&mut table);
-            if table.iter().enumerate().all(|(i, d)| d.index() != i) {
-                return Permutation { table };
-            }
-        }
-    }
-}
-
-impl TrafficPattern for Permutation {
-    fn destination(&self, _mesh: Mesh, src: NodeId, _rng: &mut Rng) -> NodeId {
-        self.table[src.index()]
-    }
-
-    fn name(&self) -> &'static str {
-        "permutation"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,22 +262,6 @@ mod tests {
     #[should_panic(expected = "fraction must be within")]
     fn hotspot_bad_fraction_panics() {
         Hotspot::new(NodeId::new(0), 1.5);
-    }
-
-    #[test]
-    fn random_permutation_is_derangement() {
-        let mesh = mesh();
-        let mut rng = Rng::from_seed(31);
-        let p = Permutation::random(mesh, &mut rng);
-        for src in mesh.nodes() {
-            assert_ne!(p.destination(mesh, src, &mut rng), src);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "maps node 0 to itself")]
-    fn permutation_with_fixed_point_panics() {
-        Permutation::new(vec![NodeId::new(0), NodeId::new(0)]);
     }
 
     #[test]

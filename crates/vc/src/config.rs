@@ -1,7 +1,5 @@
 //! Virtual-channel router configuration.
 
-use noc_flow::ArbiterKind;
-
 /// Granularity at which buffers and bandwidth are claimed (the paper's
 /// related-work lineage: store-and-forward → virtual cut-through →
 /// wormhole/VC allocate in ever smaller units).
@@ -55,10 +53,6 @@ pub struct VcConfig {
     pub credit_mode: CreditMode,
     /// Buffer/bandwidth allocation granularity.
     pub allocation: AllocationUnit,
-    /// Switch-allocation arbiter policy. [`ArbiterKind::Random`] is the
-    /// paper's random arbitration; the alternatives swap the arbiter
-    /// stage without touching the rest of the router.
-    pub switch_arbiter: ArbiterKind,
 }
 
 impl VcConfig {
@@ -76,7 +70,6 @@ impl VcConfig {
             queue_depth,
             credit_mode,
             allocation: AllocationUnit::Flit,
-            switch_arbiter: ArbiterKind::Random,
         }
     }
 
@@ -131,16 +124,6 @@ impl VcConfig {
         }
     }
 
-    /// Same configuration with a different switch-allocation arbiter —
-    /// the stage-swap knob: the arbiter is a plug-in stage, not a new
-    /// router.
-    pub fn with_switch_arbiter(self, switch_arbiter: ArbiterKind) -> Self {
-        VcConfig {
-            switch_arbiter,
-            ..self
-        }
-    }
-
     /// Total data buffers per input channel (`b_d`).
     pub fn buffers_per_input(&self) -> usize {
         self.num_vcs * self.queue_depth
@@ -174,14 +157,6 @@ mod tests {
         let s = VcConfig::vc8().with_shared_pool();
         assert_eq!(s.credit_mode, CreditMode::SharedPool);
         assert_eq!(s.buffers_per_input(), 8);
-    }
-
-    #[test]
-    fn arbiter_defaults_to_random_and_swaps() {
-        assert_eq!(VcConfig::vc8().switch_arbiter, ArbiterKind::Random);
-        let rr = VcConfig::vc8().with_switch_arbiter(ArbiterKind::RoundRobin);
-        assert_eq!(rr.switch_arbiter, ArbiterKind::RoundRobin);
-        assert_eq!(rr.num_vcs, VcConfig::vc8().num_vcs);
     }
 
     #[test]

@@ -25,5 +25,4 @@ mod router;
 mod stages;
 
 pub use config::{AllocationUnit, CreditMode, VcConfig};
-pub use noc_flow::ArbiterKind;
-pub use router::{VcRouter, VcStats};
+pub use router::VcRouter;

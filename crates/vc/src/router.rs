@@ -69,26 +69,6 @@ pub struct VcRouter<S: TraceSink = NullSink> {
     sink: S,
 }
 
-/// Contention counters for the VC router, for the metrics layer.
-///
-/// Plain cumulative `u64`s updated inline; they are never read back by the
-/// simulation, so they cannot perturb traces, and an idle router's step
-/// reaches none of the counting sites, keeping idle-skipping bit-exact.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VcStats {
-    /// Ready flits that lost to missing downstream credit (including
-    /// packet-sized allocation waits in SAF/VCT modes).
-    pub credit_stalls: u64,
-    /// VC-allocation requests that found every downstream VC owned.
-    pub vc_alloc_conflicts: u64,
-    /// Switch bids that lost output arbitration and must retry.
-    pub switch_arb_retries: u64,
-    /// Data flits forwarded onto outgoing links (excludes ejections).
-    pub data_flits_sent: u64,
-    /// Route computations that detoured around a dead output link.
-    pub masked_routes: u64,
-}
-
 impl VcRouter {
     /// Creates an untraced router for `node` of `mesh`.
     pub fn new(mesh: Mesh, node: NodeId, config: VcConfig, rng: Rng) -> Self {
@@ -122,18 +102,6 @@ impl<S: TraceSink> VcRouter<S> {
     /// The router's configuration.
     pub fn config(&self) -> &VcConfig {
         &self.config
-    }
-
-    /// Cumulative contention counters since construction, assembled
-    /// from the stages that own them.
-    pub fn stats(&self) -> VcStats {
-        VcStats {
-            credit_stalls: self.switch.credit_stalls(),
-            vc_alloc_conflicts: self.alloc.conflicts(),
-            switch_arb_retries: self.switch.arb_retries(),
-            data_flits_sent: self.switch.data_flits_sent(),
-            masked_routes: self.route.masked_routes(),
-        }
     }
 
     /// Turns on per-cycle verification of the inter-stage contracts.
@@ -242,13 +210,12 @@ impl<S: TraceSink> VcRouter<S> {
         Some(SwitchBid {
             in_vc: vc,
             out_port: route,
-            arrived: front.arrived,
         })
     }
 
     /// Phase 2: switch allocation and traversal. Each input port
     /// nominates one ready bid, each output port grants one nomination;
-    /// both picks run through the configured arbiter stage.
+    /// both picks are the paper's uniform random draw.
     fn traverse_switch(&mut self, now: Cycle, out: &mut StepOutputs) {
         let mut nominations: Vec<(Port, SwitchBid)> = Vec::new();
         for &in_port in &Port::ALL {
@@ -259,7 +226,7 @@ impl<S: TraceSink> VcRouter<S> {
                 }
             }
             if !bids.is_empty() {
-                let chosen = self.switch.nominate(in_port, &bids, &mut self.rng);
+                let chosen = SwitchStage::nominate(&bids, &mut self.rng);
                 if let Some(ck) = self.contracts.as_mut() {
                     ck.note_nomination(in_port, chosen);
                 }
@@ -273,13 +240,12 @@ impl<S: TraceSink> VcRouter<S> {
                 .map(|&(p, b)| SwitchContender {
                     in_port: p,
                     in_vc: b.in_vc,
-                    arrived: b.arrived,
                 })
                 .collect();
             if contenders.is_empty() {
                 continue;
             }
-            let winner = self.switch.grant(out_port, &contenders, &mut self.rng);
+            let winner = self.switch.grant(&contenders, &mut self.rng);
             if let Some(ck) = self.contracts.as_mut() {
                 ck.note_switch_grant(out_port, winner);
                 ck.note_traversal(out_port);

@@ -8,7 +8,7 @@
 //! * route compute — `noc_flow::pipeline::RouteCompute`, shared with FR;
 //! * VC allocation — [`VcAllocStage`], owning downstream-VC ownership;
 //! * switch allocation + traversal — [`SwitchStage`], owning credits
-//!   and the pluggable arbiter;
+//!   and the random arbiter;
 //! * input buffering — [`VcInputStage`], owning the per-lane queues the
 //!   traversal stage drains;
 //! * injection — [`NiStage`], the network-interface FIFO.
@@ -17,7 +17,7 @@
 
 use crate::{CreditMode, VcConfig};
 use noc_engine::{Cycle, Rng};
-use noc_flow::pipeline::{SwitchArbiter, SwitchBid, SwitchContender, VcAllocGrant, VcAllocRequest};
+use noc_flow::pipeline::{SwitchBid, SwitchContender, VcAllocGrant, VcAllocRequest};
 use noc_flow::{DataFlit, VcTag};
 use noc_metrics::Json;
 use noc_topology::{Port, PortMap};
@@ -340,7 +340,7 @@ impl VcAllocStage {
 }
 
 /// The switch-allocation + traversal stage: downstream credit and
-/// occupancy accounting, the pluggable arbiter, and the traversal
+/// occupancy accounting, the paper's random arbiter, and the traversal
 /// counters.
 #[derive(Clone, Debug)]
 pub(crate) struct SwitchStage {
@@ -349,7 +349,6 @@ pub(crate) struct SwitchStage {
     /// Downstream occupancy per VC (SharedPool mode): the DAMQ
     /// admission rule needs per-VC counts, not just a total.
     downstream_occ: PortMap<Vec<usize>>,
-    arbiter: SwitchArbiter,
     credit_stalls: u64,
     arb_retries: u64,
     data_flits_sent: u64,
@@ -360,7 +359,6 @@ impl SwitchStage {
         SwitchStage {
             credits: PortMap::from_fn(|_| vec![config.queue_depth; config.num_vcs]),
             downstream_occ: PortMap::from_fn(|_| vec![0; config.num_vcs]),
-            arbiter: SwitchArbiter::new(config.switch_arbiter),
             credit_stalls: 0,
             arb_retries: 0,
             data_flits_sent: 0,
@@ -432,26 +430,36 @@ impl SwitchStage {
         }
     }
 
-    /// Picks input `in_port`'s nomination among its ready bids.
-    pub(crate) fn nominate(
-        &mut self,
-        in_port: Port,
-        bids: &[SwitchBid],
-        rng: &mut Rng,
-    ) -> SwitchBid {
-        self.arbiter.nominate(in_port, bids, rng)
+    /// Picks an input port's nomination among its ready bids: one
+    /// uniform random draw (the paper's switch arbiter).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bids` is empty: nominations exist only for inputs
+    /// with at least one ready flit.
+    pub(crate) fn nominate(bids: &[SwitchBid], rng: &mut Rng) -> SwitchBid {
+        assert!(!bids.is_empty(), "nomination from an empty bid slate");
+        *rng.choose(bids)
     }
 
-    /// Picks `out_port`'s winner; every loser is a retry.
+    /// Picks an output port's winner by one uniform random draw; every
+    /// loser is a retry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `contenders` is empty: outputs without bidders are
+    /// never arbitrated.
     pub(crate) fn grant(
         &mut self,
-        out_port: Port,
         contenders: &[SwitchContender],
         rng: &mut Rng,
     ) -> SwitchContender {
-        let winner = self.arbiter.grant(out_port, contenders, rng);
+        assert!(
+            !contenders.is_empty(),
+            "grant over an empty contender slate"
+        );
         self.arb_retries += (contenders.len() - 1) as u64;
-        winner
+        *rng.choose(contenders)
     }
 
     /// Counts a flit that lost this cycle to missing credit.

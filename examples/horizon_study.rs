@@ -31,7 +31,7 @@ fn run(cfg: FrConfig, mesh: Mesh, load: f64, sim: &SimConfig) -> (f64, f64) {
     // data flits when scheduling ejections.
     let mut lead = frfc::engine::stats::RunningStats::new();
     for router in network.routers() {
-        lead.merge(&router.stats().dest_lead);
+        lead.merge(router.dest_lead());
     }
     (r.mean_latency(), lead.mean())
 }

@@ -6,6 +6,7 @@
 use frfc::engine::trace::NullSink;
 use frfc::engine::warmup::WarmupConfig;
 use frfc::engine::Rng;
+use frfc::flow::{Router, RouterCounters};
 use frfc::fr::{FrConfig, FrRouter};
 use frfc::metrics::NullRecorder;
 use frfc::network::{run_simulation, AnyNetwork, FlowControl, Network, SimConfig};
@@ -87,7 +88,14 @@ fn control_errors_with_leading_control() {
     net.set_control_error_rate(0.08, 7);
     let r = run_simulation(&mut net, &sim(32));
     assert!(r.completed, "leading control with errors must still drain");
-    let parked: u64 = net.routers().map(|r| r.stats().parked_arrivals).sum();
+    let parked: u64 = net
+        .routers()
+        .map(|r| {
+            let mut c = RouterCounters::default();
+            r.collect_counters(&mut c);
+            c.parked_arrivals
+        })
+        .sum();
     assert!(
         parked > 0,
         "delayed control flits must force schedule-list parking"

@@ -1,6 +1,6 @@
 //! Contract suite for the staged router pipelines.
 //!
-//! Three layers of checking, weakest to strongest:
+//! Two layers of checking, weaker to stronger:
 //!
 //! * **checker-level** — drive [`StageContractChecker`] directly with
 //!   well-formed and malformed request/grant streams and pin down
@@ -8,32 +8,20 @@
 //! * **whole-router** — run both router families with contract checks
 //!   enabled under load (with and without faults) and assert every
 //!   router finishes contract-clean *and* the engine's
-//!   `InvariantChecker` saw no `StageContractViolation` events;
-//! * **arbiter swap** — the switch-allocation stage is the pluggable
-//!   one, so the round-robin and age-based variants must pass the same
-//!   whole-router gauntlet as the paper's random arbiter, and must stay
-//!   trace-identical between the sequential engine and sharded
-//!   stepping (they are *not* compared to the golden fixture — only
-//!   `ArbiterKind::Random` reproduces the blessed traces).
-//!
-//! CI's staged-differential job re-runs this file across a
-//! `FRFC_THREADS` × `FRFC_ARBITER` matrix; both env vars are honored
-//! below.
+//!   `InvariantChecker` saw no `StageContractViolation` events.
 
 mod common;
 
-use common::{fault_plan, fingerprint, mesh4_net, run_to_drain, run_to_drain_seq, MESH};
-use frfc::engine::trace::{InvariantChecker, SharedSink, TraceSink, VecSink};
+use common::{fault_plan, mesh4_net, run_to_drain_seq, MESH};
+use frfc::engine::trace::{InvariantChecker, SharedSink, TraceSink};
 use frfc::engine::Cycle;
 use frfc::flow::pipeline::{
     code, ReservationGrant, ReservationRequest, StageContractChecker, SwitchBid, SwitchContender,
     VcAllocGrant, VcAllocRequest,
 };
-use frfc::flow::{ArbiterKind, LinkTiming};
 use frfc::metrics::NullRecorder;
 use frfc::network::{AnyNetwork, FlowControl};
 use frfc::topology::{Mesh, Port};
-use frfc::vc::VcConfig;
 
 const LOAD: f64 = 0.55;
 const SEED: u64 = 0xC0_47;
@@ -43,51 +31,14 @@ const SEED: u64 = 0xC0_47;
 // ---------------------------------------------------------------------------
 
 /// `flow` on the 4×4 mesh (traffic stream 99) with every router and the
-/// harness tracing into clones of `sink`, contract checks optional.
-fn net<S: TraceSink + Clone>(
-    flow: &FlowControl,
-    load: f64,
-    seed: u64,
-    sink: S,
-    checks: bool,
-) -> AnyNetwork<S, S> {
-    let mut net = mesh4_net(flow, load, seed, sink.clone(), sink, NullRecorder);
-    if checks {
-        match &mut net {
-            AnyNetwork::Vc(n) => n.routers_mut().for_each(|r| r.enable_contract_checks()),
-            AnyNetwork::Fr(n) => n.routers_mut().for_each(|r| r.enable_contract_checks()),
-        }
+/// harness tracing into clones of `sink`, contract checks enabled.
+fn checked_net<S: TraceSink + Clone>(flow: &FlowControl, sink: S) -> AnyNetwork<S, S> {
+    let mut net = mesh4_net(flow, LOAD, SEED, sink.clone(), sink, NullRecorder);
+    match &mut net {
+        AnyNetwork::Vc(n) => n.routers_mut().for_each(|r| r.enable_contract_checks()),
+        AnyNetwork::Fr(n) => n.routers_mut().for_each(|r| r.enable_contract_checks()),
     }
     net
-}
-
-fn vc(cfg: VcConfig) -> FlowControl {
-    FlowControl::VirtualChannel(cfg, LinkTiming::fast_control())
-}
-
-fn shard_threads() -> usize {
-    match std::env::var("FRFC_THREADS") {
-        Ok(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&t| t > 0)
-            .unwrap_or_else(|| panic!("FRFC_THREADS must be a positive integer, got {v}")),
-        Err(_) => 4,
-    }
-}
-
-/// Arbiter variants under test: `FRFC_ARBITER` pins one (the CI matrix
-/// does this), the default exercises both non-random variants — the
-/// random arbiter already carries the full golden suite.
-fn arbiter_kinds() -> Vec<ArbiterKind> {
-    match std::env::var("FRFC_ARBITER") {
-        Ok(v) => {
-            let kind = ArbiterKind::from_label(&v)
-                .unwrap_or_else(|| panic!("FRFC_ARBITER must name an arbiter, got {v}"));
-            vec![kind]
-        }
-        Err(_) => vec![ArbiterKind::RoundRobin, ArbiterKind::AgeBased],
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -126,7 +77,6 @@ fn checker_accepts_well_formed_streams() {
     let mut ck = StageContractChecker::new();
     for cycle in 0..200u64 {
         ck.begin_cycle();
-        let now = Cycle::new(cycle);
 
         // VC allocation: distinct inputs request, grants hand out
         // distinct (out_port, out_vc) pairs.
@@ -148,7 +98,6 @@ fn checker_accepts_well_formed_streams() {
             let bid = SwitchBid {
                 in_vc: rand(4),
                 out_port,
-                arrived: now,
             };
             ck.note_nomination(in_port, bid);
             if !granted.contains(&out_port) {
@@ -157,7 +106,6 @@ fn checker_accepts_well_formed_streams() {
                     SwitchContender {
                         in_port,
                         in_vc: bid.in_vc,
-                        arrived: bid.arrived,
                     },
                 );
                 granted.push(out_port);
@@ -233,7 +181,6 @@ fn checker_flags_each_contract_breach() {
     let bid = SwitchBid {
         in_vc: 0,
         out_port: Port::East,
-        arrived: Cycle::new(1),
     };
     ck.begin_cycle();
     ck.note_nomination(Port::North, bid);
@@ -247,7 +194,6 @@ fn checker_flags_each_contract_breach() {
         SwitchContender {
             in_port: Port::North,
             in_vc: 0,
-            arrived: Cycle::new(1),
         },
     );
     assert_eq!(ck.end_cycle(), &[code::GRANT_WITHOUT_BID]);
@@ -260,7 +206,6 @@ fn checker_flags_each_contract_breach() {
         SwitchContender {
             in_port: Port::North,
             in_vc: 0,
-            arrived: Cycle::new(1),
         },
     );
     ck.note_traversal(Port::East);
@@ -334,7 +279,7 @@ fn assert_router_contracts<S: TraceSink>(net: &AnyNetwork<S, S>, what: &str) {
 fn contracts_hold_under_load(flow: &FlowControl, fault_seed: u64, what: &str) {
     for faults in [false, true] {
         let shared = SharedSink::new(InvariantChecker::new());
-        let mut net = net(flow, LOAD, SEED, shared.clone(), true);
+        let mut net = checked_net(flow, shared.clone());
         if faults {
             net.set_fault_plan(fault_plan(fault_seed, Mesh::new(MESH.0, MESH.1)));
         }
@@ -350,67 +295,11 @@ fn contracts_hold_under_load(flow: &FlowControl, fault_seed: u64, what: &str) {
 #[test]
 fn vc_router_contracts_hold_under_load() {
     let what = "vc8 staged driver broke a stage contract";
-    contracts_hold_under_load(&vc(VcConfig::vc8()), 0xFA_01, what);
+    contracts_hold_under_load(&FlowControl::vc8(), 0xFA_01, what);
 }
 
 #[test]
 fn fr_router_contracts_hold_under_load() {
     let fr6 = FlowControl::fr6();
     contracts_hold_under_load(&fr6, 0xFA_02, "fr6 staged driver broke a stage contract");
-}
-
-// ---------------------------------------------------------------------------
-// Arbiter swap: the switch-allocation stage is interchangeable
-// ---------------------------------------------------------------------------
-
-#[test]
-fn swapped_arbiters_pass_invariants_and_contracts() {
-    for kind in arbiter_kinds() {
-        let flow = vc(VcConfig::vc8().with_switch_arbiter(kind));
-        let what = format!("{kind:?} arbiter broke a stage contract");
-        contracts_hold_under_load(&flow, 0xFA_01, &what);
-    }
-}
-
-#[test]
-fn swapped_arbiters_are_thread_count_invariant() {
-    // Sequential vs sharded stepping must agree bit-for-bit for every
-    // arbiter, exactly as the golden suite proves for the random one.
-    // The fingerprints are compared across engines, never to the golden
-    // fixture: a non-random arbiter is *supposed* to diverge from the
-    // blessed traces (that is the point of the knob), just not from
-    // itself.
-    let threads = shard_threads();
-    for kind in arbiter_kinds() {
-        let flow = vc(VcConfig::vc8().with_switch_arbiter(kind));
-        let mut reference = None;
-        for t in [0, 1, threads] {
-            let mut net = net(&flow, LOAD, SEED, VecSink::new(), false);
-            run_to_drain(&mut net, t);
-            let digest = (
-                fingerprint(net.tracer().events()),
-                net.tracer().events().len(),
-            );
-            match reference {
-                None => reference = Some(digest),
-                Some(expected) => assert_eq!(
-                    digest, expected,
-                    "{kind:?} arbiter diverged between sequential and {t}-thread stepping"
-                ),
-            }
-        }
-    }
-}
-
-#[test]
-fn arbiter_label_round_trips() {
-    // The config knob is driven by a string in CI; pin the labels.
-    for (label, kind) in [
-        ("random", ArbiterKind::Random),
-        ("round-robin", ArbiterKind::RoundRobin),
-        ("age-based", ArbiterKind::AgeBased),
-    ] {
-        assert_eq!(ArbiterKind::from_label(label), Some(kind));
-    }
-    assert_eq!(ArbiterKind::from_label("oracle"), None);
 }
