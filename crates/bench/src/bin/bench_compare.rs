@@ -7,7 +7,9 @@
 //! and compared on `cycles_per_sec`. A row regresses when
 //! `fresh < baseline * (1 - tolerance)`; a baseline row missing from
 //! the fresh run also fails. Extra fresh rows are reported but pass —
-//! they have no baseline to regress against.
+//! they have no baseline to regress against. Each file's `host_cpus`
+//! (the core count it was measured on) is printed for the reader and
+//! gates nothing.
 //!
 //! Usage:
 //!
@@ -67,9 +69,16 @@ fn parse_args() -> Args {
     parsed
 }
 
-/// Loads a `BENCH_engine.json` document as `(config, cycles_per_sec)`
-/// rows plus its `quick` flag.
-fn load_rows(path: &str) -> (Vec<(String, f64)>, bool) {
+/// One `BENCH_engine.json` document: its `(config, cycles_per_sec)`
+/// rows, its `quick` flag and the `host_cpus` it was measured on
+/// (`None` in files written before the header carried it).
+struct Bench {
+    rows: Vec<(String, f64)>,
+    quick: bool,
+    host_cpus: Option<u64>,
+}
+
+fn load_bench(path: &str) -> Bench {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         eprintln!("(run `cargo run -p noc-bench --release --bin engine_throughput` first)");
@@ -80,6 +89,10 @@ fn load_rows(path: &str) -> (Vec<(String, f64)>, bool) {
         std::process::exit(2)
     });
     let quick = doc.get("quick").and_then(Json::as_bool).unwrap_or(false);
+    let host_cpus = doc
+        .get("host_cpus")
+        .and_then(Json::as_f64)
+        .map(|n| n as u64);
     let rows = doc
         .get("rows")
         .and_then(Json::as_array)
@@ -107,25 +120,42 @@ fn load_rows(path: &str) -> (Vec<(String, f64)>, bool) {
             (config, cps)
         })
         .collect();
-    (rows, quick)
+    Bench {
+        rows,
+        quick,
+        host_cpus,
+    }
+}
+
+/// `host_cpus` for the header line: the count, or `unrecorded`.
+fn cpus(bench: &Bench) -> String {
+    bench
+        .host_cpus
+        .map_or_else(|| "unrecorded".into(), |n| n.to_string())
 }
 
 fn main() {
     let args = parse_args();
-    let (baseline, base_quick) = load_rows(&args.baseline);
-    let (fresh, fresh_quick) = load_rows(&args.fresh);
+    let base = load_bench(&args.baseline);
+    let fresh = load_bench(&args.fresh);
 
     println!(
         "bench_compare: {} (baseline{}) vs {} (fresh{}), tolerance {:.0}%",
         args.baseline,
-        if base_quick { ", quick" } else { "" },
+        if base.quick { ", quick" } else { "" },
         args.fresh,
-        if fresh_quick { ", quick" } else { "" },
+        if fresh.quick { ", quick" } else { "" },
         args.tolerance * 100.0
     );
-    if base_quick != fresh_quick {
+    println!(
+        "host_cpus: baseline {}, fresh {}",
+        cpus(&base),
+        cpus(&fresh)
+    );
+    if base.quick != fresh.quick {
         println!("note: comparing runs of different scales; rates are only roughly comparable");
     }
+    let (baseline, fresh) = (base.rows, fresh.rows);
     println!(
         "{:<24} {:>14} {:>14} {:>8}  status",
         "config", "baseline c/s", "fresh c/s", "ratio"

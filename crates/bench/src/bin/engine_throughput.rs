@@ -30,7 +30,8 @@
 //! the regression gate wants pinned.
 //!
 //! Results print as a table and are written to `BENCH_engine.json` in
-//! the working directory so successive commits can be compared
+//! the working directory, with the host's core count (`host_cpus`) in
+//! the header, so successive commits can be compared
 //! (`bench_compare` gates every row, the scaling sweep included). Pass
 //! `--quick` (or set `FRFC_SCALE=tiny`) for a seconds-long smoke run —
 //! CI uses this to keep the harness from bit-rotting.
@@ -257,11 +258,12 @@ fn main() {
 
     let mut json = String::from("{\n  \"bench\": \"engine_throughput\",\n");
     json.push_str(&format!(
-        "  \"mesh\": \"{}x{}\",\n  \"seed\": {},\n  \"quick\": {},\n  \"shard_threads\": {},\n  \"rows\": [\n",
+        "  \"mesh\": \"{}x{}\",\n  \"seed\": {},\n  \"quick\": {},\n  \"host_cpus\": {},\n  \"shard_threads\": {},\n  \"rows\": [\n",
         mesh.width(),
         mesh.height(),
         seed,
         quick,
+        noc_metrics::host_cpu_count(),
         shard_threads
     ));
     for (i, r) in rows.iter().enumerate() {

@@ -17,6 +17,7 @@
 //! per cycle per input channel, so the arrival time identifies the flit
 //! unambiguously.
 
+use crate::ring;
 use noc_engine::Cycle;
 use noc_flow::{BufferId, BufferPool, DataFlit};
 use noc_topology::Port;
@@ -124,6 +125,8 @@ impl InputReservationTable {
         }
     }
 
+    /// The ring slot of cycle `t`. Costs a division, so a window walk
+    /// takes it once and goes on with [`ring`] arithmetic.
     fn slot(&self, t: Cycle) -> usize {
         (t.raw() % self.window as u64) as usize
     }
@@ -142,9 +145,9 @@ impl InputReservationTable {
     pub fn advance_to(&mut self, now: Cycle) {
         assert!(now >= self.base, "input table time went backwards");
         let steps = (now - self.base).min(self.window as u64);
+        let mut s = self.slot(self.base);
         for i in 0..steps {
             let t = self.base + i;
-            let s = self.slot(t);
             assert!(
                 self.incoming[s].is_none(),
                 "reserved arrival at {t} never materialised"
@@ -153,6 +156,7 @@ impl InputReservationTable {
                 self.outgoing[s].is_none(),
                 "scheduled departure at {t} never executed"
             );
+            s = ring::slot_after(s, self.window, 1);
         }
         self.base = now;
     }
@@ -328,9 +332,9 @@ impl noc_metrics::Snapshot for InputReservationTable {
         use noc_metrics::Json;
         let mut incoming = Vec::new();
         let mut outgoing = Vec::new();
-        for i in 0..self.window {
+        let [near, far] = ring::runs(self.slot(self.base), self.window, 0, self.window);
+        for (i, s) in near.chain(far).enumerate() {
             let t = self.base + i as u64;
-            let s = self.slot(t);
             if let Some(res) = self.incoming[s] {
                 incoming.push(Json::obj(vec![
                     ("arrival".into(), Json::Num(t.raw() as f64)),
@@ -384,6 +388,7 @@ mod tests {
     use super::*;
     use noc_topology::NodeId;
     use noc_traffic::PacketId;
+    use std::collections::BTreeMap;
 
     fn flit(seq: u32) -> DataFlit {
         DataFlit {
@@ -563,6 +568,149 @@ mod tests {
         assert_eq!(t.take_departure(Cycle::new(5)).unwrap().0.seq, 1);
         t.advance_to(Cycle::new(6));
         assert_eq!(t.take_departure(Cycle::new(6)).unwrap().0.seq, 2);
+    }
+
+    /// A departure booked in the naive model: output channel, the
+    /// buffered flit's `(seq, buffer)` once it is bound, and bypass.
+    type NaiveDeparture = (Port, Option<(u32, BufferId)>, bool);
+
+    #[test]
+    fn matches_naive_model_across_the_ring_seam() {
+        // Random reservations (for parked and for future flits, bypasses
+        // included), arrivals, departures and window slides, with jumps
+        // past the whole window while no booking is due, checked every
+        // cycle against a naive model keyed by absolute cycle.
+        let (horizon, prop_delay) = (8, 2);
+        let window = horizon + prop_delay + 2;
+        let mut t = InputReservationTable::new(horizon, window as usize + 8, prop_delay);
+        // Reserved arrivals: arrival cycle -> (departure, port, seq).
+        let mut incoming: BTreeMap<u64, (u64, Port, u32)> = BTreeMap::new();
+        let mut outgoing: BTreeMap<u64, NaiveDeparture> = BTreeMap::new();
+        // Parked flits: (arrival cycle, seq, buffer).
+        let mut parked: Vec<(u64, u32, BufferId)> = Vec::new();
+        let ports = [Port::East, Port::West, Port::North, Port::Local];
+        let mut lcg: u64 = 0x1319_8A2E_0370_7344;
+        let mut next = move || {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            lcg >> 33
+        };
+        let (mut now, mut seq, mut jumps, mut bypasses) = (0u64, 0u32, 0u32, 0u32);
+        t.advance_to(Cycle::ZERO);
+        for step in 0..3000 {
+            let r = next();
+            let at = Cycle::new(now);
+            // The data path runs first: the departure due now, if any.
+            let want = match outgoing.get(&now) {
+                Some(&(port, Some((s, buffer)), false)) => Some((s, port, buffer)),
+                _ => None,
+            };
+            let got = t.take_departure(at).map(|(f, port, b)| (f.seq, port, b));
+            assert_eq!(got, want, "step {step}: departure at {now}");
+            if want.is_some() {
+                outgoing.remove(&now);
+            }
+            // Then this cycle's arrival: the reserved flit, or now and
+            // then an unannounced one that parks.
+            if let Some((depart, port, s)) = incoming.remove(&now) {
+                let outcome = t.on_data_arrival(flit(s), at);
+                if depart == now {
+                    assert_eq!(outcome, ArrivalOutcome::Bypass { out_port: port });
+                    assert_eq!(outgoing.remove(&now), Some((port, None, true)));
+                    bypasses += 1;
+                } else {
+                    let ArrivalOutcome::Scheduled(res, buffer) = outcome else {
+                        panic!("step {step}: expected a scheduled arrival, got {outcome:?}");
+                    };
+                    assert_eq!((res.depart, res.out_port), (Cycle::new(depart), port));
+                    outgoing.insert(depart, (port, Some((s, buffer)), false));
+                }
+            } else if r % 3 == 0 && parked.len() < 4 {
+                seq += 1;
+                let outcome = t.on_data_arrival(flit(seq), at);
+                let ArrivalOutcome::Parked(buffer) = outcome else {
+                    panic!("step {step}: expected a parked arrival, got {outcome:?}");
+                };
+                parked.push((now, seq, buffer));
+            }
+            // Then control: up to two reservations, each departing at a
+            // free cycle of the window for a parked or a future flit.
+            // Every 64 steps, control pauses so the bookings drain and
+            // the window can jump.
+            let quiet = step % 64 >= 48;
+            for k in 0..if quiet { 0 } else { r / 3 % 3 } {
+                let r = next();
+                let t_d = now + 1 + r % (window - 1);
+                if outgoing.contains_key(&t_d) {
+                    continue;
+                }
+                let port = ports[(r / 16 % 4) as usize];
+                if !parked.is_empty() && r / 64 % 2 == 0 {
+                    let (t_a, s, buffer) = parked.swap_remove((r / 128) as usize % parked.len());
+                    t.apply_reservation(Cycle::new(t_a), Cycle::new(t_d), port, at);
+                    outgoing.insert(t_d, (port, Some((s, buffer)), false));
+                } else {
+                    let t_a = now + 1 + r / 128 % (t_d - now);
+                    if incoming.contains_key(&t_a) {
+                        continue;
+                    }
+                    seq += 1;
+                    t.apply_reservation(Cycle::new(t_a), Cycle::new(t_d), port, at);
+                    incoming.insert(t_a, (t_d, port, seq));
+                    outgoing.insert(t_d, (port, None, t_d == t_a));
+                }
+                assert!(t.departure_booked(Cycle::new(t_d)), "step {step}.{k}");
+            }
+            // The queries and the time-ordered snapshot agree with the model.
+            let buffered = outgoing.values().filter(|d| d.1.is_some()).count();
+            assert_eq!(t.pending_departures(), outgoing.len(), "step {step}");
+            assert_eq!(t.parked(), parked.len(), "step {step}");
+            assert_eq!(t.occupied(), buffered + parked.len(), "step {step}");
+            assert_eq!(
+                t.is_quiet(),
+                outgoing.is_empty() && parked.is_empty(),
+                "step {step}"
+            );
+            for c in now.saturating_sub(2)..now + window + 2 {
+                let booked = t.departure_booked(Cycle::new(c));
+                assert_eq!(booked, outgoing.contains_key(&c), "step {step}: cycle {c}");
+            }
+            let snap = noc_metrics::Snapshot::snapshot(&t);
+            let cycles = |key: &str, field: &str| -> Vec<u64> {
+                let rows = snap.get(key).and_then(|v| v.as_array()).expect(key);
+                let num = |row: &noc_metrics::Json| row.get(field).and_then(|v| v.as_f64());
+                rows.iter()
+                    .map(|row| num(row).expect(field) as u64)
+                    .collect()
+            };
+            assert_eq!(
+                cycles("incoming", "arrival"),
+                incoming.keys().copied().collect::<Vec<_>>()
+            );
+            let departs: Vec<u64> = incoming.values().map(|d| d.0).collect();
+            assert_eq!(cycles("incoming", "depart"), departs, "step {step}");
+            assert_eq!(
+                cycles("outgoing", "depart"),
+                outgoing.keys().copied().collect::<Vec<_>>()
+            );
+            // Slide on: a cycle, a few, or, with nothing booked in
+            // between, a jump past the whole window.
+            let due = incoming.keys().chain(outgoing.keys()).min().copied();
+            let target = if r % 5 == 0 {
+                now + window + r / 8 % window
+            } else {
+                now + 1 + r / 8 % 3
+            };
+            let target = due.map_or(target, |d| target.min(d));
+            if target >= now + window {
+                jumps += 1;
+            }
+            now = target;
+            t.advance_to(Cycle::new(now));
+        }
+        assert!(jumps > 50, "the walk must jump the window");
+        assert!(bypasses > 100, "the walk must bypass");
     }
 
     #[test]

@@ -31,6 +31,7 @@
 mod config;
 mod input_table;
 mod output_table;
+mod ring;
 mod router;
 mod stages;
 pub mod transfers;

@@ -15,6 +15,7 @@
 //! free-buffer count for all `t ≥ t_d + t_p`; an advance credit carrying
 //! `frees_at` restores the count for all `t ≥ frees_at`.
 
+use crate::ring;
 use noc_engine::Cycle;
 
 /// Sliding-window bookkeeping for one output channel.
@@ -108,8 +109,15 @@ impl OutputReservationTable {
         self.window
     }
 
+    /// The ring slot of cycle `t`. Costs a division, so a call takes it
+    /// once and walks on with [`ring`] arithmetic.
     fn slot(&self, t: Cycle) -> usize {
         (t.raw() % self.window as u64) as usize
+    }
+
+    /// The window offset of cycle `t`, clamped to `0..=window`.
+    fn offset(&self, t: Cycle) -> usize {
+        (t.raw().saturating_sub(self.base.raw()) as usize).min(self.window)
     }
 
     fn in_window(&self, t: Cycle) -> bool {
@@ -132,12 +140,13 @@ impl OutputReservationTable {
         let steps = (now - self.base).min(self.window as u64);
         // Recycle the slots that fell out of the window: they now
         // represent cycles just past the previous far edge and inherit the
-        // steady-state (beyond-horizon) buffer count.
-        for i in 0..steps {
-            let t = self.base + i;
-            let s = self.slot(t);
+        // steady-state (beyond-horizon) buffer count. Usually one slot,
+        // so walk slot by slot rather than fill runs.
+        let mut s = self.slot(self.base);
+        for _ in 0..steps {
             self.busy[s] = false;
             self.free[s] = self.tail_free;
+            s = ring::slot_after(s, self.window, 1);
         }
         self.base = now;
         // Deferred credits whose release cycle the window now reaches.
@@ -247,34 +256,35 @@ impl OutputReservationTable {
         // Earliest window offset any candidate's hold can touch: a
         // departure at `t` holds buffers from `t + prop_delay` on, and
         // `t >= start`. Offsets below it are never queried.
-        let floor = ((start + self.prop_delay)
-            .raw()
-            .saturating_sub(self.base.raw()) as usize)
-            .min(self.window);
+        let floor = self.offset(start + self.prop_delay);
         // Largest window offset at or above `floor` with fewer than
         // `min_free` buffers free; `floor as isize - 1` when none. The
         // search never reserves, so this is invariant across candidates.
-        let mut last_deficient = floor as isize - 1;
-        for i in (floor..self.window).rev() {
-            let s = self.slot(self.base + i as u64);
-            if self.free[s] < min_free {
-                last_deficient = i as isize;
-                break;
-            }
-        }
+        // The later (wrapped) run is scanned first.
+        let [near, far] = ring::runs(self.slot(self.base), self.window, floor, self.window);
+        let near_len = near.len();
+        let deficient = |f: &i64| *f < min_free;
+        let last_deficient = match self.free[far].iter().rposition(deficient) {
+            Some(i) => (floor + near_len + i) as isize,
+            None => match self.free[near].iter().rposition(deficient) {
+                Some(i) => (floor + i) as isize,
+                None => floor as isize - 1,
+            },
+        };
         let mut t = start;
+        let mut s = self.slot(start);
         while t <= last {
-            if !self.busy[self.slot(t)] {
+            if !self.busy[s] {
                 // Buffers are free for the whole hold iff the hold
                 // starts strictly past the last deficient slot (the
                 // beyond-window tail was vetted up front).
-                let from = ((t + self.prop_delay).raw().saturating_sub(self.base.raw()) as usize)
-                    .min(self.window);
+                let from = self.offset(t + self.prop_delay);
                 if from as isize > last_deficient && extra_ok(t) {
                     return Some(t);
                 }
             }
             t = t.next();
+            s = ring::slot_after(s, self.window, 1);
         }
         None
     }
@@ -308,7 +318,8 @@ impl OutputReservationTable {
     /// is available.
     pub fn reserve(&mut self, t_d: Cycle) {
         assert!(self.in_window(t_d), "reservation outside window");
-        let s = self.slot(t_d);
+        let start = self.slot(self.base);
+        let s = ring::slot_after(start, self.window, self.offset(t_d));
         assert!(!self.busy[s], "channel double-booked at {t_d}");
         self.busy[s] = true;
         let from = t_d + self.prop_delay;
@@ -316,16 +327,31 @@ impl OutputReservationTable {
             self.in_window(from),
             "buffer hold starts outside window (window too small)"
         );
-        let end = self.base + self.window as u64;
         let mut t = from;
-        while t < end {
-            let s = self.slot(t);
-            self.free[s] -= 1;
-            assert!(self.free[s] >= 0, "buffer count went negative at {t}");
-            t = t.next();
+        for run in ring::runs(start, self.window, self.offset(from), self.window) {
+            for free in &mut self.free[run] {
+                *free -= 1;
+                assert!(*free >= 0, "buffer count went negative at {t}");
+                t = t.next();
+            }
         }
         self.tail_free -= 1;
         assert!(self.tail_free >= 0, "steady-state buffer count negative");
+    }
+
+    /// Withdraws a reservation at `t_d`: the exact inverse of
+    /// [`Self::reserve`], clearing the busy bit and giving the buffer
+    /// hold back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t_d` is outside the window or not reserved.
+    pub(crate) fn unreserve(&mut self, t_d: Cycle) {
+        assert!(self.in_window(t_d), "withdrawal outside window");
+        let s = self.slot(t_d);
+        assert!(self.busy[s], "withdrawing an unbooked cycle {t_d}");
+        self.busy[s] = false;
+        self.apply_credit(t_d + self.prop_delay);
     }
 
     /// Applies an advance credit: the downstream buffer frees again at
@@ -351,15 +377,16 @@ impl OutputReservationTable {
     /// through the window's end and the steady-state tail.
     fn apply_credit(&mut self, from: Cycle) {
         let from = from.max(self.base);
-        let end = self.base + self.window as u64;
+        let start = self.slot(self.base);
         let mut t = from;
-        while t < end {
-            let s = self.slot(t);
-            self.free[s] += 1;
-            if let Some(cap) = self.capacity {
-                assert!(self.free[s] <= cap, "credit overflow at {t}");
+        for run in ring::runs(start, self.window, self.offset(from), self.window) {
+            for free in &mut self.free[run] {
+                *free += 1;
+                if let Some(cap) = self.capacity {
+                    assert!(*free <= cap, "credit overflow at {t}");
+                }
+                t = t.next();
             }
-            t = t.next();
         }
         self.tail_free += 1;
         if let Some(cap) = self.capacity {
@@ -378,8 +405,8 @@ impl noc_metrics::Snapshot for OutputReservationTable {
         use noc_metrics::Json;
         let mut busy = String::with_capacity(self.window);
         let mut free = Vec::with_capacity(self.window);
-        for i in 0..self.window {
-            let s = self.slot(self.base + i as u64);
+        let [near, far] = ring::runs(self.slot(self.base), self.window, 0, self.window);
+        for s in near.chain(far) {
             busy.push(if self.busy[s] { 'X' } else { '.' });
             free.push(Json::Num(self.free[s] as f64));
         }
@@ -614,12 +641,83 @@ mod tests {
         None
     }
 
+    /// A naive model of an output table keyed by absolute cycle: the
+    /// booked departures, the first cycle of every buffer hold, the
+    /// release cycle of every applied credit and the deferred credits.
+    /// The free count at `t` is capacity less the holds begun by `t`
+    /// plus the credits released by `t`.
+    #[derive(Default)]
+    struct NaiveOutput {
+        busy: Vec<Cycle>,
+        holds: Vec<Cycle>,
+        credits: Vec<Cycle>,
+        deferred: Vec<Cycle>,
+    }
+
+    impl NaiveOutput {
+        fn free_at(&self, capacity: i64, t: Cycle) -> i64 {
+            let begun = self.holds.iter().filter(|&&h| h <= t).count() as i64;
+            let released = self.credits.iter().filter(|&&c| c <= t).count() as i64;
+            capacity - begun + released
+        }
+
+        fn reserve(&mut self, t_d: Cycle, prop_delay: u64) {
+            self.busy.push(t_d);
+            self.holds.push(t_d + prop_delay);
+        }
+
+        fn credit(&mut self, frees_at: Cycle, now: Cycle, table: &OutputReservationTable) {
+            let from = frees_at.max(now).max(table.base());
+            if from < table.base() + table.window() as u64 {
+                self.credits.push(from);
+            } else {
+                self.deferred.push(from);
+            }
+        }
+
+        fn advance(&mut self, now: Cycle, window: usize) {
+            let end = now + window as u64;
+            let credits = &mut self.credits;
+            self.deferred.retain(|&c| {
+                let due = c < end;
+                if due {
+                    credits.push(c);
+                }
+                !due
+            });
+        }
+
+        /// Every window slot and the beyond-window tail must agree.
+        fn check(&self, t: &OutputReservationTable, capacity: i64, step: u64) {
+            for i in 0..=t.window() as u64 {
+                let c = t.base() + i;
+                if i < t.window() as u64 {
+                    assert_eq!(
+                        t.is_busy(c),
+                        self.busy.contains(&c),
+                        "step {step}: busy {c}"
+                    );
+                }
+                assert_eq!(
+                    t.free_at(c),
+                    self.free_at(capacity, c),
+                    "step {step}: free {c}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn fast_search_matches_reference_scan() {
-        // A deterministic mix of reservations, credits and window slides;
-        // at every search the last-deficient-slot fast path must return
-        // exactly what the literal ring scan returns.
+        // A deterministic mix of reservations, credits, window slides
+        // and idle-skip jumps past the whole window. At every search the
+        // last-deficient-slot fast path must return exactly what the
+        // literal ring scan returns, and after every step the ring must
+        // agree with the naive model keyed by absolute cycle.
+        let capacity = 3;
         let mut t = OutputReservationTable::new(16, Some(3), 2);
+        let window = t.window() as u64;
+        let mut model = NaiveOutput::default();
         let mut now = Cycle::ZERO;
         t.advance_to(now);
         // Buffer holds outstanding, by hold-start cycle, so credits never
@@ -633,9 +731,10 @@ mod tests {
             lcg >> 33
         };
         let mut searches = 0u32;
-        for step in 0..600u64 {
+        let mut jumps = 0u32;
+        for step in 0..1200u64 {
             let r = next();
-            match r % 4 {
+            match r % 6 {
                 0 => {
                     let min_free = (r / 7 % 3) as i64 + 1;
                     let t_a = now + r / 11 % 8;
@@ -646,19 +745,22 @@ mod tests {
                     searches += 1;
                     if let Some(t_d) = got {
                         t.reserve(t_d);
+                        model.reserve(t_d, t.prop_delay);
                         holds.push(t_d + t.prop_delay);
                     }
                 }
                 1 => {
                     if let Some(h) = holds.pop() {
+                        model.credit(h + r % 4, now, &t);
                         t.credit(h + r % 4, now);
                     }
                 }
                 2 => {
                     now += r % 3;
                     t.advance_to(now);
+                    model.advance(now, t.window());
                 }
-                _ => {
+                3 => {
                     let min_free = (r / 7 % 3) as i64 + 1;
                     let t_a = now + r / 11 % 12;
                     let want = reference_search(&t, t_a, now, min_free, false);
@@ -666,9 +768,48 @@ mod tests {
                     assert_eq!(got, want, "step {step}: probe diverged");
                     searches += 1;
                 }
+                4 => {
+                    // The idle-skip jump: every slot recycles at once.
+                    now += window + r / 5 % window;
+                    t.advance_to(now);
+                    model.advance(now, t.window());
+                    jumps += 1;
+                }
+                _ => {
+                    // A late credit for a hold already begun applies from
+                    // `now`, the window's first slot, whatever the ring
+                    // offset of the window start.
+                    if let Some(i) = holds.iter().position(|&h| h <= now) {
+                        let h = holds.swap_remove(i);
+                        model.credit(h, now, &t);
+                        t.credit(h, now);
+                    }
+                }
             }
+            model.check(&t, capacity, step);
         }
         assert!(searches > 100, "the op mix must actually exercise searches");
+        assert!(jumps > 50, "the op mix must actually jump the window");
+
+        // One slide at a time through two turns of the ring: at every
+        // start offset, book a departure whose hold runs to the window's
+        // far edge and credit one outstanding hold, then check the ring.
+        for step in 0..2 * window {
+            now += 1;
+            t.advance_to(now);
+            model.advance(now, t.window());
+            if let Some(t_d) = t.find_departure(now, now, |_| true) {
+                t.reserve(t_d);
+                model.reserve(t_d, t.prop_delay);
+                holds.push(t_d + t.prop_delay);
+            }
+            model.check(&t, capacity, step);
+            if let Some(h) = holds.pop() {
+                model.credit(h, now, &t);
+                t.credit(h, now);
+            }
+            model.check(&t, capacity, step);
+        }
     }
 
     #[test]

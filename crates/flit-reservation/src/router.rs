@@ -24,7 +24,7 @@
 //! [`FrRouter::enable_contract_checks`] a `StageContractChecker` verifies
 //! the inter-stage contracts every cycle.
 
-use crate::stages::{ControlStage, DataPathStage, FrNiStage, ReservationStage};
+use crate::stages::{pick_free, ControlStage, DataPathStage, FrNiStage, ReservationStage};
 use crate::{ArrivalOutcome, FrConfig, SchedulingPolicy};
 use noc_engine::stats::RunningStats;
 use noc_engine::trace::{NullSink, TraceSink};
@@ -64,6 +64,9 @@ pub struct FrRouter<S: TraceSink = NullSink> {
     /// Runtime verifier of the inter-stage contracts, off by default so
     /// the hot path pays nothing.
     contracts: Option<StageContractChecker>,
+    /// Scratch for `process_control`'s per-output candidate lanes, kept
+    /// so the step allocates nothing once warm.
+    candidates: Vec<(Port, usize)>,
     sink: S,
 }
 
@@ -97,6 +100,7 @@ impl<S: TraceSink> FrRouter<S> {
             data: DataPathStage::new(&config),
             ni: FrNiStage::new(&config),
             contracts: None,
+            candidates: Vec::new(),
             config,
             sink,
         }
@@ -136,7 +140,7 @@ impl<S: TraceSink> FrRouter<S> {
     /// into the local input channel (delivered with this cycle's other
     /// arrivals by [`Self::accept_arrivals`]).
     fn release_injections(&mut self, now: Cycle) {
-        for flit in self.ni.take_due_injections(now) {
+        if let Some(flit) = self.ni.take_due_injection(now) {
             self.sink.flit_injected(now, self.node, &flit);
             self.data.queue_arrival(Port::Local, flit);
         }
@@ -146,7 +150,8 @@ impl<S: TraceSink> FrRouter<S> {
     /// departures of the same cycle have freed their buffers), forwarding
     /// same-cycle bypass flits straight to their reserved outputs.
     fn accept_arrivals(&mut self, now: Cycle, out: &mut StepOutputs) {
-        for (port, flit) in self.data.take_pending() {
+        let pending = self.data.take_pending();
+        for &(port, flit) in &pending {
             match self.data.accept(port, flit, now) {
                 ArrivalOutcome::Parked(buffer) => {
                     self.sink.buffer_alloc(now, self.node, port, buffer, &flit);
@@ -170,6 +175,7 @@ impl<S: TraceSink> FrRouter<S> {
                 }
             }
         }
+        self.data.restore_pending(pending);
     }
 
     /// Routing pre-pass: compute the output port for head control flits at
@@ -207,19 +213,21 @@ impl<S: TraceSink> FrRouter<S> {
         out: &mut StepOutputs,
     ) -> bool {
         if self.config.policy == SchedulingPolicy::AllOrNothing {
-            let leds: Vec<(Cycle, bool)> = self
+            let arrivals: Vec<Cycle> = self
                 .control
                 .front_flit(in_port, vc)
                 .expect("caller guarantees a front flit")
                 .led
                 .iter()
                 .filter(|l| !l.scheduled)
-                .map(|l| (l.arrival, l.arrival > now))
+                .map(|l| l.arrival)
                 .collect();
             let data = &self.data;
             let feasible = self
                 .reservation
-                .feasible_all(out_port, now, &leds, |c| data.departure_booked(in_port, c));
+                .feasible_all(out_port, now, &arrivals, |c| {
+                    data.departure_booked(in_port, c)
+                });
             if !feasible {
                 return false;
             }
@@ -260,7 +268,6 @@ impl<S: TraceSink> FrRouter<S> {
                 out_port,
                 arrival: t_a,
                 min_free: remaining,
-                allow_bypass: t_a > now,
             };
             if let Some(ck) = self.contracts.as_mut() {
                 ck.note_reservation_request(req);
@@ -317,10 +324,11 @@ impl<S: TraceSink> FrRouter<S> {
     /// VC allocation, output scheduling, forwarding/consumption.
     fn process_control(&mut self, now: Cycle, out: &mut StepOutputs) {
         self.route_control_heads(now);
+        let mut candidates = std::mem::take(&mut self.candidates);
         for &out_port in &Port::ALL {
             // Candidates: input VCs whose front flit is ready and routed
             // to this output.
-            let mut candidates: Vec<(Port, usize)> = Vec::new();
+            candidates.clear();
             for &in_port in &Port::ALL {
                 for vc in 0..self.config.control_vcs {
                     if self.control.route(in_port, vc) != Some(out_port) {
@@ -333,10 +341,11 @@ impl<S: TraceSink> FrRouter<S> {
             }
             self.rng.shuffle(&mut candidates);
             candidates.truncate(self.config.control_lanes as usize);
-            for (in_port, vc) in candidates {
+            for &(in_port, vc) in &candidates {
                 self.process_one_control(in_port, vc, out_port, now, out);
             }
         }
+        self.candidates = candidates;
     }
 
     fn process_one_control(
@@ -440,16 +449,14 @@ impl<S: TraceSink> FrRouter<S> {
             let is_head = self.ni.staged_front_is_head();
             // Pick / look up the local control VC for this packet.
             let vc = if is_head {
-                let free: Vec<u8> = (0..self.config.control_vcs)
-                    .filter(|&v| {
-                        self.control.queue_len(Port::Local, v) < self.config.control_queue_depth
-                    })
-                    .map(|v| v as u8)
-                    .collect();
-                if free.is_empty() {
+                let control = &self.control;
+                let depth = self.config.control_queue_depth;
+                let Some(chosen) = pick_free(self.config.control_vcs, &mut self.rng, |v| {
+                    control.queue_len(Port::Local, v) < depth
+                }) else {
                     break;
-                }
-                let chosen = *self.rng.choose(&free);
+                };
+                let chosen = chosen as u8;
                 self.ni.bind_vc(chosen);
                 chosen
             } else {

@@ -31,6 +31,23 @@ use noc_topology::{NodeId, Port, PortMap};
 use noc_traffic::{Packet, PacketId};
 use std::collections::VecDeque;
 
+/// Picks uniformly among the indices `0..n` that `free` admits, with the
+/// single `rng.index(count)` draw that `rng.choose` makes over the list
+/// of free indices, without building that list. `None`, and no draw,
+/// when no index is free.
+pub(crate) fn pick_free(
+    n: usize,
+    rng: &mut Rng,
+    mut free: impl FnMut(usize) -> bool,
+) -> Option<usize> {
+    let count = (0..n).filter(|&i| free(i)).count();
+    if count == 0 {
+        return None;
+    }
+    let k = rng.index(count);
+    (0..n).filter(|&i| free(i)).nth(k)
+}
+
 /// A control flit waiting in an input control-VC queue.
 #[derive(Clone, Debug)]
 struct QueuedControl {
@@ -131,19 +148,11 @@ impl ControlStage {
         out_port: Port,
         rng: &mut Rng,
     ) -> Option<u8> {
-        let free: Vec<u8> = self.vc_owner[out_port]
-            .iter()
-            .enumerate()
-            .filter(|(_, &owned)| !owned)
-            .map(|(v, _)| v as u8)
-            .collect();
-        if free.is_empty() {
-            return None;
-        }
-        let granted = *rng.choose(&free);
-        self.vc_owner[out_port][granted as usize] = true;
-        self.inputs[port][vc].out_vc = Some(granted);
-        Some(granted)
+        let owner = &self.vc_owner[out_port];
+        let granted = pick_free(owner.len(), rng, |v| !owner[v])?;
+        self.vc_owner[out_port][granted] = true;
+        self.inputs[port][vc].out_vc = Some(granted as u8);
+        Some(granted as u8)
     }
 
     /// True if a forwarded control flit has a downstream queue slot on
@@ -371,22 +380,22 @@ impl ReservationStage {
         table.credit(frees_at, now);
     }
 
-    /// All-or-nothing dry run: true when every led entry in `leds`
-    /// (arrival, bypass-allowed) can be booked on `out_port` against a
+    /// All-or-nothing dry run: true when a departure for every arrival
+    /// cycle in `arrivals` can be booked on `out_port` against a
     /// snapshot, with `blocked` rejecting cycles the input's read port
     /// already holds. A failed dry run counts one reservation miss.
     pub(crate) fn feasible_all(
         &mut self,
         out_port: Port,
         now: Cycle,
-        leds: &[(Cycle, bool)],
+        arrivals: &[Cycle],
         mut blocked: impl FnMut(Cycle) -> bool,
     ) -> bool {
         let mut snapshot = self.tables[out_port].clone();
         let mut booked: Vec<Cycle> = Vec::new();
-        let mut remaining = leds.len() as i64;
-        for &(t_a, allow_bypass) in leds {
-            let found = snapshot.schedule_search(t_a, now, remaining, allow_bypass, |c| {
+        let mut remaining = arrivals.len() as i64;
+        for &t_a in arrivals {
+            let found = snapshot.schedule_search(t_a, now, remaining, true, |c| {
                 !blocked(c) && !booked.contains(&c)
             });
             match found {
@@ -405,7 +414,8 @@ impl ReservationStage {
     }
 
     /// Answers a reservation request: searches `req.out_port`'s table
-    /// and commits the earliest feasible departure. `None` (counting a
+    /// and commits the earliest feasible departure, a same-cycle bypass
+    /// included when the flit has yet to arrive. `None` (counting a
     /// miss) when no slot exists within the horizon; `blocked` rejects
     /// cycles where the requesting input already has a departure booked
     /// (single-read-port input buffers, paper footnote 7).
@@ -415,13 +425,9 @@ impl ReservationStage {
         now: Cycle,
         mut blocked: impl FnMut(Cycle) -> bool,
     ) -> Option<ReservationGrant> {
-        let found = self.tables[req.out_port].schedule_search(
-            req.arrival,
-            now,
-            req.min_free,
-            req.allow_bypass,
-            |c| !blocked(c),
-        );
+        let found =
+            self.tables[req.out_port]
+                .schedule_search(req.arrival, now, req.min_free, true, |c| !blocked(c));
         match found {
             Some(t_d) => {
                 self.tables[req.out_port].reserve(t_d);
@@ -536,9 +542,18 @@ impl DataPathStage {
         self.pending.push((port, flit));
     }
 
-    /// Drains the staged arrivals for processing.
+    /// Takes the staged arrivals for processing. Hand the drained
+    /// vector back through [`Self::restore_pending`] so its capacity
+    /// serves the next cycle.
     pub(crate) fn take_pending(&mut self) -> Vec<(Port, DataFlit)> {
         std::mem::take(&mut self.pending)
+    }
+
+    /// Returns the vector [`Self::take_pending`] lent out, emptied.
+    pub(crate) fn restore_pending(&mut self, mut pending: Vec<(Port, DataFlit)>) {
+        debug_assert!(self.pending.is_empty(), "arrival staged while drained");
+        pending.clear();
+        self.pending = pending;
     }
 
     /// True when no arrival awaits buffering.
@@ -749,41 +764,41 @@ impl FrNiStage {
             None => return false,
         };
         let total = packet.length_flits;
-        let mut flits: Vec<DataFlit> = (0..total)
-            .map(|seq| DataFlit {
-                packet: packet.id,
-                seq,
-                length: total,
-                dest: packet.dest,
-                created_at: packet.created_at,
-                crc_ok: true,
-            })
-            .collect();
-        let mut first = true;
-        while !flits.is_empty() || first {
-            let chunk: Vec<LedFlit> = flits
-                .drain(..d.min(flits.len()))
-                .map(|flit| LedFlit {
+        let mut seq = 0;
+        loop {
+            // `d >= 1`, so only the first chunk starts at flit 0.
+            let end = total.min(seq + d as u32);
+            let led: Vec<LedFlit> = (seq..end)
+                .map(|seq| LedFlit {
                     arrival: Cycle::ZERO, // set when the injection is booked
                     scheduled: false,
-                    flit,
+                    flit: DataFlit {
+                        packet: packet.id,
+                        seq,
+                        length: total,
+                        dest: packet.dest,
+                        created_at: packet.created_at,
+                        crc_ok: true,
+                    },
                 })
                 .collect();
-            let is_tail = flits.is_empty();
+            let is_tail = end == total;
             self.staged.push_back(ControlFlit {
                 vc: 0,
-                kind: if first {
+                kind: if seq == 0 {
                     ControlKind::Head { dest: packet.dest }
                 } else {
                     ControlKind::Body
                 },
                 is_tail,
-                led: chunk,
+                led,
                 packet: packet.id,
             });
-            first = false;
+            if is_tail {
+                return true;
+            }
+            seq = end;
         }
-        true
     }
 
     /// True if the front staged control flit is a packet head.
@@ -808,8 +823,7 @@ impl FrNiStage {
 
     /// Books injection slots for the front staged control flit's data
     /// flits, each departing strictly after `now + lead - 1`. Atomic
-    /// per control flit: a dry run on a snapshot guarantees failure
-    /// books nothing.
+    /// per control flit: a failure withdraws the bookings it made.
     ///
     /// # Panics
     ///
@@ -820,24 +834,25 @@ impl FrNiStage {
         // The table searches strictly after the floor we pass it.
         let floor = Cycle::new((now.raw() + lead).saturating_sub(1));
         let front = self.staged.front_mut().expect("caller checked");
-        let mut snapshot = self.inject_table.clone();
-        let mut slots = Vec::with_capacity(front.led.len());
+        let booked_from = self.data_ready.len();
         let mut remaining = front.led.len() as i64;
-        for _ in &front.led {
-            match snapshot.find_departure_min(floor, now, remaining, |_| true) {
-                Some(t) => {
-                    snapshot.reserve(t);
-                    slots.push(t);
-                    remaining -= 1;
+        for led in &front.led {
+            let Some(t_inj) = self
+                .inject_table
+                .find_departure_min(floor, now, remaining, |_| true)
+            else {
+                for (t_inj, _) in self.data_ready.drain(booked_from..) {
+                    self.inject_table.unreserve(t_inj);
                 }
-                None => return false,
-            }
-        }
-        for (led, &t_inj) in front.led.iter_mut().zip(&slots) {
+                return false;
+            };
             self.inject_table.reserve(t_inj);
+            self.data_ready.push((t_inj, led.flit));
+            remaining -= 1;
+        }
+        for (led, &(t_inj, _)) in front.led.iter_mut().zip(&self.data_ready[booked_from..]) {
             led.arrival = t_inj;
             led.scheduled = false; // to be scheduled by this router next
-            self.data_ready.push((t_inj, led.flit));
         }
         true
     }
@@ -851,22 +866,21 @@ impl FrNiStage {
         self.staged.pop_front().expect("staged front")
     }
 
-    /// Releases the data flits whose scheduled injection cycle is
-    /// `now`.
+    /// Releases the data flit whose scheduled injection cycle is `now`,
+    /// if any.
     ///
     /// # Panics
     ///
     /// Panics if two flits claim the 1-flit/cycle injection channel in
     /// the same cycle.
-    pub(crate) fn take_due_injections(&mut self, now: Cycle) -> Vec<DataFlit> {
-        let mut released = Vec::new();
+    pub(crate) fn take_due_injection(&mut self, now: Cycle) -> Option<DataFlit> {
+        let mut released = None;
         let mut i = 0;
         while i < self.data_ready.len() {
             if self.data_ready[i].0 == now {
                 let (_, flit) = self.data_ready.swap_remove(i);
-                released.push(flit);
                 assert!(
-                    released.len() <= 1,
+                    released.replace(flit).is_none(),
                     "injection channel carried two flits in one cycle"
                 );
             } else {
@@ -940,5 +954,61 @@ impl FrNiStage {
             ("data_ready".into(), Json::Arr(data_ready)),
             ("inject_table".into(), self.inject_table.snapshot()),
         ])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kth_free_pick_matches_choose_over_the_free_list() {
+        for n in [2usize, 4] {
+            for mask in 0..1u32 << n {
+                let is_free = |v: usize| mask >> v & 1 == 1;
+                let free: Vec<usize> = (0..n).filter(|&v| is_free(v)).collect();
+                for seed in 0..16 {
+                    let mut picked = Rng::from_seed(seed);
+                    let mut chosen = picked.clone();
+                    let want = (!free.is_empty()).then(|| *chosen.choose(&free));
+                    let got = pick_free(n, &mut picked, is_free);
+                    assert_eq!(got, want, "{n} VCs, free mask {mask:b}, seed {seed}");
+                    assert_eq!(picked, chosen, "the pick must draw exactly as choose");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn failed_injection_booking_withdraws_every_slot() {
+        let config = FrConfig::fr6().with_flits_per_control(4);
+        let mut ni = FrNiStage::new(&config);
+        let now = Cycle::ZERO;
+        ni.advance_table(now);
+        // Only cycles 7 and 9 of the horizon stay free, so two of the
+        // four led flits find a slot and the third does not.
+        for c in (1..=config.horizon).filter(|&c| c != 7 && c != 9) {
+            ni.inject_table.reserve(Cycle::new(c));
+            ni.inject_table.credit(Cycle::new(c + 1), now);
+        }
+        ni.push_packet(Packet {
+            id: PacketId::new(1),
+            src: NodeId::new(0),
+            dest: NodeId::new(5),
+            length_flits: 4,
+            created_at: now,
+        });
+        assert!(ni.stage_next_packet(4));
+        let before = ni.snapshot();
+        assert!(!ni.schedule_injections(now, 1));
+        assert_eq!(
+            ni.snapshot(),
+            before,
+            "a failed booking must leave no trace"
+        );
+        // With the horizon clear the same control flit books all four.
+        ni.advance_table(Cycle::new(config.horizon + 1));
+        assert!(ni.schedule_injections(Cycle::new(config.horizon + 1), 1));
+        assert_eq!(ni.data_ready_len(), 4);
     }
 }

@@ -324,7 +324,6 @@ mod tests {
             out_port: Port::East,
             arrival: Cycle::new(10),
             min_free: 1,
-            allow_bypass: false,
         };
         ck.note_reservation_request(r);
         ck.note_reservation_grant(

@@ -60,8 +60,6 @@ pub struct ReservationRequest {
     /// Downstream buffers that must stay free for the grant to be legal
     /// (all-or-nothing scheduling asks for the packet's whole remainder).
     pub min_free: i64,
-    /// Whether a zero-turnaround same-cycle bypass may be granted.
-    pub allow_bypass: bool,
 }
 
 /// The reservation stage's answer: a booked departure cycle.

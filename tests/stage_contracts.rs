@@ -125,7 +125,6 @@ fn checker_accepts_well_formed_streams() {
                 out_port: PORTS[(i + 2) % 5],
                 arrival: Cycle::new(cycle + 3),
                 min_free: 1,
-                allow_bypass: i == 0,
             };
             ck.note_reservation_request(req);
             if rand(2) == 0 {
@@ -230,7 +229,6 @@ fn checker_flags_each_contract_breach() {
         out_port: Port::East,
         arrival: Cycle::new(10),
         min_free: 1,
-        allow_bypass: false,
     };
     ck.begin_cycle();
     ck.note_reservation_grant(
