@@ -7,9 +7,10 @@
 //! and compared on `cycles_per_sec`. A row regresses when
 //! `fresh < baseline * (1 - tolerance)`; a baseline row missing from
 //! the fresh run also fails. Extra fresh rows are reported but pass —
-//! they have no baseline to regress against. Each file's `host_cpus`
-//! (the core count it was measured on) is printed for the reader and
-//! gates nothing.
+//! they have no baseline to regress against. A row whose `threads`
+//! exceed the fresh file's `host_cpus` is printed as `oversubscribed`
+//! and never gated: its threads time-share cores, so its rate measures
+//! the host's scheduler rather than the code.
 //!
 //! Usage:
 //!
@@ -69,11 +70,11 @@ fn parse_args() -> Args {
     parsed
 }
 
-/// One `BENCH_engine.json` document: its `(config, cycles_per_sec)`
-/// rows, its `quick` flag and the `host_cpus` it was measured on
-/// (`None` in files written before the header carried it).
+/// One `BENCH_engine.json` document: its `(config, threads,
+/// cycles_per_sec)` rows, its `quick` flag and the `host_cpus` it was
+/// measured on (`None` in files written before the header carried it).
 struct Bench {
-    rows: Vec<(String, f64)>,
+    rows: Vec<(String, u64, f64)>,
     quick: bool,
     host_cpus: Option<u64>,
 }
@@ -110,14 +111,14 @@ fn load_bench(path: &str) -> Bench {
                     std::process::exit(2)
                 })
                 .to_string();
-            let cps = row
-                .get("cycles_per_sec")
-                .and_then(Json::as_f64)
-                .unwrap_or_else(|| {
-                    eprintln!("{path}: row {config} without cycles_per_sec");
+            let number = |key: &str| {
+                row.get(key).and_then(Json::as_f64).unwrap_or_else(|| {
+                    eprintln!("{path}: row {config} without {key}");
                     std::process::exit(2)
-                });
-            (config, cps)
+                })
+            };
+            let (threads, cps) = (number("threads") as u64, number("cycles_per_sec"));
+            (config, threads, cps)
         })
         .collect();
     Bench {
@@ -155,34 +156,44 @@ fn main() {
     if base.quick != fresh.quick {
         println!("note: comparing runs of different scales; rates are only roughly comparable");
     }
+    // Rows need as many cores as threads to be gated; with the core
+    // count unrecorded, every row is.
+    let oversubscribed = |threads: u64| fresh.host_cpus.is_some_and(|cpus| threads > cpus);
     let (baseline, fresh) = (base.rows, fresh.rows);
     println!(
         "{:<24} {:>14} {:>14} {:>8}  status",
         "config", "baseline c/s", "fresh c/s", "ratio"
     );
 
-    let mut failures = 0usize;
-    for (config, base_cps) in &baseline {
-        let Some((_, fresh_cps)) = fresh.iter().find(|(c, _)| c == config) else {
+    let (mut failures, mut gated) = (0usize, 0usize);
+    for (config, threads, base_cps) in &baseline {
+        let ungated = oversubscribed(*threads);
+        gated += usize::from(!ungated);
+        let Some((_, _, fresh_cps)) = fresh.iter().find(|(c, ..)| c == config) else {
+            let status = if ungated { "oversubscribed" } else { "MISSING" };
             println!(
-                "{config:<24} {base_cps:>14.0} {:>14} {:>8}  MISSING",
+                "{config:<24} {base_cps:>14.0} {:>14} {:>8}  {status}",
                 "-", "-"
             );
-            failures += 1;
+            failures += usize::from(!ungated);
             continue;
         };
         let ratio = fresh_cps / base_cps.max(1e-9);
-        let regressed = *fresh_cps < base_cps * (1.0 - args.tolerance);
+        let regressed = !ungated && *fresh_cps < base_cps * (1.0 - args.tolerance);
         if regressed {
             failures += 1;
         }
         println!(
             "{config:<24} {base_cps:>14.0} {fresh_cps:>14.0} {ratio:>8.2}  {}",
-            if regressed { "REGRESSED" } else { "ok" }
+            match (ungated, regressed) {
+                (true, _) => "oversubscribed",
+                (_, true) => "REGRESSED",
+                _ => "ok",
+            }
         );
     }
-    for (config, cps) in &fresh {
-        if !baseline.iter().any(|(c, _)| c == config) {
+    for (config, _, cps) in &fresh {
+        if !baseline.iter().any(|(c, ..)| c == config) {
             println!("{config:<24} {:>14} {cps:>14.0} {:>8}  new", "-", "-");
         }
     }
@@ -194,5 +205,8 @@ fn main() {
         );
         std::process::exit(1);
     }
-    println!("\nall {} configurations within tolerance", baseline.len());
+    println!(
+        "\nall {gated} gated configurations within tolerance ({} oversubscribed, not gated)",
+        baseline.len() - gated
+    );
 }

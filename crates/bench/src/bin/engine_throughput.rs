@@ -11,10 +11,12 @@
 //! * `idle-skip` — the default: quiescent routers are skipped via the
 //!   wake-list. At low load most of the mesh is asleep most cycles, so
 //!   this is where the win concentrates;
-//! * `sharded(N)` — idle-skip plus the shard-local phases (deliver,
+//! * `sharded(2)` — idle-skip plus the shard-local phases (deliver,
 //!   offers, steps, and the intra-shard half of apply) running
-//!   concurrently on N persistent pool workers with cross-shard flits
-//!   handed over at the phase barrier.
+//!   concurrently on 2 persistent pool workers with cross-shard flits
+//!   handed over at the phase barrier. The width is fixed, not taken
+//!   from the host, so every host writes the same row keys; 2 is the
+//!   width perfbench's sharded workload uses.
 //!
 //! All modes produce bit-identical traces (enforced by
 //! `tests/engine_equivalence.rs` and `tests/parallel_equivalence.rs`);
@@ -32,7 +34,8 @@
 //! Results print as a table and are written to `BENCH_engine.json` in
 //! the working directory, with the host's core count (`host_cpus`) in
 //! the header, so successive commits can be compared
-//! (`bench_compare` gates every row, the scaling sweep included). Pass
+//! (`bench_compare` gates every row the host has the cores for, the
+//! scaling sweep included). Pass
 //! `--quick` (or set `FRFC_SCALE=tiny`) for a seconds-long smoke run —
 //! CI uses this to keep the harness from bit-rotting.
 
@@ -126,9 +129,7 @@ fn main() {
     let seed = seed_from_env();
     let mesh = Mesh::new(8, 8);
     let (warmup, measure) = if quick { (500, 2_000) } else { (5_000, 50_000) };
-    let shard_threads = std::thread::available_parallelism()
-        .map(|n| n.get().min(4))
-        .unwrap_or(2);
+    let shard_threads = 2;
 
     let loads = [("low", 0.02), ("mid", 0.40), ("sat", 0.80)];
     let modes = [Mode::StepAll, Mode::IdleSkip, Mode::Sharded(shard_threads)];

@@ -17,7 +17,6 @@
 //! per cycle per input channel, so the arrival time identifies the flit
 //! unambiguously.
 
-use crate::ring;
 use noc_engine::Cycle;
 use noc_flow::{BufferId, BufferPool, DataFlit};
 use noc_topology::Port;
@@ -29,6 +28,17 @@ pub struct Reservation {
     pub depart: Cycle,
     /// Output channel it departs by (`Port::Local` = ejection).
     pub out_port: Port,
+}
+
+/// Arrival-row entry: a reservation made before its flit arrived, as the
+/// cycles from arrival to departure and the output channel. It takes 8
+/// bytes to a `Reservation`'s 16, so the ring, rounded up to a power of
+/// two, takes no more memory to build than an exact-size ring of
+/// `Reservation`s.
+#[derive(Clone, Copy, Debug)]
+struct Arrival {
+    wait: u32,
+    out_port: Port,
 }
 
 /// Departure-row entry: output channel plus the buffer bound at arrival.
@@ -96,7 +106,9 @@ pub struct InputReservationTable {
     window: usize,
     base: Cycle,
     /// Keyed by arrival time: reservations made before the flit arrived.
-    incoming: Vec<Option<Reservation>>,
+    /// Both rings hold `window` rounded up to a power of two slots, so
+    /// cycle `t` sits at slot `t & (len - 1)`.
+    incoming: Vec<Option<Arrival>>,
     /// Keyed by departure time: what leaves and where to.
     outgoing: Vec<Option<Departure>>,
     pool: BufferPool,
@@ -114,21 +126,21 @@ impl InputReservationTable {
     /// `prop_delay` (which bounds how far ahead reservations can land).
     pub fn new(horizon: u64, pool_size: usize, prop_delay: u64) -> Self {
         let window = (horizon + prop_delay + 2) as usize;
+        let ring = window.next_power_of_two();
         InputReservationTable {
             window,
             base: Cycle::ZERO,
-            incoming: vec![None; window],
-            outgoing: vec![None; window],
+            incoming: vec![None; ring],
+            outgoing: vec![None; ring],
             pool: BufferPool::new(pool_size),
             early: Vec::new(),
             booked: 0,
         }
     }
 
-    /// The ring slot of cycle `t`. Costs a division, so a window walk
-    /// takes it once and goes on with [`ring`] arithmetic.
+    /// The ring slot of cycle `t`.
     fn slot(&self, t: Cycle) -> usize {
-        (t.raw() % self.window as u64) as usize
+        t.raw() as usize & (self.outgoing.len() - 1)
     }
 
     fn in_window(&self, t: Cycle) -> bool {
@@ -145,9 +157,9 @@ impl InputReservationTable {
     pub fn advance_to(&mut self, now: Cycle) {
         assert!(now >= self.base, "input table time went backwards");
         let steps = (now - self.base).min(self.window as u64);
-        let mut s = self.slot(self.base);
         for i in 0..steps {
             let t = self.base + i;
+            let s = self.slot(t);
             assert!(
                 self.incoming[s].is_none(),
                 "reserved arrival at {t} never materialised"
@@ -156,7 +168,6 @@ impl InputReservationTable {
                 self.outgoing[s].is_none(),
                 "scheduled departure at {t} never executed"
             );
-            s = ring::slot_after(s, self.window, 1);
         }
         self.base = now;
     }
@@ -207,8 +218,9 @@ impl InputReservationTable {
                 self.incoming[s].is_none(),
                 "duplicate arrival reservation at {t_a}"
             );
-            self.incoming[s] = Some(Reservation {
-                depart: t_d,
+            // `t_d - t_a` is below the window, which fits a `u32`.
+            self.incoming[s] = Some(Arrival {
+                wait: (t_d - t_a) as u32,
                 out_port,
             });
             self.outgoing[ds] = Some(Departure {
@@ -227,27 +239,27 @@ impl InputReservationTable {
     /// accounting guarantees a buffer, so exhaustion is a protocol bug.
     pub fn on_data_arrival(&mut self, flit: DataFlit, now: Cycle) -> ArrivalOutcome {
         let s = self.slot(now);
+        let reserved = self.incoming[s].take().map(|a| Reservation {
+            depart: now + u64::from(a.wait),
+            out_port: a.out_port,
+        });
         // Same-cycle bypass: consume the departure row and never touch
         // the pool.
-        if let Some(res) = self.incoming[s] {
-            if res.depart == now {
-                self.incoming[s] = None;
-                let ds = self.slot(now);
-                let dep = self.outgoing[ds]
-                    .take()
-                    .expect("bypass reservation without departure row");
-                debug_assert!(dep.bypass, "same-cycle departure must be a bypass");
-                self.booked -= 1;
-                return ArrivalOutcome::Bypass {
-                    out_port: dep.out_port,
-                };
-            }
+        if reserved.is_some_and(|res| res.depart == now) {
+            let dep = self.outgoing[s]
+                .take()
+                .expect("bypass reservation without departure row");
+            debug_assert!(dep.bypass, "same-cycle departure must be a bypass");
+            self.booked -= 1;
+            return ArrivalOutcome::Bypass {
+                out_port: dep.out_port,
+            };
         }
         let buffer = self
             .pool
             .insert(flit)
             .expect("buffer pool exhausted despite advance reservation");
-        match self.incoming[s].take() {
+        match reserved {
             Some(res) => {
                 let ds = self.slot(res.depart);
                 let dep = self.outgoing[ds]
@@ -323,7 +335,7 @@ impl InputReservationTable {
 }
 
 impl noc_metrics::Snapshot for InputReservationTable {
-    /// Unrolls both slot rings into time order from `base`. `incoming`
+    /// Unrolls both rings into time order from `base`. `incoming`
     /// lists pending arrival reservations as `(arrival, depart,
     /// out_port)`; `outgoing` lists booked departures as `(depart,
     /// out_port, buffer, bypass)`. The schedule list is sorted by
@@ -332,14 +344,15 @@ impl noc_metrics::Snapshot for InputReservationTable {
         use noc_metrics::Json;
         let mut incoming = Vec::new();
         let mut outgoing = Vec::new();
-        let [near, far] = ring::runs(self.slot(self.base), self.window, 0, self.window);
-        for (i, s) in near.chain(far).enumerate() {
-            let t = self.base + i as u64;
-            if let Some(res) = self.incoming[s] {
+        for i in 0..self.window as u64 {
+            let t = self.base + i;
+            let s = self.slot(t);
+            if let Some(a) = self.incoming[s] {
+                let depart = t + u64::from(a.wait);
                 incoming.push(Json::obj(vec![
                     ("arrival".into(), Json::Num(t.raw() as f64)),
-                    ("depart".into(), Json::Num(res.depart.raw() as f64)),
-                    ("out_port".into(), Json::str(format!("{:?}", res.out_port))),
+                    ("depart".into(), Json::Num(depart.raw() as f64)),
+                    ("out_port".into(), Json::str(format!("{:?}", a.out_port))),
                 ]));
             }
             if let Some(dep) = self.outgoing[s] {
@@ -576,11 +589,18 @@ mod tests {
 
     #[test]
     fn matches_naive_model_across_the_ring_seam() {
-        // Random reservations (for parked and for future flits, bypasses
-        // included), arrivals, departures and window slides, with jumps
-        // past the whole window while no booking is due, checked every
-        // cycle against a naive model keyed by absolute cycle.
-        let (horizon, prop_delay) = (8, 2);
+        // Windows of 12, 64 and 65 cycles: rings of 16 slots, of exactly
+        // the window, and of nearly twice it.
+        for (horizon, prop_delay) in [(8, 2), (60, 2), (61, 2)] {
+            naive_model_walk(horizon, prop_delay);
+        }
+    }
+
+    /// Random reservations (for parked and for future flits, bypasses
+    /// included), arrivals, departures and window slides, with jumps
+    /// past the whole window while no booking is due, checked every
+    /// cycle against a naive model keyed by absolute cycle.
+    fn naive_model_walk(horizon: u64, prop_delay: u64) {
         let window = horizon + prop_delay + 2;
         let mut t = InputReservationTable::new(horizon, window as usize + 8, prop_delay);
         // Reserved arrivals: arrival cycle -> (departure, port, seq).
@@ -636,9 +656,10 @@ mod tests {
             }
             // Then control: up to two reservations, each departing at a
             // free cycle of the window for a parked or a future flit.
-            // Every 64 steps, control pauses so the bookings drain and
-            // the window can jump.
-            let quiet = step % 64 >= 48;
+            // After every 48 steps, control pauses for `window + 4`
+            // steps, long enough for bookings a window ahead to drain
+            // and for the window to jump.
+            let quiet = step % (52 + window) >= 48;
             for k in 0..if quiet { 0 } else { r / 3 % 3 } {
                 let r = next();
                 let t_d = now + 1 + r % (window - 1);
@@ -651,7 +672,12 @@ mod tests {
                     t.apply_reservation(Cycle::new(t_a), Cycle::new(t_d), port, at);
                     outgoing.insert(t_d, (port, Some((s, buffer)), false));
                 } else {
-                    let t_a = now + 1 + r / 128 % (t_d - now);
+                    // One in four is a bypass, however wide the window.
+                    let t_a = if r >> 20 & 3 == 0 {
+                        t_d
+                    } else {
+                        now + 1 + r / 128 % (t_d - now)
+                    };
                     if incoming.contains_key(&t_a) {
                         continue;
                     }

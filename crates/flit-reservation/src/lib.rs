@@ -31,7 +31,6 @@
 mod config;
 mod input_table;
 mod output_table;
-mod ring;
 mod router;
 mod stages;
 pub mod transfers;

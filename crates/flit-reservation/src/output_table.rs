@@ -14,8 +14,34 @@
 //! horizon). Reserving marks the channel busy at `t_d` and decrements the
 //! free-buffer count for all `t ≥ t_d + t_p`; an advance credit carrying
 //! `frees_at` restores the count for all `t ≥ frees_at`.
+//!
+//! # Layout
+//!
+//! The window is kept as bit rows in time order: bit `i` of a row stands
+//! for cycle `origin + i`, and each row spans `window / 64 + 1` words.
+//! The `busy` row holds one bit per cycle. A bounded table bit-slices
+//! its free-buffer counts into `ceil(log2(capacity + 1))` planes: bit `i`
+//! of plane `p` is bit `p` of the count at offset `i`. Every bit past the
+//! window's far edge holds `tail_free`. A row has at least one bit more
+//! than the window, so its top bit always lies past the far edge and
+//! holds the row's fill.
+//!
+//! Sliding the window moves `base`; the rows shift toward offset 0,
+//! copying the fill in at the far end, only once the far edge would
+//! reach the top bit. Until then `origin` lags `base` and the bits below
+//! `base` are stale, never read. The search compares the planes with
+//! `min_free` a word at a time, then walks the set bits of `!busy`;
+//! `reserve` and `apply_credit` ripple a borrow or a carry through the
+//! planes over the suffix the hold or the credit covers.
+//!
+//! The unbounded ejection table keeps one hold-start row instead of
+//! count planes: bit `i` is set when a buffer hold begins at
+//! `origin + i`, and the count at offset `i` is `tail_free` plus the
+//! holds that begin after `i`. Its counts start at `i64::MAX / 2` and
+//! would need 63 planes, all shifted with the window. The ejection
+//! channel never receives a credit, so its counts only ever drop at hold
+//! starts, and one bit per cycle records them exactly.
 
-use crate::ring;
 use noc_engine::Cycle;
 
 /// Sliding-window bookkeeping for one output channel.
@@ -45,8 +71,16 @@ pub struct OutputReservationTable {
     prop_delay: u64,
     window: usize,
     base: Cycle,
-    busy: Vec<bool>,
-    free: Vec<i64>,
+    /// The cycle bit 0 of every row stands for, at or before `base`.
+    origin: Cycle,
+    /// The bit rows, interleaved word by word: word `k` of row `r` is
+    /// `rows[k * stride + r]`. Row 0 is `busy`; the rows after it are
+    /// the count planes (bounded) or the hold-start row (unbounded).
+    rows: Vec<u64>,
+    /// Words per row.
+    words: usize,
+    /// Rows per table: 1 + planes (bounded) or 2 (unbounded).
+    stride: usize,
     /// Free-buffer count for every cycle at or beyond `base + window`.
     tail_free: i64,
     /// Downstream buffer capacity, for invariant checking (`None` =
@@ -59,6 +93,40 @@ pub struct OutputReservationTable {
     /// [`Self::advance_to`] once the window reaches them. Until then the
     /// buffer conservatively counts as occupied.
     pending_credits: Vec<Cycle>,
+}
+
+/// The bits of word `k` that stand for row offsets `lo..hi`.
+fn span(k: usize, lo: usize, hi: usize) -> u64 {
+    // The bits of word `k` below offset `n`.
+    let below = |n: usize| {
+        !u64::MAX
+            .checked_shl(n.saturating_sub(64 * k).min(64) as u32)
+            .unwrap_or(0)
+    };
+    below(hi) & !below(lo)
+}
+
+/// The bits of a word whose bit-sliced count in `planes` is below `c`
+/// (`c < 2^planes`).
+fn below(planes: &[u64], c: u64) -> u64 {
+    let (mut lt, mut eq) = (0, !0);
+    for (p, &x) in planes.iter().enumerate().rev() {
+        if c >> p & 1 == 1 {
+            lt |= eq & !x;
+            eq &= x;
+        } else {
+            eq &= !x;
+        }
+    }
+    lt
+}
+
+/// The bits of a word whose bit-sliced count in `planes` equals `c`.
+fn equal(planes: &[u64], c: u64) -> u64 {
+    planes
+        .iter()
+        .enumerate()
+        .fold(!0, |eq, (p, &x)| eq & if c >> p & 1 == 1 { x } else { !x })
 }
 
 impl OutputReservationTable {
@@ -76,13 +144,26 @@ impl OutputReservationTable {
         // next node, with one slack slot so strict inequalities stay easy.
         let window = (horizon + prop_delay + 2) as usize;
         let initial = capacity.map(|c| c as i64).unwrap_or(i64::MAX / 2);
+        let stride = 1 + capacity.map_or(1, |c| (usize::BITS - c.leading_zeros()) as usize);
+        let words = window / 64 + 1;
+        let mut rows = vec![0; words * stride];
+        if let Some(c) = capacity {
+            // Every count starts at the capacity.
+            for word in rows.chunks_exact_mut(stride) {
+                for (p, x) in word[1..].iter_mut().enumerate() {
+                    *x = (c as u64 >> p & 1).wrapping_neg();
+                }
+            }
+        }
         OutputReservationTable {
             horizon,
             prop_delay,
             window,
             base: Cycle::ZERO,
-            busy: vec![false; window],
-            free: vec![initial; window],
+            origin: Cycle::ZERO,
+            rows,
+            words,
+            stride,
             tail_free: initial,
             capacity: capacity.map(|c| c as i64),
             pending_credits: Vec::new(),
@@ -109,19 +190,93 @@ impl OutputReservationTable {
         self.window
     }
 
-    /// The ring slot of cycle `t`. Costs a division, so a call takes it
-    /// once and walks on with [`ring`] arithmetic.
-    fn slot(&self, t: Cycle) -> usize {
-        (t.raw() % self.window as u64) as usize
+    /// The row offset of the window's far edge, `base + window`.
+    fn edge(&self) -> usize {
+        (self.base - self.origin) as usize + self.window
     }
 
-    /// The window offset of cycle `t`, clamped to `0..=window`.
+    /// The row offset of cycle `t`, clamped to `0..=edge`.
     fn offset(&self, t: Cycle) -> usize {
-        (t.raw().saturating_sub(self.base.raw()) as usize).min(self.window)
+        (t.raw().saturating_sub(self.origin.raw()) as usize).min(self.edge())
     }
 
     fn in_window(&self, t: Cycle) -> bool {
         t >= self.base && t.raw() < self.base.raw() + self.window as u64
+    }
+
+    /// The count planes (or the hold-start row) of word `k`.
+    fn planes(&self, k: usize) -> &[u64] {
+        &self.rows[k * self.stride + 1..(k + 1) * self.stride]
+    }
+
+    /// Bit `o % 64` of row `r`'s word holding row offset `o`.
+    fn bit(&self, r: usize, o: usize) -> bool {
+        self.rows[o / 64 * self.stride + r] >> (o % 64) & 1 == 1
+    }
+
+    fn flip(&mut self, r: usize, o: usize) {
+        self.rows[o / 64 * self.stride + r] ^= 1 << (o % 64);
+    }
+
+    /// The free-buffer count at row offset `o`.
+    fn count(&self, o: usize) -> i64 {
+        let (k, b) = (o / 64, o % 64);
+        match self.capacity {
+            Some(_) => self
+                .planes(k)
+                .iter()
+                .enumerate()
+                .map(|(p, &x)| ((x >> b & 1) as i64) << p)
+                .sum(),
+            // The holds that begin after offset `o`.
+            None => {
+                let later = (k..self.words)
+                    .map(|j| {
+                        (self.rows[j * self.stride + 1] & span(j, o + 1, usize::MAX)).count_ones()
+                    })
+                    .sum::<u32>();
+                self.tail_free + later as i64
+            }
+        }
+    }
+
+    /// Adds (`up`) or subtracts one from every bit-sliced count at row
+    /// offsets `from..`, the beyond-window bits included. Returns the
+    /// lowest offset whose count wrapped below zero, if any.
+    fn ripple(&mut self, from: usize, up: bool) -> Option<usize> {
+        for k in from / 64..self.words {
+            let mut c = span(k, from, usize::MAX);
+            for x in &mut self.rows[k * self.stride + 1..(k + 1) * self.stride] {
+                let old = *x;
+                *x = old ^ c;
+                c &= if up { old } else { !old };
+                if c == 0 {
+                    break;
+                }
+            }
+            if c != 0 && !up {
+                return Some(64 * k + c.trailing_zeros() as usize);
+            }
+        }
+        None
+    }
+
+    /// Shifts every row `s` offsets toward offset 0 (`s < 64 * words`),
+    /// copying each row's top bit, its fill, in at the far end.
+    fn shift_rows(&mut self, s: usize) {
+        let (q, b) = (s / 64, s % 64);
+        let (words, stride) = (self.words, self.stride);
+        for r in 0..stride {
+            let fill = (self.rows[(words - 1) * stride + r] as i64 >> 63) as u64;
+            for k in 0..words {
+                // Word `j` of row `r`, or the fill past the last word.
+                let word = |j: usize| self.rows.get(j * stride + r).copied().unwrap_or(fill);
+                // A funnel shift of the word pair: a plain `hi << (64 -
+                // b)` would shift by 64 when `b` is 0.
+                let pair = (word(k + q + 1) as u128) << 64 | word(k + q) as u128;
+                self.rows[k * stride + r] = (pair >> b) as u64;
+            }
+        }
     }
 
     /// Slides the window forward so it starts at `now`. Must be called
@@ -137,18 +292,17 @@ impl OutputReservationTable {
             // pending credit can have entered the (unmoved) window.
             return;
         }
-        let steps = (now - self.base).min(self.window as u64);
-        // Recycle the slots that fell out of the window: they now
-        // represent cycles just past the previous far edge and inherit the
-        // steady-state (beyond-horizon) buffer count. Usually one slot,
-        // so walk slot by slot rather than fill runs.
-        let mut s = self.slot(self.base);
-        for _ in 0..steps {
-            self.busy[s] = false;
-            self.free[s] = self.tail_free;
-            s = ring::slot_after(s, self.window, 1);
-        }
         self.base = now;
+        // The cycles entering at the far edge are free and inherit the
+        // steady-state (beyond-horizon) buffer count, which the bits past
+        // the edge already hold. Shift once the edge would reach the top
+        // bit; a lag of a whole row leaves every bit a copy of the fill.
+        let lag = now - self.origin;
+        let bits = 64 * self.words;
+        if lag + self.window as u64 >= bits as u64 {
+            self.shift_rows(lag.min(bits as u64 - 1) as usize);
+            self.origin = now;
+        }
         // Deferred credits whose release cycle the window now reaches.
         if !self.pending_credits.is_empty() {
             let end = self.base + self.window as u64;
@@ -171,7 +325,7 @@ impl OutputReservationTable {
     /// Panics if `t` is outside the window.
     pub fn is_busy(&self, t: Cycle) -> bool {
         assert!(self.in_window(t), "busy query outside window");
-        self.busy[self.slot(t)]
+        self.bit(0, self.offset(t))
     }
 
     /// Free downstream buffers at cycle `t` (clamped to the steady-state
@@ -181,7 +335,7 @@ impl OutputReservationTable {
             panic!("free-buffer query in the past");
         }
         if self.in_window(t) {
-            self.free[self.slot(t)]
+            self.count(self.offset(t))
         } else {
             self.tail_free
         }
@@ -227,12 +381,11 @@ impl OutputReservationTable {
     /// the output port, spending zero cycles in the router — the source of
     /// flit-reservation flow control's low data latency.
     ///
-    /// The whole search costs O(window + horizon) instead of the naive
-    /// O(window × horizon): a candidate qualifies only when *no* window
-    /// slot from its buffer hold onward is short of `min_free` buffers,
-    /// so one backwards scan locating the **last deficient slot** (often
-    /// O(1) — a saturated table exits on its first probe) answers every
-    /// candidate's availability check with a single index comparison.
+    /// A candidate qualifies only when *no* window slot from its buffer
+    /// hold onward is short of `min_free` buffers, so one bit-sliced
+    /// compare, scanned from the far end, locates the **last deficient
+    /// slot** and answers every candidate's availability check at once.
+    /// The candidates are then the set bits of `!busy` from there on.
     pub fn schedule_search(
         &self,
         t_a: Cycle,
@@ -253,59 +406,43 @@ impl OutputReservationTable {
         if start > last {
             return None;
         }
-        // Earliest window offset any candidate's hold can touch: a
+        debug_assert!(
+            start >= self.base && self.in_window(last),
+            "search outside window"
+        );
+        let (first, end) = (self.offset(start), self.offset(last) + 1);
+        // Earliest row offset any candidate's hold can touch: a
         // departure at `t` holds buffers from `t + prop_delay` on, and
         // `t >= start`. Offsets below it are never queried.
         let floor = self.offset(start + self.prop_delay);
-        // Largest window offset at or above `floor` with fewer than
-        // `min_free` buffers free; `floor as isize - 1` when none. The
-        // search never reserves, so this is invariant across candidates.
-        // The later (wrapped) run is scanned first.
-        let [near, far] = ring::runs(self.slot(self.base), self.window, floor, self.window);
-        let near_len = near.len();
-        let deficient = |f: &i64| *f < min_free;
-        let last_deficient = match self.free[far].iter().rposition(deficient) {
-            Some(i) => (floor + near_len + i) as isize,
-            None => match self.free[near].iter().rposition(deficient) {
-                Some(i) => (floor + i) as isize,
-                None => floor as isize - 1,
-            },
+        // Largest offset at or above `floor` with fewer than `min_free`
+        // buffers free. Unbounded counts never drop below `tail_free`,
+        // and the bits past the window hold `tail_free`, which the
+        // check above vetted. The search never reserves, so this is
+        // invariant across candidates.
+        let last_deficient = match self.capacity {
+            Some(_) if min_free > 0 => (floor / 64..self.words).rev().find_map(|k| {
+                let d = below(self.planes(k), min_free as u64) & span(k, floor, usize::MAX);
+                (d != 0).then(|| 64 * k + 63 - d.leading_zeros() as usize)
+            }),
+            _ => None,
         };
-        let mut t = start;
-        let mut s = self.slot(start);
-        while t <= last {
-            if !self.busy[s] {
-                // Buffers are free for the whole hold iff the hold
-                // starts strictly past the last deficient slot (the
-                // beyond-window tail was vetted up front).
-                let from = self.offset(t + self.prop_delay);
-                if from as isize > last_deficient && extra_ok(t) {
+        // Buffers are free for the whole hold iff the hold starts
+        // strictly past the last deficient slot.
+        let lo = last_deficient.map_or(first, |d| {
+            first.max((d + 1).saturating_sub(self.prop_delay as usize))
+        });
+        for k in lo / 64..end.div_ceil(64) {
+            let mut free = !self.rows[k * self.stride] & span(k, lo, end);
+            while free != 0 {
+                let t = self.origin + (64 * k) as u64 + free.trailing_zeros() as u64;
+                if extra_ok(t) {
                     return Some(t);
                 }
+                free &= free - 1;
             }
-            t = t.next();
-            s = ring::slot_after(s, self.window, 1);
         }
         None
-    }
-
-    /// Reference implementation of the availability check: a literal scan
-    /// of the free-buffer ring, kept to pin the last-deficient-slot
-    /// search's equivalence in tests.
-    #[cfg(test)]
-    fn buffers_from(&self, from: Cycle, min_free: i64) -> bool {
-        if self.tail_free < min_free {
-            return false;
-        }
-        let end = self.base + self.window as u64;
-        let mut t = from.max(self.base);
-        while t < end {
-            if self.free[self.slot(t)] < min_free {
-                return false;
-            }
-            t = t.next();
-        }
-        true
     }
 
     /// Commits a reservation: the channel is busy at `t_d` and the
@@ -318,22 +455,22 @@ impl OutputReservationTable {
     /// is available.
     pub fn reserve(&mut self, t_d: Cycle) {
         assert!(self.in_window(t_d), "reservation outside window");
-        let start = self.slot(self.base);
-        let s = ring::slot_after(start, self.window, self.offset(t_d));
-        assert!(!self.busy[s], "channel double-booked at {t_d}");
-        self.busy[s] = true;
+        let o = self.offset(t_d);
+        assert!(!self.bit(0, o), "channel double-booked at {t_d}");
+        self.flip(0, o);
         let from = t_d + self.prop_delay;
         assert!(
             self.in_window(from),
             "buffer hold starts outside window (window too small)"
         );
-        let mut t = from;
-        for run in ring::runs(start, self.window, self.offset(from), self.window) {
-            for free in &mut self.free[run] {
-                *free -= 1;
-                assert!(*free >= 0, "buffer count went negative at {t}");
-                t = t.next();
+        let o = self.offset(from);
+        if self.capacity.is_some() {
+            if let Some(neg) = self.ripple(o, false).filter(|&n| n < self.edge()) {
+                panic!("buffer count went negative at {}", self.origin + neg as u64);
             }
+        } else {
+            debug_assert!(!self.bit(1, o), "two holds begin at {from}");
+            self.flip(1, o);
         }
         self.tail_free -= 1;
         assert!(self.tail_free >= 0, "steady-state buffer count negative");
@@ -348,10 +485,18 @@ impl OutputReservationTable {
     /// Panics if `t_d` is outside the window or not reserved.
     pub(crate) fn unreserve(&mut self, t_d: Cycle) {
         assert!(self.in_window(t_d), "withdrawal outside window");
-        let s = self.slot(t_d);
-        assert!(self.busy[s], "withdrawing an unbooked cycle {t_d}");
-        self.busy[s] = false;
-        self.apply_credit(t_d + self.prop_delay);
+        let o = self.offset(t_d);
+        assert!(self.bit(0, o), "withdrawing an unbooked cycle {t_d}");
+        self.flip(0, o);
+        let from = t_d + self.prop_delay;
+        if self.capacity.is_some() {
+            self.apply_credit(from);
+        } else {
+            // The hold began at `from`, which the window still holds: it
+            // was in the window when booked and `from >= t_d >= base`.
+            self.flip(1, self.offset(from));
+            self.tail_free += 1;
+        }
     }
 
     /// Applies an advance credit: the downstream buffer frees again at
@@ -362,9 +507,14 @@ impl OutputReservationTable {
     ///
     /// # Panics
     ///
-    /// Panics if the credit would raise a count above the configured
-    /// capacity.
+    /// Panics if the table is unbounded (the ejection channel has no
+    /// downstream buffers to credit), or if the credit would raise a
+    /// count above the configured capacity.
     pub fn credit(&mut self, frees_at: Cycle, now: Cycle) {
+        assert!(
+            self.capacity.is_some(),
+            "an unbounded output table takes no credits: the ejection channel frees no downstream buffer"
+        );
         let from = frees_at.max(now).max(self.base);
         if !self.in_window(from) {
             self.pending_credits.push(from);
@@ -373,43 +523,40 @@ impl OutputReservationTable {
         self.apply_credit(from);
     }
 
-    /// Restores one free buffer from `from` (in or before the window)
-    /// through the window's end and the steady-state tail.
+    /// Restores one free buffer of a bounded table from `from` (in or
+    /// before the window) through the window's end and the steady-state
+    /// tail.
     fn apply_credit(&mut self, from: Cycle) {
-        let from = from.max(self.base);
-        let start = self.slot(self.base);
-        let mut t = from;
-        for run in ring::runs(start, self.window, self.offset(from), self.window) {
-            for free in &mut self.free[run] {
-                *free += 1;
-                if let Some(cap) = self.capacity {
-                    assert!(*free <= cap, "credit overflow at {t}");
-                }
-                t = t.next();
-            }
+        let cap = self.capacity.expect("only bounded tables take credits");
+        let o = self.offset(from.max(self.base));
+        // The first slot of the credit's span already at capacity.
+        let full = (o / 64..self.words).find_map(|k| {
+            let m = equal(self.planes(k), cap as u64) & span(k, o, usize::MAX);
+            (m != 0).then(|| 64 * k + m.trailing_zeros() as usize)
+        });
+        if let Some(full) = full.filter(|&f| f < self.edge()) {
+            panic!("credit overflow at {}", self.origin + full as u64);
         }
+        self.ripple(o, true);
         self.tail_free += 1;
-        if let Some(cap) = self.capacity {
-            assert!(self.tail_free <= cap, "steady-state credit overflow");
-        }
+        assert!(self.tail_free <= cap, "steady-state credit overflow");
     }
 }
 
 impl noc_metrics::Snapshot for OutputReservationTable {
-    /// Unrolls the slot ring into time order from `base`: `busy` renders
+    /// Renders the window in time order from `base`: `busy` renders
     /// as one character per window slot (`X` reserved, `.` free) — the
     /// ASCII timeline `frfc-inspect` prints — and `free` as the
     /// per-slot free-buffer counts. Pending credits are sorted (their
     /// internal order is a `swap_remove` artefact, not state).
     fn snapshot(&self) -> noc_metrics::Json {
         use noc_metrics::Json;
-        let mut busy = String::with_capacity(self.window);
-        let mut free = Vec::with_capacity(self.window);
-        let [near, far] = ring::runs(self.slot(self.base), self.window, 0, self.window);
-        for s in near.chain(far) {
-            busy.push(if self.busy[s] { 'X' } else { '.' });
-            free.push(Json::Num(self.free[s] as f64));
-        }
+        let window = self.offset(self.base)..self.edge();
+        let busy: String = window
+            .clone()
+            .map(|o| if self.bit(0, o) { 'X' } else { '.' })
+            .collect();
+        let free = window.map(|o| Json::Num(self.count(o) as f64)).collect();
         let mut pending: Vec<u64> = self.pending_credits.iter().map(|c| c.raw()).collect();
         pending.sort_unstable();
         Json::obj(vec![
@@ -599,6 +746,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "takes no credits")]
+    fn unbounded_table_rejects_credits() {
+        let mut t = OutputReservationTable::new(32, None, 0);
+        t.advance_to(Cycle::ZERO);
+        t.reserve(Cycle::new(1));
+        t.credit(Cycle::new(2), Cycle::ZERO);
+    }
+
+    #[test]
     fn unbounded_capacity_for_ejection() {
         let mut t = OutputReservationTable::new(32, None, 0);
         t.advance_to(Cycle::ZERO);
@@ -612,9 +768,24 @@ mod tests {
         );
     }
 
+    /// Reference availability check: every cycle from `from` through
+    /// the window and its beyond-window tail keeps `min_free` buffers.
+    fn buffers_from(t: &OutputReservationTable, from: Cycle, min_free: i64) -> bool {
+        let end = t.base() + t.window() as u64;
+        let mut c = from.max(t.base());
+        while c <= end {
+            if t.free_at(c) < min_free {
+                return false;
+            }
+            c = c.next();
+        }
+        true
+    }
+
     /// A literal re-implementation of the search loop on top of the
-    /// reference `buffers_from` scan; the production search must agree
-    /// with it on every table state.
+    /// reference `buffers_from` scan, reading the table only through
+    /// `is_busy` and `free_at`; the production search must agree with it
+    /// on every table state.
     fn reference_search(
         t: &OutputReservationTable,
         t_a: Cycle,
@@ -622,18 +793,15 @@ mod tests {
         min_free: i64,
         allow_same_cycle: bool,
     ) -> Option<Cycle> {
-        if t.tail_free < min_free {
-            return None;
-        }
         let start = if allow_same_cycle && t_a > now {
             t_a
         } else {
             t_a.max(now) + 1
         };
-        let last = now + t.horizon;
+        let last = now + t.horizon();
         let mut c = start;
         while c <= last {
-            if !t.busy[t.slot(c)] && t.buffers_from(c + t.prop_delay, min_free) {
+            if !t.is_busy(c) && buffers_from(t, c + t.prop_delay(), min_free) {
                 return Some(c);
             }
             c = c.next();
@@ -664,6 +832,13 @@ mod tests {
         fn reserve(&mut self, t_d: Cycle, prop_delay: u64) {
             self.busy.push(t_d);
             self.holds.push(t_d + prop_delay);
+        }
+
+        fn unreserve(&mut self, t_d: Cycle, prop_delay: u64) {
+            let i = self.busy.iter().position(|&b| b == t_d).expect("booked");
+            self.busy.swap_remove(i);
+            let i = self.holds.iter().position(|&h| h == t_d + prop_delay);
+            self.holds.swap_remove(i.expect("held"));
         }
 
         fn credit(&mut self, frees_at: Cycle, now: Cycle, table: &OutputReservationTable) {
@@ -707,22 +882,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fast_search_matches_reference_scan() {
-        // A deterministic mix of reservations, credits, window slides
-        // and idle-skip jumps past the whole window. At every search the
-        // last-deficient-slot fast path must return exactly what the
-        // literal ring scan returns, and after every step the ring must
-        // agree with the naive model keyed by absolute cycle.
-        let capacity = 3;
-        let mut t = OutputReservationTable::new(16, Some(3), 2);
+    /// Drives one table through a deterministic mix of reservations,
+    /// credits (withdrawals on an unbounded table, which takes no
+    /// credits), window slides, word-aligned slides and idle-skip jumps
+    /// past the whole window. At every search the production search must
+    /// return exactly what the literal scan returns, and after every step
+    /// the table must agree with the naive model keyed by absolute cycle.
+    fn search_matches_reference(horizon: u64, prop_delay: u64, capacity: Option<usize>) {
+        let cap = capacity.map_or(i64::MAX / 2, |c| c as i64);
+        // The demands span every count a bounded table can hold, and
+        // one more.
+        let demands = capacity.map_or(3, |c| c as u64 + 1);
+        let mut t = OutputReservationTable::new(horizon, capacity, prop_delay);
         let window = t.window() as u64;
         let mut model = NaiveOutput::default();
         let mut now = Cycle::ZERO;
         t.advance_to(now);
-        // Buffer holds outstanding, by hold-start cycle, so credits never
-        // overflow a slot the matching reservation did not decrement.
-        let mut holds: Vec<Cycle> = Vec::new();
+        // Bookings still outstanding, by departure cycle, so credits
+        // never overflow a slot the matching reservation did not
+        // decrement.
+        let mut booked: Vec<Cycle> = Vec::new();
         let mut lcg: u64 = 0x243F_6A88_85A3_08D3;
         let mut next = move || {
             lcg = lcg
@@ -730,13 +909,49 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             lcg >> 33
         };
+        let book = |t: &mut OutputReservationTable,
+                    model: &mut NaiveOutput,
+                    booked: &mut Vec<Cycle>,
+                    t_d: Cycle| {
+            t.reserve(t_d);
+            model.reserve(t_d, prop_delay);
+            booked.push(t_d);
+        };
+        // Gives one booking back: a credit for its hold on a bounded
+        // table (`late` ones only for holds already begun, applied from
+        // `now`), a withdrawal of a departure still ahead on an
+        // unbounded one.
+        let give_back = |t: &mut OutputReservationTable,
+                         model: &mut NaiveOutput,
+                         booked: &mut Vec<Cycle>,
+                         now: Cycle,
+                         delay: u64,
+                         late: bool| {
+            if capacity.is_none() {
+                if let Some(i) = booked.iter().rposition(|&d| d >= now) {
+                    let t_d = booked.swap_remove(i);
+                    t.unreserve(t_d);
+                    model.unreserve(t_d, prop_delay);
+                }
+            } else if late {
+                if let Some(i) = booked.iter().position(|&d| d + prop_delay <= now) {
+                    let h = booked.swap_remove(i) + prop_delay;
+                    model.credit(h, now, t);
+                    t.credit(h, now);
+                }
+            } else if let Some(d) = booked.pop() {
+                let frees_at = d + prop_delay + delay;
+                model.credit(frees_at, now, t);
+                t.credit(frees_at, now);
+            }
+        };
         let mut searches = 0u32;
         let mut jumps = 0u32;
         for step in 0..1200u64 {
             let r = next();
             match r % 6 {
                 0 => {
-                    let min_free = (r / 7 % 3) as i64 + 1;
+                    let min_free = (r / 7 % demands) as i64 + 1;
                     let t_a = now + r / 11 % 8;
                     let allow = r / 5 % 2 == 0;
                     let want = reference_search(&t, t_a, now, min_free, allow);
@@ -744,24 +959,22 @@ mod tests {
                     assert_eq!(got, want, "step {step}: search diverged");
                     searches += 1;
                     if let Some(t_d) = got {
-                        t.reserve(t_d);
-                        model.reserve(t_d, t.prop_delay);
-                        holds.push(t_d + t.prop_delay);
+                        book(&mut t, &mut model, &mut booked, t_d);
                     }
                 }
-                1 => {
-                    if let Some(h) = holds.pop() {
-                        model.credit(h + r % 4, now, &t);
-                        t.credit(h + r % 4, now);
-                    }
-                }
+                1 => give_back(&mut t, &mut model, &mut booked, now, r % 4, false),
                 2 => {
-                    now += r % 3;
+                    // Now and then a slide by whole words.
+                    now += if r / 3 % 8 == 0 {
+                        64 * (1 + r / 24 % 2)
+                    } else {
+                        r % 3
+                    };
                     t.advance_to(now);
                     model.advance(now, t.window());
                 }
                 3 => {
-                    let min_free = (r / 7 % 3) as i64 + 1;
+                    let min_free = (r / 7 % demands) as i64 + 1;
                     let t_a = now + r / 11 % 12;
                     let want = reference_search(&t, t_a, now, min_free, false);
                     let got = t.schedule_search(t_a, now, min_free, false, |_| true);
@@ -775,40 +988,70 @@ mod tests {
                     model.advance(now, t.window());
                     jumps += 1;
                 }
-                _ => {
-                    // A late credit for a hold already begun applies from
-                    // `now`, the window's first slot, whatever the ring
-                    // offset of the window start.
-                    if let Some(i) = holds.iter().position(|&h| h <= now) {
-                        let h = holds.swap_remove(i);
-                        model.credit(h, now, &t);
-                        t.credit(h, now);
-                    }
-                }
+                _ => give_back(&mut t, &mut model, &mut booked, now, 0, true),
             }
-            model.check(&t, capacity, step);
+            model.check(&t, cap, step);
         }
         assert!(searches > 100, "the op mix must actually exercise searches");
         assert!(jumps > 50, "the op mix must actually jump the window");
 
-        // One slide at a time through two turns of the ring: at every
-        // start offset, book a departure whose hold runs to the window's
-        // far edge and credit one outstanding hold, then check the ring.
+        // One slide at a time through two window lengths: at every start
+        // offset, book a departure whose hold runs to the window's far
+        // edge and give one booking back, then check the table.
         for step in 0..2 * window {
             now += 1;
             t.advance_to(now);
             model.advance(now, t.window());
             if let Some(t_d) = t.find_departure(now, now, |_| true) {
-                t.reserve(t_d);
-                model.reserve(t_d, t.prop_delay);
-                holds.push(t_d + t.prop_delay);
+                book(&mut t, &mut model, &mut booked, t_d);
             }
-            model.check(&t, capacity, step);
-            if let Some(h) = holds.pop() {
-                model.credit(h, now, &t);
-                t.credit(h, now);
+            model.check(&t, cap, step);
+            give_back(&mut t, &mut model, &mut booked, now, 0, false);
+            model.check(&t, cap, step);
+        }
+    }
+
+    #[test]
+    fn fast_search_matches_reference_scan() {
+        // Windows of one, two and three words (20, 106 and 134 cycles)
+        // at one, two and four count planes, and the unbounded table.
+        for (horizon, prop_delay) in [(16, 2), (100, 4), (128, 4)] {
+            for capacity in [Some(1), Some(3), Some(13), None] {
+                search_matches_reference(horizon, prop_delay, capacity);
             }
-            model.check(&t, capacity, step);
+        }
+    }
+
+    #[test]
+    fn slides_keep_every_slot() {
+        // Slides that shift 1-, 2- and 3-word rows by part of a word, by
+        // whole words and past the window, each from a table whose
+        // counts differ from `tail_free` across the window: every cycle
+        // the window keeps reads as before, and every cycle entering it
+        // is free with the steady-state count.
+        for (horizon, prop_delay) in [(16, 2), (100, 4), (128, 4)] {
+            for slide in [1, 2, 63, 64, 65, 127, 128, 129] {
+                let mut t = OutputReservationTable::new(horizon, Some(13), prop_delay);
+                t.advance_to(Cycle::ZERO);
+                // Two-cycle holds every third cycle dip the count from 13
+                // (0b1101) to 12: plane 0 differs from its fill there.
+                for c in (1..horizon - 2).step_by(3).map(Cycle::new) {
+                    t.reserve(c);
+                    t.credit(c + prop_delay + 2, Cycle::ZERO);
+                }
+                let (end, window) = (t.window() as u64, slide..slide + t.window() as u64);
+                let want: Vec<_> = window
+                    .clone()
+                    .map(Cycle::new)
+                    .map(|c| (c.raw() < end && t.is_busy(c), t.free_at(c)))
+                    .collect();
+                t.advance_to(Cycle::new(slide));
+                let got: Vec<_> = window
+                    .map(Cycle::new)
+                    .map(|c| (t.is_busy(c), t.free_at(c)))
+                    .collect();
+                assert_eq!(got, want, "horizon {horizon}, slide {slide}");
+            }
         }
     }
 

@@ -201,9 +201,9 @@ impl<S: TraceSink> FrRouter<S> {
     ///
     /// Under per-flit scheduling, successfully booked flits stay booked
     /// even when later ones fail ("each successfully scheduled data flit
-    /// can hence move on to the next hop"); under all-or-nothing a dry run
-    /// against a snapshot guarantees the commit either books everything or
-    /// nothing.
+    /// can hence move on to the next hop"); under all-or-nothing a dry run,
+    /// withdrawn before the commit, guarantees the commit either books
+    /// everything or nothing.
     fn schedule_led_flits(
         &mut self,
         in_port: Port,
@@ -213,21 +213,15 @@ impl<S: TraceSink> FrRouter<S> {
         out: &mut StepOutputs,
     ) -> bool {
         if self.config.policy == SchedulingPolicy::AllOrNothing {
-            let arrivals: Vec<Cycle> = self
+            let led = &self
                 .control
                 .front_flit(in_port, vc)
                 .expect("caller guarantees a front flit")
-                .led
-                .iter()
-                .filter(|l| !l.scheduled)
-                .map(|l| l.arrival)
-                .collect();
+                .led;
             let data = &self.data;
             let feasible = self
                 .reservation
-                .feasible_all(out_port, now, &arrivals, |c| {
-                    data.departure_booked(in_port, c)
-                });
+                .feasible_all(out_port, now, led, |c| data.departure_booked(in_port, c));
             if !feasible {
                 return false;
             }

@@ -332,6 +332,29 @@ impl ControlStage {
     }
 }
 
+/// Books a departure for each of `arrivals` on `table`, demanding
+/// `remaining` free buffers for the first and one fewer for each next,
+/// then withdraws every booking it made; true when all were booked. A
+/// booked cycle is busy, so later searches skip it.
+fn book_all(
+    table: &mut OutputReservationTable,
+    arrivals: &mut impl Iterator<Item = Cycle>,
+    remaining: i64,
+    now: Cycle,
+    blocked: &mut impl FnMut(Cycle) -> bool,
+) -> bool {
+    let Some(t_a) = arrivals.next() else {
+        return true;
+    };
+    let Some(t_d) = table.schedule_search(t_a, now, remaining, true, |c| !blocked(c)) else {
+        return false;
+    };
+    table.reserve(t_d);
+    let feasible = book_all(table, arrivals, remaining - 1, now, blocked);
+    table.unreserve(t_d);
+    feasible
+}
+
 /// The reservation-match stage: the per-output reservation tables and
 /// the scheduling counters. Answers [`ReservationRequest`]s with booked
 /// departure slots.
@@ -380,37 +403,26 @@ impl ReservationStage {
         table.credit(frees_at, now);
     }
 
-    /// All-or-nothing dry run: true when a departure for every arrival
-    /// cycle in `arrivals` can be booked on `out_port` against a
-    /// snapshot, with `blocked` rejecting cycles the input's read port
-    /// already holds. A failed dry run counts one reservation miss.
+    /// All-or-nothing dry run: true when a departure for every
+    /// unscheduled flit of `led` can be booked on `out_port`, with
+    /// `blocked` rejecting cycles the input's read port already holds.
+    /// The run books on the live table and withdraws every booking
+    /// before it returns. A failed dry run counts one reservation miss.
     pub(crate) fn feasible_all(
         &mut self,
         out_port: Port,
         now: Cycle,
-        arrivals: &[Cycle],
+        led: &[LedFlit],
         mut blocked: impl FnMut(Cycle) -> bool,
     ) -> bool {
-        let mut snapshot = self.tables[out_port].clone();
-        let mut booked: Vec<Cycle> = Vec::new();
-        let mut remaining = arrivals.len() as i64;
-        for &t_a in arrivals {
-            let found = snapshot.schedule_search(t_a, now, remaining, true, |c| {
-                !blocked(c) && !booked.contains(&c)
-            });
-            match found {
-                Some(t_d) => {
-                    snapshot.reserve(t_d);
-                    booked.push(t_d);
-                    remaining -= 1;
-                }
-                None => {
-                    self.reservation_misses += 1;
-                    return false;
-                }
-            }
+        let mut arrivals = led.iter().filter(|l| !l.scheduled).map(|l| l.arrival);
+        let remaining = led.iter().filter(|l| !l.scheduled).count() as i64;
+        let table = &mut self.tables[out_port];
+        let feasible = book_all(table, &mut arrivals, remaining, now, &mut blocked);
+        if !feasible {
+            self.reservation_misses += 1;
         }
-        true
+        feasible
     }
 
     /// Answers a reservation request: searches `req.out_port`'s table
@@ -977,6 +989,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn all_or_nothing_dry_run_withdraws_every_booking() {
+        let mut stage = ReservationStage::new(&FrConfig::fr6());
+        let now = Cycle::ZERO;
+        stage.advance_all(now);
+        let led = |arrival: u64, scheduled: bool| LedFlit {
+            arrival: Cycle::new(arrival),
+            scheduled,
+            flit: DataFlit {
+                packet: PacketId::new(1),
+                seq: 0,
+                length: 3,
+                dest: NodeId::new(5),
+                created_at: now,
+                crc_ok: true,
+            },
+        };
+        let flits = [led(2, false), led(3, true), led(4, false)];
+        // A bounded mesh port and the unbounded ejection table.
+        for port in [Port::East, Port::Local] {
+            let before = noc_metrics::Snapshot::snapshot(&stage.tables[port]);
+            assert!(stage.feasible_all(port, now, &flits, |_| false));
+            // Only cycle 3 stays open: the first unscheduled flit books
+            // it and the last finds nothing.
+            assert!(!stage.feasible_all(port, now, &flits, |c| c != Cycle::new(3)));
+            let after = noc_metrics::Snapshot::snapshot(&stage.tables[port]);
+            assert_eq!(after, before, "{port:?}: a dry run must leave no booking");
+        }
+        assert_eq!(stage.reservation_misses(), 2);
     }
 
     #[test]

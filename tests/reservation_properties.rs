@@ -36,17 +36,18 @@ impl RefModel {
     }
 }
 
-const HORIZON: u64 = 24;
-
 /// Random schedule/credit/advance sequences: the table's free counts
 /// always match the reference interval model, and `find_departure`
 /// never returns a cycle that is busy, out of horizon, or that would
-/// overbook a downstream buffer.
+/// overbook a downstream buffer. Capacities span one to four count
+/// planes; horizon 62 gives windows of 64 to 68 cycles, which fill a
+/// row's first word and end in its second.
 #[test]
 fn output_table_matches_reference() {
-    let strategy = (1usize..6, 0u64..5, vec_of(0u8..10, 1..120));
-    check(64, strategy, |(capacity, prop_delay, ops)| {
-        let mut table = OutputReservationTable::new(HORIZON, Some(capacity), prop_delay);
+    let strategy = (1usize..15, 0u64..5, AnyBool, vec_of(0u8..10, 1..120));
+    check(128, strategy, |(capacity, prop_delay, wide, ops)| {
+        let horizon = if wide { 62 } else { 24 };
+        let mut table = OutputReservationTable::new(horizon, Some(capacity), prop_delay);
         let mut reference = RefModel {
             capacity: capacity as i64,
             ..Default::default()
@@ -68,10 +69,10 @@ fn output_table_matches_reference() {
                     let t_a = now.saturating_sub(1);
                     if let Some(t_d) = table.find_departure(t_a, now, |_| true) {
                         assert!(t_d > t_a && t_d > now);
-                        assert!(t_d <= now + HORIZON);
+                        assert!(t_d <= now + horizon);
                         assert!(!reference.busy.contains(&t_d.raw()));
                         // A buffer must be free for the entire hold.
-                        for t in (t_d.raw() + prop_delay)..(now.raw() + HORIZON + prop_delay + 2) {
+                        for t in (t_d.raw() + prop_delay)..(now.raw() + horizon + prop_delay + 2) {
                             assert!(reference.free_at(t) >= 1, "overbooked at {t}");
                         }
                         table.reserve(t_d);
@@ -88,7 +89,7 @@ fn output_table_matches_reference() {
                         // it lands; the wire keeps frees_at within the
                         // horizon of the upstream node's current time.
                         let frees_at =
-                            (t_d + prop_delay + 1 + (op as u64 % 6)).min(now.raw() + HORIZON);
+                            (t_d + prop_delay + 1 + (op as u64 % 6)).min(now.raw() + horizon);
                         table.credit(Cycle::new(frees_at), now);
                         let hold = reference
                             .holds
@@ -99,8 +100,9 @@ fn output_table_matches_reference() {
                     }
                 }
             }
-            // Compare observable free counts across the visible window.
-            for t in now.raw()..now.raw() + HORIZON {
+            // Compare free counts across the whole window and the first
+            // cycle past it.
+            for t in now.raw()..=now.raw() + horizon + prop_delay + 2 {
                 assert_eq!(
                     table.free_at(Cycle::new(t)),
                     reference.free_at(t),
