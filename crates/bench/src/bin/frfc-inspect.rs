@@ -1,4 +1,5 @@
-//! Post-mortem inspection of blackbox crash sidecars.
+//! Post-mortem inspection of blackbox crash sidecars, and the renderer
+//! of metrics exports.
 //!
 //! A crash sidecar (written by `frfc-sim`'s blackbox mode, by
 //! a blackbox `RunSpec` on a watchdog/panic/drain-cap trigger, or by
@@ -17,28 +18,31 @@
 //! * `replay <sidecar> [--threads N]` — rebuilds the run from the
 //!   sidecar's replay spec, re-runs it to the captured cycle and
 //!   verifies the live state digest matches the dump bit for bit.
-//! * `--self-check` — constructs a dead-link livelock, proves the
-//!   progress watchdog trips, round-trips the sidecar through disk and
-//!   verifies replay digests at 1/4/8 threads. CI runs this stage.
+//! * `metrics [FILE...]` — renders metrics-registry exports
+//!   (`*.metrics.json`): a per-router occupancy heatmap for each file
+//!   plus a utilization-vs-load table across files. With no files it
+//!   reads every export in the results directory (`FRFC_RESULTS_DIR`,
+//!   default `results/`).
 
-use noc_faults::{DeadLink, FaultPlan};
-use noc_metrics::{json_diff, write_json_file, Json, JsonDiff};
-use noc_network::{replay_to_cycle, RunSpec, Trigger};
-use noc_topology::{Mesh, Port};
+use noc_bench::report::results_dir;
+use noc_metrics::{json_diff, Json, JsonDiff};
+use noc_network::{replay_to_cycle, RunSpec};
 use std::path::Path;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-frfc-inspect — post-mortem inspection of blackbox crash sidecars
+frfc-inspect — inspection of blackbox crash sidecars and metrics exports
 
 USAGE:
     frfc-inspect show <sidecar.json>
     frfc-inspect diff <a.json> <b.json>
     frfc-inspect replay <sidecar.json> [--threads N]
-    frfc-inspect --self-check
+    frfc-inspect metrics [<export.metrics.json>...]
 
 Sidecars come from `frfc-sim --watchdog/--flight-ring/--dump-state-out`
-or from any inject-then-drain noc_network::RunSpec.";
+or from any inject-then-drain noc_network::RunSpec. Metrics exports come
+from any metered run (e.g. `smoke --metrics`); with no files, `metrics`
+reads every *.metrics.json in the results directory.";
 
 /// How many of the ring's newest events `show` prints.
 const RING_TAIL: usize = 12;
@@ -62,7 +66,10 @@ fn main() -> ExitCode {
         ["replay", path, rest @ ..] => parse_threads(rest)
             .and_then(|threads| load(path).map(|doc| (doc, threads)))
             .and_then(|(doc, threads)| replay(&doc, threads)),
-        ["--self-check"] => self_check().map(|()| true),
+        ["metrics", paths @ ..] => {
+            metrics(paths);
+            Ok(true)
+        }
         ["--help"] | ["-h"] | [] => {
             println!("{USAGE}");
             Ok(true)
@@ -339,97 +346,158 @@ fn replay(doc: &Json, threads: usize) -> Result<bool, String> {
     }
 }
 
-// ---------------------------------------------------------- self-check
+// ------------------------------------------------------------- metrics
 
-/// The spec the self-check runs: FR6 on a 4×4 mesh where every
-/// eastbound link out of column 0 dies at cycle 0. Packets injected in
-/// column 0 for destinations east of it can never deliver, so once the
-/// deliverable traffic drains the network makes no progress with
-/// packets still in flight — the constructed livelock the progress
-/// watchdog must catch.
-fn livelock_spec() -> RunSpec {
-    let mesh = Mesh::new(4, 4);
-    let mut spec = RunSpec::fr6_small(0xDEAD_0001);
-    spec.watchdog = Some(500);
-    spec.fault = Some(FaultPlan {
-        dead_links: (0..4)
-            .map(|y| DeadLink {
-                node: mesh.node_at(0, y),
-                port: Port::East,
-                at_cycle: 0,
-            })
-            .collect(),
-        ..FaultPlan::quiet(0xFA_11)
-    });
-    spec
+/// Renders metrics exports: per file a header and an occupancy heatmap,
+/// then one utilization-vs-load table across all files. Unreadable
+/// files are skipped with a warning.
+fn metrics(paths: &[&str]) {
+    let paths: Vec<String> = if paths.is_empty() {
+        scan_results_dir()
+    } else {
+        paths.iter().map(|p| p.to_string()).collect()
+    };
+    if paths.is_empty() {
+        println!(
+            "no *.metrics.json exports found in {} — run a bin with metrics \
+             enabled first (e.g. `smoke --metrics`)",
+            results_dir().display()
+        );
+        return;
+    }
+    let exports: Vec<(String, Json)> = paths
+        .into_iter()
+        .filter_map(|path| match load(&path) {
+            Ok(doc) => Some((path, doc)),
+            Err(e) => {
+                eprintln!("frfc-inspect: {e}; skipping it");
+                None
+            }
+        })
+        .collect();
+    for (path, doc) in &exports {
+        show_export(path, doc);
+    }
+    if !exports.is_empty() {
+        print_load_table(&exports);
+    }
 }
 
-/// End-to-end validation of the blackbox layer, run by CI: the watchdog
-/// fires on a dead-link livelock, the sidecar round-trips through disk,
-/// diffs clean against itself, and replays to an identical state digest
-/// at 1, 4 and 8 threads.
-fn self_check() -> Result<(), String> {
-    println!("frfc-inspect self-check");
-    let spec = livelock_spec();
-    println!(
-        "  [1/4] running the dead-link livelock (watchdog {} cycles) ...",
-        spec.watchdog.unwrap_or(0)
-    );
-    let run = spec
-        .run()?
-        .blackbox
-        .ok_or("blackbox spec produced no outcome")?;
-    if run.trigger != Trigger::Watchdog {
-        return Err(format!(
-            "expected the watchdog to trip, got {:?} after {} cycles ({})",
-            run.trigger, run.cycles, run.detail
-        ));
-    }
-    let sidecar = run
-        .sidecar
-        .ok_or("watchdog tripped but no sidecar was captured")?;
-    println!("        tripped at cycle {}: {}", run.cycles, run.detail);
+/// Every `*.metrics.json` in the results directory, sorted.
+fn scan_results_dir() -> Vec<String> {
+    let mut paths: Vec<String> = std::fs::read_dir(results_dir())
+        .map(|entries| {
+            entries
+                .filter_map(Result::ok)
+                .map(|e| e.path().display().to_string())
+                .filter(|p| p.ends_with(".metrics.json"))
+                .collect()
+        })
+        .unwrap_or_default();
+    paths.sort();
+    paths
+}
 
-    println!("  [2/4] round-tripping the sidecar through disk ...");
-    let dir = std::env::var("FRFC_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let dir = Path::new(&dir).join("state");
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let path = dir.join("self-check.json");
-    write_json_file(&path, &sidecar).map_err(|e| format!("cannot write sidecar: {e}"))?;
-    let reloaded = load(path.to_str().unwrap_or_default())?;
-    let round_trip = json_diff(&sidecar, &reloaded);
-    if !round_trip.is_empty() {
-        print_diffs(&round_trip);
-        return Err(format!(
-            "sidecar changed across the disk round trip ({} diffs)",
-            round_trip.len()
-        ));
-    }
-    println!("        wrote and reloaded {} — identical", path.display());
+fn counter(doc: &Json, key: &str) -> Option<u64> {
+    doc.get("counters").and_then(|c| num(c, key))
+}
 
+fn gauge(doc: &Json, key: &str) -> Option<f64> {
+    doc.get("gauges")?.get(key)?.as_f64()
+}
+
+/// One export's header, mesh summary, occupancy heatmap and
+/// reservation counts.
+fn show_export(path: &str, doc: &Json) {
+    let m = doc.get("manifest").unwrap_or(&Json::Null);
+    println!("\n=== {path} ===");
     println!(
-        "  [3/4] replaying to cycle {} at 1/4/8 threads ...",
-        run.cycles
+        "  {} | config {} | scale {} | seed {} | git {} ",
+        text(m, "experiment"),
+        text(m, "config"),
+        text(m, "scale"),
+        num(m, "seed").unwrap_or(0),
+        text(m, "git_rev"),
     );
-    for threads in [1usize, 4, 8] {
-        let report = replay_to_cycle(&reloaded, threads)?;
-        if !report.matches() {
-            print_diffs(&report.diffs);
-            return Err(format!(
-                "replay at {threads} threads diverged: expected {} got {}",
-                report.expected_digest, report.live_digest
-            ));
-        }
+    if let (Some(cycles), Some(routers)) = (counter(doc, "net.cycles"), counter(doc, "net.routers"))
+    {
+        let idle_skip = gauge(doc, "net.idle_skip_fraction").unwrap_or(0.0);
         println!(
-            "        {} thread(s): digest {} — match",
-            threads, report.live_digest
+            "  {cycles} cycles, {routers} routers, idle-skip {:.1}%",
+            idle_skip * 100.0
         );
     }
+    show_heatmap(doc);
+    let hits = counter(doc, "total.reservation_hits").unwrap_or(0);
+    let misses = counter(doc, "total.reservation_misses").unwrap_or(0);
+    let zt = counter(doc, "total.zero_turnaround_departures").unwrap_or(0);
+    if hits + misses + zt > 0 {
+        println!("  reservations: {hits} hits, {misses} misses, {zt} zero-turnaround departures");
+    }
+}
 
-    println!("  [4/4] rendering the dump ...\n");
-    show(&reloaded);
-    println!("\nself-check: PASS");
-    Ok(())
+/// Mean buffer occupancy of router `i`, averaged over its input ports
+/// (0..=1), from the per-port `router.<i>.<port>.occupancy_avg` gauges.
+fn router_occupancy(doc: &Json, i: u64) -> Option<f64> {
+    let prefix = format!("router.{i}.");
+    let mut sum = 0.0;
+    let mut n = 0u32;
+    for (key, value) in doc.get("gauges")?.entries()? {
+        if let Some(rest) = key.strip_prefix(&prefix) {
+            if rest.ends_with(".occupancy_avg") {
+                sum += value.as_f64()?;
+                n += 1;
+            }
+        }
+    }
+    (n > 0).then(|| sum / f64::from(n))
+}
+
+fn show_heatmap(doc: &Json) {
+    let (Some(width), Some(height)) = (
+        counter(doc, "net.mesh_width"),
+        counter(doc, "net.mesh_height"),
+    ) else {
+        println!("  (no mesh dimensions in export — heatmap skipped)");
+        return;
+    };
+    println!("  per-router mean buffer occupancy (%):");
+    for y in 0..height {
+        print!("   ");
+        for x in 0..width {
+            match router_occupancy(doc, y * width + x) {
+                Some(occ) => print!(" {:>3.0}", occ * 100.0),
+                None => print!("   ."),
+            }
+        }
+        println!();
+    }
+}
+
+fn print_load_table(exports: &[(String, Json)]) {
+    println!(
+        "\n{:<28} {:>8} {:>9} {:>9} {:>10} {:>10} {:>10}",
+        "file", "offered", "accepted", "data-util", "ctrl-util", "res-hits", "zero-turn"
+    );
+    for (path, doc) in exports {
+        let name = Path::new(path)
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or("?")
+            .trim_end_matches(".metrics.json");
+        let pct =
+            |v: Option<f64>| v.map_or_else(|| "-".to_string(), |v| format!("{:.1}%", v * 100.0));
+        let cnt = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |v| v.to_string());
+        println!(
+            "{name:<28} {:>8} {:>9} {:>9} {:>10} {:>10} {:>10}",
+            pct(gauge(doc, "run.offered_fraction")),
+            pct(gauge(doc, "run.accepted_fraction")),
+            pct(gauge(doc, "net.mean_data_link_utilization")),
+            pct(gauge(doc, "net.mean_control_link_utilization")),
+            cnt(counter(doc, "total.reservation_hits")),
+            cnt(counter(doc, "total.zero_turnaround_departures")),
+        );
+    }
 }
 
 #[cfg(test)]
@@ -440,6 +508,7 @@ mod tests {
     use noc_engine::Rng;
     use noc_metrics::RunManifest;
     use noc_network::{capture_at_cycle, FlowControl};
+    use noc_topology::Mesh;
 
     /// A real crash sidecar and a real metrics export.
     fn real_documents() -> [Json; 2] {
@@ -500,8 +569,8 @@ mod tests {
 
     /// Cutting a real sidecar or metrics export anywhere, replacing any
     /// one of its values, or overwriting any one byte never panics:
-    /// `Json::parse` either rejects the text or `show` and `diff` render
-    /// the parsed document.
+    /// `Json::parse` either rejects the text or `show`, `diff` and the
+    /// `metrics` view render the parsed document.
     #[test]
     fn truncated_and_mutated_documents_never_panic() {
         let docs = real_documents();
@@ -539,6 +608,9 @@ mod tests {
                 show(&parsed);
                 diff(doc, &parsed, "original", "mutated");
                 diff(&parsed, doc, "mutated", "original");
+                let exports = [("mutated.metrics.json".to_string(), parsed)];
+                show_export(&exports[0].0, &exports[0].1);
+                print_load_table(&exports);
             },
         );
     }

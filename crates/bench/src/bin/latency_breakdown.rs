@@ -23,7 +23,7 @@
 use noc_bench::report::{manifest, write_chrome_trace, write_rows_json};
 use noc_bench::{seed_from_env, Scale};
 use noc_metrics::Json;
-use noc_network::{FlowControl, RunSpec};
+use noc_network::{FlowControl, RunSpec, SimConfig};
 use noc_provenance::{chrome_trace, Phase, ProvenanceReport};
 use noc_topology::Mesh;
 
@@ -36,35 +36,47 @@ fn sample_every() -> u64 {
         .unwrap_or(4)
 }
 
-fn parse_args() -> (Vec<f64>, Option<String>) {
+/// `--loads` and `--trace-out` from `argv` (program name excluded).
+fn parse_args(argv: &[String]) -> Result<(Vec<f64>, Option<String>), String> {
     let mut loads = vec![0.10, 0.55];
     let mut trace_out = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = argv.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--loads" => {
-                let spec = args
-                    .next()
-                    .unwrap_or_else(|| usage("--loads needs a value"));
+                let spec = args.next().ok_or("--loads needs a value")?;
                 loads = spec
                     .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .unwrap_or_else(|_| usage("--loads wants comma-separated fractions"))
-                    })
-                    .collect();
+                    .map(|s| s.trim().parse())
+                    .collect::<Result<_, _>>()
+                    .map_err(|_| "--loads wants comma-separated fractions")?;
             }
             "--trace-out" => {
-                trace_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--trace-out needs a name")),
-                );
+                trace_out = Some(args.next().ok_or("--trace-out needs a name")?.clone());
             }
-            other => usage(&format!("unknown flag {other}")),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    (loads, trace_out)
+    Ok((loads, trace_out))
+}
+
+/// One traced run per (config, load) on the 8x8 mesh, VC8's loads
+/// first, each validated so a bad load is an error before any run.
+fn provenance_specs(loads: &[f64], sim: SimConfig, sample: u64) -> Result<Vec<RunSpec>, String> {
+    let mesh = Mesh::new(8, 8);
+    let mut specs = Vec::new();
+    for fc in [FlowControl::vc8(), FlowControl::fr6()] {
+        for &load in loads {
+            let spec = RunSpec {
+                provenance_sample_every: Some(sample),
+                ..RunSpec::new(fc.clone(), mesh, load, 5, sim)
+            };
+            spec.validate()
+                .map_err(|e| format!("--loads {load}: {e}"))?;
+            specs.push(spec);
+        }
+    }
+    Ok(specs)
 }
 
 fn usage(msg: &str) -> ! {
@@ -118,13 +130,12 @@ fn mean_of(report: &ProvenanceReport, phase: Phase) -> f64 {
 }
 
 fn main() {
-    let (loads, trace_out) = parse_args();
-    let mesh = Mesh::new(8, 8);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (loads, trace_out) = parse_args(&argv).unwrap_or_else(|e| usage(&e));
     let scale = Scale::from_env();
     let seed = seed_from_env();
-    let sim = scale.sim(seed);
-    let sample = sample_every();
-    let configs = [FlowControl::vc8(), FlowControl::fr6()];
+    let specs =
+        provenance_specs(&loads, scale.sim(seed), sample_every()).unwrap_or_else(|e| usage(&e));
 
     println!("Latency provenance: per-phase attribution, 8x8 mesh, 5-flit packets, fast control");
     println!("(FR moves routing into the control lead and drops credit/turnaround stalls to ~0)");
@@ -132,46 +143,39 @@ fn main() {
     let mut rows: Vec<(String, Vec<(String, Json)>)> = Vec::new();
     // (load, label) -> credit-stall mean, for the headline comparison.
     let mut credit_means: Vec<(f64, String, f64)> = Vec::new();
-    for fc in &configs {
-        let label = fc.label();
-        for &load in &loads {
-            let out = RunSpec {
-                provenance_sample_every: Some(sample),
-                ..RunSpec::new(fc.clone(), mesh, load, 5, sim)
-            }
-            .run()
-            .expect("provenance specs are valid");
-            let (result, report) = (out.result.expect("result"), out.provenance.expect("report"));
-            assert_eq!(
-                report.malformed, 0,
-                "{label}@{load}: provenance reconstruction is malformed"
-            );
-            print_table(&label, load, &report);
-            if !result.completed {
-                println!("  (run saturated; attribution covers delivered flits only)");
-            }
-            credit_means.push((load, label.clone(), mean_of(&report, Phase::CreditStall)));
-            if let Some(name) = &trace_out {
-                let doc = chrome_trace(&report, mesh.width());
-                write_chrome_trace(&format!("{name}-{}-{load:.2}", label.to_lowercase()), &doc);
-            }
-            let mut cells: Vec<(String, Json)> = vec![
-                ("offered".into(), Json::Num(load)),
-                ("records".into(), Json::Num(report.records.len() as f64)),
-                (
-                    "mean_end_to_end".into(),
-                    Json::Num(report.mean_end_to_end()),
-                ),
-            ];
-            for row in report.phase_table() {
-                cells.push((format!("mean_{}", row.phase.name()), Json::Num(row.mean)));
-                cells.push((
-                    format!("p95_{}", row.phase.name()),
-                    Json::Num(row.p95 as f64),
-                ));
-            }
-            rows.push((format!("{label}@{load:.2}"), cells));
+    for spec in &specs {
+        let (label, load) = (spec.flow.label(), spec.load);
+        let out = spec.run().expect("provenance specs are validated");
+        let (result, report) = (out.result.expect("result"), out.provenance.expect("report"));
+        assert_eq!(
+            report.malformed, 0,
+            "{label}@{load}: provenance reconstruction is malformed"
+        );
+        print_table(&label, load, &report);
+        if !result.completed {
+            println!("  (run saturated; attribution covers delivered flits only)");
         }
+        credit_means.push((load, label.clone(), mean_of(&report, Phase::CreditStall)));
+        if let Some(name) = &trace_out {
+            let doc = chrome_trace(&report, spec.mesh_width);
+            write_chrome_trace(&format!("{name}-{}-{load:.2}", label.to_lowercase()), &doc);
+        }
+        let mut cells: Vec<(String, Json)> = vec![
+            ("offered".into(), Json::Num(load)),
+            ("records".into(), Json::Num(report.records.len() as f64)),
+            (
+                "mean_end_to_end".into(),
+                Json::Num(report.mean_end_to_end()),
+            ),
+        ];
+        for row in report.phase_table() {
+            cells.push((format!("mean_{}", row.phase.name()), Json::Num(row.mean)));
+            cells.push((
+                format!("p95_{}", row.phase.name()),
+                Json::Num(row.p95 as f64),
+            ));
+        }
+        rows.push((format!("{label}@{load:.2}"), cells));
     }
 
     // The paper's headline claim, per load point: FR pre-reserves
@@ -196,4 +200,31 @@ fn main() {
 
     let m = manifest("latency_breakdown", scale, seed, "VC8/FR6");
     write_rows_json(&m, &rows);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn specs_of(flags: &str) -> Result<Vec<RunSpec>, String> {
+        let argv: Vec<String> = flags.split_whitespace().map(String::from).collect();
+        parse_args(&argv).and_then(|(loads, _)| provenance_specs(&loads, Scale::Tiny.sim(7), 4))
+    }
+
+    #[test]
+    fn hostile_flags_are_errors_not_panics() {
+        for flags in [
+            "--loads 0",
+            "--loads 2.5",
+            "--loads NaN",
+            "--loads 0.1,-0.2",
+            "--loads 0.1,,0.5",
+            "--loads",
+            "--trace-out",
+            "--threads 2",
+        ] {
+            assert!(specs_of(flags).is_err(), "{flags} must be rejected");
+        }
+        assert_eq!(specs_of("--loads 0.2,1.5").map(|s| s.len()), Ok(4));
+    }
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Regenerates every table and figure of the paper, plus the fault-rate
-# degradation sweep, writing text output and JSON sidecars under the
+# degradation sweep, the latency attribution and the windowed-telemetry
+# dashboard, writing text output and JSON sidecars under the
 # results directory plus a results/manifest.json record of the run
 # (scale, seed, toolchain, per-bin wall time).
 #
@@ -33,7 +34,7 @@ TIMINGS=""
 for bin in table1 table2 fig5 fig6 fig7 fig8 fig9 table3 occupancy \
            ablation_scheduling ablation_shared_pool ablation_transfers \
            related_work ext_bursty ext_errors ext_sync_margin \
-           fault_sweep telemetry_report; do
+           fault_sweep latency_breakdown telemetry_report; do
     echo "=== $bin (scale: $SCALE, seed: $SEED) ==="
     BIN_START="$(date +%s)"
     # Redirect into the .txt instead of piping through tee: a pipeline
@@ -53,23 +54,6 @@ for bin in table1 table2 fig5 fig6 fig7 fig8 fig9 table3 occupancy \
     TIMINGS="${TIMINGS:+$TIMINGS, }$ENTRY"
 done
 
-# Blackbox self-check: the dead-link livelock must trip the progress
-# watchdog, and the resulting crash sidecar must replay bit-for-bit at
-# 1/4/8 threads. Writes $RESULTS/state/self-check.json.
-echo "=== frfc-inspect --self-check ==="
-BIN_START="$(date +%s)"
-if cargo run --release -q -p noc-bench --bin frfc-inspect -- --self-check \
-    >"$RESULTS/frfc-inspect.txt" 2>&1; then
-    cat "$RESULTS/frfc-inspect.txt"
-else
-    STATUS=$?
-    cat "$RESULTS/frfc-inspect.txt"
-    echo "FAILED: frfc-inspect --self-check exited with status $STATUS" >&2
-    exit "$STATUS"
-fi
-BIN_WALL=$(( $(date +%s) - BIN_START ))
-TIMINGS="${TIMINGS:+$TIMINGS, }{\"bin\": \"frfc-inspect\", \"wall_s\": $BIN_WALL}"
-
 TOTAL_WALL=$(( $(date +%s) - RUN_START ))
 
 # Telemetry sidecars the run produced (windowed metrics export, runtime
@@ -81,16 +65,6 @@ for f in telemetry.metrics.json telemetry.profile.json telemetry.trace.json; do
     fi
 done
 
-# Crash/state sidecars under $RESULTS/state/: the self-check's livelock
-# capture plus anything frfc-sim's blackbox mode dumped there.
-STATE_SIDECARS=""
-if [ -d "$RESULTS/state" ]; then
-    for f in "$RESULTS"/state/*.json; do
-        [ -s "$f" ] || continue
-        STATE_SIDECARS="${STATE_SIDECARS:+$STATE_SIDECARS, }\"state/$(basename "$f")\""
-    done
-fi
-
 cat >"$RESULTS/manifest.json" <<EOF
 {
   "schema_version": 1,
@@ -100,8 +74,7 @@ cat >"$RESULTS/manifest.json" <<EOF
   "toolchain": "$TOOLCHAIN",
   "total_wall_s": $TOTAL_WALL,
   "bins": [$TIMINGS],
-  "telemetry_sidecars": [$SIDECARS],
-  "state_sidecars": [$STATE_SIDECARS]
+  "telemetry_sidecars": [$SIDECARS]
 }
 EOF
 echo "wrote $RESULTS/manifest.json (total ${TOTAL_WALL}s)"

@@ -432,6 +432,28 @@ mod tests {
         assert_eq!(observers_cleared, plain);
     }
 
+    /// The blackbox state digests a refactor of the build path must
+    /// keep: the state `--dump-state-out` captures at the final cycle of
+    /// a clean run, exactly as `run_blackbox_mode` writes it.
+    #[test]
+    fn blackbox_state_digests_are_pinned() {
+        for (flow, digest) in [("fr6", "634ec15879472cc3"), ("vc8", "b9a2a7b4fbf8da87")] {
+            let spec = spec_of(&format!(
+                "--flow {flow} --mesh 4x4 --load 0.3 --scale tiny --watchdog 500 \
+                 --dump-state-out unused.json"
+            ))
+            .expect("blackbox spec");
+            let run = spec.run().expect("run").blackbox.expect("blackbox outcome");
+            assert_eq!(run.trigger, Trigger::Completed, "{flow}: {}", run.detail);
+            let sidecar = capture_at_cycle(&spec, run.cycles).expect("capture");
+            assert_eq!(
+                sidecar.get("state_digest").and_then(Json::as_str),
+                Some(digest),
+                "{flow}: blackbox state digest moved"
+            );
+        }
+    }
+
     #[test]
     fn hostile_flags_are_errors_not_panics() {
         for flags in [

@@ -145,10 +145,10 @@ fn replay_digest_matches_under_an_active_fault_plan() {
     }
 }
 
-/// The livelock `frfc-inspect --self-check` also runs: cutting every
-/// eastbound link out of column 0 strands eastbound traffic injected
-/// there, so after the deliverable packets drain the network makes no
-/// progress with packets still in flight.
+/// A constructed livelock: cutting every eastbound link out of column 0
+/// strands eastbound traffic injected there, so after the deliverable
+/// packets drain the network makes no progress with packets still in
+/// flight.
 fn livelock_spec() -> RunSpec {
     let mesh = Mesh::new(MESH.0, MESH.1);
     let mut spec = RunSpec::fr6_small(0xDEAD_0001);
@@ -167,7 +167,8 @@ fn livelock_spec() -> RunSpec {
 }
 
 /// The watchdog catches the constructed livelock, and the crash sidecar
-/// survives a text round trip and replays bit for bit.
+/// survives a text round trip and replays bit for bit at 1, 4 and 8
+/// threads.
 #[test]
 fn watchdog_catches_a_dead_link_livelock() {
     let run = livelock_spec()
@@ -204,7 +205,7 @@ fn watchdog_catches_a_dead_link_livelock() {
         "sidecar changed across the text round trip"
     );
 
-    for threads in [1usize, 4] {
+    for threads in [1usize, 4, 8] {
         let report = replay_to_cycle(&reparsed, threads).expect("replay");
         assert!(
             report.matches(),

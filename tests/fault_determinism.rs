@@ -58,18 +58,20 @@ fn trace(flow: &FlowControl, load: f64, seed: u64, plan: Option<&FaultPlan>) -> 
     shared.into_inner().into_events()
 }
 
-/// Stripped metrics export of one metered methodology run at load 0.4.
+/// Stripped metrics export of one metered methodology run at load 0.4,
+/// which must complete: every measured packet drains, faults or not.
 fn export(flow: FlowControl, sim: SimConfig, plan: Option<FaultPlan>, config: String) -> Json {
     let spec = RunSpec {
         metrics_period: Some(64),
         fault: plan,
         ..RunSpec::new(flow, Mesh::new(4, 4), 0.4, 5, sim)
     };
-    let registry = spec
-        .run()
-        .expect("valid spec")
-        .registry
-        .expect("metered run");
+    let out = spec.run().expect("valid spec");
+    assert!(
+        out.result.expect("methodology result").completed,
+        "{config}: the run saturated"
+    );
+    let registry = out.registry.expect("metered run");
     let mut manifest = RunManifest::new("fault_determinism", sim.seed, "test", "");
     manifest.config = config;
     let mut doc = registry.to_json(&manifest);

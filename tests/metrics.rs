@@ -17,6 +17,28 @@ use noc_metrics::{strip_nondeterministic, Json, RunManifest};
 use noc_network::{FlowControl, SimConfig};
 use noc_topology::Mesh;
 
+/// The export's run context matches the run: `run.offered_fraction` is
+/// the offered load, and mean data-link utilization stays below twice
+/// the offered load plus slack for warm-up and drain traffic.
+fn assert_export_matches_offered_load(label: &str, doc: &Json, offered: f64) {
+    let gauge = |key: &str| {
+        doc.get("gauges")
+            .and_then(|g| g.get(key))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("{label}: export lacks gauge {key}"))
+    };
+    let run_offered = gauge("run.offered_fraction");
+    assert!(
+        (run_offered - offered).abs() < 1e-9,
+        "{label}: run.offered_fraction {run_offered} != {offered}"
+    );
+    let util = gauge("net.mean_data_link_utilization");
+    assert!(
+        util < offered * 2.0 + 0.05,
+        "{label}: data-link utilization {util} inconsistent with offered load {offered}"
+    );
+}
+
 fn tiny_sim(seed: u64) -> SimConfig {
     let mut sim = SimConfig::quick(seed);
     sim.sample_packets = 300;
@@ -109,6 +131,7 @@ fn fr_run_records_reservation_signature() {
     let doc = reg.to_json(&RunManifest::new("test", 23, "tiny", "FR6"));
     let reparsed = Json::parse(&doc.render()).expect("export round-trips");
     assert_eq!(doc.render(), reparsed.render());
+    assert_export_matches_offered_load("FR6", &reparsed, load);
 }
 
 #[test]
@@ -128,4 +151,6 @@ fn vc_run_records_stall_and_utilization_metrics() {
     );
     // Credit flits flow on a credit-based network.
     assert!(reg.counter("total.link_credit_flits") > 0);
+    let doc = reg.to_json(&RunManifest::new("test", 29, "tiny", "VC8"));
+    assert_export_matches_offered_load("VC8", &doc, load);
 }

@@ -11,7 +11,10 @@
 //!   tracker's ground-truth latencies;
 //! * structural claims: FR data flits are never charged credit-stall or
 //!   route-compute cycles (both happen on the control network);
-//! * determinism: same-seed runs export byte-identical Chrome traces;
+//! * zero perturbation: a traced run's `RunResult` equals the plain
+//!   run's at the same seed;
+//! * determinism: same-seed runs export byte-identical Chrome traces,
+//!   and every phase tile of an export nests inside its hop span;
 //! * exhaustiveness: `stall_phase` maps exactly the stall-marker trace
 //!   kinds (the compile-time guard that every `TraceKind` variant has a
 //!   decided provenance treatment).
@@ -19,9 +22,11 @@
 use frfc::engine::propcheck::{check, AnyBool};
 use frfc::engine::trace::TraceKind;
 use frfc::engine::warmup::WarmupConfig;
+use frfc::metrics::Json;
 use frfc::network::{FlowControl, RunSpec, SimConfig};
 use frfc::provenance::{chrome_trace, stall_phase, Phase, ProvenanceReport};
 use frfc::topology::Mesh;
+use std::collections::BTreeMap;
 
 /// A seconds-fast measurement config on the 4x4 mesh.
 fn tiny_sim(seed: u64) -> SimConfig {
@@ -78,7 +83,7 @@ fn assert_well_formed(label: &str, report: &ProvenanceReport) {
     // The delivery tracker pegs a packet's latency to its last-ejected
     // flit (FR flits may eject out of seq order), so the max record
     // ejection per packet must reproduce the tracker's ground truth.
-    let mut last_eject = std::collections::BTreeMap::new();
+    let mut last_eject = BTreeMap::new();
     for r in &report.records {
         let e = last_eject.entry(r.packet).or_insert((r.created, 0u64));
         e.1 = e.1.max(r.ejected);
@@ -94,9 +99,66 @@ fn assert_well_formed(label: &str, report: &ProvenanceReport) {
     }
 }
 
+/// Checks a parsed Chrome export against the trace-event contract:
+/// every event is named and carries `ph` (`X` or `M`) and `pid`,
+/// complete events carry `ts`, `dur` and `tid`, and every phase tile
+/// lies inside a `pkt` hop span on the same (pid, tid) track.
+fn assert_tiles_nest_in_hop_spans(label: &str, doc: &Json) {
+    let tile_names = [
+        Phase::RouteCompute,
+        Phase::VcAllocStall,
+        Phase::CreditStall,
+        Phase::BufferWait,
+        Phase::SwitchTraversal,
+        Phase::Ejection,
+    ]
+    .map(Phase::name);
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .unwrap_or_else(|| panic!("{label}: export has no traceEvents array"));
+    let mut hops: BTreeMap<(u64, u64), Vec<(u64, u64)>> = BTreeMap::new();
+    let mut tiles: Vec<((u64, u64), (u64, u64))> = Vec::new();
+    for e in events {
+        let name = e
+            .get("name")
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("{label}: event without a name"));
+        let field = |key: &str| {
+            e.get(key)
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("{label}: event {name} without {key}"))
+        };
+        let ph = e.get("ph").and_then(Json::as_str);
+        assert!(
+            matches!(ph, Some("X" | "M")),
+            "{label}: event {name} has phase {ph:?}"
+        );
+        let pid = field("pid");
+        if ph != Some("X") {
+            continue;
+        }
+        let (ts, dur, tid) = (field("ts"), field("dur"), field("tid"));
+        if name.starts_with("pkt ") {
+            hops.entry((pid, tid)).or_default().push((ts, ts + dur));
+        } else if tile_names.contains(&name) {
+            tiles.push(((pid, tid), (ts, ts + dur)));
+        }
+    }
+    assert!(!hops.is_empty(), "{label}: export has no hop spans");
+    for (track, (start, end)) in tiles {
+        assert!(
+            hops.get(&track)
+                .is_some_and(|spans| spans.iter().any(|&(s, e)| s <= start && end <= e)),
+            "{label}: phase tile [{start}, {end}) on track {track:?} is not nested in any hop span"
+        );
+    }
+}
+
 /// Randomized runs of both flow controls: spans close, components sum
-/// exactly, FR is structurally free of credit/route cycles, and the
-/// Chrome export is byte-stable across same-seed runs.
+/// exactly, FR is structurally free of credit/route cycles, tracing
+/// does not perturb the run, and the Chrome export nests its phase
+/// tiles and is byte-stable across same-seed runs.
 #[test]
 fn traced_runs_are_well_formed_and_deterministic() {
     let mesh = Mesh::new(4, 4);
@@ -114,9 +176,23 @@ fn traced_runs_are_well_formed_and_deterministic() {
             provenance_sample_every: Some(sample_every),
             ..RunSpec::new(fc.clone(), mesh, load, 5, sim)
         };
-        let traced = || spec.run().expect("valid spec").provenance.expect("report");
-        let report = traced();
+        let traced = || spec.run().expect("valid spec");
+        let out = traced();
+        let (result, report) = (out.result.expect("result"), out.provenance.expect("report"));
         assert_well_formed(&label, &report);
+        let plain = fc.run(mesh, load, 5, &sim);
+        assert_eq!(plain.delivered, result.delivered, "{label}: delivered");
+        assert_eq!(plain.end_cycle, result.end_cycle, "{label}: end cycle");
+        assert_eq!(
+            plain.mean_latency().to_bits(),
+            result.mean_latency().to_bits(),
+            "{label}: tracing changed the measured latency"
+        );
+        assert_eq!(
+            plain.accepted_fraction.to_bits(),
+            result.accepted_fraction.to_bits(),
+            "{label}: tracing changed the accepted throughput"
+        );
         if use_fr {
             for r in &report.records {
                 assert_eq!(
@@ -131,10 +207,13 @@ fn traced_runs_are_well_formed_and_deterministic() {
                 );
             }
         }
+        let export = chrome_trace(&report, mesh.width()).render();
+        let parsed = Json::parse(&export).expect("the Chrome export parses");
+        assert_tiles_nest_in_hop_spans(&label, &parsed);
         // Byte-identical export on a same-seed rerun.
-        let report2 = traced();
+        let report2 = traced().provenance.expect("report");
         assert_eq!(
-            chrome_trace(&report, mesh.width()).render(),
+            export,
             chrome_trace(&report2, mesh.width()).render(),
             "{label}: same-seed export differs"
         );

@@ -17,7 +17,7 @@
 //! On top sit the accounting identities: every Sum window's values must
 //! sum exactly to the aggregate counter of the same name, and the
 //! profiler must attribute the engine's measured wall-clock to named
-//! phases.
+//! phases. Real exports also carry the documented window shape.
 
 mod common;
 
@@ -27,7 +27,7 @@ use common::{
 };
 use frfc::engine::propcheck::{check, vec_of};
 use frfc::engine::trace::{NullSink, VecSink};
-use frfc::metrics::{strip_nondeterministic, MetricsRegistry, RunManifest, WindowKind};
+use frfc::metrics::{strip_nondeterministic, Json, MetricsRegistry, RunManifest, WindowKind};
 use frfc::network::{AnyNetwork, FlowControl, RunOutput, RunSpec, ShardPlan};
 use frfc::topology::Mesh;
 
@@ -103,6 +103,26 @@ fn stripped_export(fc: &FlowControl, load: f64, seed: u64, threads: usize) -> St
     doc.render()
 }
 
+/// A rendered export parses, and its `windows` object carries the
+/// offered/ejected flit and p95-latency windows in the documented shape.
+fn assert_windows_schema(label: &str, export: &str) {
+    let doc = Json::parse(export).expect("telemetry export is valid JSON");
+    let windows = doc
+        .get("windows")
+        .unwrap_or_else(|| panic!("{label}: export carries no windows object"));
+    for key in ["net.offered_flits", "net.ejected_flits", "latency.p95"] {
+        let w = windows
+            .get(key)
+            .unwrap_or_else(|| panic!("{label}: windows object is missing {key}"));
+        for field in ["kind", "log2", "start", "values"] {
+            assert!(
+                w.get(field).is_some(),
+                "{label}: window {key} is missing {field}"
+            );
+        }
+    }
+}
+
 #[test]
 fn windowed_export_is_byte_identical_across_thread_counts() {
     for fc in families() {
@@ -110,10 +130,7 @@ fn windowed_export_is_byte_identical_across_thread_counts() {
         for (i, &load) in LOADS.iter().enumerate() {
             let seed = 0x7E1E + i as u64;
             let base = stripped_export(&fc, load, seed, 1);
-            assert!(
-                base.contains("\"windows\""),
-                "{label}@{load}: export carries no windows object"
-            );
+            assert_windows_schema(&format!("{label}@{load}"), &base);
             for &threads in &thread_matrix()[1..] {
                 let export = stripped_export(&fc, load, seed, threads);
                 assert_eq!(
