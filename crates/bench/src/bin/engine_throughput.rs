@@ -39,7 +39,7 @@
 //! `--quick` (or set `FRFC_SCALE=tiny`) for a seconds-long smoke run —
 //! CI uses this to keep the harness from bit-rotting.
 
-use noc_bench::seed_from_env;
+use noc_bench::{seed_from_env, Scale};
 use noc_engine::trace::NullSink;
 use noc_engine::Rng;
 use noc_metrics::NullRecorder;
@@ -124,8 +124,7 @@ fn json_escape(s: &str) -> String {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("FRFC_SCALE").as_deref() == Ok("tiny");
+    let quick = Scale::from_env() == Scale::Tiny || std::env::args().any(|a| a == "--quick");
     let seed = seed_from_env();
     let mesh = Mesh::new(8, 8);
     let (warmup, measure) = if quick { (500, 2_000) } else { (5_000, 50_000) };

@@ -4,12 +4,16 @@
 //! paper. Each `[[bin]]` target prints the same rows/series the paper
 //! reports; `cargo run -p noc-bench --release --bin fig5` etc.
 //!
-//! All simulation harnesses honour two environment variables:
+//! All simulation harnesses honour three environment variables:
 //!
 //! * `FRFC_SCALE` — `tiny` (seconds, CI), `quick` (default, ~minutes) or
 //!   `paper` (the paper's 10k-cycle warm-up / 100k-packet samples; hours
 //!   on one core);
-//! * `FRFC_SEED` — root seed (default 2000, the publication year).
+//! * `FRFC_SEED` — root seed (default 2000, the publication year);
+//! * `FRFC_THREADS` — sweep worker threads (see [`sweep_threads`]).
+//!
+//! A bad value makes the bin print one line naming the variable and
+//! exit with status 2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,18 +35,22 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `FRFC_SCALE` (default `quick`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value.
-    pub fn from_env() -> Scale {
-        match std::env::var("FRFC_SCALE").as_deref() {
-            Ok("tiny") => Scale::Tiny,
-            Ok("paper") => Scale::Paper,
-            Ok("quick") | Err(_) => Scale::Quick,
-            Ok(other) => panic!("FRFC_SCALE must be tiny|quick|paper, got {other}"),
+    /// Parses a `FRFC_SCALE` value; unset means `quick`.
+    fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            Some("tiny") => Ok(Scale::Tiny),
+            Some("paper") => Ok(Scale::Paper),
+            Some("quick") | None => Ok(Scale::Quick),
+            Some(other) => Err(format!(
+                "FRFC_SCALE must be tiny|quick|paper, got {other:?}"
+            )),
         }
+    }
+
+    /// Reads `FRFC_SCALE` (default `quick`), exiting with status 2 on a
+    /// bad value.
+    pub fn from_env() -> Scale {
+        env_or_exit("FRFC_SCALE", Scale::parse)
     }
 
     /// The scale's name as spelled in `FRFC_SCALE` and run manifests.
@@ -75,12 +83,48 @@ impl Scale {
     }
 }
 
-/// Reads the root seed from `FRFC_SEED` (default 2000).
+/// Reads environment variable `name` and parses it with `parse` (which
+/// gets `None` when the variable is unset). On a bad value, prints the
+/// parser's one-line message and exits with status 2, the status the
+/// bins give a bad flag.
+fn env_or_exit<T>(name: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>) -> T {
+    let parsed = match std::env::var(name) {
+        Ok(value) => parse(Some(&value)),
+        Err(std::env::VarError::NotPresent) => parse(None),
+        Err(std::env::VarError::NotUnicode(_)) => Err(format!("{name} is not valid UTF-8")),
+    };
+    parsed.unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
+}
+
+/// Parses a `FRFC_SEED` value; unset means 2000.
+fn parse_seed(value: Option<&str>) -> Result<u64, String> {
+    match value {
+        None => Ok(2000),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("FRFC_SEED must be an unsigned integer, got {v:?}")),
+    }
+}
+
+/// Reads the root seed from `FRFC_SEED` (default 2000), exiting with
+/// status 2 on a bad value.
 pub fn seed_from_env() -> u64 {
-    std::env::var("FRFC_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2000)
+    env_or_exit("FRFC_SEED", parse_seed)
+}
+
+/// Parses a `FRFC_THREADS` value: a thread count, clamped to at least
+/// 1; `None` when unset.
+fn parse_threads(value: Option<&str>) -> Result<Option<usize>, String> {
+    value
+        .map(|v| {
+            v.parse::<usize>()
+                .map(|n| n.max(1))
+                .map_err(|_| format!("FRFC_THREADS must be a thread count, got {v:?}"))
+        })
+        .transpose()
 }
 
 /// Worker threads the experiment bins fan their load sweeps across:
@@ -89,16 +133,13 @@ pub fn seed_from_env() -> u64 {
 /// isolated simulation with its own forked seed, so results are
 /// independent of this count; bins record the value actually used in
 /// their `RunManifest` so wall-clock comparisons stay attributable.
+/// Exits with status 2 on a bad value.
 pub fn sweep_threads() -> usize {
-    if let Ok(v) = std::env::var("FRFC_THREADS") {
-        return v
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("FRFC_THREADS must be a positive integer, got {v}"))
-            .max(1);
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(4))
-        .unwrap_or(1)
+    env_or_exit("FRFC_THREADS", parse_threads).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get().min(4))
+            .unwrap_or(1)
+    })
 }
 
 /// Default offered-load sweep (fractions of capacity) used by the
@@ -197,6 +238,43 @@ mod tests {
         assert!(quick.sample_packets < paper.sample_packets);
         assert_eq!(paper.sample_packets, 100_000);
         assert_eq!(paper.warmup.min_cycles, 10_000);
+    }
+
+    #[test]
+    fn environment_values_parse_or_name_their_variable() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Quick));
+        for scale in [Scale::Tiny, Scale::Quick, Scale::Paper] {
+            assert_eq!(Scale::parse(Some(scale.name())), Ok(scale));
+        }
+        assert_eq!(parse_seed(None), Ok(2000));
+        assert_eq!(parse_seed(Some("7301")), Ok(7301));
+        assert_eq!(parse_threads(None), Ok(None));
+        assert_eq!(parse_threads(Some("4")), Ok(Some(4)));
+        assert_eq!(parse_threads(Some("0")), Ok(Some(1)), "clamped to one");
+        let bad = [
+            Scale::parse(Some("huge")).map(|_| ()),
+            Scale::parse(Some("")).map(|_| ()),
+            parse_seed(Some("x")).map(|_| ()),
+            parse_seed(Some("-1")).map(|_| ()),
+            parse_seed(Some("")).map(|_| ()),
+            parse_threads(Some("x")).map(|_| ()),
+            parse_threads(Some("-2")).map(|_| ()),
+            parse_threads(Some("1.5")).map(|_| ()),
+        ];
+        let names = [
+            "FRFC_SCALE",
+            "FRFC_SCALE",
+            "FRFC_SEED",
+            "FRFC_SEED",
+            "FRFC_SEED",
+        ]
+        .into_iter()
+        .chain(["FRFC_THREADS"; 3]);
+        for (result, name) in bad.into_iter().zip(names) {
+            let message = result.expect_err(name);
+            assert!(message.starts_with(name), "{message}");
+            assert!(!message.contains('\n'), "one line: {message}");
+        }
     }
 
     #[test]

@@ -166,10 +166,12 @@ impl FrConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any field is zero where that is meaningless.
+    /// Panics if any field is zero where that is meaningless, or if a
+    /// control VC id would not fit the `u8` control flits carry.
     pub fn validate(&self) {
         assert!(self.data_buffers > 0, "need at least one data buffer");
         assert!(self.control_vcs > 0, "need at least one control VC");
+        assert!(self.control_vcs <= 256, "control VC ids travel as a u8");
         assert!(self.control_queue_depth > 0, "control queues need a slot");
         assert!(self.control_lanes > 0, "need control bandwidth");
         assert!(self.horizon > 0, "scheduling horizon must be positive");

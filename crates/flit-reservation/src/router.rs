@@ -64,9 +64,6 @@ pub struct FrRouter<S: TraceSink = NullSink> {
     /// Runtime verifier of the inter-stage contracts, off by default so
     /// the hot path pays nothing.
     contracts: Option<StageContractChecker>,
-    /// Scratch for `process_control`'s per-output candidate lanes, kept
-    /// so the step allocates nothing once warm.
-    candidates: Vec<(Port, usize)>,
     sink: S,
 }
 
@@ -100,7 +97,6 @@ impl<S: TraceSink> FrRouter<S> {
             data: DataPathStage::new(&config),
             ni: FrNiStage::new(&config),
             contracts: None,
-            candidates: Vec::new(),
             config,
             sink,
         }
@@ -178,19 +174,6 @@ impl<S: TraceSink> FrRouter<S> {
         self.data.restore_pending(pending);
     }
 
-    /// Routing pre-pass: compute the output port for head control flits at
-    /// the front of their queues.
-    fn route_control_heads(&mut self, now: Cycle) {
-        for &port in &Port::ALL {
-            for vc in 0..self.config.control_vcs {
-                if let Some(dest) = self.control.pending_route(port, vc, now) {
-                    let out = self.route.route(dest);
-                    self.control.set_route(port, vc, out);
-                }
-            }
-        }
-    }
-
     /// Attempts to reserve departures for every still-unscheduled data
     /// flit of the control flit at the front of `(in_port, vc)`, routed to
     /// `out_port`. Returns `true` if the control flit is fully scheduled.
@@ -227,21 +210,25 @@ impl<S: TraceSink> FrRouter<S> {
             }
         }
 
+        // One walk finds the first unscheduled entry and counts the
+        // unscheduled ones; each booking then resumes past the entry it
+        // booked.
+        let led = &self
+            .control
+            .front_flit(in_port, vc)
+            .expect("caller guarantees a front flit")
+            .led;
+        let Some(mut idx) = led.iter().position(|l| !l.scheduled) else {
+            return true;
+        };
+        let mut unscheduled = led[idx..].iter().filter(|l| !l.scheduled).count();
         loop {
-            // Copy out the next unscheduled entry (index, arrival, flit).
-            let next = self
+            let entry = &self
                 .control
                 .front_flit(in_port, vc)
-                .expect("caller guarantees a front flit")
-                .led
-                .iter()
-                .enumerate()
-                .find(|(_, l)| !l.scheduled)
-                .map(|(i, l)| (i, l.arrival, l.flit));
-            let (idx, t_a, led_flit) = match next {
-                Some(n) => n,
-                None => return true,
-            };
+                .expect("front still present")
+                .led[idx];
+            let (t_a, led_flit) = (entry.arrival, entry.flit);
             // Demanding `remaining` free buffers guarantees this control
             // flit can always complete its schedule and travel on to
             // release the flits it has already sent ahead (the greedy
@@ -249,13 +236,7 @@ impl<S: TraceSink> FrRouter<S> {
             let remaining = if self.config.policy == SchedulingPolicy::PerFlitGreedy {
                 1
             } else {
-                self.control
-                    .front_flit(in_port, vc)
-                    .expect("front still present")
-                    .led
-                    .iter()
-                    .filter(|l| !l.scheduled)
-                    .count() as i64
+                unscheduled as i64
             };
             let req = ReservationRequest {
                 in_port,
@@ -311,35 +292,43 @@ impl<S: TraceSink> FrRouter<S> {
             }
             self.control
                 .mark_scheduled(in_port, vc, idx, t_d + self.config.timing.data_delay);
+            unscheduled -= 1;
+            if unscheduled == 0 {
+                return true;
+            }
+            let led = &self
+                .control
+                .front_flit(in_port, vc)
+                .expect("front still present")
+                .led;
+            idx += 1 + led[idx + 1..]
+                .iter()
+                .position(|l| !l.scheduled)
+                .expect("an unscheduled entry remains");
         }
     }
 
     /// Processes up to `control_lanes` control flits per output port:
     /// VC allocation, output scheduling, forwarding/consumption.
+    ///
+    /// One pass over the occupied control lanes routes the heads and
+    /// lists each output's ready lanes in ascending (input port, VC)
+    /// order. Each output's candidates are then its list, shuffled and
+    /// cut to `control_lanes`.
     fn process_control(&mut self, now: Cycle, out: &mut StepOutputs) {
-        self.route_control_heads(now);
-        let mut candidates = std::mem::take(&mut self.candidates);
+        let route = &mut self.route;
+        let outputs = self.control.gather_ready(now, |dest| route.route(dest));
+        let limit = self.config.control_lanes as usize;
         for &out_port in &Port::ALL {
-            // Candidates: input VCs whose front flit is ready and routed
-            // to this output.
-            candidates.clear();
-            for &in_port in &Port::ALL {
-                for vc in 0..self.config.control_vcs {
-                    if self.control.route(in_port, vc) != Some(out_port) {
-                        continue;
-                    }
-                    if self.control.front_ready(in_port, vc, now) {
-                        candidates.push((in_port, vc));
-                    }
-                }
+            if outputs & 1 << out_port.index() == 0 {
+                continue;
             }
-            self.rng.shuffle(&mut candidates);
-            candidates.truncate(self.config.control_lanes as usize);
-            for &(in_port, vc) in &candidates {
+            let picked = self.control.pick_ready(out_port, &mut self.rng, limit);
+            for i in 0..picked {
+                let (in_port, vc) = self.control.ready_lane(out_port, i);
                 self.process_one_control(in_port, vc, out_port, now, out);
             }
         }
-        self.candidates = candidates;
     }
 
     fn process_one_control(
@@ -582,9 +571,8 @@ impl<S: TraceSink> Router for FrRouter<S> {
         }
         self.data.pending_empty()
             && self.ni.is_quiet()
-            && Port::ALL
-                .iter()
-                .all(|&p| self.data.is_quiet(p) && self.control.port_empty(p))
+            && self.control.is_empty()
+            && Port::ALL.iter().all(|&p| self.data.is_quiet(p))
     }
 
     fn collect_counters(&self, out: &mut noc_flow::RouterCounters) {
@@ -636,18 +624,12 @@ impl<S: TraceSink> Router for FrRouter<S> {
             Some(s) => s,
             None => return,
         };
-        for &in_port in &Port::ALL {
-            for vc in 0..self.config.control_vcs {
-                if self.control.route(in_port, vc).is_none() {
-                    continue;
-                }
-                if let Some((packet, arrived)) = self.control.front_packet(in_port, vc) {
-                    if scan.eligible(arrived) {
-                        scan.control_stall(&mut self.sink, packet);
-                    }
-                }
+        let sink = &mut self.sink;
+        self.control.routed_fronts(|packet, arrived| {
+            if scan.eligible(arrived) {
+                scan.control_stall(sink, packet);
             }
-        }
+        });
     }
 }
 

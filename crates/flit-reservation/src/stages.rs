@@ -55,22 +55,52 @@ struct QueuedControl {
     arrived: Cycle,
 }
 
-/// Per-input control VC state.
+/// One input control VC. The front flit's arrival cycle and head
+/// destination are copied out on every push and pop, so the per-cycle
+/// scan never reads the queue's buffer.
 #[derive(Clone, Debug)]
-struct ControlVc {
+struct Lane {
     queue: VecDeque<QueuedControl>,
+    /// Arrival cycle of the front flit; stale while the queue is empty.
+    front_arrived: Cycle,
+    /// Destination of the front flit when it is a packet head.
+    front_dest: Option<NodeId>,
     /// Output port of the packet currently flowing through this VC.
     route: Option<Port>,
     /// Downstream control VC granted to that packet.
     out_vc: Option<u8>,
 }
 
-impl ControlVc {
+impl Lane {
     fn new() -> Self {
-        ControlVc {
+        Lane {
             queue: VecDeque::new(),
+            front_arrived: Cycle::ZERO,
+            front_dest: None,
             route: None,
             out_vc: None,
+        }
+    }
+
+    fn refresh_front(&mut self) {
+        if let Some(qc) = self.queue.front() {
+            self.front_arrived = qc.arrived;
+            self.front_dest = match qc.flit.kind {
+                ControlKind::Head { dest } => Some(dest),
+                ControlKind::Body => None,
+            };
+        }
+    }
+}
+
+/// Calls `f` with the index of every set bit of `words`, ascending.
+#[inline]
+fn for_each_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
         }
     }
 }
@@ -79,63 +109,114 @@ impl ControlVc {
 /// control-VC ownership and control credits. Its VC allocation is the
 /// FR counterpart of the baseline's `VcAllocStage`, driven by the same
 /// typed request/grant contract.
+///
+/// Lanes are stored flat and port-major: lane `port.index() * vcs + vc`.
+/// An occupancy bitset (one `u64` per 64 lanes) names the lanes holding
+/// a flit, so the per-cycle scan costs one step per queued front, not
+/// one per configured lane.
 #[derive(Clone, Debug)]
 pub(crate) struct ControlStage {
-    /// Control input queues: per input port, per control VC.
-    inputs: PortMap<Vec<ControlVc>>,
-    /// Credits for downstream control-VC queues, per output port.
-    credits: PortMap<Vec<usize>>,
-    /// Downstream control-VC ownership, per output port.
-    vc_owner: PortMap<Vec<bool>>,
+    /// Control VCs per port.
+    vcs: usize,
+    /// Control input lanes, port-major.
+    lanes: Vec<Lane>,
+    /// Each lane's (input port, VC), so no lookup divides by `vcs`.
+    lane_ids: Vec<(Port, u8)>,
+    /// One bit per lane whose queue holds a flit.
+    occupied: Vec<u64>,
+    /// Per output port, `lanes.len()` slots: the lanes
+    /// [`Self::gather_ready`] found ready for that output, ascending.
+    ready: Vec<(Port, u8)>,
+    /// How many of each output's `ready` slots are filled.
+    ready_len: [usize; Port::COUNT],
+    /// Credits for downstream control-VC queues, per output port and
+    /// VC, port-major like the lanes.
+    credits: Vec<usize>,
+    /// Downstream control-VC ownership, laid out like `credits`.
+    vc_owner: Vec<bool>,
     control_flits_sent: u64,
 }
 
 impl ControlStage {
     pub(crate) fn new(config: &FrConfig) -> Self {
+        let vcs = config.control_vcs;
+        let lanes = Port::COUNT * vcs;
         ControlStage {
-            inputs: PortMap::from_fn(|_| {
-                (0..config.control_vcs).map(|_| ControlVc::new()).collect()
-            }),
-            credits: PortMap::from_fn(|_| vec![config.control_queue_depth; config.control_vcs]),
-            vc_owner: PortMap::from_fn(|_| vec![false; config.control_vcs]),
+            vcs,
+            lanes: (0..lanes).map(|_| Lane::new()).collect(),
+            lane_ids: Port::ALL
+                .iter()
+                .flat_map(|&port| (0..vcs).map(move |vc| (port, vc as u8)))
+                .collect(),
+            occupied: vec![0; lanes.div_ceil(64)],
+            ready: vec![(Port::Local, 0); Port::COUNT * lanes],
+            ready_len: [0; Port::COUNT],
+            credits: vec![config.control_queue_depth; lanes],
+            vc_owner: vec![false; lanes],
             control_flits_sent: 0,
         }
     }
 
-    /// The destination of an unrouted head control flit that is
-    /// eligible for route compute this cycle (arrived before `now`).
-    pub(crate) fn pending_route(&self, port: Port, vc: usize, now: Cycle) -> Option<NodeId> {
-        let cvc = &self.inputs[port][vc];
-        match cvc.queue.front() {
-            Some(qc) if qc.flit.is_head() && cvc.route.is_none() && qc.arrived < now => {
-                match qc.flit.kind {
-                    ControlKind::Head { dest } => Some(dest),
-                    ControlKind::Body => None,
-                }
+    /// The flat index of lane (`port`, `vc`), also the index of the
+    /// (output `port`, downstream `vc`) credit and owner entries.
+    #[inline]
+    fn lane(&self, port: Port, vc: usize) -> usize {
+        debug_assert!(vc < self.vcs, "control vc out of range");
+        port.index() * self.vcs + vc
+    }
+
+    /// The route and readiness pass, over the occupied lanes in
+    /// ascending (port, VC) order: each unrouted head whose front
+    /// arrived before `now` takes its output from `route`, and each
+    /// routed lane whose front arrived before `now` joins its output's
+    /// ready list. Returns the outputs with a ready lane, bit
+    /// `port.index()` each.
+    ///
+    /// Processing a lane touches only that lane and its own output's
+    /// credits and VCs, and a lane's route only clears, so lists taken
+    /// before any lane is processed match per-output rescans made
+    /// between the outputs.
+    pub(crate) fn gather_ready(&mut self, now: Cycle, mut route: impl FnMut(NodeId) -> Port) -> u8 {
+        let n = self.lanes.len();
+        self.ready_len = [0; Port::COUNT];
+        let mut outputs = 0u8;
+        for_each_bit(&self.occupied, |lane| {
+            let l = &mut self.lanes[lane];
+            if l.front_arrived >= now {
+                return;
             }
-            _ => None,
-        }
+            let out = match (l.route, l.front_dest) {
+                (Some(out), _) => out.index(),
+                (None, Some(dest)) => l.route.insert(route(dest)).index(),
+                (None, None) => return,
+            };
+            self.ready[out * n + self.ready_len[out]] = self.lane_ids[lane];
+            self.ready_len[out] += 1;
+            outputs |= 1 << out;
+        });
+        outputs
     }
 
-    /// Installs the route-compute answer for lane (`port`, `vc`).
-    pub(crate) fn set_route(&mut self, port: Port, vc: usize, out: Port) {
-        self.inputs[port][vc].route = Some(out);
+    /// Shuffles `out`'s ready list with `rng`, drawing as a shuffle of
+    /// the ascending list does, and returns how many of its lanes, at
+    /// most `limit`, to process: [`Self::ready_lane`] `0..` that count.
+    pub(crate) fn pick_ready(&mut self, out: Port, rng: &mut Rng, limit: usize) -> usize {
+        let start = out.index() * self.lanes.len();
+        let len = self.ready_len[out.index()];
+        rng.shuffle(&mut self.ready[start..start + len]);
+        len.min(limit)
     }
 
-    /// The output port the lane's current packet is routed to, if any.
-    pub(crate) fn route(&self, port: Port, vc: usize) -> Option<Port> {
-        self.inputs[port][vc].route
-    }
-
-    /// True if the lane's front control flit is eligible for
-    /// processing this cycle (arrived before `now`).
-    pub(crate) fn front_ready(&self, port: Port, vc: usize, now: Cycle) -> bool {
-        matches!(self.inputs[port][vc].queue.front(), Some(qc) if qc.arrived < now)
+    /// The (input port, VC) of entry `i` of `out`'s ready list.
+    pub(crate) fn ready_lane(&self, out: Port, i: usize) -> (Port, usize) {
+        debug_assert!(i < self.ready_len[out.index()], "past the ready list");
+        let (port, vc) = self.ready[out.index() * self.lanes.len() + i];
+        (port, vc as usize)
     }
 
     /// The downstream control VC held by the lane's packet, if any.
     pub(crate) fn out_vc(&self, port: Port, vc: usize) -> Option<u8> {
-        self.inputs[port][vc].out_vc
+        self.lanes[self.lane(port, vc)].out_vc
     }
 
     /// Allocates a free downstream control VC on `out_port` to the
@@ -148,43 +229,56 @@ impl ControlStage {
         out_port: Port,
         rng: &mut Rng,
     ) -> Option<u8> {
-        let owner = &self.vc_owner[out_port];
+        let first = self.lane(out_port, 0);
+        let owner = &mut self.vc_owner[first..first + self.vcs];
         let granted = pick_free(owner.len(), rng, |v| !owner[v])?;
-        self.vc_owner[out_port][granted] = true;
-        self.inputs[port][vc].out_vc = Some(granted as u8);
+        owner[granted] = true;
+        let lane = self.lane(port, vc);
+        self.lanes[lane].out_vc = Some(granted as u8);
         Some(granted as u8)
     }
 
     /// True if a forwarded control flit has a downstream queue slot on
     /// (`out_port`, `out_vc`).
     pub(crate) fn has_credit(&self, out_port: Port, out_vc: u8) -> bool {
-        self.credits[out_port][out_vc as usize] > 0
+        self.credits[self.lane(out_port, out_vc as usize)] > 0
     }
 
     /// Spends one downstream control-queue slot for a forwarded flit.
     pub(crate) fn consume_credit(&mut self, out_port: Port, out_vc: u8) {
-        self.credits[out_port][out_vc as usize] -= 1;
+        let i = self.lane(out_port, out_vc as usize);
+        self.credits[i] -= 1;
     }
 
     /// Applies a control credit arriving on output `port` for `vc`.
     pub(crate) fn credit_returned(&mut self, port: Port, vc: u8, depth: usize) {
-        let c = &mut self.credits[port][vc as usize];
+        let i = self.lane(port, vc as usize);
+        let c = &mut self.credits[i];
         *c += 1;
         debug_assert!(*c <= depth, "control credit overflow");
     }
 
     /// The lane's front control flit, if any.
     pub(crate) fn front_flit(&self, port: Port, vc: usize) -> Option<&ControlFlit> {
-        self.inputs[port][vc].queue.front().map(|qc| &qc.flit)
-    }
-
-    /// The packet id and arrival cycle of the lane's front control
-    /// flit, for the stall-provenance scan.
-    pub(crate) fn front_packet(&self, port: Port, vc: usize) -> Option<(PacketId, Cycle)> {
-        self.inputs[port][vc]
+        self.lanes[self.lane(port, vc)]
             .queue
             .front()
-            .map(|qc| (qc.flit.packet, qc.arrived))
+            .map(|qc| &qc.flit)
+    }
+
+    /// The packet id and arrival cycle of every routed lane's front
+    /// control flit, in ascending (port, VC) order, for the
+    /// stall-provenance scan.
+    pub(crate) fn routed_fronts(&self, mut f: impl FnMut(PacketId, Cycle)) {
+        for_each_bit(&self.occupied, |lane| {
+            let l = &self.lanes[lane];
+            if l.route.is_some() {
+                f(
+                    l.queue.front().expect("occupied lane").flit.packet,
+                    l.front_arrived,
+                );
+            }
+        });
     }
 
     /// Records a booked departure into the front control flit's led
@@ -195,7 +289,8 @@ impl ControlStage {
     ///
     /// Panics if the lane is empty.
     pub(crate) fn mark_scheduled(&mut self, port: Port, vc: usize, idx: usize, arrival: Cycle) {
-        let front = self.inputs[port][vc]
+        let lane = self.lane(port, vc);
+        let front = self.lanes[lane]
             .queue
             .front_mut()
             .expect("front still present");
@@ -209,24 +304,32 @@ impl ControlStage {
     ///
     /// Panics if the lane is empty: only fully scheduled fronts pop.
     pub(crate) fn pop_front(&mut self, port: Port, vc: usize) -> ControlFlit {
-        self.inputs[port][vc]
-            .queue
-            .pop_front()
-            .expect("front present")
-            .flit
+        let lane = self.lane(port, vc);
+        let l = &mut self.lanes[lane];
+        let flit = l.queue.pop_front().expect("front present").flit;
+        if l.queue.is_empty() {
+            self.occupied[lane / 64] &= !(1 << (lane % 64));
+        } else {
+            l.refresh_front();
+        }
+        flit
     }
 
     /// Buffers a control flit at the back of lane (`port`, `vc`). The
     /// driver checks queue depth first (its assertion names the node).
     pub(crate) fn push(&mut self, port: Port, vc: usize, flit: ControlFlit, arrived: Cycle) {
-        self.inputs[port][vc]
-            .queue
-            .push_back(QueuedControl { flit, arrived });
+        let lane = self.lane(port, vc);
+        let l = &mut self.lanes[lane];
+        l.queue.push_back(QueuedControl { flit, arrived });
+        if l.queue.len() == 1 {
+            l.refresh_front();
+            self.occupied[lane / 64] |= 1 << (lane % 64);
+        }
     }
 
     /// Control flits queued in lane (`port`, `vc`).
     pub(crate) fn queue_len(&self, port: Port, vc: usize) -> usize {
-        self.inputs[port][vc].queue.len()
+        self.lanes[self.lane(port, vc)].queue.len()
     }
 
     /// Clears the lane's allocation after its packet's tail was
@@ -236,18 +339,20 @@ impl ControlStage {
     ///
     /// Panics if a non-local tail departs without an allocated VC.
     pub(crate) fn end_packet(&mut self, port: Port, vc: usize, out_port: Port) {
-        let cvc = &mut self.inputs[port][vc];
-        cvc.route = None;
+        let lane = self.lane(port, vc);
+        let l = &mut self.lanes[lane];
+        l.route = None;
+        let out_vc = l.out_vc.take();
         if out_port != Port::Local {
-            let ovc = cvc.out_vc.expect("tail releases an allocated VC");
-            self.vc_owner[out_port][ovc as usize] = false;
+            let ovc = out_vc.expect("tail releases an allocated VC");
+            let owner = self.lane(out_port, ovc as usize);
+            self.vc_owner[owner] = false;
         }
-        cvc.out_vc = None;
     }
 
-    /// True if every control queue of `port` is empty.
-    pub(crate) fn port_empty(&self, port: Port) -> bool {
-        self.inputs[port].iter().all(|vc| vc.queue.is_empty())
+    /// True if every control queue is empty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.occupied.iter().all(|&w| w == 0)
     }
 
     /// Counts a control flit forwarded onto an outgoing control link.
@@ -264,12 +369,13 @@ impl ControlStage {
     pub(crate) fn snapshot(&self) -> Json {
         let mut ports = Vec::new();
         for &port in &Port::ALL {
+            let first = self.lane(port, 0);
             let mut lanes = Vec::new();
-            for (vc, cvc) in self.inputs[port].iter().enumerate() {
-                if cvc.queue.is_empty() && cvc.route.is_none() && cvc.out_vc.is_none() {
+            for (vc, lane) in self.lanes[first..first + self.vcs].iter().enumerate() {
+                if lane.queue.is_empty() && lane.route.is_none() && lane.out_vc.is_none() {
                     continue;
                 }
-                let queue: Vec<Json> = cvc
+                let queue: Vec<Json> = lane
                     .queue
                     .iter()
                     .map(|qc| Json::str(format!("{:?} arrived={}", qc.flit, qc.arrived.raw())))
@@ -278,14 +384,14 @@ impl ControlStage {
                     ("vc".into(), Json::Num(vc as f64)),
                     (
                         "route".into(),
-                        match cvc.route {
+                        match lane.route {
                             Some(p) => Json::str(format!("{p:?}")),
                             None => Json::Null,
                         },
                     ),
                     (
                         "out_vc".into(),
-                        match cvc.out_vc {
+                        match lane.out_vc {
                             Some(v) => Json::Num(v as f64),
                             None => Json::Null,
                         },
@@ -303,12 +409,14 @@ impl ControlStage {
         let accounting: Vec<Json> = Port::ALL
             .iter()
             .map(|&port| {
+                let first = self.lane(port, 0);
+                let vcs = first..first + self.vcs;
                 Json::obj(vec![
                     ("port".into(), Json::str(format!("{port:?}"))),
                     (
                         "credits".into(),
                         Json::Arr(
-                            self.credits[port]
+                            self.credits[vcs.clone()]
                                 .iter()
                                 .map(|&c| Json::Num(c as f64))
                                 .collect(),
@@ -316,7 +424,7 @@ impl ControlStage {
                     ),
                     (
                         "vc_owner".into(),
-                        Json::Arr(self.vc_owner[port].iter().map(|&o| Json::Bool(o)).collect()),
+                        Json::Arr(self.vc_owner[vcs].iter().map(|&o| Json::Bool(o)).collect()),
                     ),
                 ])
             })
@@ -988,6 +1096,171 @@ mod tests {
                     assert_eq!(picked, chosen, "the pick must draw exactly as choose");
                 }
             }
+        }
+    }
+
+    /// A control flit of packet `id` leading `led` data flits.
+    fn control_flit(id: u64, dest: Option<NodeId>, led: usize) -> ControlFlit {
+        let data = DataFlit {
+            packet: PacketId::new(id),
+            seq: 0,
+            length: led as u32,
+            dest: NodeId::new(0),
+            created_at: Cycle::ZERO,
+            crc_ok: true,
+        };
+        ControlFlit {
+            vc: 0,
+            kind: match dest {
+                Some(dest) => ControlKind::Head { dest },
+                None => ControlKind::Body,
+            },
+            is_tail: false,
+            led: vec![
+                LedFlit {
+                    arrival: Cycle::ZERO,
+                    scheduled: false,
+                    flit: data,
+                };
+                led
+            ],
+            packet: PacketId::new(id),
+        }
+    }
+
+    /// The scan as a loop over every lane's queue: first route compute
+    /// for each unrouted head that arrived before `now`, then, per
+    /// output, the lanes routed there whose front arrived before `now`.
+    fn scan_every_queue(
+        stage: &mut ControlStage,
+        now: Cycle,
+        mut route: impl FnMut(NodeId) -> Port,
+    ) -> Vec<Vec<(Port, usize)>> {
+        let vcs = stage.vcs;
+        for l in &mut stage.lanes {
+            let dest = match l.queue.front() {
+                Some(qc) if l.route.is_none() && qc.arrived < now => match qc.flit.kind {
+                    ControlKind::Head { dest } => Some(dest),
+                    ControlKind::Body => None,
+                },
+                _ => None,
+            };
+            if let Some(dest) = dest {
+                l.route = Some(route(dest));
+            }
+        }
+        Port::ALL
+            .iter()
+            .map(|&out| {
+                let mut ready = Vec::new();
+                for &port in &Port::ALL {
+                    for vc in 0..vcs {
+                        let l = &stage.lanes[port.index() * vcs + vc];
+                        let front_ready = matches!(l.queue.front(), Some(qc) if qc.arrived < now);
+                        if l.route == Some(out) && front_ready {
+                            ready.push((port, vc));
+                        }
+                    }
+                }
+                ready
+            })
+            .collect()
+    }
+
+    #[test]
+    fn occupancy_scan_matches_a_scan_of_every_queue() {
+        let route_of = |dest: NodeId| Port::ALL[dest.index() % Port::COUNT];
+        for vcs in [2, 4, 13] {
+            let config = FrConfig {
+                control_vcs: vcs,
+                ..FrConfig::fr6()
+            };
+            let mut second_word_used = false;
+            for seed in 0..6 {
+                let mut stage = ControlStage::new(&config);
+                let mut rng = Rng::from_seed(seed);
+                let mut now = 1;
+                let mut packet = 0;
+                for step in 0..3_000 {
+                    let port = Port::ALL[rng.index(Port::COUNT)];
+                    let vc = rng.index(vcs);
+                    let lane = port.index() * vcs + vc;
+                    match rng.index(8) {
+                        0..=2 if stage.queue_len(port, vc) < 4 => {
+                            packet += 1;
+                            let dest =
+                                (rng.index(2) == 0).then(|| NodeId::new(rng.index(64) as u16));
+                            let flit = control_flit(packet, dest, rng.index(3));
+                            let arrived = now - rng.index(2) as u64;
+                            stage.push(port, vc, flit, Cycle::new(arrived));
+                        }
+                        3 if stage.queue_len(port, vc) > 0 => {
+                            stage.pop_front(port, vc);
+                        }
+                        4 if stage.lanes[lane].route.is_none() => {
+                            stage.lanes[lane].route = Some(Port::ALL[rng.index(Port::COUNT)]);
+                        }
+                        5 => {
+                            let out = stage.lanes[lane].route.unwrap_or(Port::Local);
+                            let allocated = out == Port::Local
+                                || stage.out_vc(port, vc).is_some()
+                                || stage.try_alloc_out_vc(port, vc, out, &mut rng).is_some();
+                            if allocated {
+                                stage.end_packet(port, vc, out);
+                            }
+                        }
+                        6 => {
+                            let led = stage.front_flit(port, vc).map_or(0, |f| f.led.len());
+                            if led > 0 {
+                                let idx = rng.index(led);
+                                stage.mark_scheduled(port, vc, idx, Cycle::new(now + 4));
+                            }
+                        }
+                        _ => now += 1,
+                    }
+                    second_word_used |= stage.occupied.get(1).is_some_and(|&w| w != 0);
+                    let at = Cycle::new(now);
+                    let mut reference = stage.clone();
+                    let mut want_routed = Vec::new();
+                    let want = scan_every_queue(&mut reference, at, |d| {
+                        want_routed.push(d);
+                        route_of(d)
+                    });
+                    let mut got_routed = Vec::new();
+                    let outputs = stage.gather_ready(at, |d| {
+                        got_routed.push(d);
+                        route_of(d)
+                    });
+                    let context = format!("{vcs} VCs, seed {seed}, step {step}");
+                    assert_eq!(got_routed, want_routed, "route compute order, {context}");
+                    for (l, r) in stage.lanes.iter().zip(&reference.lanes) {
+                        assert_eq!(l.route, r.route, "installed route, {context}");
+                    }
+                    for &out in &Port::ALL {
+                        let listed = stage.ready_len[out.index()];
+                        let got: Vec<(Port, usize)> =
+                            (0..listed).map(|i| stage.ready_lane(out, i)).collect();
+                        assert_eq!(got, want[out.index()], "{out:?} ready lanes, {context}");
+                        let flagged = outputs & 1 << out.index() != 0;
+                        assert_eq!(flagged, listed > 0, "{out:?} flag, {context}");
+                        // The pick draws and keeps what a shuffle of the
+                        // ascending list, cut to the limit, does.
+                        let mut shuffled = want[out.index()].clone();
+                        let mut want_rng = rng.clone();
+                        want_rng.shuffle(&mut shuffled);
+                        shuffled.truncate(config.control_lanes as usize);
+                        let limit = config.control_lanes as usize;
+                        let picked = stage.pick_ready(out, &mut rng, limit);
+                        let got: Vec<(Port, usize)> =
+                            (0..picked).map(|i| stage.ready_lane(out, i)).collect();
+                        assert_eq!(got, shuffled, "{out:?} picked lanes, {context}");
+                        assert_eq!(rng, want_rng, "{out:?} draws, {context}");
+                    }
+                    let queued = stage.lanes.iter().any(|l| !l.queue.is_empty());
+                    assert_eq!(stage.is_empty(), !queued, "{context}");
+                }
+            }
+            assert_eq!(second_word_used, vcs == 13, "{vcs} VCs");
         }
     }
 

@@ -9,8 +9,8 @@
 //! numbers (`NaN`, ±∞) render as `null`, matching what strict JSON parsers
 //! expect.
 //!
-//! The parser exists so the `metrics_report` bin and the CI smoke validation
-//! can read the files back without pulling in `serde`.
+//! The parser exists so `frfc-inspect metrics` and the export contract in
+//! `tests/metrics.rs` can read the files back without pulling in `serde`.
 
 use std::fmt::Write as _;
 
@@ -471,8 +471,7 @@ impl Parser<'_> {
 /// the wall-clock self-profiler section and the manifest's wall-time fields.
 ///
 /// Two metered runs with identical seeds must produce identical documents
-/// after this pass — `tests/metrics.rs` and the `smoke --metrics` validation
-/// both rely on it.
+/// after this pass — `tests/metrics.rs` relies on it.
 pub fn strip_nondeterministic(doc: &mut Json) {
     doc.remove("profile");
     if let Some(manifest) = doc.get("manifest").cloned() {

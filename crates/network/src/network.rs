@@ -372,21 +372,17 @@ fn offer_backlog<R: Router>(slot: &mut RouterSlot<R>, backlog: &mut VecDeque<Pac
     }
 }
 
-/// Where `node`'s send on `port` goes: the receiving neighbour and the
-/// arena index of its inbound link on the opposite port.
-fn receiver_link(
-    mesh: Mesh,
-    inbound: &[PortMap<Option<u32>>],
-    node: NodeId,
-    port: Port,
-) -> (NodeId, u32) {
-    assert!(port.is_mesh(), "routers send on mesh ports only");
-    let to = mesh
-        .neighbor(node, port)
-        .unwrap_or_else(|| panic!("send on missing link {node} {port}"));
-    let idx =
-        inbound[to.index()][port.opposite().expect("mesh port")].expect("neighbor implies link");
-    (to, idx)
+/// The arena index of the link `node`'s send on `port` enters.
+///
+/// # Panics
+///
+/// Panics on a send on `Local` or on a port with no neighbour.
+#[inline]
+fn outbound_link(outbound: &[PortMap<Option<u32>>], node: NodeId, port: Port) -> u32 {
+    outbound[node.index()][port].unwrap_or_else(|| {
+        assert!(port.is_mesh(), "routers send on mesh ports only");
+        panic!("send on missing link {node} {port}")
+    })
 }
 
 /// State for true multi-core stepping: a persistent worker pool, the
@@ -571,6 +567,9 @@ pub struct Network<R: Router, S: TraceSink = NullSink, M: Recorder = NullRecorde
     links: Vec<LinkSet>,
     /// Arena index of the link arriving at `inbound[node][in-port]`.
     inbound: Vec<PortMap<Option<u32>>>,
+    /// Arena index of the link leaving at `outbound[node][out-port]`:
+    /// the receiver's inbound link on the opposite port.
+    outbound: Vec<PortMap<Option<u32>>>,
     /// Arena start of each node's inbound links (`node_count + 1` long).
     link_starts: Vec<u32>,
     /// Per-node deliver scan order (see [`DeliverOrder`]).
@@ -667,6 +666,13 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         sink: S,
         metrics: M,
     ) -> Self {
+        // Filled with the link arena below, but allocated first: placed
+        // after the routers or the arena, it changed the heap layout so
+        // that glibc trimmed the heap whenever a network was dropped, and
+        // each rebuild re-faulted those pages (perfbench `setup_s` read
+        // 30-50% higher on `mesh8_sat` or `mesh16_sharded`).
+        let mut outbound: Vec<PortMap<Option<u32>>> =
+            vec![PortMap::from_fn(|_| None); mesh.node_count()];
         let slots: Vec<RouterSlot<R>> = mesh
             .nodes()
             .map(|n| RouterSlot {
@@ -694,9 +700,10 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
             senders.sort_unstable();
             let mut map: PortMap<Option<u32>> = PortMap::from_fn(|_| None);
             let mut order = DeliverOrder::default();
-            for (i, &(_, q)) in senders.iter().enumerate() {
+            for (i, &(s, q)) in senders.iter().enumerate() {
                 order.ports[i] = Some(q);
                 map[q] = Some(links.len() as u32);
+                outbound[s as usize][q.opposite().expect("mesh port")] = Some(links.len() as u32);
                 links.push(LinkSet {
                     data: Link::new(timing.data_delay, 1),
                     control: Link::new(timing.control_delay, control_bandwidth),
@@ -730,6 +737,7 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
             slots,
             links,
             inbound,
+            outbound,
             link_starts,
             deliver_order,
             parallel: None,
@@ -1333,7 +1341,7 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
             // `StepOutputs` moves two Vec headers, not their contents.
             let mut out = std::mem::take(&mut self.slots[n].out);
             for (port, mut event) in out.sends.drain(..) {
-                let (_, idx) = receiver_link(self.mesh, &self.inbound, node, port);
+                let idx = outbound_link(&self.outbound, node, port);
                 let class = event.wire_class();
                 let wire = wire_of(&mut self.links[idx as usize], class);
                 // Error model: a corrupted control flit is retransmitted;
@@ -2228,9 +2236,8 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
             lock_count,
             lock_ns,
         } = &mut *engine;
-        let mesh = self.mesh;
         let profiling = M::ENABLED && self.profiling;
-        let inbound = &self.inbound;
+        let outbound = &self.outbound;
         let ctx_start = profiling.then(Instant::now);
         let ctxs = shard_contexts(
             plan,
@@ -2254,7 +2261,7 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
                 }
                 let node = NodeId::new((ctx.range.start + i) as u16);
                 for (port, event) in slot.out.sends.drain(..) {
-                    let (to, idx) = receiver_link(mesh, inbound, node, port);
+                    let idx = outbound_link(outbound, node, port);
                     let class = event.wire_class();
                     if M::ENABLED {
                         // Flit counters are keyed by sender, so each
@@ -2266,8 +2273,12 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
                             WireClass::Credit => f.credit += 1,
                         }
                     }
-                    if ctx.range.contains(&to.index()) {
-                        let set = &mut ctx.links[idx as usize - ctx.link_base];
+                    // The arena is receiver-keyed, so the shard's own
+                    // slice holds exactly the links into its nodes.
+                    if let Some(set) = ctx
+                        .links
+                        .get_mut((idx as usize).wrapping_sub(ctx.link_base))
+                    {
                         wire_of(set, class)
                             .push(now, event)
                             .expect("link bandwidth exceeded: flow-control protocol bug");
@@ -2591,6 +2602,79 @@ mod tests {
         // A different thread count rebuilds a contiguous plan.
         net.run_cycles_sharded(10, 2);
         assert_eq!(net.shard_plan(), Some(&crate::ShardPlan::contiguous(16, 2)));
+    }
+
+    /// A router that sends one control credit on `port` every step.
+    struct FixedSender {
+        node: NodeId,
+        port: Port,
+    }
+
+    impl Router for FixedSender {
+        fn node(&self) -> NodeId {
+            self.node
+        }
+        fn receive(&mut self, _port: Port, _event: LinkEvent, _now: Cycle) {}
+        fn try_inject(&mut self, _packet: noc_traffic::Packet, _now: Cycle) -> bool {
+            false
+        }
+        fn step(&mut self, _now: Cycle, out: &mut StepOutputs) {
+            out.send(self.port, LinkEvent::ControlCredit { vc: 0 });
+        }
+        fn occupied_data_buffers(&self, _port: Port) -> usize {
+            0
+        }
+        fn data_buffer_capacity(&self, _port: Port) -> usize {
+            0
+        }
+        fn queued_flits(&self) -> usize {
+            0
+        }
+        fn is_idle(&self) -> bool {
+            false
+        }
+    }
+
+    /// A 2x2 network whose routers all send on `port`; on `West`, the
+    /// routers in column 0 send off the mesh edge. Sharded over two
+    /// threads when `planned`, so the send runs in the parallel apply.
+    fn run_fixed_senders(port: Port, planned: bool) {
+        let mesh = Mesh::new(2, 2);
+        let spec = LoadSpec::fraction_of_capacity(0.1, 5);
+        let generator = TrafficGenerator::uniform(mesh, spec, Rng::from_seed(1));
+        let mut net = Network::new(mesh, LinkTiming::fast_control(), 2, generator, |node| {
+            FixedSender { node, port }
+        });
+        if planned {
+            net.set_shard_plan(crate::ShardPlan::contiguous(4, 2));
+            net.run_cycles_planned(1);
+        } else {
+            net.run_cycles(1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "send on missing link")]
+    fn send_off_the_mesh_edge_panics_sequentially() {
+        run_fixed_senders(Port::West, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "send on missing link")]
+    fn send_off_the_mesh_edge_panics_planned() {
+        run_fixed_senders(Port::West, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "routers send on mesh ports only")]
+    fn send_on_local_panics_sequentially() {
+        run_fixed_senders(Port::Local, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "routers send on mesh ports only")]
+    fn send_on_local_panics_planned() {
+        run_fixed_senders(Port::Local, true);
     }
 
     /// A router that counts `step` and `is_idle` calls, claiming
