@@ -8,7 +8,10 @@
 
 use flit_reservation::FrConfig;
 use noc_bench::report::{manifest, write_curves_json};
-use noc_bench::{default_loads, print_curve, print_summary, seed_from_env, sweep_threads, Scale};
+use noc_bench::{
+    default_loads, print_curve, print_summary, prov_sample_from_env, seed_from_env, sweep_threads,
+    Scale,
+};
 use noc_flow::LinkTiming;
 use noc_metrics::write_json_file;
 use noc_network::{sweep_loads, FlowControl, RunSpec};
@@ -28,13 +31,15 @@ fn trace_out_arg() -> Option<String> {
     }
 }
 
-/// Traces `fc` at `offered` load and writes the Perfetto file to `path`.
-fn write_trace(fc: &FlowControl, mesh: Mesh, sim: &noc_network::SimConfig, path: &str) {
-    let sample = std::env::var("FRFC_PROV_SAMPLE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4);
+/// Traces `fc` at `offered` load, sampling one packet in `sample`, and
+/// writes the Perfetto file to `path`.
+fn write_trace(
+    fc: &FlowControl,
+    mesh: Mesh,
+    sim: &noc_network::SimConfig,
+    sample: u64,
+    path: &str,
+) {
     let offered = 0.5;
     let report = RunSpec {
         provenance_sample_every: Some(sample),
@@ -60,7 +65,7 @@ fn write_trace(fc: &FlowControl, mesh: Mesh, sim: &noc_network::SimConfig, path:
 }
 
 fn main() {
-    let trace_out = trace_out_arg();
+    let trace_out = trace_out_arg().map(|path| (path, prov_sample_from_env()));
     let mesh = Mesh::new(8, 8);
     let scale = Scale::from_env();
     let seed = seed_from_env();
@@ -86,7 +91,7 @@ fn main() {
     let mut m = manifest("fig5", scale, seed, "VC8/VC16/FR6/FR13");
     m.threads = threads as u64;
     write_curves_json(&m, &curves);
-    if let Some(path) = trace_out {
-        write_trace(&FlowControl::fr6(), mesh, &sim, &path);
+    if let Some((path, sample)) = trace_out {
+        write_trace(&FlowControl::fr6(), mesh, &sim, sample, &path);
     }
 }

@@ -9,7 +9,10 @@
 
 use flit_reservation::FrConfig;
 use noc_bench::report::{manifest, write_curves_json};
-use noc_bench::{default_loads, print_curve, print_summary, seed_from_env, sweep_threads, Scale};
+use noc_bench::{
+    default_loads, print_curve, print_summary, prov_sample_from_env, seed_from_env, sweep_threads,
+    Scale,
+};
 use noc_flow::LinkTiming;
 use noc_metrics::write_json_file;
 use noc_network::{sweep_loads, FlowControl, RunSpec};
@@ -30,7 +33,7 @@ fn trace_out_arg() -> Option<String> {
 }
 
 fn main() {
-    let trace_out = trace_out_arg();
+    let trace_out = trace_out_arg().map(|path| (path, prov_sample_from_env()));
     let mesh = Mesh::new(8, 8);
     let scale = Scale::from_env();
     let seed = seed_from_env();
@@ -60,13 +63,8 @@ fn main() {
     let mut m = manifest("fig9", scale, seed, "VC8/VC16/FR6/FR13 lead=1");
     m.threads = threads as u64;
     write_curves_json(&m, &curves);
-    if let Some(path) = trace_out {
+    if let Some((path, sample)) = trace_out {
         let fc = FlowControl::FlitReservation(FrConfig::fr6().with_timing(wires));
-        let sample = std::env::var("FRFC_PROV_SAMPLE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(4);
         let report = RunSpec {
             provenance_sample_every: Some(sample),
             ..RunSpec::new(fc, mesh, 0.5, 5, sim)

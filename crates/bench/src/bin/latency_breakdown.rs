@@ -21,20 +21,11 @@
 //! A `latency_breakdown.json` sidecar carries the same rows.
 
 use noc_bench::report::{manifest, write_chrome_trace, write_rows_json};
-use noc_bench::{seed_from_env, Scale};
+use noc_bench::{prov_sample_from_env, seed_from_env, Scale};
 use noc_metrics::Json;
 use noc_network::{FlowControl, RunSpec, SimConfig};
 use noc_provenance::{chrome_trace, Phase, ProvenanceReport};
 use noc_topology::Mesh;
-
-/// Packet sampling divisor from `FRFC_PROV_SAMPLE` (default 4).
-fn sample_every() -> u64 {
-    std::env::var("FRFC_PROV_SAMPLE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
-}
 
 /// `--loads` and `--trace-out` from `argv` (program name excluded).
 fn parse_args(argv: &[String]) -> Result<(Vec<f64>, Option<String>), String> {
@@ -134,8 +125,8 @@ fn main() {
     let (loads, trace_out) = parse_args(&argv).unwrap_or_else(|e| usage(&e));
     let scale = Scale::from_env();
     let seed = seed_from_env();
-    let specs =
-        provenance_specs(&loads, scale.sim(seed), sample_every()).unwrap_or_else(|e| usage(&e));
+    let specs = provenance_specs(&loads, scale.sim(seed), prov_sample_from_env())
+        .unwrap_or_else(|e| usage(&e));
 
     println!("Latency provenance: per-phase attribution, 8x8 mesh, 5-flit packets, fast control");
     println!("(FR moves routing into the control lead and drops credit/turnaround stalls to ~0)");

@@ -12,6 +12,9 @@
 //! * `FRFC_SEED` — root seed (default 2000, the publication year);
 //! * `FRFC_THREADS` — sweep worker threads (see [`sweep_threads`]).
 //!
+//! The bins that trace latency provenance also read `FRFC_PROV_SAMPLE`
+//! (see [`prov_sample_from_env`]).
+//!
 //! A bad value makes the bin print one line naming the variable and
 //! exit with status 2.
 
@@ -142,6 +145,26 @@ pub fn sweep_threads() -> usize {
     })
 }
 
+/// Parses a `FRFC_PROV_SAMPLE` value: a packet sampling divisor of at
+/// least 1; unset means 4.
+fn parse_prov_sample(value: Option<&str>) -> Result<u64, String> {
+    match value {
+        None => Ok(4),
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| format!("FRFC_PROV_SAMPLE must be a positive integer, got {v:?}")),
+    }
+}
+
+/// Reads the provenance packet-sampling divisor from `FRFC_PROV_SAMPLE`
+/// (default 4; 1 traces every packet), exiting with status 2 on a bad
+/// value.
+pub fn prov_sample_from_env() -> u64 {
+    env_or_exit("FRFC_PROV_SAMPLE", parse_prov_sample)
+}
+
 /// Default offered-load sweep (fractions of capacity) used by the
 /// latency-throughput figures.
 pub fn default_loads() -> Vec<f64> {
@@ -251,6 +274,9 @@ mod tests {
         assert_eq!(parse_threads(None), Ok(None));
         assert_eq!(parse_threads(Some("4")), Ok(Some(4)));
         assert_eq!(parse_threads(Some("0")), Ok(Some(1)), "clamped to one");
+        assert_eq!(parse_prov_sample(None), Ok(4));
+        assert_eq!(parse_prov_sample(Some("1")), Ok(1));
+        assert_eq!(parse_prov_sample(Some("16")), Ok(16));
         let bad = [
             Scale::parse(Some("huge")).map(|_| ()),
             Scale::parse(Some("")).map(|_| ()),
@@ -260,6 +286,10 @@ mod tests {
             parse_threads(Some("x")).map(|_| ()),
             parse_threads(Some("-2")).map(|_| ()),
             parse_threads(Some("1.5")).map(|_| ()),
+            parse_prov_sample(Some("x")).map(|_| ()),
+            parse_prov_sample(Some("0")).map(|_| ()),
+            parse_prov_sample(Some("-4")).map(|_| ()),
+            parse_prov_sample(Some("")).map(|_| ()),
         ];
         let names = [
             "FRFC_SCALE",
@@ -269,7 +299,8 @@ mod tests {
             "FRFC_SEED",
         ]
         .into_iter()
-        .chain(["FRFC_THREADS"; 3]);
+        .chain(["FRFC_THREADS"; 3])
+        .chain(["FRFC_PROV_SAMPLE"; 4]);
         for (result, name) in bad.into_iter().zip(names) {
             let message = result.expect_err(name);
             assert!(message.starts_with(name), "{message}");

@@ -162,6 +162,20 @@ impl Rng {
         &items[self.index(items.len())]
     }
 
+    /// Picks uniformly among the indices `0..n` that `free` admits, with
+    /// the single `index(count)` draw that [`Rng::choose`] makes over the
+    /// list of free indices, without building that list. `None`, and no
+    /// draw, when no index is free.
+    #[inline]
+    pub fn pick_free(&mut self, n: usize, mut free: impl FnMut(usize) -> bool) -> Option<usize> {
+        let count = (0..n).filter(|&i| free(i)).count();
+        if count == 0 {
+            return None;
+        }
+        let k = self.index(count);
+        (0..n).filter(|&i| free(i)).nth(k)
+    }
+
     /// Fisher–Yates shuffles a slice in place.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -293,6 +307,24 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn kth_free_pick_matches_choose_over_the_free_list() {
+        for n in [2usize, 4] {
+            for mask in 0..1u32 << n {
+                let is_free = |v: usize| mask >> v & 1 == 1;
+                let free: Vec<usize> = (0..n).filter(|&v| is_free(v)).collect();
+                for seed in 0..16 {
+                    let mut picked = Rng::from_seed(seed);
+                    let mut chosen = picked.clone();
+                    let want = (!free.is_empty()).then(|| *chosen.choose(&free));
+                    let got = picked.pick_free(n, is_free);
+                    assert_eq!(got, want, "{n} VCs, free mask {mask:b}, seed {seed}");
+                    assert_eq!(picked, chosen, "the pick must draw exactly as choose");
+                }
+            }
+        }
     }
 
     #[test]

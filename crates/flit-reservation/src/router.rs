@@ -24,7 +24,7 @@
 //! [`FrRouter::enable_contract_checks`] a `StageContractChecker` verifies
 //! the inter-stage contracts every cycle.
 
-use crate::stages::{pick_free, ControlStage, DataPathStage, FrNiStage, ReservationStage};
+use crate::stages::{ControlStage, DataPathStage, FrNiStage, ReservationStage};
 use crate::{ArrivalOutcome, FrConfig, SchedulingPolicy};
 use noc_engine::stats::RunningStats;
 use noc_engine::trace::{NullSink, TraceSink};
@@ -434,7 +434,7 @@ impl<S: TraceSink> FrRouter<S> {
             let vc = if is_head {
                 let control = &self.control;
                 let depth = self.config.control_queue_depth;
-                let Some(chosen) = pick_free(self.config.control_vcs, &mut self.rng, |v| {
+                let Some(chosen) = self.rng.pick_free(self.config.control_vcs, |v| {
                     control.queue_len(Port::Local, v) < depth
                 }) else {
                     break;

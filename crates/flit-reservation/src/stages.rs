@@ -31,23 +31,6 @@ use noc_topology::{NodeId, Port, PortMap};
 use noc_traffic::{Packet, PacketId};
 use std::collections::VecDeque;
 
-/// Picks uniformly among the indices `0..n` that `free` admits, with the
-/// single `rng.index(count)` draw that `rng.choose` makes over the list
-/// of free indices, without building that list. `None`, and no draw,
-/// when no index is free.
-pub(crate) fn pick_free(
-    n: usize,
-    rng: &mut Rng,
-    mut free: impl FnMut(usize) -> bool,
-) -> Option<usize> {
-    let count = (0..n).filter(|&i| free(i)).count();
-    if count == 0 {
-        return None;
-    }
-    let k = rng.index(count);
-    (0..n).filter(|&i| free(i)).nth(k)
-}
-
 /// A control flit waiting in an input control-VC queue.
 #[derive(Clone, Debug)]
 struct QueuedControl {
@@ -231,7 +214,7 @@ impl ControlStage {
     ) -> Option<u8> {
         let first = self.lane(out_port, 0);
         let owner = &mut self.vc_owner[first..first + self.vcs];
-        let granted = pick_free(owner.len(), rng, |v| !owner[v])?;
+        let granted = rng.pick_free(owner.len(), |v| !owner[v])?;
         owner[granted] = true;
         let lane = self.lane(port, vc);
         self.lanes[lane].out_vc = Some(granted as u8);
@@ -1080,24 +1063,6 @@ impl FrNiStage {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kth_free_pick_matches_choose_over_the_free_list() {
-        for n in [2usize, 4] {
-            for mask in 0..1u32 << n {
-                let is_free = |v: usize| mask >> v & 1 == 1;
-                let free: Vec<usize> = (0..n).filter(|&v| is_free(v)).collect();
-                for seed in 0..16 {
-                    let mut picked = Rng::from_seed(seed);
-                    let mut chosen = picked.clone();
-                    let want = (!free.is_empty()).then(|| *chosen.choose(&free));
-                    let got = pick_free(n, &mut picked, is_free);
-                    assert_eq!(got, want, "{n} VCs, free mask {mask:b}, seed {seed}");
-                    assert_eq!(picked, chosen, "the pick must draw exactly as choose");
-                }
-            }
-        }
-    }
 
     /// A control flit of packet `id` leading `led` data flits.
     fn control_flit(id: u64, dest: Option<NodeId>, led: usize) -> ControlFlit {

@@ -12,7 +12,7 @@
 //! The parser exists so `frfc-inspect metrics` and the export contract in
 //! `tests/metrics.rs` can read the files back without pulling in `serde`.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 /// A parsed or constructed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -115,20 +115,26 @@ impl Json {
     /// newline omitted).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out, 0);
+        self.write_to(&mut out)
+            .expect("writing to a String cannot fail");
         out
     }
 
-    fn render_into(&self, out: &mut String, indent: usize) {
+    /// Writes [`Json::render`]'s bytes to `out` as they are produced,
+    /// without building the whole document first.
+    pub fn write_to(&self, out: &mut impl Write) -> fmt::Result {
+        self.render_into(out, 0)
+    }
+
+    fn render_into(&self, out: &mut impl Write, indent: usize) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             Json::Num(v) => render_number(out, *v),
             Json::Str(s) => render_string(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                    return out.write_str("[]");
                 }
                 // Arrays of scalars render on one line; nested structures
                 // get one element per line.
@@ -136,46 +142,45 @@ impl Json {
                     .iter()
                     .all(|v| !matches!(v, Json::Arr(_) | Json::Obj(_)));
                 if flat {
-                    out.push('[');
+                    out.write_char('[')?;
                     for (i, item) in items.iter().enumerate() {
                         if i > 0 {
-                            out.push_str(", ");
+                            out.write_str(", ")?;
                         }
-                        item.render_into(out, indent);
+                        item.render_into(out, indent)?;
                     }
-                    out.push(']');
+                    out.write_char(']')
                 } else {
-                    out.push_str("[\n");
+                    out.write_str("[\n")?;
                     for (i, item) in items.iter().enumerate() {
-                        push_indent(out, indent + 1);
-                        item.render_into(out, indent + 1);
+                        push_indent(out, indent + 1)?;
+                        item.render_into(out, indent + 1)?;
                         if i + 1 < items.len() {
-                            out.push(',');
+                            out.write_char(',')?;
                         }
-                        out.push('\n');
+                        out.write_char('\n')?;
                     }
-                    push_indent(out, indent);
-                    out.push(']');
+                    push_indent(out, indent)?;
+                    out.write_char(']')
                 }
             }
             Json::Obj(pairs) => {
                 if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
+                    return out.write_str("{}");
                 }
-                out.push_str("{\n");
+                out.write_str("{\n")?;
                 for (i, (key, value)) in pairs.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    render_string(out, key);
-                    out.push_str(": ");
-                    value.render_into(out, indent + 1);
+                    push_indent(out, indent + 1)?;
+                    render_string(out, key)?;
+                    out.write_str(": ")?;
+                    value.render_into(out, indent + 1)?;
                     if i + 1 < pairs.len() {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    out.push('\n');
+                    out.write_char('\n')?;
                 }
-                push_indent(out, indent);
-                out.push('}');
+                push_indent(out, indent)?;
+                out.write_char('}')
             }
         }
     }
@@ -201,38 +206,37 @@ impl Json {
     }
 }
 
-fn push_indent(out: &mut String, indent: usize) {
+fn push_indent(out: &mut impl Write, indent: usize) -> fmt::Result {
     for _ in 0..indent {
-        out.push_str("  ");
+        out.write_str("  ")?;
     }
+    Ok(())
 }
 
-fn render_number(out: &mut String, v: f64) {
+fn render_number(out: &mut impl Write, v: f64) -> fmt::Result {
     if !v.is_finite() {
-        out.push_str("null");
+        out.write_str("null")
     } else if v.fract() == 0.0 && v.abs() < 9.007_199_254_740_992e15 {
-        let _ = write!(out, "{}", v as i64);
+        write!(out, "{}", v as i64)
     } else {
-        let _ = write!(out, "{v}");
+        write!(out, "{v}")
     }
 }
 
-fn render_string(out: &mut String, s: &str) {
-    out.push('"');
+fn render_string(out: &mut impl Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
+    out.write_char('"')
 }
 
 /// A parse failure, with the byte offset where it happened.

@@ -44,12 +44,26 @@ pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
+/// A `fmt::Write` sink that folds every byte written into an FNV-1a
+/// hash.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 = fnv1a(self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
 /// The canonical digest of a state dump: FNV-1a over the rendered JSON,
-/// formatted as 16 lowercase hex digits. Renders through [`Json::render`],
-/// so digest equality is exactly byte equality of the canonical form.
+/// formatted as 16 lowercase hex digits. Hashes [`Json::render`]'s
+/// bytes as [`Json::write_to`] produces them, so digest equality is
+/// exactly byte equality of the canonical form, and no rendered copy of
+/// the document is built.
 pub fn state_digest(doc: &Json) -> String {
-    let hash = fnv1a(FNV_OFFSET, doc.render().as_bytes());
-    format!("{hash:016x}")
+    let mut hash = Fnv(FNV_OFFSET);
+    doc.write_to(&mut hash).expect("hashing cannot fail");
+    format!("{:016x}", hash.0)
 }
 
 /// One difference between two JSON documents.
@@ -151,6 +165,29 @@ mod tests {
         }
         assert_ne!(state_digest(&a), state_digest(&c));
         assert_eq!(state_digest(&a).len(), 16);
+    }
+
+    #[test]
+    fn digest_hashes_the_rendered_bytes() {
+        let tricky = Json::obj(vec![
+            ("doc".into(), doc()),
+            (
+                "misc".into(),
+                Json::Arr(vec![
+                    Json::Null,
+                    Json::Bool(true),
+                    Json::Num(0.25),
+                    Json::Num(f64::NAN),
+                    Json::str("tab\there \"q\" \u{1} é"),
+                    Json::Arr(vec![]),
+                    Json::obj(vec![]),
+                ]),
+            ),
+        ]);
+        for d in [doc(), tricky] {
+            let want = format!("{:016x}", fnv1a(FNV_OFFSET, d.render().as_bytes()));
+            assert_eq!(state_digest(&d), want);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use noc_engine::stats::{Histogram, RunningStats};
 use noc_engine::Cycle;
 use noc_topology::NodeId;
 use noc_traffic::{Packet, PacketId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 /// A delivery-accounting error the caller can recover from.
@@ -54,7 +54,26 @@ struct Inflight {
     measured: bool,
 }
 
+/// One packet id's slot in the tracker's window.
+#[derive(Clone, Debug)]
+enum Slot {
+    /// An id the window spans that was never registered.
+    Unregistered,
+    /// A registered packet whose last flit has not ejected yet.
+    InFlight(Inflight),
+    /// A packet whose last flit already ejected, kept so a late
+    /// duplicate copy is distinguishable from an unknown packet.
+    Completed,
+}
+
 /// Tracks every injected packet until its last flit ejects.
+///
+/// Packet ids from `noc_traffic::TrafficGenerator` are dense from 0 and
+/// registered in order, so the tracker keeps a window of slots indexed
+/// by `id - base` and pops completed slots off its front: it spans the
+/// oldest undelivered packet to the newest registered one. Every id
+/// below the window was registered and completed, except the ones in
+/// `skipped`, which the window passed without their registration.
 ///
 /// # Examples
 ///
@@ -75,10 +94,14 @@ struct Inflight {
 /// ```
 #[derive(Clone, Debug)]
 pub struct DeliveryTracker {
-    inflight: HashMap<PacketId, Inflight>,
-    /// Ids of packets whose last flit already ejected, so late duplicate
-    /// copies are distinguishable from genuinely unknown packets.
-    completed: HashSet<PacketId>,
+    /// Id of `window[0]`.
+    base: u64,
+    /// Slots for ids `base..base + window.len()`.
+    window: VecDeque<Slot>,
+    /// Ids below `base` that were never registered.
+    skipped: BTreeSet<u64>,
+    /// `InFlight` slots in the window.
+    in_flight: usize,
     latency: RunningStats,
     latency_hist: Histogram,
     measured_delivered: u64,
@@ -91,8 +114,10 @@ impl DeliveryTracker {
     /// Creates a tracker; `hist_max` caps the exact latency histogram.
     pub fn new(hist_max: usize) -> Self {
         DeliveryTracker {
-            inflight: HashMap::new(),
-            completed: HashSet::new(),
+            base: 0,
+            window: VecDeque::new(),
+            skipped: BTreeSet::new(),
+            in_flight: 0,
             latency: RunningStats::new(),
             latency_hist: Histogram::new(hist_max),
             measured_delivered: 0,
@@ -109,18 +134,44 @@ impl DeliveryTracker {
     ///
     /// Panics on duplicate packet ids.
     pub fn on_inject(&mut self, packet: &Packet, measured: bool) {
-        let prev = self.inflight.insert(
-            packet.id,
-            Inflight {
-                dest: packet.dest,
-                created_at: packet.created_at,
-                length: packet.length_flits,
-                seen: 0,
-                seen_count: 0,
-                measured,
-            },
+        let id = packet.id.raw();
+        if id < self.base {
+            // Out-of-order registration below the window: only an id the
+            // window skipped is new. Grow the window back down to it.
+            assert!(
+                self.skipped.contains(&id),
+                "duplicate packet id {}",
+                packet.id
+            );
+            while self.base > id {
+                self.base -= 1;
+                let slot = if self.skipped.remove(&self.base) {
+                    Slot::Unregistered
+                } else {
+                    Slot::Completed
+                };
+                self.window.push_front(slot);
+            }
+        }
+        let index = (id - self.base) as usize;
+        if index >= self.window.len() {
+            self.window.resize(index + 1, Slot::Unregistered);
+        }
+        let slot = &mut self.window[index];
+        assert!(
+            matches!(slot, Slot::Unregistered),
+            "duplicate packet id {}",
+            packet.id
         );
-        assert!(prev.is_none(), "duplicate packet id {}", packet.id);
+        *slot = Slot::InFlight(Inflight {
+            dest: packet.dest,
+            created_at: packet.created_at,
+            length: packet.length_flits,
+            seen: 0,
+            seen_count: 0,
+            measured,
+        });
+        self.in_flight += 1;
         if measured {
             self.measured_outstanding += 1;
         }
@@ -149,11 +200,16 @@ impl DeliveryTracker {
         at: NodeId,
         now: Cycle,
     ) -> Result<Option<u64>, DeliveryError> {
-        let Some(entry) = self.inflight.get_mut(&packet) else {
-            if self.completed.contains(&packet) {
-                return Err(DeliveryError::DuplicateDelivery { packet, seq });
-            }
-            panic!("ejected unknown packet {packet}");
+        let id = packet.raw();
+        let index = match id.checked_sub(self.base) {
+            Some(index) => index as usize,
+            None if self.skipped.contains(&id) => panic!("ejected unknown packet {packet}"),
+            None => return Err(DeliveryError::DuplicateDelivery { packet, seq }),
+        };
+        let entry = match self.window.get_mut(index) {
+            Some(Slot::InFlight(entry)) => entry,
+            Some(Slot::Completed) => return Err(DeliveryError::DuplicateDelivery { packet, seq }),
+            Some(Slot::Unregistered) | None => panic!("ejected unknown packet {packet}"),
         };
         assert_eq!(entry.dest, at, "packet {packet} ejected at wrong node");
         assert!(seq < entry.length, "flit seq out of range for {packet}");
@@ -175,11 +231,28 @@ impl DeliveryTracker {
                 self.measured_outstanding -= 1;
             }
             self.delivered_packets += 1;
-            self.inflight.remove(&packet);
-            self.completed.insert(packet);
+            self.window[index] = Slot::Completed;
+            self.in_flight -= 1;
+            self.pop_retired();
             Ok(Some(latency))
         } else {
             Ok(None)
+        }
+    }
+
+    /// Pops completed slots off the window's front, and skipped ones,
+    /// whose ids move to `skipped`.
+    fn pop_retired(&mut self) {
+        while let Some(front) = self.window.front() {
+            match front {
+                Slot::InFlight(_) => break,
+                Slot::Unregistered => {
+                    self.skipped.insert(self.base);
+                }
+                Slot::Completed => {}
+            }
+            self.window.pop_front();
+            self.base += 1;
         }
     }
 
@@ -215,24 +288,25 @@ impl DeliveryTracker {
 
     /// Packets injected but not yet fully delivered.
     pub fn in_flight(&self) -> usize {
-        self.inflight.len()
+        self.in_flight
     }
 }
 
 impl noc_metrics::Snapshot for DeliveryTracker {
-    /// Canonical dump of the tracker: in-flight packets sorted by id (the
-    /// underlying `HashMap` iterates in arbitrary order, which a
-    /// deterministic snapshot must never leak), completed count and the
-    /// delivery/latency aggregates.
+    /// Canonical dump of the tracker: in-flight packets sorted by id
+    /// (window order), completed count and the delivery/latency
+    /// aggregates.
     fn snapshot(&self) -> noc_metrics::Json {
         use noc_metrics::Json;
-        let mut inflight: Vec<(&PacketId, &Inflight)> = self.inflight.iter().collect();
-        inflight.sort_by_key(|(id, _)| id.raw());
-        let inflight: Vec<Json> = inflight
-            .into_iter()
+        let inflight: Vec<Json> = (self.base..)
+            .zip(&self.window)
+            .filter_map(|(id, slot)| match slot {
+                Slot::InFlight(e) => Some((id, e)),
+                _ => None,
+            })
             .map(|(id, e)| {
                 Json::obj(vec![
-                    ("packet".into(), Json::Num(id.raw() as f64)),
+                    ("packet".into(), Json::Num(id as f64)),
                     ("dest".into(), Json::Num(e.dest.raw() as f64)),
                     ("created_at".into(), Json::Num(e.created_at.raw() as f64)),
                     ("length".into(), Json::Num(e.length as f64)),
@@ -244,7 +318,7 @@ impl noc_metrics::Snapshot for DeliveryTracker {
             .collect();
         Json::obj(vec![
             ("in_flight".into(), Json::Arr(inflight)),
-            ("completed".into(), Json::Num(self.completed.len() as f64)),
+            ("completed".into(), Json::Num(self.delivered_packets as f64)),
             (
                 "delivered_flits".into(),
                 Json::Num(self.delivered_flits as f64),
@@ -373,9 +447,9 @@ mod tests {
 
     #[test]
     fn eject_after_completion_is_a_duplicate_delivery_error() {
-        // Once the last flit lands the packet leaves the in-flight map;
-        // the completed-set still recognises a late retransmitted copy
-        // as a duplicate rather than an unknown packet.
+        // Once the last flit lands the packet stops being in flight; its
+        // completed slot still recognises a late retransmitted copy as a
+        // duplicate rather than an unknown packet.
         let mut t = DeliveryTracker::new(100);
         t.on_inject(&packet(1, 1, 0), false);
         assert_eq!(
@@ -438,6 +512,95 @@ mod tests {
     fn unknown_packet_panics() {
         let mut t = DeliveryTracker::new(100);
         let _ = t.on_eject(PacketId::new(7), 0, NodeId::new(5), Cycle::new(20));
+    }
+
+    /// Registers packets `0..n` of one flit each and delivers them in
+    /// `order`.
+    fn deliver_in_order(n: u64, order: &[u64]) -> DeliveryTracker {
+        let mut t = DeliveryTracker::new(100);
+        for id in 0..n {
+            t.on_inject(&packet(id, 1, 0), id % 2 == 0);
+        }
+        for &id in order {
+            assert_eq!(
+                t.on_eject(PacketId::new(id), 0, NodeId::new(5), Cycle::new(9)),
+                Ok(Some(9))
+            );
+        }
+        t
+    }
+
+    #[test]
+    fn window_empties_once_every_packet_completes() {
+        let mut t = deliver_in_order(6, &[3, 1, 0, 5, 2]);
+        assert_eq!((t.base, t.window.len(), t.in_flight()), (4, 2, 1));
+        t.on_eject(PacketId::new(4), 0, NodeId::new(5), Cycle::new(9))
+            .unwrap();
+        assert_eq!((t.base, t.window.len(), t.in_flight()), (6, 0, 0));
+        assert_eq!(t.delivered_packets(), 6);
+        assert_eq!(t.measured_outstanding(), 0);
+    }
+
+    #[test]
+    fn completed_id_below_the_window_is_a_duplicate_delivery_error() {
+        let mut t = deliver_in_order(4, &[0, 1, 2]);
+        assert_eq!(t.base, 3);
+        assert_eq!(
+            t.on_eject(PacketId::new(1), 0, NodeId::new(5), Cycle::new(10)),
+            Err(DeliveryError::DuplicateDelivery {
+                packet: PacketId::new(1),
+                seq: 0
+            })
+        );
+        assert_eq!(t.delivered_flits(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "ejected unknown packet p1")]
+    fn unknown_id_below_the_window_panics() {
+        // Ids 1 and 2 are skipped; completing 0 and 3 moves the window
+        // past them.
+        let mut t = DeliveryTracker::new(100);
+        t.on_inject(&packet(0, 1, 0), true);
+        t.on_inject(&packet(3, 1, 0), true);
+        for id in [3, 0] {
+            t.on_eject(PacketId::new(id), 0, NodeId::new(5), Cycle::new(9))
+                .unwrap();
+        }
+        assert_eq!((t.base, t.window.len()), (4, 0));
+        let _ = t.on_eject(PacketId::new(1), 0, NodeId::new(5), Cycle::new(10));
+    }
+
+    #[test]
+    fn a_skipped_id_registers_below_the_window() {
+        let mut t = deliver_in_order(0, &[]);
+        t.on_inject(&packet(2, 1, 0), true);
+        t.on_eject(PacketId::new(2), 0, NodeId::new(5), Cycle::new(9))
+            .unwrap();
+        assert_eq!(t.base, 3);
+        t.on_inject(&packet(1, 1, 4), true);
+        assert_eq!(t.in_flight(), 1);
+        // The regrown window still knows 2 completed and 0 was skipped.
+        assert_eq!(
+            t.on_eject(PacketId::new(2), 0, NodeId::new(5), Cycle::new(10)),
+            Err(DeliveryError::DuplicateDelivery {
+                packet: PacketId::new(2),
+                seq: 0
+            })
+        );
+        assert_eq!(
+            t.on_eject(PacketId::new(1), 0, NodeId::new(5), Cycle::new(10)),
+            Ok(Some(6))
+        );
+        assert_eq!((t.base, t.window.len(), t.in_flight()), (3, 0, 0));
+        assert!(t.skipped.contains(&0));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate packet id p1")]
+    fn re_registering_a_completed_id_below_the_window_panics() {
+        let mut t = deliver_in_order(3, &[0, 1]);
+        t.on_inject(&packet(1, 1, 0), true);
     }
 
     #[test]

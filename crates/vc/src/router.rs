@@ -19,7 +19,7 @@
 //! [`VcRouter::enable_contract_checks`] a `StageContractChecker`
 //! verifies the inter-stage contracts every cycle.
 
-use crate::stages::{NiStage, QueuedFlit, SwitchStage, VcAllocStage, VcInputStage};
+use crate::stages::{NiStage, QueuedFlit, ReadyLane, SwitchStage, VcAllocStage, VcInputStage};
 use crate::{AllocationUnit, VcConfig};
 use noc_engine::trace::{NullSink, TraceSink};
 use noc_engine::{Cycle, Rng};
@@ -66,6 +66,13 @@ pub struct VcRouter<S: TraceSink = NullSink> {
     /// Runtime verifier of the inter-stage contracts, off by default so
     /// the step loop carries no checking cost.
     contracts: Option<StageContractChecker>,
+    /// Per-step scratch, empty between steps: each phase takes its
+    /// vector and hands it back cleared, so a warm step allocates
+    /// nothing.
+    requests: Vec<VcAllocRequest>,
+    bids: Vec<(Port, SwitchBid)>,
+    nominations: Vec<(Port, SwitchBid)>,
+    contenders: Vec<SwitchContender>,
     sink: S,
 }
 
@@ -95,6 +102,10 @@ impl<S: TraceSink> VcRouter<S> {
             switch: SwitchStage::new(&config),
             ni: NiStage::default(),
             contracts: None,
+            requests: Vec::new(),
+            bids: Vec::new(),
+            nominations: Vec::new(),
+            contenders: Vec::new(),
             sink,
         }
     }
@@ -124,28 +135,17 @@ impl<S: TraceSink> VcRouter<S> {
 
     /// Phase 1: routing and virtual-channel allocation for head flits.
     ///
-    /// The driver collects one typed [`VcAllocRequest`] per lane that is
-    /// routed but holds no output VC, shuffles them (the paper's random
-    /// allocation order) and plays each against the allocation stage.
+    /// The input stage routes waiting heads and collects one typed
+    /// [`VcAllocRequest`] per lane that is routed but holds no output
+    /// VC; the router shuffles them (the paper's random allocation
+    /// order) and plays each against the allocation stage.
     fn allocate_vcs(&mut self, now: Cycle) {
-        let mut requests: Vec<VcAllocRequest> = Vec::new();
-        for &in_port in &Port::ALL {
-            for vc in 0..self.config.num_vcs {
-                if let Some(dest) = self.input.pending_route(in_port, vc, now) {
-                    let out = self.route.route(dest);
-                    self.input.set_route(in_port, vc, out, now);
-                    if out == Port::Local {
-                        // Ejection needs no downstream VC.
-                        continue;
-                    }
-                }
-                if let Some(req) = self.input.alloc_request(in_port, vc) {
-                    requests.push(req);
-                }
-            }
-        }
+        let mut requests = std::mem::take(&mut self.requests);
+        let route = &mut self.route;
+        self.input
+            .gather_requests(now, |dest| route.route(dest), &mut requests);
         self.rng.shuffle(&mut requests);
-        for req in requests {
+        for req in requests.drain(..) {
             if let Some(ck) = self.contracts.as_mut() {
                 ck.note_vc_request(req);
             }
@@ -156,23 +156,17 @@ impl<S: TraceSink> VcRouter<S> {
                 self.input.apply_grant(&req, grant, now);
             }
         }
+        self.requests = requests;
     }
 
     /// Per-lane readiness gates for switch allocation; returns the
     /// lane's bid when every gate passes.
     fn switch_bid(&mut self, in_port: Port, vc: usize, now: Cycle) -> Option<SwitchBid> {
-        let front = self.input.front(in_port, vc)?;
-        let lane = self.input.lane(in_port, vc);
-        let (route, out_vc) = match (lane.route, lane.out_vc) {
-            (Some(r), Some(v)) => (r, v),
-            _ => return None,
-        };
-        if front.arrived + 1 > now {
-            return None;
-        }
-        if front.tag.ty.is_head() && lane.switch_ready_at > now {
-            return None;
-        }
+        let ReadyLane {
+            route,
+            out_vc,
+            head,
+        } = self.input.switch_ready(in_port, vc, now)?;
         if !self.switch.has_credit(route, out_vc, &self.config) {
             self.switch.note_credit_stall();
             return None;
@@ -180,10 +174,11 @@ impl<S: TraceSink> VcRouter<S> {
         // Packet-sized allocation (store-and-forward and virtual
         // cut-through): the head advances only once a whole packet
         // buffer is free downstream ...
-        if front.tag.ty.is_head()
-            && route != Port::Local
-            && self.config.allocation != AllocationUnit::Flit
-        {
+        if head && route != Port::Local && self.config.allocation != AllocationUnit::Flit {
+            let front = self
+                .input
+                .front(in_port, vc)
+                .expect("ready lane holds a flit");
             let needed = front.flit.length as usize;
             assert!(
                 needed <= self.config.queue_depth,
@@ -201,9 +196,9 @@ impl<S: TraceSink> VcRouter<S> {
         }
         // ... and store-and-forward additionally waits for the tail to
         // arrive before forwarding anything.
-        if front.tag.ty.is_head()
+        if head
             && self.config.allocation == AllocationUnit::StoreAndForward
-            && !self.input.tail_buffered(in_port, vc, front.flit.packet)
+            && !self.input.tail_buffered(in_port, vc)
         {
             return None;
         }
@@ -217,31 +212,37 @@ impl<S: TraceSink> VcRouter<S> {
     /// nominates one ready bid, each output port grants one nomination;
     /// both picks are the paper's uniform random draw.
     fn traverse_switch(&mut self, now: Cycle, out: &mut StepOutputs) {
-        let mut nominations: Vec<(Port, SwitchBid)> = Vec::new();
-        for &in_port in &Port::ALL {
-            let mut bids: Vec<SwitchBid> = Vec::new();
-            for vc in 0..self.config.num_vcs {
-                if let Some(bid) = self.switch_bid(in_port, vc, now) {
-                    bids.push(bid);
-                }
-            }
-            if !bids.is_empty() {
-                let chosen = SwitchStage::nominate(&bids, &mut self.rng);
-                if let Some(ck) = self.contracts.as_mut() {
-                    ck.note_nomination(in_port, chosen);
-                }
-                nominations.push((in_port, chosen));
+        // The walk visits each input port's lanes together, so its bids
+        // group by port in `Port::ALL` order.
+        let mut bids = std::mem::take(&mut self.bids);
+        let mut lanes = self.input.occupied_lanes();
+        while let Some((in_port, vc)) = lanes.next(&self.input) {
+            if let Some(bid) = self.switch_bid(in_port, vc, now) {
+                bids.push((in_port, bid));
             }
         }
+        let mut nominations = std::mem::take(&mut self.nominations);
+        for port_bids in bids.chunk_by(|a, b| a.0 == b.0) {
+            let (in_port, chosen) = SwitchStage::nominate(port_bids, &mut self.rng);
+            if let Some(ck) = self.contracts.as_mut() {
+                ck.note_nomination(in_port, chosen);
+            }
+            nominations.push((in_port, chosen));
+        }
+        bids.clear();
+        self.bids = bids;
+        let mut contenders = std::mem::take(&mut self.contenders);
         for &out_port in &Port::ALL {
-            let contenders: Vec<SwitchContender> = nominations
-                .iter()
-                .filter(|&&(_, b)| b.out_port == out_port)
-                .map(|&(p, b)| SwitchContender {
-                    in_port: p,
-                    in_vc: b.in_vc,
-                })
-                .collect();
+            contenders.clear();
+            contenders.extend(
+                nominations
+                    .iter()
+                    .filter(|&&(_, b)| b.out_port == out_port)
+                    .map(|&(p, b)| SwitchContender {
+                        in_port: p,
+                        in_vc: b.in_vc,
+                    }),
+            );
             if contenders.is_empty() {
                 continue;
             }
@@ -252,6 +253,10 @@ impl<S: TraceSink> VcRouter<S> {
             }
             self.forward_flit(winner.in_port, winner.in_vc, out_port, now, out);
         }
+        contenders.clear();
+        self.contenders = contenders;
+        nominations.clear();
+        self.nominations = nominations;
     }
 
     fn forward_flit(
@@ -311,14 +316,14 @@ impl<S: TraceSink> VcRouter<S> {
         };
         let vc = if tag.ty.is_head() {
             // Pick a local VC with space for the new packet.
-            let candidates: Vec<u8> = (0..self.config.num_vcs)
-                .filter(|&v| self.input.has_space(Port::Local, v, &self.config))
-                .map(|v| v as u8)
-                .collect();
-            if candidates.is_empty() {
+            let (input, config) = (&self.input, &self.config);
+            let Some(chosen) = self
+                .rng
+                .pick_free(config.num_vcs, |v| input.has_space(Port::Local, v, config))
+            else {
                 return;
-            }
-            let chosen = *self.rng.choose(&candidates);
+            };
+            let chosen = chosen as u8;
             self.ni.bind_vc(chosen);
             chosen
         } else {
@@ -475,54 +480,53 @@ impl<S: TraceSink> Router for VcRouter<S> {
             Some(s) => s,
             None => return,
         };
-        for &in_port in &Port::ALL {
-            for vc in 0..self.config.num_vcs {
-                let front = match self.input.front(in_port, vc) {
-                    Some(f) if scan.eligible(f.arrived) => f,
-                    _ => continue,
-                };
-                let (packet, seq) = (front.flit.packet, front.flit.seq);
-                let lane = self.input.lane(in_port, vc);
-                let (route, out_vc) = match (lane.route, lane.out_vc) {
-                    (Some(r), Some(v)) => (r, v),
-                    (Some(_), None) => {
-                        scan.vc_alloc_stall(&mut self.sink, packet, seq);
-                        continue;
-                    }
-                    // Head exposed mid-cycle by a departing tail: it has
-                    // not been routed yet, so this cycle is queue wait,
-                    // not a contention loss.
-                    (None, _) => continue,
-                };
-                if front.tag.ty.is_head() && lane.switch_ready_at > now {
+        let mut lanes = self.input.occupied_lanes();
+        while let Some((in_port, vc)) = lanes.next(&self.input) {
+            let front = match self.input.front(in_port, vc) {
+                Some(f) if scan.eligible(f.arrived) => f,
+                _ => continue,
+            };
+            let (packet, seq) = (front.flit.packet, front.flit.seq);
+            let lane = self.input.lane(in_port, vc);
+            let (route, out_vc) = match (lane.route, lane.out_vc) {
+                (Some(r), Some(v)) => (r, v),
+                (Some(_), None) => {
+                    scan.vc_alloc_stall(&mut self.sink, packet, seq);
                     continue;
                 }
-                if !self.switch.has_credit(route, out_vc, &self.config) {
+                // Head exposed mid-cycle by a departing tail: it has
+                // not been routed yet, so this cycle is queue wait,
+                // not a contention loss.
+                (None, _) => continue,
+            };
+            if front.tag.ty.is_head() && lane.switch_ready_at > now {
+                continue;
+            }
+            if !self.switch.has_credit(route, out_vc, &self.config) {
+                scan.credit_stall(&mut self.sink, packet, seq);
+                continue;
+            }
+            if front.tag.ty.is_head()
+                && route != Port::Local
+                && self.config.allocation != AllocationUnit::Flit
+            {
+                let needed = front.flit.length as usize;
+                if self
+                    .switch
+                    .available_for_packet(route, out_vc, &self.config)
+                    < needed
+                {
                     scan.credit_stall(&mut self.sink, packet, seq);
                     continue;
                 }
-                if front.tag.ty.is_head()
-                    && route != Port::Local
-                    && self.config.allocation != AllocationUnit::Flit
-                {
-                    let needed = front.flit.length as usize;
-                    if self
-                        .switch
-                        .available_for_packet(route, out_vc, &self.config)
-                        < needed
-                    {
-                        scan.credit_stall(&mut self.sink, packet, seq);
-                        continue;
-                    }
-                }
-                if front.tag.ty.is_head()
-                    && self.config.allocation == AllocationUnit::StoreAndForward
-                    && !self.input.tail_buffered(in_port, vc, packet)
-                {
-                    continue;
-                }
-                scan.switch_stall(&mut self.sink, packet, seq);
             }
+            if front.tag.ty.is_head()
+                && self.config.allocation == AllocationUnit::StoreAndForward
+                && !self.input.tail_buffered(in_port, vc)
+            {
+                continue;
+            }
+            scan.switch_stall(&mut self.sink, packet, seq);
         }
     }
 }
