@@ -429,29 +429,13 @@ impl<S: TraceSink> FrRouter<S> {
             if self.ni.staged_is_empty() && !self.ni.stage_next_packet(d) {
                 break;
             }
-            let is_head = self.ni.staged_front_is_head();
-            // Pick / look up the local control VC for this packet.
-            let vc = if is_head {
-                let control = &self.control;
-                let depth = self.config.control_queue_depth;
-                let Some(chosen) = self.rng.pick_free(self.config.control_vcs, |v| {
-                    control.queue_len(Port::Local, v) < depth
-                }) else {
-                    break;
-                };
-                let chosen = chosen as u8;
-                self.ni.bind_vc(chosen);
-                chosen
-            } else {
-                match self.ni.current_vc() {
-                    Some(v)
-                        if self.control.queue_len(Port::Local, v as usize)
-                            < self.config.control_queue_depth =>
-                    {
-                        v
-                    }
-                    _ => break,
-                }
+            let head = self.ni.staged_front_is_head();
+            let (control, depth) = (&self.control, self.config.control_queue_depth);
+            let has_space = |v| control.queue_len(Port::Local, v) < depth;
+            let local = self.ni.local_vc();
+            let vcs = self.config.control_vcs;
+            let Some(vc) = local.pick(head, vcs, &mut self.rng, has_space) else {
+                break;
             };
             // Schedule the injection of this control flit's data flits. A
             // control flit is only injected "after [it has] scheduled the
@@ -464,9 +448,6 @@ impl<S: TraceSink> FrRouter<S> {
             }
             let mut flit = self.ni.pop_staged();
             flit.vc = vc;
-            if flit.is_tail {
-                self.ni.unbind_vc();
-            }
             self.control.push(Port::Local, vc as usize, flit, now);
         }
     }
@@ -498,10 +479,7 @@ impl<S: TraceSink> Router for FrRouter<S> {
                 );
                 self.control.push(port, vc, flit, now);
             }
-            LinkEvent::ControlCredit { vc } => {
-                self.control
-                    .credit_returned(port, vc, self.config.control_queue_depth);
-            }
+            LinkEvent::ControlCredit { vc } => self.control.credit_returned(port, vc),
             LinkEvent::FrCredit { frees_at } => {
                 // Slide the window to `now` before applying: if this
                 // router was idle-skipped, the table base is stale and the

@@ -9,7 +9,8 @@
 //!   the VC baseline;
 //! * control plane — [`ControlStage`], owning the per-VC control
 //!   queues, downstream control-VC ownership and control credits (the
-//!   FR analogue of VC allocation);
+//!   FR analogue of VC allocation), the virtual-channel port of
+//!   `noc_flow::pipeline` that the VC baseline runs on its data lanes;
 //! * reservation match — [`ReservationStage`], owning the output
 //!   reservation tables that answer `ReservationRequest`s;
 //! * data path — [`DataPathStage`], owning the input reservation
@@ -24,7 +25,9 @@ use crate::transfers::TransferCounter;
 use crate::{ArrivalOutcome, FrConfig, InputReservationTable, OutputReservationTable};
 use noc_engine::stats::RunningStats;
 use noc_engine::{Cycle, Rng};
-use noc_flow::pipeline::{ReservationGrant, ReservationRequest};
+use noc_flow::pipeline::{
+    Credits, Front, InputLanes, LaneFlit, LocalVc, ReservationGrant, ReservationRequest, VcOwners,
+};
 use noc_flow::{BufferId, ControlFlit, ControlKind, DataFlit, LedFlit};
 use noc_metrics::Json;
 use noc_topology::{NodeId, Port, PortMap};
@@ -38,114 +41,57 @@ struct QueuedControl {
     arrived: Cycle,
 }
 
-/// One input control VC. The front flit's arrival cycle and head
-/// destination are copied out on every push and pop, so the per-cycle
-/// scan never reads the queue's buffer.
-#[derive(Clone, Debug)]
-struct Lane {
-    queue: VecDeque<QueuedControl>,
-    /// Arrival cycle of the front flit; stale while the queue is empty.
-    front_arrived: Cycle,
-    /// Destination of the front flit when it is a packet head.
-    front_dest: Option<NodeId>,
-    /// Output port of the packet currently flowing through this VC.
-    route: Option<Port>,
-    /// Downstream control VC granted to that packet.
-    out_vc: Option<u8>,
-}
-
-impl Lane {
-    fn new() -> Self {
-        Lane {
-            queue: VecDeque::new(),
-            front_arrived: Cycle::ZERO,
-            front_dest: None,
-            route: None,
-            out_vc: None,
+impl LaneFlit for QueuedControl {
+    fn front(&self) -> Front {
+        let head_dest = match self.flit.kind {
+            ControlKind::Head { dest } => Some(dest),
+            ControlKind::Body => None,
+        };
+        Front {
+            arrived: self.arrived,
+            head_dest,
         }
     }
 
-    fn refresh_front(&mut self) {
-        if let Some(qc) = self.queue.front() {
-            self.front_arrived = qc.arrived;
-            self.front_dest = match qc.flit.kind {
-                ControlKind::Head { dest } => Some(dest),
-                ControlKind::Body => None,
-            };
-        }
+    fn render(&self) -> String {
+        format!("{:?} arrived={}", self.flit, self.arrived.raw())
     }
 }
 
-/// Calls `f` with the index of every set bit of `words`, ascending.
-#[inline]
-fn for_each_bit(words: &[u64], mut f: impl FnMut(usize)) {
-    for (w, &word) in words.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            f(w * 64 + bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-    }
-}
-
-/// The control-plane stage: per-input control-VC queues, downstream
-/// control-VC ownership and control credits. Its VC allocation is the
-/// FR counterpart of the baseline's `VcAllocStage`, driven by the same
-/// typed request/grant contract.
-///
-/// Lanes are stored flat and port-major: lane `port.index() * vcs + vc`.
-/// An occupancy bitset (one `u64` per 64 lanes) names the lanes holding
-/// a flit, so the per-cycle scan costs one step per queued front, not
-/// one per configured lane.
+/// The control-plane stage: the control network's virtual-channel
+/// input port (the shared lanes, downstream control-VC owners and
+/// control credits) and the per-output ready lists. Its VC allocation
+/// is the FR counterpart of the baseline's `VcAllocStage`, driven by
+/// the same typed request/grant contract.
 #[derive(Clone, Debug)]
 pub(crate) struct ControlStage {
-    /// Control VCs per port.
-    vcs: usize,
-    /// Control input lanes, port-major.
-    lanes: Vec<Lane>,
-    /// Each lane's (input port, VC), so no lookup divides by `vcs`.
-    lane_ids: Vec<(Port, u8)>,
-    /// One bit per lane whose queue holds a flit.
-    occupied: Vec<u64>,
-    /// Per output port, `lanes.len()` slots: the lanes
+    lanes: InputLanes<QueuedControl>,
+    /// Per output port, one slot per lane: the lanes
     /// [`Self::gather_ready`] found ready for that output, ascending.
     ready: Vec<(Port, u8)>,
     /// How many of each output's `ready` slots are filled.
     ready_len: [usize; Port::COUNT],
-    /// Credits for downstream control-VC queues, per output port and
-    /// VC, port-major like the lanes.
-    credits: Vec<usize>,
-    /// Downstream control-VC ownership, laid out like `credits`.
-    vc_owner: Vec<bool>,
+    credits: Credits,
+    owners: VcOwners,
     control_flits_sent: u64,
 }
 
 impl ControlStage {
     pub(crate) fn new(config: &FrConfig) -> Self {
         let vcs = config.control_vcs;
-        let lanes = Port::COUNT * vcs;
         ControlStage {
-            vcs,
-            lanes: (0..lanes).map(|_| Lane::new()).collect(),
-            lane_ids: Port::ALL
-                .iter()
-                .flat_map(|&port| (0..vcs).map(move |vc| (port, vc as u8)))
-                .collect(),
-            occupied: vec![0; lanes.div_ceil(64)],
-            ready: vec![(Port::Local, 0); Port::COUNT * lanes],
+            lanes: InputLanes::new(vcs),
+            ready: vec![(Port::Local, 0); Port::COUNT * Port::COUNT * vcs],
             ready_len: [0; Port::COUNT],
-            credits: vec![config.control_queue_depth; lanes],
-            vc_owner: vec![false; lanes],
+            credits: Credits::new(vcs, config.control_queue_depth),
+            owners: VcOwners::new(vcs),
             control_flits_sent: 0,
         }
     }
 
-    /// The flat index of lane (`port`, `vc`), also the index of the
-    /// (output `port`, downstream `vc`) credit and owner entries.
-    #[inline]
-    fn lane(&self, port: Port, vc: usize) -> usize {
-        debug_assert!(vc < self.vcs, "control vc out of range");
-        port.index() * self.vcs + vc
+    /// Slots per output in the ready lists: one per lane.
+    fn stride(&self) -> usize {
+        Port::COUNT * self.lanes.vcs()
     }
 
     /// The route and readiness pass, over the occupied lanes in
@@ -160,23 +106,26 @@ impl ControlStage {
     /// before any lane is processed match per-output rescans made
     /// between the outputs.
     pub(crate) fn gather_ready(&mut self, now: Cycle, mut route: impl FnMut(NodeId) -> Port) -> u8 {
-        let n = self.lanes.len();
+        let n = self.stride();
         self.ready_len = [0; Port::COUNT];
         let mut outputs = 0u8;
-        for_each_bit(&self.occupied, |lane| {
-            let l = &mut self.lanes[lane];
-            if l.front_arrived >= now {
-                return;
+        let mut walk = self.lanes.walk();
+        while let Some(i) = walk.next(&self.lanes) {
+            let l = self.lanes.lane_mut(i);
+            let front = l.front();
+            if front.arrived >= now {
+                continue;
             }
-            let out = match (l.route, l.front_dest) {
+            let out = match (l.route, front.head_dest) {
                 (Some(out), _) => out.index(),
                 (None, Some(dest)) => l.route.insert(route(dest)).index(),
-                (None, None) => return,
+                (None, None) => continue,
             };
-            self.ready[out * n + self.ready_len[out]] = self.lane_ids[lane];
+            let (port, vc) = self.lanes.id(i);
+            self.ready[out * n + self.ready_len[out]] = (port, vc as u8);
             self.ready_len[out] += 1;
             outputs |= 1 << out;
-        });
+        }
         outputs
     }
 
@@ -184,7 +133,7 @@ impl ControlStage {
     /// the ascending list does, and returns how many of its lanes, at
     /// most `limit`, to process: [`Self::ready_lane`] `0..` that count.
     pub(crate) fn pick_ready(&mut self, out: Port, rng: &mut Rng, limit: usize) -> usize {
-        let start = out.index() * self.lanes.len();
+        let start = out.index() * self.stride();
         let len = self.ready_len[out.index()];
         rng.shuffle(&mut self.ready[start..start + len]);
         len.min(limit)
@@ -193,13 +142,13 @@ impl ControlStage {
     /// The (input port, VC) of entry `i` of `out`'s ready list.
     pub(crate) fn ready_lane(&self, out: Port, i: usize) -> (Port, usize) {
         debug_assert!(i < self.ready_len[out.index()], "past the ready list");
-        let (port, vc) = self.ready[out.index() * self.lanes.len() + i];
+        let (port, vc) = self.ready[out.index() * self.stride() + i];
         (port, vc as usize)
     }
 
     /// The downstream control VC held by the lane's packet, if any.
     pub(crate) fn out_vc(&self, port: Port, vc: usize) -> Option<u8> {
-        self.lanes[self.lane(port, vc)].out_vc
+        self.lanes.lane(self.lanes.index(port, vc)).out_vc
     }
 
     /// Allocates a free downstream control VC on `out_port` to the
@@ -212,56 +161,45 @@ impl ControlStage {
         out_port: Port,
         rng: &mut Rng,
     ) -> Option<u8> {
-        let first = self.lane(out_port, 0);
-        let owner = &mut self.vc_owner[first..first + self.vcs];
-        let granted = rng.pick_free(owner.len(), |v| !owner[v])?;
-        owner[granted] = true;
-        let lane = self.lane(port, vc);
-        self.lanes[lane].out_vc = Some(granted as u8);
-        Some(granted as u8)
+        let granted = self.owners.grant(out_port, rng)?;
+        let i = self.lanes.index(port, vc);
+        self.lanes.lane_mut(i).out_vc = Some(granted);
+        Some(granted)
     }
 
     /// True if a forwarded control flit has a downstream queue slot on
     /// (`out_port`, `out_vc`).
     pub(crate) fn has_credit(&self, out_port: Port, out_vc: u8) -> bool {
-        self.credits[self.lane(out_port, out_vc as usize)] > 0
+        self.credits.available(out_port, out_vc) > 0
     }
 
     /// Spends one downstream control-queue slot for a forwarded flit.
     pub(crate) fn consume_credit(&mut self, out_port: Port, out_vc: u8) {
-        let i = self.lane(out_port, out_vc as usize);
-        self.credits[i] -= 1;
+        self.credits.consume(out_port, out_vc);
     }
 
     /// Applies a control credit arriving on output `port` for `vc`.
-    pub(crate) fn credit_returned(&mut self, port: Port, vc: u8, depth: usize) {
-        let i = self.lane(port, vc as usize);
-        let c = &mut self.credits[i];
-        *c += 1;
-        debug_assert!(*c <= depth, "control credit overflow");
+    pub(crate) fn credit_returned(&mut self, port: Port, vc: u8) {
+        self.credits.returned(port, vc);
     }
 
     /// The lane's front control flit, if any.
     pub(crate) fn front_flit(&self, port: Port, vc: usize) -> Option<&ControlFlit> {
-        self.lanes[self.lane(port, vc)]
-            .queue
-            .front()
-            .map(|qc| &qc.flit)
+        let lane = self.lanes.lane(self.lanes.index(port, vc));
+        lane.queue().front().map(|qc| &qc.flit)
     }
 
     /// The packet id and arrival cycle of every routed lane's front
     /// control flit, in ascending (port, VC) order, for the
     /// stall-provenance scan.
     pub(crate) fn routed_fronts(&self, mut f: impl FnMut(PacketId, Cycle)) {
-        for_each_bit(&self.occupied, |lane| {
-            let l = &self.lanes[lane];
+        let mut walk = self.lanes.walk();
+        while let Some(i) = walk.next(&self.lanes) {
+            let l = self.lanes.lane(i);
             if l.route.is_some() {
-                f(
-                    l.queue.front().expect("occupied lane").flit.packet,
-                    l.front_arrived,
-                );
+                f(l.queue()[0].flit.packet, l.front().arrived);
             }
-        });
+        }
     }
 
     /// Records a booked departure into the front control flit's led
@@ -272,13 +210,11 @@ impl ControlStage {
     ///
     /// Panics if the lane is empty.
     pub(crate) fn mark_scheduled(&mut self, port: Port, vc: usize, idx: usize, arrival: Cycle) {
-        let lane = self.lane(port, vc);
-        let front = self.lanes[lane]
-            .queue
-            .front_mut()
-            .expect("front still present");
-        front.flit.led[idx].arrival = arrival;
-        front.flit.led[idx].scheduled = true;
+        let i = self.lanes.index(port, vc);
+        let front = self.lanes.lane_mut(i).front_flit_mut();
+        let led = &mut front.expect("front still present").flit.led[idx];
+        led.arrival = arrival;
+        led.scheduled = true;
     }
 
     /// Pops the fully scheduled front control flit of the lane.
@@ -287,32 +223,19 @@ impl ControlStage {
     ///
     /// Panics if the lane is empty: only fully scheduled fronts pop.
     pub(crate) fn pop_front(&mut self, port: Port, vc: usize) -> ControlFlit {
-        let lane = self.lane(port, vc);
-        let l = &mut self.lanes[lane];
-        let flit = l.queue.pop_front().expect("front present").flit;
-        if l.queue.is_empty() {
-            self.occupied[lane / 64] &= !(1 << (lane % 64));
-        } else {
-            l.refresh_front();
-        }
-        flit
+        self.lanes.pop(self.lanes.index(port, vc)).flit
     }
 
     /// Buffers a control flit at the back of lane (`port`, `vc`). The
     /// driver checks queue depth first (its assertion names the node).
     pub(crate) fn push(&mut self, port: Port, vc: usize, flit: ControlFlit, arrived: Cycle) {
-        let lane = self.lane(port, vc);
-        let l = &mut self.lanes[lane];
-        l.queue.push_back(QueuedControl { flit, arrived });
-        if l.queue.len() == 1 {
-            l.refresh_front();
-            self.occupied[lane / 64] |= 1 << (lane % 64);
-        }
+        let i = self.lanes.index(port, vc);
+        self.lanes.push(i, QueuedControl { flit, arrived });
     }
 
     /// Control flits queued in lane (`port`, `vc`).
     pub(crate) fn queue_len(&self, port: Port, vc: usize) -> usize {
-        self.lanes[self.lane(port, vc)].queue.len()
+        self.lanes.lane(self.lanes.index(port, vc)).queue().len()
     }
 
     /// Clears the lane's allocation after its packet's tail was
@@ -322,20 +245,16 @@ impl ControlStage {
     ///
     /// Panics if a non-local tail departs without an allocated VC.
     pub(crate) fn end_packet(&mut self, port: Port, vc: usize, out_port: Port) {
-        let lane = self.lane(port, vc);
-        let l = &mut self.lanes[lane];
-        l.route = None;
-        let out_vc = l.out_vc.take();
+        let out_vc = self.lanes.end_packet(self.lanes.index(port, vc));
         if out_port != Port::Local {
-            let ovc = out_vc.expect("tail releases an allocated VC");
-            let owner = self.lane(out_port, ovc as usize);
-            self.vc_owner[owner] = false;
+            let out_vc = out_vc.expect("tail releases an allocated VC");
+            self.owners.release(out_port, out_vc);
         }
     }
 
     /// True if every control queue is empty.
     pub(crate) fn is_empty(&self) -> bool {
-        self.occupied.iter().all(|&w| w == 0)
+        self.lanes.is_empty()
     }
 
     /// Counts a control flit forwarded onto an outgoing control link.
@@ -350,70 +269,18 @@ impl ControlStage {
     /// Dumps every control lane holding live state, plus credit and
     /// downstream-VC-ownership accounting per output port.
     pub(crate) fn snapshot(&self) -> Json {
-        let mut ports = Vec::new();
-        for &port in &Port::ALL {
-            let first = self.lane(port, 0);
-            let mut lanes = Vec::new();
-            for (vc, lane) in self.lanes[first..first + self.vcs].iter().enumerate() {
-                if lane.queue.is_empty() && lane.route.is_none() && lane.out_vc.is_none() {
-                    continue;
-                }
-                let queue: Vec<Json> = lane
-                    .queue
-                    .iter()
-                    .map(|qc| Json::str(format!("{:?} arrived={}", qc.flit, qc.arrived.raw())))
-                    .collect();
-                lanes.push(Json::obj(vec![
-                    ("vc".into(), Json::Num(vc as f64)),
-                    (
-                        "route".into(),
-                        match lane.route {
-                            Some(p) => Json::str(format!("{p:?}")),
-                            None => Json::Null,
-                        },
-                    ),
-                    (
-                        "out_vc".into(),
-                        match lane.out_vc {
-                            Some(v) => Json::Num(v as f64),
-                            None => Json::Null,
-                        },
-                    ),
-                    ("queue".into(), Json::Arr(queue)),
-                ]));
-            }
-            if !lanes.is_empty() {
-                ports.push(Json::obj(vec![
-                    ("port".into(), Json::str(format!("{port:?}"))),
-                    ("lanes".into(), Json::Arr(lanes)),
-                ]));
-            }
-        }
         let accounting: Vec<Json> = Port::ALL
             .iter()
             .map(|&port| {
-                let first = self.lane(port, 0);
-                let vcs = first..first + self.vcs;
                 Json::obj(vec![
                     ("port".into(), Json::str(format!("{port:?}"))),
-                    (
-                        "credits".into(),
-                        Json::Arr(
-                            self.credits[vcs.clone()]
-                                .iter()
-                                .map(|&c| Json::Num(c as f64))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "vc_owner".into(),
-                        Json::Arr(self.vc_owner[vcs].iter().map(|&o| Json::Bool(o)).collect()),
-                    ),
+                    ("credits".into(), self.credits.snapshot(port)),
+                    ("vc_owner".into(), self.owners.snapshot(port)),
                 ])
             })
             .collect();
         Json::obj(vec![
-            ("inputs".into(), Json::Arr(ports)),
+            ("inputs".into(), self.lanes.snapshot(|_| None)),
             ("accounting".into(), Json::Arr(accounting)),
             (
                 "control_flits_sent".into(),
@@ -826,7 +693,7 @@ pub(crate) struct FrNiStage {
     /// Control flits of the packet currently being injected.
     staged: VecDeque<ControlFlit>,
     /// Local control VC carrying the current packet.
-    current_vc: Option<u8>,
+    local_vc: LocalVc,
     /// Output reservation table of the NI→router injection channel.
     inject_table: OutputReservationTable,
     /// Data flits scheduled for injection, keyed by injection cycle.
@@ -838,7 +705,7 @@ impl FrNiStage {
         FrNiStage {
             pending: VecDeque::new(),
             staged: VecDeque::new(),
-            current_vc: None,
+            local_vc: LocalVc::default(),
             inject_table: OutputReservationTable::new(config.horizon, Some(config.data_buffers), 0),
             data_ready: Vec::new(),
         }
@@ -909,19 +776,9 @@ impl FrNiStage {
         self.staged.front().map(|f| f.is_head()).unwrap_or(false)
     }
 
-    /// The local input VC mid-packet injection is bound to, if any.
-    pub(crate) fn current_vc(&self) -> Option<u8> {
-        self.current_vc
-    }
-
-    /// Binds injection to local control VC `vc` for the current packet.
-    pub(crate) fn bind_vc(&mut self, vc: u8) {
-        self.current_vc = Some(vc);
-    }
-
-    /// Releases the binding after the packet's tail entered the router.
-    pub(crate) fn unbind_vc(&mut self) {
-        self.current_vc = None;
+    /// The binding of the packet being injected to a local control VC.
+    pub(crate) fn local_vc(&mut self) -> &mut LocalVc {
+        &mut self.local_vc
     }
 
     /// Books injection slots for the front staged control flit's data
@@ -960,13 +817,15 @@ impl FrNiStage {
         true
     }
 
-    /// Pops the front staged control flit.
+    /// Pops the front staged control flit as it enters the router.
     ///
     /// # Panics
     ///
     /// Panics if nothing is staged.
     pub(crate) fn pop_staged(&mut self) -> ControlFlit {
-        self.staged.pop_front().expect("staged front")
+        let flit = self.staged.pop_front().expect("staged front");
+        self.local_vc.entered(flit.is_tail);
+        flit
     }
 
     /// Releases the data flit whose scheduled injection cycle is `now`,
@@ -1045,13 +904,7 @@ impl FrNiStage {
             })
             .collect();
         Json::obj(vec![
-            (
-                "current_vc".into(),
-                match self.current_vc {
-                    Some(v) => Json::Num(v as f64),
-                    None => Json::Null,
-                },
-            ),
+            ("current_vc".into(), self.local_vc.snapshot()),
             ("pending_packets".into(), Json::Arr(pending)),
             ("staged_control".into(), Json::Arr(staged)),
             ("data_ready".into(), Json::Arr(data_ready)),
@@ -1101,9 +954,14 @@ mod tests {
         now: Cycle,
         mut route: impl FnMut(NodeId) -> Port,
     ) -> Vec<Vec<(Port, usize)>> {
-        let vcs = stage.vcs;
-        for l in &mut stage.lanes {
-            let dest = match l.queue.front() {
+        let lanes = &mut stage.lanes;
+        let all: Vec<(Port, usize)> = Port::ALL
+            .iter()
+            .flat_map(|&p| (0..lanes.vcs()).map(move |v| (p, v)))
+            .collect();
+        for &(port, vc) in &all {
+            let l = lanes.lane_mut(lanes.index(port, vc));
+            let dest = match l.queue().front() {
                 Some(qc) if l.route.is_none() && qc.arrived < now => match qc.flit.kind {
                     ControlKind::Head { dest } => Some(dest),
                     ControlKind::Body => None,
@@ -1117,21 +975,21 @@ mod tests {
         Port::ALL
             .iter()
             .map(|&out| {
-                let mut ready = Vec::new();
-                for &port in &Port::ALL {
-                    for vc in 0..vcs {
-                        let l = &stage.lanes[port.index() * vcs + vc];
-                        let front_ready = matches!(l.queue.front(), Some(qc) if qc.arrived < now);
-                        if l.route == Some(out) && front_ready {
-                            ready.push((port, vc));
-                        }
-                    }
-                }
-                ready
+                all.iter()
+                    .copied()
+                    .filter(|&(port, vc)| {
+                        let l = lanes.lane(lanes.index(port, vc));
+                        let front_ready = matches!(l.queue().front(), Some(qc) if qc.arrived < now);
+                        l.route == Some(out) && front_ready
+                    })
+                    .collect()
             })
             .collect()
     }
 
+    /// The stage's walk-driven pass against a loop over every queue. The
+    /// walk, the inline fronts and the bitset themselves are checked by
+    /// noc-flow's `lanes_owners_and_credits_match_a_model_of_every_lane`.
     #[test]
     fn occupancy_scan_matches_a_scan_of_every_queue() {
         let route_of = |dest: NodeId| Port::ALL[dest.index() % Port::COUNT];
@@ -1140,7 +998,6 @@ mod tests {
                 control_vcs: vcs,
                 ..FrConfig::fr6()
             };
-            let mut second_word_used = false;
             for seed in 0..6 {
                 let mut stage = ControlStage::new(&config);
                 let mut rng = Rng::from_seed(seed);
@@ -1149,7 +1006,7 @@ mod tests {
                 for step in 0..3_000 {
                     let port = Port::ALL[rng.index(Port::COUNT)];
                     let vc = rng.index(vcs);
-                    let lane = port.index() * vcs + vc;
+                    let lane = stage.lanes.index(port, vc);
                     match rng.index(8) {
                         0..=2 if stage.queue_len(port, vc) < 4 => {
                             packet += 1;
@@ -1162,11 +1019,12 @@ mod tests {
                         3 if stage.queue_len(port, vc) > 0 => {
                             stage.pop_front(port, vc);
                         }
-                        4 if stage.lanes[lane].route.is_none() => {
-                            stage.lanes[lane].route = Some(Port::ALL[rng.index(Port::COUNT)]);
+                        4 if stage.lanes.lane(lane).route.is_none() => {
+                            stage.lanes.lane_mut(lane).route =
+                                Some(Port::ALL[rng.index(Port::COUNT)]);
                         }
                         5 => {
-                            let out = stage.lanes[lane].route.unwrap_or(Port::Local);
+                            let out = stage.lanes.lane(lane).route.unwrap_or(Port::Local);
                             let allocated = out == Port::Local
                                 || stage.out_vc(port, vc).is_some()
                                 || stage.try_alloc_out_vc(port, vc, out, &mut rng).is_some();
@@ -1183,7 +1041,6 @@ mod tests {
                         }
                         _ => now += 1,
                     }
-                    second_word_used |= stage.occupied.get(1).is_some_and(|&w| w != 0);
                     let at = Cycle::new(now);
                     let mut reference = stage.clone();
                     let mut want_routed = Vec::new();
@@ -1198,7 +1055,8 @@ mod tests {
                     });
                     let context = format!("{vcs} VCs, seed {seed}, step {step}");
                     assert_eq!(got_routed, want_routed, "route compute order, {context}");
-                    for (l, r) in stage.lanes.iter().zip(&reference.lanes) {
+                    for i in 0..Port::COUNT * vcs {
+                        let (l, r) = (stage.lanes.lane(i), reference.lanes.lane(i));
                         assert_eq!(l.route, r.route, "installed route, {context}");
                     }
                     for &out in &Port::ALL {
@@ -1221,11 +1079,8 @@ mod tests {
                         assert_eq!(got, shuffled, "{out:?} picked lanes, {context}");
                         assert_eq!(rng, want_rng, "{out:?} draws, {context}");
                     }
-                    let queued = stage.lanes.iter().any(|l| !l.queue.is_empty());
-                    assert_eq!(stage.is_empty(), !queued, "{context}");
                 }
             }
-            assert_eq!(second_word_used, vcs == 13, "{vcs} VCs");
         }
     }
 

@@ -18,7 +18,10 @@
 //!   layer as `StageContractViolation` events so the
 //!   `InvariantChecker` fails the run;
 //! * [`StallScan`] — the shared arrival/departure bracketing rule
-//!   behind both routers' stall-provenance hooks.
+//!   behind both routers' stall-provenance hooks;
+//! * [`InputLanes`], [`VcOwners`], [`Credits`] and [`LocalVc`] — the
+//!   credit-based virtual-channel input port both families run, on
+//!   VC's data lanes and on FR's control lanes.
 //!
 //! # Cross-stage discipline
 //!
@@ -32,6 +35,7 @@
 
 mod contract;
 mod iface;
+mod port;
 mod route;
 mod stall;
 
@@ -39,5 +43,6 @@ pub use contract::{code, StageContractChecker};
 pub use iface::{
     ReservationGrant, ReservationRequest, SwitchBid, SwitchContender, VcAllocGrant, VcAllocRequest,
 };
+pub use port::{Credits, Front, InputLanes, Lane, LaneFlit, LaneWalk, LocalVc, VcOwners};
 pub use route::RouteCompute;
 pub use stall::StallScan;

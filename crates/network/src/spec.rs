@@ -9,6 +9,7 @@
 //! spec asked for.
 
 use crate::blackbox::{self, BlackboxRun};
+use crate::tracker::EXACT_DUPLICATE_FLITS;
 use crate::{
     AnyNetwork, EngineProfile, FaultSummary, FlowControl, RunResult, SimConfig, TRAFFIC_STREAM,
 };
@@ -403,7 +404,7 @@ impl RunSpec {
         validate_flow(&self.flow, self.packet_flits)?;
         let mesh = self.mesh();
         if let Some(plan) = &self.fault {
-            validate_fault_plan(plan, mesh)?;
+            validate_fault_plan(plan, mesh, self.packet_flits)?;
         }
         let rate = LoadSpec::fraction_of_capacity(self.load, self.packet_flits)
             .packets_per_node_cycle(mesh);
@@ -574,7 +575,7 @@ fn validate_flow(flow: &FlowControl, packet_flits: u32) -> Result<(), String> {
     Ok(())
 }
 
-fn validate_fault_plan(plan: &FaultPlan, mesh: Mesh) -> Result<(), String> {
+fn validate_fault_plan(plan: &FaultPlan, mesh: Mesh, packet_flits: u32) -> Result<(), String> {
     let rate = |r: f64| (0.0..=1.0).contains(&r);
     let delays = [plan.repair_delay, plan.ack_latency, plan.retransmit_timeout];
     let link = |d: &DeadLink| {
@@ -584,6 +585,8 @@ fn validate_fault_plan(plan: &FaultPlan, mesh: Mesh) -> Result<(), String> {
         rate(plan.data_corrupt_rate) && rate(plan.control_drop_rate) => "fault rates must be in [0, 1]",
         delays.iter().all(|&d| d <= MAX_FAULT_DELAY) => "fault-layer delays must be at most 2^32",
         plan.dead_links.iter().all(link) => "dead links must name a link of the mesh",
+        // Retransmitted copies are caught per flit only this far.
+        !plan.is_active() || packet_flits <= EXACT_DUPLICATE_FLITS => "fault plans need packets of at most 64 flits",
     }
     Ok(())
 }
@@ -960,6 +963,23 @@ mod tests {
                 replay_to_cycle(&hostile, 1).is_err(),
                 "{path:?} = {value:?} replayed"
             );
+        }
+        // Duplicate detection is exact up to 64 flits, so an active
+        // fault plan refuses longer packets.
+        let mut active = faulted.clone();
+        set(
+            &mut active,
+            &["fault", "data_corrupt_rate"],
+            Json::Num(2e-3),
+        );
+        for (flits, ok) in [(64.0, true), (65.0, false)] {
+            set(&mut active, &["packet_flits"], Json::Num(flits));
+            let parsed = RunSpec::from_json(&active).and_then(|s| s.validate());
+            assert_eq!(parsed.is_ok(), ok, "{flits} flits under an active plan");
+            let mut replay = sidecar.clone();
+            set(&mut replay, &["replay"], active.clone());
+            let replayed = replay_to_cycle(&replay, 1);
+            assert_eq!(replayed.is_ok(), ok, "{flits} flits replayed");
         }
     }
 

@@ -43,6 +43,10 @@ impl fmt::Display for DeliveryError {
     }
 }
 
+/// The longest packet whose duplicate flits the tracker tells apart:
+/// one bit of `Inflight::seen` per flit.
+pub(crate) const EXACT_DUPLICATE_FLITS: u32 = u64::BITS;
+
 /// In-flight bookkeeping for one packet.
 #[derive(Clone, Debug)]
 struct Inflight {
@@ -186,7 +190,7 @@ impl DeliveryTracker {
     /// otherwise — returns [`DeliveryError::DuplicateDelivery`] and
     /// changes no counter, so latency is never double-counted. Duplicate
     /// detection is exact for packets up to 64 flits (the bitmap width);
-    /// fault plans must keep packets within that bound.
+    /// `RunSpec::validate` refuses fault plans with longer packets.
     ///
     /// # Panics
     ///
@@ -213,7 +217,7 @@ impl DeliveryTracker {
         };
         assert_eq!(entry.dest, at, "packet {packet} ejected at wrong node");
         assert!(seq < entry.length, "flit seq out of range for {packet}");
-        if entry.length <= 64 {
+        if entry.length <= EXACT_DUPLICATE_FLITS {
             let bit = 1u64 << seq;
             if entry.seen & bit != 0 {
                 return Err(DeliveryError::DuplicateDelivery { packet, seq });

@@ -19,7 +19,7 @@
 //! [`VcRouter::enable_contract_checks`] a `StageContractChecker`
 //! verifies the inter-stage contracts every cycle.
 
-use crate::stages::{NiStage, QueuedFlit, ReadyLane, SwitchStage, VcAllocStage, VcInputStage};
+use crate::stages::{NiStage, ReadyLane, SwitchStage, VcAllocStage, VcInputStage};
 use crate::{AllocationUnit, VcConfig};
 use noc_engine::trace::{NullSink, TraceSink};
 use noc_engine::{Cycle, Rng};
@@ -30,6 +30,19 @@ use noc_flow::{
 };
 use noc_topology::{Mesh, NodeId, Port};
 use noc_traffic::Packet;
+
+/// What a lane whose front passed switch allocation's input gates
+/// still waits on downstream.
+#[derive(Clone, Copy, Debug)]
+enum Downstream {
+    /// Nothing: the lane bids.
+    Open,
+    /// Credit for the flit, or a whole free packet buffer for a
+    /// packet-sized head.
+    NoCredit,
+    /// A store-and-forward head's own tail.
+    NoTail,
+}
 
 /// A virtual-channel flow-control router.
 ///
@@ -159,27 +172,47 @@ impl<S: TraceSink> VcRouter<S> {
         self.requests = requests;
     }
 
-    /// Per-lane readiness gates for switch allocation; returns the
-    /// lane's bid when every gate passes.
-    fn switch_bid(&mut self, in_port: Port, vc: usize, now: Cycle) -> Option<SwitchBid> {
+    /// Switch allocation's gates for occupied lane `lane`; returns its
+    /// input port and bid when every gate passes, counting a credit
+    /// stall when only downstream space is missing.
+    fn switch_bid(&mut self, lane: usize, now: Cycle) -> Option<(Port, SwitchBid)> {
+        let ready = self.input.switch_ready(lane, now)?;
+        match self.downstream_gate(lane, ready) {
+            Downstream::Open => {
+                let (in_port, in_vc) = self.input.lanes().id(lane);
+                Some((
+                    in_port,
+                    SwitchBid {
+                        in_vc,
+                        out_port: ready.route,
+                    },
+                ))
+            }
+            Downstream::NoCredit => {
+                self.switch.note_credit_stall();
+                None
+            }
+            Downstream::NoTail => None,
+        }
+    }
+
+    /// The downstream gates of a lane whose front passed the input
+    /// gates: credit for the flit; for a packet-sized head (virtual
+    /// cut-through and store-and-forward) a whole free packet buffer
+    /// downstream; and for a store-and-forward head its own buffered
+    /// tail.
+    fn downstream_gate(&self, lane: usize, ready: ReadyLane) -> Downstream {
         let ReadyLane {
             route,
             out_vc,
             head,
-        } = self.input.switch_ready(in_port, vc, now)?;
+        } = ready;
         if !self.switch.has_credit(route, out_vc, &self.config) {
-            self.switch.note_credit_stall();
-            return None;
+            return Downstream::NoCredit;
         }
-        // Packet-sized allocation (store-and-forward and virtual
-        // cut-through): the head advances only once a whole packet
-        // buffer is free downstream ...
         if head && route != Port::Local && self.config.allocation != AllocationUnit::Flit {
-            let front = self
-                .input
-                .front(in_port, vc)
-                .expect("ready lane holds a flit");
-            let needed = front.flit.length as usize;
+            let front = self.input.lanes().lane(lane).queue().front();
+            let needed = front.expect("ready lane holds a flit").flit.length as usize;
             assert!(
                 needed <= self.config.queue_depth,
                 "a {needed}-flit packet cannot fit the {}-flit packet buffer",
@@ -190,22 +223,16 @@ impl<S: TraceSink> VcRouter<S> {
                 .available_for_packet(route, out_vc, &self.config)
                 < needed
             {
-                self.switch.note_credit_stall();
-                return None;
+                return Downstream::NoCredit;
             }
         }
-        // ... and store-and-forward additionally waits for the tail to
-        // arrive before forwarding anything.
         if head
             && self.config.allocation == AllocationUnit::StoreAndForward
-            && !self.input.tail_buffered(in_port, vc)
+            && !self.input.tail_buffered(lane)
         {
-            return None;
+            return Downstream::NoTail;
         }
-        Some(SwitchBid {
-            in_vc: vc,
-            out_port: route,
-        })
+        Downstream::Open
     }
 
     /// Phase 2: switch allocation and traversal. Each input port
@@ -215,11 +242,9 @@ impl<S: TraceSink> VcRouter<S> {
         // The walk visits each input port's lanes together, so its bids
         // group by port in `Port::ALL` order.
         let mut bids = std::mem::take(&mut self.bids);
-        let mut lanes = self.input.occupied_lanes();
-        while let Some((in_port, vc)) = lanes.next(&self.input) {
-            if let Some(bid) = self.switch_bid(in_port, vc, now) {
-                bids.push((in_port, bid));
-            }
+        let mut walk = self.input.lanes().walk();
+        while let Some(lane) = walk.next(self.input.lanes()) {
+            bids.extend(self.switch_bid(lane, now));
         }
         let mut nominations = std::mem::take(&mut self.nominations);
         for port_bids in bids.chunk_by(|a, b| a.0 == b.0) {
@@ -267,12 +292,7 @@ impl<S: TraceSink> VcRouter<S> {
         now: Cycle,
         out: &mut StepOutputs,
     ) {
-        let out_vc = self
-            .input
-            .lane(in_port, in_vc)
-            .out_vc
-            .expect("winner must hold an output VC");
-        let queued = self.input.pop_front(in_port, in_vc);
+        let (queued, out_vc) = self.input.pop_front(in_port, in_vc);
         self.sink
             .queue_deq(now, self.node, in_port, in_vc as u8, &queued.flit);
         self.switch.consume_credit(out_port, out_vc, &self.config);
@@ -299,55 +319,29 @@ impl<S: TraceSink> VcRouter<S> {
             self.sink.credit_sent(now, self.node, in_port, in_vc as u8);
             out.send(in_port, LinkEvent::VcCredit { vc: in_vc as u8 });
         }
-        if queued.tag.ty.is_tail() {
-            self.input.end_packet(in_port, in_vc);
-            if out_port != Port::Local {
-                self.alloc.release(out_port, out_vc);
-            }
+        if queued.tag.ty.is_tail() && out_port != Port::Local {
+            self.alloc.release(out_port, out_vc);
         }
     }
 
     /// Phase 3: move at most one flit per cycle from the injection FIFO
     /// into a local input VC.
     fn inject_from_ni(&mut self, now: Cycle) {
-        let (tag, _) = match self.ni.front() {
-            Some(f) => *f,
-            None => return,
+        let Some(&(tag, _)) = self.ni.front() else {
+            return;
         };
-        let vc = if tag.ty.is_head() {
-            // Pick a local VC with space for the new packet.
-            let (input, config) = (&self.input, &self.config);
-            let Some(chosen) = self
-                .rng
-                .pick_free(config.num_vcs, |v| input.has_space(Port::Local, v, config))
-            else {
-                return;
-            };
-            let chosen = chosen as u8;
-            self.ni.bind_vc(chosen);
-            chosen
-        } else {
-            match self.ni.current_vc() {
-                Some(v) if self.input.has_space(Port::Local, v as usize, &self.config) => v,
-                _ => return,
-            }
+        let (input, config) = (&self.input, &self.config);
+        let has_space = |v| input.has_space(Port::Local, v, config);
+        let head = tag.ty.is_head();
+        let local = self.ni.local_vc();
+        let Some(vc) = local.pick(head, config.num_vcs, &mut self.rng, has_space) else {
+            return;
         };
         let (mut tag, flit) = self.ni.pop().expect("front checked");
-        if tag.ty.is_tail() {
-            self.ni.unbind_vc();
-        }
         tag.vc = vc;
         self.sink.flit_injected(now, self.node, &flit);
         self.sink.queue_enq(now, self.node, Port::Local, vc, &flit);
-        self.input.push(
-            Port::Local,
-            vc as usize,
-            QueuedFlit {
-                tag,
-                flit,
-                arrived: now,
-            },
-        );
+        self.input.push(Port::Local, vc as usize, tag, flit, now);
     }
 }
 
@@ -367,15 +361,7 @@ impl<S: TraceSink> Router for VcRouter<S> {
                     self.node
                 );
                 self.sink.queue_enq(now, self.node, port, tag.vc, &flit);
-                self.input.push(
-                    port,
-                    vc,
-                    QueuedFlit {
-                        tag,
-                        flit,
-                        arrived: now,
-                    },
-                );
+                self.input.push(port, vc, tag, flit, now);
             }
             LinkEvent::VcCredit { vc } => {
                 // `port` names the *output* port this credit refers to.
@@ -436,7 +422,7 @@ impl<S: TraceSink> Router for VcRouter<S> {
     /// `inject_from_ni` returns before any RNG draw when the FIFO is
     /// empty, so `step` is a pure no-op in this state.
     fn is_idle(&self) -> bool {
-        self.ni.is_empty() && self.input.all_empty()
+        self.ni.is_empty() && self.input.lanes().is_empty()
     }
 
     fn collect_counters(&self, out: &mut noc_flow::RouterCounters) {
@@ -480,53 +466,26 @@ impl<S: TraceSink> Router for VcRouter<S> {
             Some(s) => s,
             None => return,
         };
-        let mut lanes = self.input.occupied_lanes();
-        while let Some((in_port, vc)) = lanes.next(&self.input) {
-            let front = match self.input.front(in_port, vc) {
-                Some(f) if scan.eligible(f.arrived) => f,
-                _ => continue,
-            };
+        let mut walk = self.input.lanes().walk();
+        while let Some(lane) = walk.next(self.input.lanes()) {
+            let l = self.input.lanes().lane(lane);
+            let front = l.queue().front().expect("occupied lane");
+            if !scan.eligible(front.arrived) {
+                continue;
+            }
             let (packet, seq) = (front.flit.packet, front.flit.seq);
-            let lane = self.input.lane(in_port, vc);
-            let (route, out_vc) = match (lane.route, lane.out_vc) {
-                (Some(r), Some(v)) => (r, v),
-                (Some(_), None) => {
-                    scan.vc_alloc_stall(&mut self.sink, packet, seq);
-                    continue;
-                }
+            match (l.route, self.input.switch_ready(lane, now)) {
+                (_, Some(ready)) => match self.downstream_gate(lane, ready) {
+                    Downstream::Open => scan.switch_stall(&mut self.sink, packet, seq),
+                    Downstream::NoCredit => scan.credit_stall(&mut self.sink, packet, seq),
+                    Downstream::NoTail => {}
+                },
+                (Some(_), None) => scan.vc_alloc_stall(&mut self.sink, packet, seq),
                 // Head exposed mid-cycle by a departing tail: it has
                 // not been routed yet, so this cycle is queue wait,
                 // not a contention loss.
-                (None, _) => continue,
-            };
-            if front.tag.ty.is_head() && lane.switch_ready_at > now {
-                continue;
+                (None, None) => {}
             }
-            if !self.switch.has_credit(route, out_vc, &self.config) {
-                scan.credit_stall(&mut self.sink, packet, seq);
-                continue;
-            }
-            if front.tag.ty.is_head()
-                && route != Port::Local
-                && self.config.allocation != AllocationUnit::Flit
-            {
-                let needed = front.flit.length as usize;
-                if self
-                    .switch
-                    .available_for_packet(route, out_vc, &self.config)
-                    < needed
-                {
-                    scan.credit_stall(&mut self.sink, packet, seq);
-                    continue;
-                }
-            }
-            if front.tag.ty.is_head()
-                && self.config.allocation == AllocationUnit::StoreAndForward
-                && !self.input.tail_buffered(in_port, vc)
-            {
-                continue;
-            }
-            scan.switch_stall(&mut self.sink, packet, seq);
         }
     }
 }

@@ -12,12 +12,19 @@
 //! * input buffering — [`VcInputStage`], owning the per-lane queues the
 //!   traversal stage drains;
 //! * injection — [`NiStage`], the network-interface FIFO.
+//!
+//! The lanes, downstream-VC owners, credits and local-VC binding are
+//! the shared virtual-channel port of `noc_flow::pipeline`, which FR's
+//! control plane runs too.
 
 #![deny(private_interfaces, private_bounds)]
 
 use crate::{CreditMode, VcConfig};
 use noc_engine::{Cycle, Rng};
-use noc_flow::pipeline::{SwitchBid, SwitchContender, VcAllocGrant, VcAllocRequest};
+use noc_flow::pipeline::{
+    Credits, Front, InputLanes, LaneFlit, LocalVc, SwitchBid, SwitchContender, VcAllocGrant,
+    VcAllocRequest, VcOwners,
+};
 use noc_flow::{DataFlit, VcTag};
 use noc_metrics::Json;
 use noc_topology::{NodeId, Port, PortMap};
@@ -31,39 +38,22 @@ pub(crate) struct QueuedFlit {
     pub(crate) arrived: Cycle,
 }
 
-/// The front flit of a lane, copied out on every push and pop so the
-/// per-cycle scan never reads a queue's buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Front {
-    /// Cycle the flit was buffered.
-    pub(crate) arrived: Cycle,
-    /// True if the flit is a packet head.
-    pub(crate) head: bool,
-    /// The flit's destination.
-    pub(crate) dest: NodeId,
-}
-
-impl Front {
-    fn of(q: &QueuedFlit) -> Front {
+impl LaneFlit for QueuedFlit {
+    fn front(&self) -> Front {
         Front {
-            arrived: q.arrived,
-            head: q.tag.ty.is_head(),
-            dest: q.flit.dest,
+            arrived: self.arrived,
+            head_dest: self.tag.ty.is_head().then_some(self.flit.dest),
         }
     }
-}
 
-/// Copy-out view of one input lane's allocation state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct LaneState {
-    /// The lane's front flit; `None` while the lane is empty.
-    pub(crate) front: Option<Front>,
-    /// Output port of the packet draining through this lane.
-    pub(crate) route: Option<Port>,
-    /// Downstream VC granted to that packet.
-    pub(crate) out_vc: Option<u8>,
-    /// Earliest cycle the (head) flit may bid for the switch.
-    pub(crate) switch_ready_at: Cycle,
+    fn render(&self) -> String {
+        format!(
+            "{:?} {:?} arrived={}",
+            self.tag,
+            self.flit,
+            self.arrived.raw()
+        )
+    }
 }
 
 /// A lane whose front flit may bid for the switch this cycle.
@@ -75,28 +65,6 @@ pub(crate) struct ReadyLane {
     pub(crate) out_vc: u8,
     /// True if the front flit is a packet head.
     pub(crate) head: bool,
-}
-
-/// Per-input-VC state machine: the flit queue and the allocation state
-/// that carries its packet through the pipeline.
-#[derive(Clone, Debug)]
-struct InputVc {
-    queue: VecDeque<QueuedFlit>,
-    state: LaneState,
-}
-
-impl InputVc {
-    fn new() -> Self {
-        InputVc {
-            queue: VecDeque::new(),
-            state: LaneState {
-                front: None,
-                route: None,
-                out_vc: None,
-                switch_ready_at: Cycle::ZERO,
-            },
-        }
-    }
 }
 
 /// DAMQ admission rule [TamFra92]: every VC keeps one dedicated slot so
@@ -117,101 +85,28 @@ pub(crate) fn damq_admits(per_vc: impl Iterator<Item = usize>, vc: usize, capaci
     own == 0 || shared_used < capacity - vcs
 }
 
-/// A walk over the occupied lanes in ascending (port, VC) order, the
-/// `Port::ALL` x VC order of a scan of every lane. It holds no borrow
-/// between steps: each step takes the stage, so the router may update
-/// lanes as it goes. Lanes that fill or empty during the walk may be
-/// missed or still visited; the passes that walk change no lane's
-/// occupancy.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct OccupiedLanes {
-    /// Index of the bitset word being drained.
-    word: usize,
-    /// Its bits not yet visited.
-    bits: u64,
-}
-
-impl OccupiedLanes {
-    /// The next occupied lane's (port, VC), if any.
-    #[inline]
-    pub(crate) fn next(&mut self, stage: &VcInputStage) -> Option<(Port, usize)> {
-        while self.bits == 0 {
-            self.word += 1;
-            self.bits = *stage.occupied.get(self.word)?;
-        }
-        let lane = self.word * 64 + self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
-        let (port, vc) = stage.lane_ids[lane];
-        Some((port, vc as usize))
-    }
-}
-
-/// The input-buffer stage: per-port, per-VC flit queues and the lane
-/// state machines (route, granted VC, switch-ready gate) that carry a
-/// packet through the pipeline.
-///
-/// Lanes are stored flat and port-major: lane `port.index() * vcs + vc`.
-/// An occupancy bitset (one `u64` per 64 lanes) names the lanes holding
-/// a flit, so the per-cycle passes cost one step per queued front, not
-/// one per configured lane.
+/// The input-buffer stage: the shared input lanes, each carrying a
+/// packet through route compute, VC allocation and the switch, plus
+/// each lane's switch-ready cycle, which the state dump shows.
 #[derive(Clone, Debug)]
 pub(crate) struct VcInputStage {
-    /// VCs per port.
-    vcs: usize,
-    /// Input lanes, port-major.
-    lanes: Vec<InputVc>,
-    /// Each lane's (input port, VC), so no lookup divides by `vcs`.
-    lane_ids: Vec<(Port, u8)>,
-    /// One bit per lane whose queue holds a flit.
-    occupied: Vec<u64>,
+    lanes: InputLanes<QueuedFlit>,
+    /// The cycle each lane's packet last became switch-ready.
+    switch_ready_at: Vec<Cycle>,
 }
 
 impl VcInputStage {
     pub(crate) fn new(num_vcs: usize) -> Self {
-        let lanes = Port::COUNT * num_vcs;
         VcInputStage {
-            vcs: num_vcs,
-            lanes: (0..lanes).map(|_| InputVc::new()).collect(),
-            lane_ids: Port::ALL
-                .iter()
-                .flat_map(|&port| (0..num_vcs).map(move |vc| (port, vc as u8)))
-                .collect(),
-            occupied: vec![0; lanes.div_ceil(64)],
+            lanes: InputLanes::new(num_vcs),
+            switch_ready_at: vec![Cycle::ZERO; Port::COUNT * num_vcs],
         }
     }
 
-    /// The flat index of lane (`port`, `vc`).
+    /// The lanes, for walks and front reads.
     #[inline]
-    fn index(&self, port: Port, vc: usize) -> usize {
-        debug_assert!(vc < self.vcs, "vc out of range");
-        port.index() * self.vcs + vc
-    }
-
-    /// The lanes of `port`.
-    #[inline]
-    fn port_lanes(&self, port: Port) -> &[InputVc] {
-        let first = port.index() * self.vcs;
-        &self.lanes[first..first + self.vcs]
-    }
-
-    /// A walk over the lanes that hold a flit.
-    #[inline]
-    pub(crate) fn occupied_lanes(&self) -> OccupiedLanes {
-        OccupiedLanes {
-            word: 0,
-            bits: self.occupied[0],
-        }
-    }
-
-    /// The front flit of lane (`port`, `vc`), if any.
-    pub(crate) fn front(&self, port: Port, vc: usize) -> Option<&QueuedFlit> {
-        self.lanes[self.index(port, vc)].queue.front()
-    }
-
-    /// The lane's allocation state, by value.
-    #[inline]
-    pub(crate) fn lane(&self, port: Port, vc: usize) -> LaneState {
-        self.lanes[self.index(port, vc)].state
+    pub(crate) fn lanes(&self) -> &InputLanes<QueuedFlit> {
+        &self.lanes
     }
 
     /// The route-compute and request pass, over the occupied lanes in
@@ -230,25 +125,26 @@ impl VcInputStage {
         mut route: impl FnMut(NodeId) -> Port,
         requests: &mut Vec<VcAllocRequest>,
     ) {
-        let mut lanes = self.occupied_lanes();
-        while let Some((in_port, vc)) = lanes.next(self) {
-            let index = self.index(in_port, vc);
-            let l = &mut self.lanes[index].state;
-            if let Some(f) = l.front {
-                if f.head && l.route.is_none() && f.arrived < now {
-                    let out = route(f.dest);
+        let mut walk = self.lanes.walk();
+        while let Some(i) = walk.next(&self.lanes) {
+            let l = self.lanes.lane_mut(i);
+            let front = l.front();
+            if let (None, Some(dest)) = (l.route, front.head_dest) {
+                if front.arrived < now {
+                    let out = route(dest);
                     l.route = Some(out);
                     if out == Port::Local {
                         l.out_vc = Some(0);
-                        l.switch_ready_at = now;
+                        self.switch_ready_at[i] = now;
                         continue;
                     }
                 }
             }
             if let (Some(out_port), None) = (l.route, l.out_vc) {
+                let (in_port, in_vc) = self.lanes.id(i);
                 requests.push(VcAllocRequest {
                     in_port,
-                    in_vc: vc,
+                    in_vc,
                     out_port,
                 });
             }
@@ -259,86 +155,87 @@ impl VcInputStage {
     /// switch traversal share the single routing/scheduling cycle of
     /// the paper's router.
     pub(crate) fn apply_grant(&mut self, req: &VcAllocRequest, grant: VcAllocGrant, now: Cycle) {
-        let index = self.index(req.in_port, req.in_vc);
-        let l = &mut self.lanes[index].state;
-        l.out_vc = Some(grant.out_vc);
-        l.switch_ready_at = now;
+        let i = self.lanes.index(req.in_port, req.in_vc);
+        self.lanes.lane_mut(i).out_vc = Some(grant.out_vc);
+        self.switch_ready_at[i] = now;
     }
 
-    /// The lane's front flit when it may bid for the switch at `now`:
-    /// the lane holds a route and a downstream VC, the flit was
-    /// buffered before `now`, and a head has reached its switch-ready
-    /// cycle.
+    /// Occupied lane `i`'s front flit when it may bid for the switch at
+    /// `now`: the lane holds a route and a downstream VC and the flit
+    /// was buffered before `now`.
     #[inline]
-    pub(crate) fn switch_ready(&self, port: Port, vc: usize, now: Cycle) -> Option<ReadyLane> {
-        let l = self.lane(port, vc);
-        let (front, route, out_vc) = (l.front?, l.route?, l.out_vc?);
-        if front.arrived + 1 > now || (front.head && l.switch_ready_at > now) {
+    pub(crate) fn switch_ready(&self, i: usize, now: Cycle) -> Option<ReadyLane> {
+        let l = self.lanes.lane(i);
+        debug_assert!(!l.queue().is_empty(), "switch bid from an empty lane");
+        let (front, route, out_vc) = (l.front(), l.route?, l.out_vc?);
+        if front.arrived + 1 > now {
             return None;
         }
         Some(ReadyLane {
             route,
             out_vc,
-            head: front.head,
+            head: front.head_dest.is_some(),
         })
     }
 
     /// True if the tail of the front flit's packet is already buffered
-    /// in the lane (the store-and-forward gate).
+    /// in lane `i` (the store-and-forward gate).
     ///
     /// # Panics
     ///
     /// Panics if the lane is empty.
-    pub(crate) fn tail_buffered(&self, port: Port, vc: usize) -> bool {
-        let queue = &self.lanes[self.index(port, vc)].queue;
+    pub(crate) fn tail_buffered(&self, i: usize) -> bool {
+        let queue = self.lanes.lane(i).queue();
         let packet = queue.front().expect("occupied lane").flit.packet;
         queue
             .iter()
             .any(|q| q.flit.packet == packet && q.tag.ty.is_tail())
     }
 
-    /// Pops the departing front flit of the lane.
+    /// Pops the departing front flit of lane (`port`, `vc`), ending its
+    /// packet when the flit is the tail; returns the flit and the
+    /// downstream VC its packet held.
     ///
     /// # Panics
     ///
-    /// Panics if the lane is empty: only switch winners are popped.
-    pub(crate) fn pop_front(&mut self, port: Port, vc: usize) -> QueuedFlit {
-        let index = self.index(port, vc);
-        let l = &mut self.lanes[index];
-        let popped = l.queue.pop_front().expect("winner queue cannot be empty");
-        l.state.front = l.queue.front().map(Front::of);
-        if l.state.front.is_none() {
-            self.occupied[index / 64] &= !(1 << (index % 64));
+    /// Panics if the lane is empty or holds no downstream VC: only
+    /// switch winners are popped.
+    pub(crate) fn pop_front(&mut self, port: Port, vc: usize) -> (QueuedFlit, u8) {
+        let i = self.lanes.index(port, vc);
+        let out_vc = self
+            .lanes
+            .lane(i)
+            .out_vc
+            .expect("winner must hold an output VC");
+        let popped = self.lanes.pop(i);
+        if popped.tag.ty.is_tail() {
+            self.lanes.end_packet(i);
         }
-        popped
+        (popped, out_vc)
     }
 
-    /// Clears the lane's allocation after its tail departed.
-    pub(crate) fn end_packet(&mut self, port: Port, vc: usize) {
-        let index = self.index(port, vc);
-        let l = &mut self.lanes[index].state;
-        l.route = None;
-        l.out_vc = None;
-    }
-
-    /// Buffers an arriving (or injected) flit at the back of the lane.
-    pub(crate) fn push(&mut self, port: Port, vc: usize, flit: QueuedFlit) {
-        let index = self.index(port, vc);
-        let l = &mut self.lanes[index];
-        if l.queue.is_empty() {
-            l.state.front = Some(Front::of(&flit));
-            self.occupied[index / 64] |= 1 << (index % 64);
-        }
-        l.queue.push_back(flit);
+    /// Buffers a flit arriving (or injected) at `arrived` at the back
+    /// of lane (`port`, `vc`).
+    pub(crate) fn push(
+        &mut self,
+        port: Port,
+        vc: usize,
+        tag: VcTag,
+        flit: DataFlit,
+        arrived: Cycle,
+    ) {
+        let i = self.lanes.index(port, vc);
+        self.lanes.push(i, QueuedFlit { tag, flit, arrived });
     }
 
     /// True if lane (`port`, `vc`) can accept one more flit under the
     /// configured accounting mode.
     pub(crate) fn has_space(&self, port: Port, vc: usize, config: &VcConfig) -> bool {
+        let lanes = self.lanes.port_lanes(port);
         match config.credit_mode {
-            CreditMode::PerVc => self.lanes[self.index(port, vc)].queue.len() < config.queue_depth,
+            CreditMode::PerVc => lanes[vc].queue().len() < config.queue_depth,
             CreditMode::SharedPool => damq_admits(
-                self.port_lanes(port).iter().map(|l| l.queue.len()),
+                lanes.iter().map(|l| l.queue().len()),
                 vc,
                 config.buffers_per_input(),
             ),
@@ -347,73 +244,17 @@ impl VcInputStage {
 
     /// Flits buffered across all lanes of `port`.
     pub(crate) fn occupancy(&self, port: Port) -> usize {
-        self.port_lanes(port).iter().map(|l| l.queue.len()).sum()
-    }
-
-    /// True if every lane of every port is empty.
-    pub(crate) fn all_empty(&self) -> bool {
-        self.occupied.iter().all(|&w| w == 0)
+        let lanes = self.lanes.port_lanes(port);
+        lanes.iter().map(|l| l.queue().len()).sum()
     }
 
     /// Dumps every lane that holds live state (queued flits or an
-    /// installed route/VC grant); inert lanes are omitted.
+    /// installed route/VC grant) with its switch-ready cycle.
     pub(crate) fn snapshot(&self) -> Json {
-        let mut ports = Vec::new();
-        for &port in &Port::ALL {
-            let mut lanes = Vec::new();
-            for (vc, l) in self.port_lanes(port).iter().enumerate() {
-                let LaneState {
-                    route,
-                    out_vc,
-                    switch_ready_at,
-                    ..
-                } = l.state;
-                if l.queue.is_empty() && route.is_none() && out_vc.is_none() {
-                    continue;
-                }
-                let queue: Vec<Json> = l
-                    .queue
-                    .iter()
-                    .map(|q| {
-                        Json::str(format!(
-                            "{:?} {:?} arrived={}",
-                            q.tag,
-                            q.flit,
-                            q.arrived.raw()
-                        ))
-                    })
-                    .collect();
-                lanes.push(Json::obj(vec![
-                    ("vc".into(), Json::Num(vc as f64)),
-                    (
-                        "route".into(),
-                        match route {
-                            Some(p) => Json::str(format!("{p:?}")),
-                            None => Json::Null,
-                        },
-                    ),
-                    (
-                        "out_vc".into(),
-                        match out_vc {
-                            Some(v) => Json::Num(v as f64),
-                            None => Json::Null,
-                        },
-                    ),
-                    (
-                        "switch_ready_at".into(),
-                        Json::Num(switch_ready_at.raw() as f64),
-                    ),
-                    ("queue".into(), Json::Arr(queue)),
-                ]));
-            }
-            if !lanes.is_empty() {
-                ports.push(Json::obj(vec![
-                    ("port".into(), Json::str(format!("{port:?}"))),
-                    ("lanes".into(), Json::Arr(lanes)),
-                ]));
-            }
-        }
-        Json::Arr(ports)
+        self.lanes.snapshot(|i| {
+            let at = self.switch_ready_at[i].raw() as f64;
+            Some(("switch_ready_at", Json::Num(at)))
+        })
     }
 }
 
@@ -421,14 +262,14 @@ impl VcInputStage {
 /// virtual channels, granted to one packet at a time.
 #[derive(Clone, Debug)]
 pub(crate) struct VcAllocStage {
-    vc_owner: PortMap<Vec<bool>>,
+    owners: VcOwners,
     conflicts: u64,
 }
 
 impl VcAllocStage {
     pub(crate) fn new(num_vcs: usize) -> Self {
         VcAllocStage {
-            vc_owner: PortMap::from_fn(|_| vec![false; num_vcs]),
+            owners: VcOwners::new(num_vcs),
             conflicts: 0,
         }
     }
@@ -440,20 +281,16 @@ impl VcAllocStage {
         req: &VcAllocRequest,
         rng: &mut Rng,
     ) -> Option<VcAllocGrant> {
-        let owner = &mut self.vc_owner[req.out_port];
-        let Some(granted) = rng.pick_free(owner.len(), |v| !owner[v]) else {
+        let Some(out_vc) = self.owners.grant(req.out_port, rng) else {
             self.conflicts += 1;
             return None;
         };
-        owner[granted] = true;
-        Some(VcAllocGrant {
-            out_vc: granted as u8,
-        })
+        Some(VcAllocGrant { out_vc })
     }
 
     /// Releases a downstream VC after its packet's tail traversed.
     pub(crate) fn release(&mut self, out_port: Port, out_vc: u8) {
-        self.vc_owner[out_port][out_vc as usize] = false;
+        self.owners.release(out_port, out_vc);
     }
 
     /// Requests that found every downstream VC owned.
@@ -468,10 +305,7 @@ impl VcAllocStage {
             .map(|&port| {
                 Json::obj(vec![
                     ("port".into(), Json::str(format!("{port:?}"))),
-                    (
-                        "owned".into(),
-                        Json::Arr(self.vc_owner[port].iter().map(|&o| Json::Bool(o)).collect()),
-                    ),
+                    ("owned".into(), self.owners.snapshot(port)),
                 ])
             })
             .collect();
@@ -488,7 +322,7 @@ impl VcAllocStage {
 #[derive(Clone, Debug)]
 pub(crate) struct SwitchStage {
     /// Per-VC credits (PerVc mode).
-    credits: PortMap<Vec<usize>>,
+    credits: Credits,
     /// Downstream occupancy per VC (SharedPool mode): the DAMQ
     /// admission rule needs per-VC counts, not just a total.
     downstream_occ: PortMap<Vec<usize>>,
@@ -500,7 +334,7 @@ pub(crate) struct SwitchStage {
 impl SwitchStage {
     pub(crate) fn new(config: &VcConfig) -> Self {
         SwitchStage {
-            credits: PortMap::from_fn(|_| vec![config.queue_depth; config.num_vcs]),
+            credits: Credits::new(config.num_vcs, config.queue_depth),
             downstream_occ: PortMap::from_fn(|_| vec![0; config.num_vcs]),
             credit_stalls: 0,
             arb_retries: 0,
@@ -514,7 +348,7 @@ impl SwitchStage {
             return true;
         }
         match config.credit_mode {
-            CreditMode::PerVc => self.credits[out_port][out_vc as usize] > 0,
+            CreditMode::PerVc => self.credits.available(out_port, out_vc) > 0,
             CreditMode::SharedPool => damq_admits(
                 self.downstream_occ[out_port].iter().copied(),
                 out_vc as usize,
@@ -532,7 +366,7 @@ impl SwitchStage {
         config: &VcConfig,
     ) -> usize {
         match config.credit_mode {
-            CreditMode::PerVc => self.credits[out_port][out_vc as usize],
+            CreditMode::PerVc => self.credits.available(out_port, out_vc),
             CreditMode::SharedPool => {
                 let occ: usize = self.downstream_occ[out_port].iter().sum();
                 config.buffers_per_input().saturating_sub(occ)
@@ -546,11 +380,7 @@ impl SwitchStage {
             return;
         }
         match config.credit_mode {
-            CreditMode::PerVc => {
-                let c = &mut self.credits[out_port][out_vc as usize];
-                debug_assert!(*c > 0, "consuming credit below zero");
-                *c -= 1;
-            }
+            CreditMode::PerVc => self.credits.consume(out_port, out_vc),
             CreditMode::SharedPool => {
                 self.downstream_occ[out_port][out_vc as usize] += 1;
             }
@@ -560,11 +390,7 @@ impl SwitchStage {
     /// Applies a credit wire arriving on output `port` for `vc`.
     pub(crate) fn credit_returned(&mut self, port: Port, vc: u8, config: &VcConfig) {
         match config.credit_mode {
-            CreditMode::PerVc => {
-                let c = &mut self.credits[port][vc as usize];
-                *c += 1;
-                debug_assert!(*c <= config.queue_depth, "credit overflow");
-            }
+            CreditMode::PerVc => self.credits.returned(port, vc),
             CreditMode::SharedPool => {
                 let c = &mut self.downstream_occ[port][vc as usize];
                 debug_assert!(*c > 0, "credit underflow");
@@ -636,7 +462,7 @@ impl SwitchStage {
             .map(|&port| {
                 Json::obj(vec![
                     ("port".into(), Json::str(format!("{port:?}"))),
-                    ("credits".into(), nums(&self.credits[port])),
+                    ("credits".into(), self.credits.snapshot(port)),
                     ("downstream_occ".into(), nums(&self.downstream_occ[port])),
                 ])
             })
@@ -658,7 +484,7 @@ impl SwitchStage {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NiStage {
     fifo: VecDeque<(VcTag, DataFlit)>,
-    current_vc: Option<u8>,
+    local_vc: LocalVc,
 }
 
 impl NiStage {
@@ -672,24 +498,18 @@ impl NiStage {
         self.fifo.front()
     }
 
-    /// Pops the front flit.
+    /// Pops the front flit as it enters the router.
     pub(crate) fn pop(&mut self) -> Option<(VcTag, DataFlit)> {
-        self.fifo.pop_front()
+        let front = self.fifo.pop_front();
+        if let Some((tag, _)) = front {
+            self.local_vc.entered(tag.ty.is_tail());
+        }
+        front
     }
 
-    /// The local input VC mid-packet injection is bound to, if any.
-    pub(crate) fn current_vc(&self) -> Option<u8> {
-        self.current_vc
-    }
-
-    /// Binds injection to `vc` for the rest of the current packet.
-    pub(crate) fn bind_vc(&mut self, vc: u8) {
-        self.current_vc = Some(vc);
-    }
-
-    /// Releases the binding after the packet's tail entered the router.
-    pub(crate) fn unbind_vc(&mut self) {
-        self.current_vc = None;
+    /// The binding of the in-flight packet to a local input VC.
+    pub(crate) fn local_vc(&mut self) -> &mut LocalVc {
+        &mut self.local_vc
     }
 
     /// Flits still waiting in the FIFO.
@@ -710,13 +530,7 @@ impl NiStage {
             .map(|(tag, flit)| Json::str(format!("{tag:?} {flit:?}")))
             .collect();
         Json::obj(vec![
-            (
-                "current_vc".into(),
-                match self.current_vc {
-                    Some(v) => Json::Num(v as f64),
-                    None => Json::Null,
-                },
-            ),
+            ("current_vc".into(), self.local_vc.snapshot()),
             ("fifo".into(), Json::Arr(fifo)),
         ])
     }
@@ -743,6 +557,16 @@ mod tests {
         }
     }
 
+    /// Each lane's (route, output VC, switch-ready cycle), port-major.
+    fn lane_states(stage: &VcInputStage) -> Vec<(Option<Port>, Option<u8>, Cycle)> {
+        (0..stage.switch_ready_at.len())
+            .map(|i| {
+                let l = stage.lanes.lane(i);
+                (l.route, l.out_vc, stage.switch_ready_at[i])
+            })
+            .collect()
+    }
+
     /// The route-compute and request pass as a loop over every lane,
     /// reading each queue's front.
     fn requests_of_every_lane(
@@ -750,27 +574,27 @@ mod tests {
         now: Cycle,
         mut route: impl FnMut(NodeId) -> Port,
     ) -> Vec<VcAllocRequest> {
-        let vcs = stage.vcs;
         let mut requests = Vec::new();
         for &in_port in &Port::ALL {
-            for vc in 0..vcs {
-                let l = &mut stage.lanes[in_port.index() * vcs + vc];
-                let dest = match l.queue.front() {
-                    Some(q) if q.tag.ty.is_head() && l.state.route.is_none() && q.arrived < now => {
+            for vc in 0..stage.lanes.vcs() {
+                let i = stage.lanes.index(in_port, vc);
+                let l = stage.lanes.lane_mut(i);
+                let dest = match l.queue().front() {
+                    Some(q) if q.tag.ty.is_head() && l.route.is_none() && q.arrived < now => {
                         Some(q.flit.dest)
                     }
                     _ => None,
                 };
                 if let Some(dest) = dest {
                     let out = route(dest);
-                    l.state.route = Some(out);
+                    l.route = Some(out);
                     if out == Port::Local {
-                        l.state.out_vc = Some(0);
-                        l.state.switch_ready_at = now;
+                        l.out_vc = Some(0);
+                        stage.switch_ready_at[i] = now;
                         continue;
                     }
                 }
-                if let (Some(out_port), None) = (l.state.route, l.state.out_vc) {
+                if let (Some(out_port), None) = (l.route, l.out_vc) {
                     requests.push(VcAllocRequest {
                         in_port,
                         in_vc: vc,
@@ -789,16 +613,15 @@ mod tests {
         port: Port,
         now: Cycle,
     ) -> Vec<(usize, ReadyLane)> {
-        let vcs = stage.vcs;
-        (0..vcs)
+        (0..stage.lanes.vcs())
             .filter_map(|vc| {
-                let l = &stage.lanes[port.index() * vcs + vc];
-                let front = l.queue.front()?;
-                let (route, out_vc) = (l.state.route?, l.state.out_vc?);
-                let head = front.tag.ty.is_head();
-                if front.arrived + 1 > now || (head && l.state.switch_ready_at > now) {
+                let l = stage.lanes.lane(stage.lanes.index(port, vc));
+                let front = l.queue().front()?;
+                let (route, out_vc) = (l.route?, l.out_vc?);
+                if front.arrived + 1 > now {
                     return None;
                 }
+                let head = front.tag.ty.is_head();
                 Some((
                     vc,
                     ReadyLane {
@@ -813,8 +636,8 @@ mod tests {
 
     /// `has_space` as a loop over a collected list of queue lengths.
     fn space_by_list(stage: &VcInputStage, port: Port, vc: usize, config: &VcConfig) -> bool {
-        let per_vc: Vec<usize> = (0..stage.vcs)
-            .map(|v| stage.lanes[port.index() * stage.vcs + v].queue.len())
+        let per_vc: Vec<usize> = (0..stage.lanes.vcs())
+            .map(|v| stage.lanes.lane(stage.lanes.index(port, v)).queue().len())
             .collect();
         match config.credit_mode {
             CreditMode::PerVc => per_vc[vc] < config.queue_depth,
@@ -825,6 +648,19 @@ mod tests {
         }
     }
 
+    /// The free downstream VCs of `port`, read from the owner dump.
+    fn free_vcs(alloc: &VcAllocStage, port: Port) -> Vec<u8> {
+        let Json::Arr(owned) = alloc.owners.snapshot(port) else {
+            panic!("owner dump is not an array");
+        };
+        (0..owned.len() as u8)
+            .filter(|&v| owned[v as usize] == Json::Bool(false))
+            .collect()
+    }
+
+    /// The stage's walk-driven passes against loops over every lane.
+    /// The walk, the inline fronts and the bitset themselves are checked
+    /// by noc-flow's `lanes_owners_and_credits_match_a_model_of_every_lane`.
     #[test]
     fn occupancy_scan_matches_a_scan_of_every_lane() {
         let route_of = |dest: NodeId| Port::ALL[dest.index() % Port::COUNT];
@@ -835,7 +671,6 @@ mod tests {
             FlitType::HeadTail,
         ];
         for vcs in [1, 2, 8, 13] {
-            let mut second_word_used = false;
             for mode in [CreditMode::PerVc, CreditMode::SharedPool] {
                 let config = VcConfig::new(vcs, 4, mode);
                 for seed in 0..4 {
@@ -850,33 +685,30 @@ mod tests {
                         let vc = rng.index(vcs);
                         let space = stage.has_space(port, vc, &config);
                         assert_eq!(space, space_by_list(&stage, port, vc, &config), "{context}");
-                        let state = stage.lane(port, vc);
+                        let lane = stage.lanes.lane(stage.lanes.index(port, vc));
+                        let (occupied, route) = (!lane.queue().is_empty(), lane.route);
                         match rng.index(6) {
                             0..=2 if space => {
                                 packet += 1;
                                 let ty = types[rng.index(types.len())];
                                 let dest = NodeId::new(rng.index(64) as u16);
                                 let arrived = now - rng.index(2) as u64;
-                                stage.push(port, vc, queued(packet, ty, dest, arrived));
+                                let q = queued(packet, ty, dest, arrived);
+                                stage.push(port, vc, q.tag, q.flit, q.arrived);
                             }
                             // Only a switch winner, which holds a
                             // downstream VC, departs; its tail ends the
-                            // packet as `forward_flit` does.
-                            3 if state.front.is_some() && state.out_vc.is_some() => {
-                                let popped = stage.pop_front(port, vc);
-                                if popped.tag.ty.is_tail() {
-                                    stage.end_packet(port, vc);
-                                    let (route, out_vc) = (state.route, state.out_vc);
-                                    if let (Some(route), Some(out_vc)) = (route, out_vc) {
-                                        if route != Port::Local {
-                                            alloc.release(route, out_vc);
-                                        }
-                                    }
+                            // packet and frees the VC as `forward_flit`
+                            // does.
+                            3 if occupied && lane.out_vc.is_some() => {
+                                let (popped, out_vc) = stage.pop_front(port, vc);
+                                let route = route.expect("a granted lane is routed");
+                                if popped.tag.ty.is_tail() && route != Port::Local {
+                                    alloc.release(route, out_vc);
                                 }
                             }
                             _ => now += 1,
                         }
-                        second_word_used |= stage.occupied.get(1).is_some_and(|&w| w != 0);
                         let at = Cycle::new(now);
 
                         // Route compute and requests.
@@ -898,9 +730,7 @@ mod tests {
                         );
                         assert_eq!(got_routed, want_routed, "route compute order, {context}");
                         assert_eq!(requests, want_requests, "requests, {context}");
-                        for (l, r) in stage.lanes.iter().zip(&reference.lanes) {
-                            assert_eq!(l.state, r.state, "lane state, {context}");
-                        }
+                        assert_eq!(lane_states(&stage), lane_states(&reference), "{context}");
 
                         // VC allocation draws: the k-th free VC against a
                         // choice over the collected free list.
@@ -909,10 +739,7 @@ mod tests {
                         rng.shuffle(&mut requests);
                         assert_eq!(requests, want_requests, "shuffle, {context}");
                         for req in &requests {
-                            let free: Vec<u8> = (0..vcs)
-                                .filter(|&v| !alloc.vc_owner[req.out_port][v])
-                                .map(|v| v as u8)
-                                .collect();
+                            let free = free_vcs(&alloc, req.out_port);
                             let want = (!free.is_empty()).then(|| *want_rng.choose(&free));
                             let got = alloc.try_grant(req, &mut rng);
                             assert_eq!(got.map(|g| g.out_vc), want, "grant, {context}");
@@ -925,17 +752,17 @@ mod tests {
                         // Switch bids: the occupied lanes that pass the
                         // input gates, and the nomination draw over them.
                         let mut bids = Vec::new();
-                        let mut lanes = stage.occupied_lanes();
-                        while let Some((p, v)) = lanes.next(&stage) {
-                            if let Some(r) = stage.switch_ready(p, v, at) {
-                                bids.push((p, v, r));
+                        let mut walk = stage.lanes.walk();
+                        while let Some(i) = walk.next(&stage.lanes) {
+                            if let Some(r) = stage.switch_ready(i, at) {
+                                bids.push((stage.lanes.id(i), r));
                             }
                         }
                         for &p in &Port::ALL {
                             let got: Vec<(usize, ReadyLane)> = bids
                                 .iter()
-                                .filter(|b| b.0 == p)
-                                .map(|&(_, v, r)| (v, r))
+                                .filter(|b| b.0 .0 == p)
+                                .map(|&((_, v), r)| (v, r))
                                 .collect();
                             let ready = ready_of_every_lane(&stage, p, at);
                             assert_eq!(got, ready, "{p:?} bids, {context}");
@@ -952,39 +779,23 @@ mod tests {
                         let free: Vec<usize> = (0..vcs)
                             .filter(|&v| space_by_list(&stage, Port::Local, v, &config))
                             .collect();
-                        let want = (!free.is_empty()).then(|| *want_rng.choose(&free));
-                        let got = rng.pick_free(vcs, |v| stage.has_space(Port::Local, v, &config));
+                        let want = (!free.is_empty()).then(|| *want_rng.choose(&free) as u8);
+                        let has_space = |v| stage.has_space(Port::Local, v, &config);
+                        let got = LocalVc::default().pick(true, vcs, &mut rng, has_space);
                         assert_eq!(got, want, "local VC pick, {context}");
                         assert_eq!(rng, want_rng, "local VC pick draws, {context}");
 
-                        // Bookkeeping: the bitset and inline fronts track
-                        // the queues, and no empty lane waits for a VC.
-                        let mut occupied = Vec::new();
-                        let mut lanes = stage.occupied_lanes();
-                        while let Some(lane) = lanes.next(&stage) {
-                            occupied.push(lane);
-                        }
-                        let queued: Vec<(Port, usize)> = Port::ALL
-                            .iter()
-                            .flat_map(|&p| (0..vcs).map(move |v| (p, v)))
-                            .filter(|&(p, v)| !stage.lanes[p.index() * vcs + v].queue.is_empty())
-                            .collect();
-                        assert_eq!(occupied, queued, "occupied lanes, {context}");
-                        for l in &stage.lanes {
-                            assert_eq!(l.state.front, l.queue.front().map(Front::of), "{context}");
+                        // No empty lane waits for a VC.
+                        for i in 0..Port::COUNT * vcs {
+                            let l = stage.lanes.lane(i);
                             assert!(
-                                !(l.queue.is_empty()
-                                    && l.state.route.is_some()
-                                    && l.state.out_vc.is_none()),
+                                !(l.queue().is_empty() && l.route.is_some() && l.out_vc.is_none()),
                                 "an empty lane holds a route without an output VC, {context}"
                             );
                         }
-                        let queued = stage.lanes.iter().any(|l| !l.queue.is_empty());
-                        assert_eq!(stage.all_empty(), !queued, "{context}");
                     }
                 }
             }
-            assert_eq!(second_word_used, vcs == 13, "{vcs} VCs");
         }
     }
 }

@@ -218,6 +218,62 @@ fn watchdog_catches_a_dead_link_livelock() {
     }
 }
 
+/// Counts the lanes `doc`'s lane dumps list and the `true` flags of its
+/// downstream-VC owner tables.
+fn live_lanes_and_owned_vcs(doc: &Json) -> (usize, usize) {
+    let sum = |a: (usize, usize), b: (usize, usize)| (a.0 + b.0, a.1 + b.1);
+    match doc {
+        Json::Obj(pairs) => pairs.iter().fold((0, 0), |acc, (key, v)| {
+            let own = match (key.as_str(), v) {
+                ("lanes", Json::Arr(lanes)) => (lanes.len(), 0),
+                ("owned" | "vc_owner", Json::Arr(flags))
+                    if flags.iter().all(|f| f.as_bool().is_some()) =>
+                {
+                    (0, flags.iter().filter(|&f| *f == Json::Bool(true)).count())
+                }
+                _ => live_lanes_and_owned_vcs(v),
+            };
+            sum(acc, own)
+        }),
+        Json::Arr(items) => items.iter().map(live_lanes_and_owned_vcs).fold((0, 0), sum),
+        _ => (0, 0),
+    }
+}
+
+/// The drained digests pinned by `frfc-sim`'s tests hold no live lane,
+/// so these pins capture both families mid-run, with lanes queued and
+/// downstream VCs owned: the lane, owner and credit rendering of the
+/// shared virtual-channel port is covered bit for bit.
+#[test]
+fn live_lane_state_digests_are_pinned() {
+    let fr6 = RunSpec {
+        load: 0.8,
+        ..RunSpec::fr6_small(0x5EED)
+    };
+    let vc8 = RunSpec {
+        flow: FlowControl::vc8(),
+        ..fr6.clone()
+    };
+    for (spec, digest, live) in [
+        (fr6, "fea8059ff208d0c0", (81, 43)),
+        (vc8, "959135db10f136e4", (89, 57)),
+    ] {
+        let config = spec.flow.label();
+        let sidecar = capture_at_cycle(&spec, 250).expect("capture");
+        let state = sidecar.get("state").expect("dump has a state");
+        assert_eq!(
+            live_lanes_and_owned_vcs(state),
+            live,
+            "{config}: live lanes and owned downstream VCs"
+        );
+        assert_eq!(
+            sidecar.get("state_digest").and_then(Json::as_str),
+            Some(digest),
+            "{config}: live-lane state digest moved"
+        );
+    }
+}
+
 /// A mid-injection FR dump carries live reservation-table timelines —
 /// the `busy` strings `frfc-inspect show` renders must have substance.
 #[test]
