@@ -23,7 +23,6 @@
 
 pub mod report;
 
-use noc_engine::warmup::WarmupConfig;
 use noc_network::{Curve, SimConfig};
 
 /// Measurement scale selected by `FRFC_SCALE`.
@@ -68,18 +67,7 @@ impl Scale {
     /// The corresponding measurement configuration.
     pub fn sim(self, seed: u64) -> SimConfig {
         match self {
-            Scale::Tiny => SimConfig {
-                seed,
-                warmup: WarmupConfig {
-                    min_cycles: 1_000,
-                    max_cycles: 6_000,
-                    window: 8,
-                    tolerance: 0.08,
-                },
-                sample_packets: 800,
-                drain_cap: 20_000,
-                warmup_probe_period: 32,
-            },
+            Scale::Tiny => SimConfig::tiny(seed),
             Scale::Quick => SimConfig::quick(seed),
             Scale::Paper => SimConfig::paper_scale(seed),
         }

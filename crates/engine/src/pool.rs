@@ -105,19 +105,6 @@ pub struct PoolProfile {
     pub busy_ns: Vec<u64>,
 }
 
-impl PoolProfile {
-    /// Fraction of worker-seconds spent idle: 1 minus total busy time over
-    /// `threads x round wall`. 0 when nothing was profiled.
-    pub fn idle_fraction(&self) -> f64 {
-        let capacity = self.round_wall_ns as f64 * self.busy_ns.len() as f64;
-        if capacity <= 0.0 {
-            return 0.0;
-        }
-        let busy: u64 = self.busy_ns.iter().sum();
-        (1.0 - busy as f64 / capacity).max(0.0)
-    }
-}
-
 /// A pool of persistent worker threads driving identical per-round jobs.
 ///
 /// Created once, reused every cycle. See the [module docs](self) for the
@@ -185,21 +172,9 @@ impl WorkerPool {
     }
 
     /// Turns wall-clock profiling on or off. Enabling does not clear
-    /// previously accumulated timing; use [`WorkerPool::reset_profile`]
-    /// for a fresh measurement window.
+    /// previously accumulated timing.
     pub fn set_profiling(&self, on: bool) {
         self.shared.prof.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Clears all accumulated profiling counters.
-    pub fn reset_profile(&self) {
-        let prof = &self.shared.prof;
-        for cell in &prof.busy_ns {
-            cell.store(0, Ordering::Relaxed);
-        }
-        prof.barrier_wait_ns.store(0, Ordering::Relaxed);
-        prof.round_wall_ns.store(0, Ordering::Relaxed);
-        prof.rounds.store(0, Ordering::Relaxed);
     }
 
     /// Snapshot of the timing accumulated since profiling was enabled.
@@ -462,10 +437,6 @@ mod tests {
         assert!(prof.round_wall_ns > 0);
         // Every worker ran every round, so each accumulated some time.
         assert!(prof.busy_ns.iter().all(|&ns| ns > 0), "{prof:?}");
-        let frac = prof.idle_fraction();
-        assert!((0.0..=1.0).contains(&frac), "idle fraction {frac}");
-        pool.reset_profile();
-        assert_eq!(pool.profile(), PoolProfile::default_for(3));
     }
 
     #[test]

@@ -304,14 +304,6 @@ impl TimeWeighted {
         }
         (self.weighted_sum + self.current * dt_tail as f64) / total as f64
     }
-
-    /// Restarts accumulation at `now`, keeping the current value. Used at
-    /// the warm-up/measurement boundary.
-    pub fn reset(&mut self, now: super::Cycle) {
-        self.set(now, self.current);
-        self.weighted_sum = 0.0;
-        self.origin = now;
-    }
 }
 
 /// Mean over a sliding window of the most recent `capacity` samples.
@@ -544,32 +536,11 @@ mod tests {
         // [0,4): 1.0, [4,8): 3.0 -> average over [0,8) = 2.0
         assert!((tw.average(Cycle::new(8)) - 2.0).abs() < 1e-12);
         assert_eq!(tw.current(), 3.0);
-    }
 
-    #[test]
-    fn time_weighted_reset_drops_history() {
-        let mut tw = TimeWeighted::new(Cycle::ZERO, 100.0);
-        tw.set(Cycle::new(10), 2.0);
-        tw.reset(Cycle::new(10));
-        assert!((tw.average(Cycle::new(20)) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_average_across_reset_is_multi_segment() {
-        // Warm-up segment: 0.0 over [0,10), then 4.0 over [10,20).
+        // 0.0 over [0,10), then 4.0 over [10,20).
         let mut tw = TimeWeighted::new(Cycle::ZERO, 0.0);
         tw.set(Cycle::new(10), 4.0);
         assert!((tw.average(Cycle::new(20)) - 2.0).abs() < 1e-12);
-
-        // Reset at the measurement boundary: history is dropped, but the
-        // held value (4.0) carries over as the first measured segment.
-        tw.reset(Cycle::new(20));
-        assert_eq!(tw.current(), 4.0);
-        tw.set(Cycle::new(25), 8.0);
-        tw.set(Cycle::new(30), 0.0);
-        // [20,25): 4.0, [25,30): 8.0 -> average over [20,30) = 6.0, with no
-        // contamination from the pre-reset 0.0 segment.
-        assert!((tw.average(Cycle::new(30)) - 6.0).abs() < 1e-12);
     }
 
     #[test]

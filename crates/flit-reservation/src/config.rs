@@ -121,11 +121,11 @@ impl FrConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `horizon` is zero.
+    /// Panics with [`FrConfig::check`]'s message if `horizon` breaks a
+    /// rule.
     #[must_use]
     pub fn with_horizon(self, horizon: u64) -> Self {
-        assert!(horizon > 0, "scheduling horizon must be positive");
-        FrConfig { horizon, ..self }
+        FrConfig { horizon, ..self }.checked()
     }
 
     /// Replaces the scheduling policy (Section 5 ablation).
@@ -147,14 +147,14 @@ impl FrConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `d` is zero.
+    /// Panics with [`FrConfig::check`]'s message if `d` breaks a rule.
     #[must_use]
     pub fn with_flits_per_control(self, d: u32) -> Self {
-        assert!(d > 0, "a control flit must lead at least one data flit");
         FrConfig {
             flits_per_control: d,
             ..self
         }
+        .checked()
     }
 
     /// Total control flit buffers per input channel (`b_c`).
@@ -162,20 +162,39 @@ impl FrConfig {
         self.control_vcs * self.control_queue_depth
     }
 
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any field is zero where that is meaningless, or if a
-    /// control VC id would not fit the `u8` control flits carry.
-    pub fn validate(&self) {
-        assert!(self.data_buffers > 0, "need at least one data buffer");
-        assert!(self.control_vcs > 0, "need at least one control VC");
-        assert!(self.control_vcs <= 256, "control VC ids travel as a u8");
-        assert!(self.control_queue_depth > 0, "control queues need a slot");
-        assert!(self.control_lanes > 0, "need control bandwidth");
-        assert!(self.horizon > 0, "scheduling horizon must be positive");
-        assert!(self.flits_per_control > 0, "d must be positive");
+    /// Returns `Err` naming the first rule the configuration breaks:
+    /// every count is positive, control VC ids fit the `u8` control
+    /// flits carry, and sizes stay small enough that no allocation a
+    /// run spec can ask for aborts.
+    pub fn check(&self) -> Result<(), String> {
+        let size = |v: usize| (1..=4096).contains(&v);
+        let small = |v: u32| (1..=64).contains(&v);
+        let why = if !size(self.data_buffers) {
+            "data buffers must be in 1..=4096"
+        } else if !(1..=255).contains(&self.control_vcs) {
+            "control VC count must be in 1..=255"
+        } else if !size(self.control_queue_depth) {
+            "control queue depth must be in 1..=4096"
+        } else if !small(self.control_lanes) {
+            "control lanes must be in 1..=64"
+        } else if !(1..=4096).contains(&self.horizon) {
+            "scheduling horizon must be in 1..=4096"
+        } else if !small(self.flits_per_control) {
+            "flits per control must be in 1..=64"
+        } else if self.sync_margin > 64 {
+            "sync margin must be at most 64"
+        } else {
+            return Ok(());
+        };
+        Err(why.into())
+    }
+
+    /// `self`, or a panic with [`FrConfig::check`]'s message.
+    pub(crate) fn checked(self) -> Self {
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
+        self
     }
 }
 
@@ -199,8 +218,8 @@ mod tests {
         assert_eq!(fr13.data_buffers, 13);
         assert_eq!(fr13.control_vcs, 4);
         assert_eq!(fr13.control_buffers(), 12);
-        fr6.validate();
-        fr13.validate();
+        assert_eq!(fr6.check(), Ok(()));
+        assert_eq!(fr13.check(), Ok(()));
     }
 
     #[test]
@@ -218,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "horizon must be positive")]
+    #[should_panic(expected = "scheduling horizon must be in 1..=4096")]
     fn zero_horizon_panics() {
         let _ = FrConfig::fr6().with_horizon(0);
     }

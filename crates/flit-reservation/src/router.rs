@@ -72,8 +72,8 @@ impl FrRouter {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is internally inconsistent (see
-    /// [`FrConfig::validate`]).
+    /// Panics with [`FrConfig::check`]'s message if the configuration
+    /// breaks a rule.
     pub fn new(mesh: Mesh, node: NodeId, config: FrConfig, rng: Rng) -> Self {
         FrRouter::with_tracer(mesh, node, config, rng, NullSink)
     }
@@ -84,10 +84,10 @@ impl<S: TraceSink> FrRouter<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is internally inconsistent (see
-    /// [`FrConfig::validate`]).
+    /// Panics with [`FrConfig::check`]'s message if the configuration
+    /// breaks a rule.
     pub fn with_tracer(mesh: Mesh, node: NodeId, config: FrConfig, rng: Rng, sink: S) -> Self {
-        config.validate();
+        let config = config.checked();
         FrRouter {
             node,
             rng,

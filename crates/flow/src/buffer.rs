@@ -63,10 +63,8 @@ const fn mask_bit(i: usize) -> (usize, u64) {
 ///
 /// let mut pool = BufferPool::new(6);
 /// assert_eq!(pool.free_count(), 6);
-/// let id = pool.reserve_any().expect("pool has space");
+/// pool.reserve_any().expect("pool has space");
 /// assert_eq!(pool.free_count(), 5);
-/// pool.release_empty(id);
-/// assert_eq!(pool.free_count(), 6);
 /// ```
 #[derive(Clone, Debug)]
 pub struct BufferPool {
@@ -213,22 +211,6 @@ impl BufferPool {
         self.flits[id.index()]
     }
 
-    /// Frees a reserved buffer that never received its flit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer holds a flit or is not reserved.
-    pub fn release_empty(&mut self, id: BufferId) {
-        let (w, bit) = mask_bit(id.index());
-        assert!(self.written[w] & bit == 0, "buffer still holds a flit");
-        assert!(
-            id.index() < self.capacity() && self.occupied[w] & bit != 0,
-            "buffer was not reserved"
-        );
-        self.occupied[w] &= !bit;
-        self.free += 1;
-    }
-
     /// Iterates over `(buffer, flit)` pairs currently stored.
     pub fn iter(&self) -> impl Iterator<Item = (BufferId, &DataFlit)> {
         let written = self.written;
@@ -354,15 +336,6 @@ mod tests {
     #[should_panic(expected = "must have capacity")]
     fn zero_capacity_panics() {
         BufferPool::new(0);
-    }
-
-    #[test]
-    fn release_empty_restores_free_count() {
-        let mut pool = BufferPool::new(3);
-        let a = pool.reserve_any().unwrap();
-        assert_eq!(pool.free_count(), 2);
-        pool.release_empty(a);
-        assert_eq!(pool.free_count(), 3);
     }
 
     #[test]

@@ -86,17 +86,6 @@ pub struct DataFlit {
     pub crc_ok: bool,
 }
 
-impl DataFlit {
-    /// The flit with its CRC bit cleared, as produced by a corrupting
-    /// link traversal.
-    pub fn corrupted(self) -> Self {
-        DataFlit {
-            crc_ok: false,
-            ..self
-        }
-    }
-}
-
 /// The VC-network tag padded onto each data flit by virtual-channel flow
 /// control: `log2(v)` bits of VC id plus a `t`-bit type field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -207,51 +207,6 @@ impl MetricsRegistry {
         self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Merges another registry into this one, as when per-shard registries
-    /// from a parallel sweep are combined: counters and gauges add;
-    /// time-weighted signals and series must be key-disjoint (a shard owns
-    /// its signals outright) and are moved over. Sum windows on the same
-    /// grid add element-wise, aligned by absolute window index, keeping the
-    /// window-sum == aggregate-counter identity through the merge; Gauge
-    /// windows must be key-disjoint like series.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` shares a time-weighted, series or Gauge-window key
-    /// with `self`, or if a shared Sum window disagrees on `log2`.
-    pub fn merge(&mut self, other: MetricsRegistry) {
-        for (k, v) in other.counters {
-            *self.entry_counter(&k) += v;
-        }
-        for (k, v) in other.gauges {
-            *self.gauges.entry(k).or_insert(0.0) += v;
-        }
-        for (k, v) in other.time_weighted {
-            let clash = self.time_weighted.insert(k, v);
-            assert!(clash.is_none(), "merge: duplicate time-weighted key");
-        }
-        for (k, v) in other.series {
-            let clash = self.series.insert(k, v);
-            assert!(clash.is_none(), "merge: duplicate series key");
-        }
-        for (k, v) in other.windows {
-            match self.windows.get_mut(&k) {
-                Some(mine) => {
-                    assert_eq!(
-                        mine.kind,
-                        WindowKind::Sum,
-                        "merge: duplicate gauge-window key {k}"
-                    );
-                    mine.merge_add(&v);
-                }
-                None => {
-                    self.windows.insert(k, v);
-                }
-            }
-        }
-        self.watermark = self.watermark.max(other.watermark);
-    }
-
     /// Exports the registry plus `manifest` as a schema-versioned JSON
     /// document.
     ///
@@ -391,21 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters_and_gauges() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("x", 1);
-        a.gauge_set("g", 0.5);
-        let mut b = MetricsRegistry::new();
-        b.counter_add("x", 2);
-        b.counter_add("y", 7);
-        b.gauge_set("g", 0.25);
-        a.merge(b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.counter("y"), 7);
-        assert_eq!(a.gauge("g"), Some(0.75));
-    }
-
-    #[test]
     fn window_add_buckets_by_shift_and_zero_fills() {
         let mut reg = MetricsRegistry::new();
         reg.window_add("inj", 6, Cycle::new(10), 2.0);
@@ -416,31 +356,6 @@ mod tests {
         assert_eq!(w.values, vec![3.0, 0.0, 0.0, 5.0]);
         assert_eq!(reg.window_total("inj"), 8.0);
         assert_eq!(reg.window_total("absent"), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_sum_windows_and_moves_gauge_windows() {
-        let mut a = MetricsRegistry::new();
-        a.window_add("flits", 4, Cycle::new(0), 1.0);
-        a.window_set("p95.a", 4, 0, 9.0);
-        let mut b = MetricsRegistry::new();
-        b.window_add("flits", 4, Cycle::new(16), 2.0);
-        b.window_set("p95.b", 4, 1, 7.0);
-        a.merge(b);
-        assert_eq!(a.window("flits").unwrap().values, vec![1.0, 2.0]);
-        assert_eq!(a.window("p95.a").unwrap().values, vec![9.0]);
-        let pb = a.window("p95.b").unwrap();
-        assert_eq!((pb.start, pb.values.clone()), (1, vec![7.0]));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate gauge-window key")]
-    fn merge_rejects_gauge_window_collisions() {
-        let mut a = MetricsRegistry::new();
-        a.window_set("g", 4, 0, 1.0);
-        let mut b = MetricsRegistry::new();
-        b.window_set("g", 4, 0, 2.0);
-        a.merge(b);
     }
 
     #[test]
@@ -456,16 +371,6 @@ mod tests {
         assert_eq!(w.get("kind").and_then(Json::as_str), Some("sum"));
         assert_eq!(w.get("log2").and_then(Json::as_u64), Some(7));
         assert_eq!(w.get("start").and_then(Json::as_u64), Some(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate series key")]
-    fn merge_rejects_series_collisions() {
-        let mut a = MetricsRegistry::new();
-        a.series_push("s", 8, Cycle::ZERO, 1.0);
-        let mut b = MetricsRegistry::new();
-        b.series_push("s", 8, Cycle::ZERO, 2.0);
-        a.merge(b);
     }
 
     #[test]

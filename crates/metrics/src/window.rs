@@ -13,8 +13,7 @@
 //!   contract `telemetry_report --quick` enforces.
 //! * **Gauge** windows hold one sampled or derived value per window
 //!   (latency quantiles, mean buffer occupancy). They have no aggregate
-//!   identity; merging registries requires gauge-window keys to be
-//!   disjoint, like series.
+//!   identity.
 //!
 //! Windows ride the existing [`crate::Recorder`] indirection, so with the
 //! `NullRecorder` every recording site still compiles away to nothing.
@@ -24,8 +23,8 @@ use crate::json::Json;
 /// How values in a [`WindowSeries`] combine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WindowKind {
-    /// Per-window event counts; element-wise additive across shard merges
-    /// and summable back into the aggregate counter of the same name.
+    /// Per-window event counts, summable back into the aggregate counter
+    /// of the same name.
     Sum,
     /// One sampled/derived value per window; not additive.
     Gauge,
@@ -73,12 +72,6 @@ impl WindowSeries {
         1u64 << self.log2
     }
 
-    /// The first cycle of window-index `w` (an absolute index, not an
-    /// offset into `values`).
-    pub fn window_start_cycle(&self, w: u64) -> u64 {
-        w << self.log2
-    }
-
     /// Mutable slot for absolute window `w`, zero-filling any gap.
     /// Windows are recorded in nondecreasing order; `w` may not precede
     /// `start`.
@@ -111,28 +104,6 @@ impl WindowSeries {
         self.values.iter().sum()
     }
 
-    /// Element-wise merge of another series recorded on the same window
-    /// grid, aligning by absolute window index. Only meaningful for Sum
-    /// windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two series disagree on `log2` or `kind`.
-    pub fn merge_add(&mut self, other: &WindowSeries) {
-        assert_eq!(self.log2, other.log2, "window merge: log2 mismatch");
-        assert_eq!(self.kind, other.kind, "window merge: kind mismatch");
-        if other.start < self.start {
-            let shift = (self.start - other.start) as usize;
-            let mut values = vec![0.0; shift];
-            values.append(&mut self.values);
-            self.values = values;
-            self.start = other.start;
-        }
-        for (i, v) in other.values.iter().enumerate() {
-            self.add(other.start + i as u64, *v);
-        }
-    }
-
     /// Renders the series as a JSON object.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -159,7 +130,6 @@ mod tests {
         assert_eq!(w.values, vec![3.0, 0.0, 0.0, 1.0]);
         assert_eq!(w.total(), 4.0);
         assert_eq!(w.window_cycles(), 64);
-        assert_eq!(w.window_start_cycle(5), 320);
     }
 
     #[test]
@@ -167,99 +137,6 @@ mod tests {
     fn windows_reject_out_of_order_recording() {
         let mut w = WindowSeries::new(4, 8, WindowKind::Sum);
         w.add(7, 1.0);
-    }
-
-    #[test]
-    fn merge_add_aligns_on_absolute_index() {
-        let mut a = WindowSeries::new(4, 3, WindowKind::Sum);
-        a.add(3, 1.0);
-        a.add(4, 2.0);
-        let mut b = WindowSeries::new(4, 1, WindowKind::Sum);
-        b.add(1, 10.0);
-        b.add(4, 20.0);
-        b.add(6, 30.0);
-        a.merge_add(&b);
-        assert_eq!(a.start, 1);
-        assert_eq!(a.values, vec![10.0, 0.0, 1.0, 22.0, 0.0, 30.0]);
-    }
-
-    #[test]
-    fn merge_add_with_empty_series_is_identity() {
-        // An empty other leaves the target untouched; an empty target
-        // absorbs the other wholesale (start re-anchors to the earlier
-        // epoch, values copy through).
-        let mut a = WindowSeries::new(4, 3, WindowKind::Sum);
-        a.add(3, 1.0);
-        a.add(5, 2.0);
-        let before = a.clone();
-        a.merge_add(&WindowSeries::new(4, 9, WindowKind::Sum));
-        assert_eq!(a, before, "merging an empty series must change nothing");
-
-        let mut empty = WindowSeries::new(4, 9, WindowKind::Sum);
-        empty.merge_add(&before);
-        assert_eq!(empty.start, 3);
-        // Re-anchoring zero-fills up to the empty target's old anchor (9),
-        // so the dense form carries a zero tail for windows 6..9.
-        assert_eq!(empty.values, vec![1.0, 0.0, 2.0, 0.0, 0.0, 0.0]);
-        assert_eq!(empty.total(), before.total());
-    }
-
-    #[test]
-    fn merge_add_with_misaligned_epochs_prepends_zeros() {
-        // The other series starts several epochs earlier: the target
-        // re-anchors, zero-filling the prefix it never observed, and the
-        // overlap still adds element-wise on absolute indices.
-        let mut a = WindowSeries::new(3, 10, WindowKind::Sum);
-        a.add(10, 5.0);
-        let mut b = WindowSeries::new(3, 6, WindowKind::Sum);
-        b.add(6, 1.0);
-        b.add(10, 2.0);
-        a.merge_add(&b);
-        assert_eq!(a.start, 6);
-        assert_eq!(a.values, vec![1.0, 0.0, 0.0, 0.0, 7.0]);
-        // Merge is order-independent on totals.
-        let mut c = WindowSeries::new(3, 6, WindowKind::Sum);
-        c.add(6, 1.0);
-        c.add(10, 2.0);
-        let mut d = WindowSeries::new(3, 10, WindowKind::Sum);
-        d.add(10, 5.0);
-        c.merge_add(&d);
-        assert_eq!(a, c, "merge must commute on the dense form");
-    }
-
-    #[test]
-    fn merge_add_folds_final_partial_window_past_the_tail() {
-        // A shard that ran longer contributes a final, partially-filled
-        // window beyond the target's tail: the target extends, keeps the
-        // zero-filled gap dense, and the window-sum == aggregate identity
-        // survives the merge.
-        let mut a = WindowSeries::new(2, 0, WindowKind::Sum);
-        a.add(0, 4.0);
-        a.add(1, 4.0);
-        let mut b = WindowSeries::new(2, 0, WindowKind::Sum);
-        b.add(0, 1.0);
-        b.add(3, 0.5); // final partial window: fewer events than a full epoch
-        let total_before = a.total() + b.total();
-        a.merge_add(&b);
-        assert_eq!(a.values, vec![5.0, 4.0, 0.0, 0.5]);
-        assert_eq!(a.total(), total_before);
-        assert_eq!(a.values.len(), 4, "tail window must extend the series");
-    }
-
-    #[test]
-    #[should_panic(expected = "kind mismatch")]
-    fn merge_add_rejects_mismatched_kinds() {
-        let mut a = WindowSeries::new(4, 0, WindowKind::Sum);
-        let b = WindowSeries::new(4, 0, WindowKind::Gauge);
-        a.merge_add(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "log2 mismatch")]
-    fn merge_add_rejects_mismatched_grids() {
-        let mut a = WindowSeries::new(4, 0, WindowKind::Sum);
-        let b = WindowSeries::new(5, 0, WindowKind::Sum);
-        a.merge_add(&b);
     }
 
     #[test]

@@ -203,10 +203,8 @@ where
     FrRouter<RS>: Send,
 {
     forward!(mut
-        fn cycle_sharded(threads: usize);
         fn run_cycles_sharded(n: u64, threads: usize);
         fn set_shard_plan(plan: ShardPlan);
-        fn run_cycles_planned(n: u64);
     );
 
     /// Steps one cycle: sequential for `threads <= 1`, sharded otherwise.
@@ -214,7 +212,7 @@ where
         if threads <= 1 {
             self.cycle();
         } else {
-            self.cycle_sharded(threads);
+            self.run_cycles_sharded(1, threads);
         }
     }
 
@@ -225,7 +223,7 @@ where
         if threads == 0 {
             return self.simulate(sim);
         }
-        on_net!(self, n => run_simulation_with(n, sim, |n| n.cycle_sharded(threads)))
+        on_net!(self, n => run_simulation_with(n, sim, |n| n.run_cycles_sharded(1, threads)))
     }
 }
 

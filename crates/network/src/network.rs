@@ -30,7 +30,7 @@
 //!
 //! # Sharded stepping
 //!
-//! [`Network::cycle_sharded`] drives the same phases across a persistent
+//! [`Network::run_cycles_sharded`] drives the same phases across a persistent
 //! [`noc_engine::pool::WorkerPool`]: the mesh is partitioned into
 //! contiguous node-range shards (a [`ShardPlan`]), and each worker owns
 //! its shard's router slots, backlogs **and inbound links** — the link
@@ -260,15 +260,14 @@ fn wire_of(set: &mut LinkSet, class: WireClass) -> &mut Link<LinkEvent> {
     }
 }
 
-/// A node's deliver scan order: its mesh in-ports sorted by the sending
-/// neighbour's node id, `None`-padded. Draining a node's inbound links in
-/// this order replays, per receiver, exactly the arrival order of the
-/// historical sender-major scan — which is what keeps the receiver-keyed
-/// link arena bit-identical to the engine every baseline was tuned on.
-#[derive(Clone, Copy, Debug, Default)]
-struct DeliverOrder {
-    ports: [Option<Port>; 4],
-}
+/// Every node's deliver scan order: its mesh in-ports sorted by the
+/// sending neighbour's node id, which on a row-major mesh is always
+/// North (`id - W`), West (`id - 1`), East (`id + 1`), South (`id + W`).
+/// Draining a node's inbound links in this order replays, per receiver,
+/// exactly the arrival order of the historical sender-major scan — which
+/// is what keeps the receiver-keyed link arena bit-identical to the
+/// engine every baseline was tuned on.
+const DELIVER_ORDER: [Port; 4] = [Port::North, Port::West, Port::East, Port::South];
 
 /// One router plus the per-router state the stepping engine needs: the
 /// retained output arena its step phase writes into, and the wake flag
@@ -340,12 +339,13 @@ fn deliver_node<R: Router>(
     links: &mut [LinkSet],
     link_base: usize,
     inbound: &PortMap<Option<u32>>,
-    order: &DeliverOrder,
     now: Cycle,
 ) {
-    for port in order.ports.into_iter().flatten() {
-        let idx = inbound[port].expect("ordered port has a link") as usize;
-        let set = &mut links[idx - link_base];
+    for port in DELIVER_ORDER {
+        let Some(idx) = inbound[port] else {
+            continue;
+        };
+        let set = &mut links[idx as usize - link_base];
         if set.data.is_empty() && set.control.is_empty() && set.credit.is_empty() {
             continue;
         }
@@ -388,7 +388,7 @@ fn outbound_link(outbound: &[PortMap<Option<u32>>], node: NodeId, port: Port) ->
 /// State for true multi-core stepping: a persistent worker pool, the
 /// shard plan pairing it with the mesh, and the retained cross-shard
 /// mailboxes. Installed by [`Network::set_shard_plan`] (or lazily by
-/// [`Network::cycle_sharded`]); absent on purely sequential networks.
+/// [`Network::run_cycles_sharded`]); absent on purely sequential networks.
 struct ParallelEngine {
     pool: WorkerPool,
     plan: ShardPlan,
@@ -572,8 +572,6 @@ pub struct Network<R: Router, S: TraceSink = NullSink, M: Recorder = NullRecorde
     outbound: Vec<PortMap<Option<u32>>>,
     /// Arena start of each node's inbound links (`node_count + 1` long).
     link_starts: Vec<u32>,
-    /// Per-node deliver scan order (see [`DeliverOrder`]).
-    deliver_order: Vec<DeliverOrder>,
     /// Worker pool + shard plan for parallel stepping; `None` until a
     /// sharded entry point installs one.
     parallel: Option<Box<ParallelEngine>>,
@@ -685,25 +683,25 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
             })
             .collect();
         // Receiver-keyed link arena: one entry per directed mesh edge,
-        // grouped by receiving node, each node's in-ports ordered by the
-        // sending neighbour's id (see `DeliverOrder`).
+        // grouped by receiving node, each node's in-ports in
+        // `DELIVER_ORDER`. The per-node tables grow by push rather than
+        // being preallocated: preallocated, they left the heap laid out so
+        // that glibc trimmed it whenever an 8×8 network was dropped, and
+        // each rebuild re-faulted those pages (perfbench `setup_s` read
+        // 2-3× higher on `mesh8_sat`, `mesh8_sweep` and
+        // `mesh8_instrumented`).
         let mut links: Vec<LinkSet> = Vec::new();
-        let mut inbound: Vec<PortMap<Option<u32>>> = Vec::with_capacity(mesh.node_count());
-        let mut link_starts: Vec<u32> = Vec::with_capacity(mesh.node_count() + 1);
-        let mut deliver_order: Vec<DeliverOrder> = Vec::with_capacity(mesh.node_count());
+        let mut inbound: Vec<PortMap<Option<u32>>> = Vec::new();
+        let mut link_starts: Vec<u32> = Vec::new();
         for r in mesh.nodes() {
             link_starts.push(links.len() as u32);
-            let mut senders: Vec<(u16, Port)> = Port::MESH
-                .iter()
-                .filter_map(|&q| mesh.neighbor(r, q).map(|s| (s.raw(), q)))
-                .collect();
-            senders.sort_unstable();
             let mut map: PortMap<Option<u32>> = PortMap::from_fn(|_| None);
-            let mut order = DeliverOrder::default();
-            for (i, &(s, q)) in senders.iter().enumerate() {
-                order.ports[i] = Some(q);
+            for q in DELIVER_ORDER {
+                let Some(s) = mesh.neighbor(r, q) else {
+                    continue;
+                };
                 map[q] = Some(links.len() as u32);
-                outbound[s as usize][q.opposite().expect("mesh port")] = Some(links.len() as u32);
+                outbound[s.index()][q.opposite().expect("mesh port")] = Some(links.len() as u32);
                 links.push(LinkSet {
                     data: Link::new(timing.data_delay, 1),
                     control: Link::new(timing.control_delay, control_bandwidth),
@@ -711,7 +709,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
                 });
             }
             inbound.push(map);
-            deliver_order.push(order);
         }
         link_starts.push(links.len() as u32);
         let backlog = (0..mesh.node_count())
@@ -739,7 +736,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
             inbound,
             outbound,
             link_starts,
-            deliver_order,
             parallel: None,
             generator,
             tracker: DeliveryTracker::new(4096),
@@ -1198,7 +1194,7 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
     /// Phase 1: drain every link arrival for cycle `now` in place and
     /// deliver it to the receiving router, waking it. Receiver-major
     /// scan over the receiver-keyed arena; each node's in-ports drain in
-    /// sender-id order, so per-router arrival order is exactly what the
+    /// [`DELIVER_ORDER`], so per-router arrival order is exactly what the
     /// historical sender-major scan produced.
     fn deliver_arrivals(&mut self, now: Cycle) {
         for r in 0..self.slots.len() {
@@ -1207,7 +1203,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
                 &mut self.links,
                 0,
                 &self.inbound[r],
-                &self.deliver_order[r],
                 now,
             );
         }
@@ -1483,7 +1478,7 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
             // Stall provenance: each router classifies the flits that were
             // eligible this cycle but did not move. Runs identically in
             // every stepping mode (this method is shared by `cycle` and
-            // `cycle_sharded`), and idle routers emit nothing.
+            // `cycle_planned`), and idle routers emit nothing.
             for slot in &mut self.slots {
                 slot.router.emit_stall_provenance(now);
             }
@@ -2064,7 +2059,7 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
 
     /// Ensures a `threads`-shard engine is installed, keeping any
     /// existing plan with a matching shard count (so a custom plan from
-    /// [`Network::set_shard_plan`] survives `cycle_sharded` calls).
+    /// [`Network::set_shard_plan`] survives `run_cycles_sharded` calls).
     fn ensure_parallel(&mut self, threads: usize) {
         let matches = self
             .parallel
@@ -2075,34 +2070,14 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
         }
     }
 
-    /// Advances the network by one cycle with the shard-local phases —
-    /// deliver, backlog offers, step, and (when no RNG rides on sends)
-    /// the link half of apply — running concurrently on `threads`
-    /// persistent workers. See the [module docs](self) for the hand-off
-    /// protocol. Produces the same trace, delivery record, RNG
-    /// trajectory and metrics export as [`Network::cycle`] for any
-    /// thread count and shard plan.
-    pub fn cycle_sharded(&mut self, threads: usize) {
-        self.ensure_parallel(threads);
-        self.cycle_planned();
-    }
-
-    /// Runs `n` cycles sharded over `threads` workers.
+    /// Runs `n` cycles with the shard-local phases — deliver, backlog
+    /// offers, step, and (when no RNG rides on sends) the link half of
+    /// apply — running concurrently on `threads` persistent workers. See
+    /// the [module docs](self) for the hand-off protocol. Produces the
+    /// same trace, delivery record, RNG trajectory and metrics export as
+    /// [`Network::run_cycles`] for any thread count and shard plan.
     pub fn run_cycles_sharded(&mut self, n: u64, threads: usize) {
         self.ensure_parallel(threads);
-        for _ in 0..n {
-            self.cycle_planned();
-        }
-    }
-
-    /// Runs `n` cycles under the installed shard plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`Network::set_shard_plan`] (or a `cycle_sharded`
-    /// entry point) installed an engine first.
-    pub fn run_cycles_planned(&mut self, n: u64) {
-        assert!(self.parallel.is_some(), "no shard plan installed");
         for _ in 0..n {
             self.cycle_planned();
         }
@@ -2163,7 +2138,6 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
         let count_awake = M::ENABLED && step;
         let profiling = M::ENABLED && self.profiling;
         let inbound = &self.inbound;
-        let order = &self.deliver_order;
         let ctx_start = profiling.then(Instant::now);
         let ctxs = shard_contexts(
             plan,
@@ -2184,7 +2158,7 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
             if deliver {
                 for (i, slot) in ctx.slots.iter_mut().enumerate() {
                     let n = ctx.range.start + i;
-                    deliver_node(slot, ctx.links, ctx.link_base, &inbound[n], &order[n], now);
+                    deliver_node(slot, ctx.links, ctx.link_base, &inbound[n], now);
                 }
             }
             if step {
@@ -2574,11 +2548,11 @@ mod tests {
         // Deliberately lopsided partition: shard sizes 3/6/1/6.
         par.set_shard_plan(crate::ShardPlan::from_cuts(16, &[3, 9, 10]));
         seq.run_cycles(1_000);
-        par.run_cycles_planned(1_000);
+        par.run_cycles_sharded(1_000, 4);
         seq.stop_injection();
         par.stop_injection();
         seq.run_cycles(3_000);
-        par.run_cycles_planned(3_000);
+        par.run_cycles_sharded(3_000, 4);
         assert_eq!(
             seq.tracker().delivered_flits(),
             par.tracker().delivered_flits()
@@ -2592,7 +2566,7 @@ mod tests {
     }
 
     #[test]
-    fn cycle_sharded_keeps_matching_custom_plan() {
+    fn run_cycles_sharded_keeps_matching_custom_plan() {
         let mesh = Mesh::new(4, 4);
         let mut net = fr_network(mesh, 0.3, 5);
         let plan = crate::ShardPlan::from_cuts(16, &[5, 11]);
@@ -2646,8 +2620,7 @@ mod tests {
             FixedSender { node, port }
         });
         if planned {
-            net.set_shard_plan(crate::ShardPlan::contiguous(4, 2));
-            net.run_cycles_planned(1);
+            net.run_cycles_sharded(1, 2);
         } else {
             net.run_cycles(1);
         }

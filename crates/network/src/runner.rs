@@ -68,6 +68,23 @@ impl SimConfig {
             warmup_probe_period: 32,
         }
     }
+
+    /// A smoke-test scale that keeps only the curves' rough shapes:
+    /// 800-packet samples behind a warm-up of at most 6,000 cycles.
+    pub fn tiny(seed: u64) -> Self {
+        SimConfig {
+            seed,
+            warmup: WarmupConfig {
+                min_cycles: 1_000,
+                max_cycles: 6_000,
+                window: 8,
+                tolerance: 0.08,
+            },
+            sample_packets: 800,
+            drain_cap: 20_000,
+            warmup_probe_period: 32,
+        }
+    }
 }
 
 /// Everything measured in one simulation run at one offered load.

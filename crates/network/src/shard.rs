@@ -20,7 +20,6 @@
 //! assert_eq!(plan.shards(), 4);
 //! assert_eq!(plan.range(0), 0..3);
 //! assert_eq!(plan.range(3), 8..10);
-//! assert_eq!(plan.shard_of(8), 3);
 //! // Every node is owned by exactly one shard.
 //! let owned: usize = (0..plan.shards()).map(|s| plan.range(s).len()).sum();
 //! assert_eq!(owned, 10);
@@ -107,18 +106,6 @@ impl ShardPlan {
     pub fn range(&self, s: usize) -> Range<usize> {
         self.bounds[s]..self.bounds[s + 1]
     }
-
-    /// The shard owning `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node >= self.nodes()`.
-    pub fn shard_of(&self, node: usize) -> usize {
-        assert!(node < self.nodes(), "node outside plan");
-        // partition_point returns the count of bounds <= node, which is
-        // 1 (the leading 0) + the number of whole shards before it.
-        self.bounds.partition_point(|&b| b <= node) - 1
-    }
 }
 
 #[cfg(test)]
@@ -151,16 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_of_inverts_range() {
-        let plan = ShardPlan::contiguous(64, 8);
-        for s in 0..plan.shards() {
-            for node in plan.range(s) {
-                assert_eq!(plan.shard_of(node), s);
-            }
-        }
-    }
-
-    #[test]
     fn more_shards_than_nodes_gives_empty_tails() {
         let plan = ShardPlan::contiguous(2, 4);
         assert_eq!(plan.range(0), 0..1);
@@ -173,10 +150,8 @@ mod tests {
     fn from_cuts_sorts_dedups_and_clamps() {
         let plan = ShardPlan::from_cuts(16, &[12, 4, 4, 90]);
         assert_eq!(plan.shards(), 3);
-        assert_eq!(plan.range(1), 4..12);
-        assert_eq!(plan.shard_of(3), 0);
-        assert_eq!(plan.shard_of(4), 1);
-        assert_eq!(plan.shard_of(15), 2);
+        let ranges: Vec<_> = (0..3).map(|s| plan.range(s)).collect();
+        assert_eq!(ranges, vec![0..4, 4..12, 12..16]);
     }
 
     #[test]
@@ -190,11 +165,5 @@ mod tests {
     #[should_panic(expected = "shard count must be positive")]
     fn zero_shards_panics() {
         ShardPlan::contiguous(4, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "node outside plan")]
-    fn shard_of_out_of_range_panics() {
-        ShardPlan::contiguous(4, 2).shard_of(4);
     }
 }

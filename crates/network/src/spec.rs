@@ -28,11 +28,12 @@ use noc_traffic::{
 };
 use noc_vc::{AllocationUnit, CreditMode, VcConfig};
 
-/// Upper bound on every buffer, queue, horizon and window size a spec
-/// may ask for, so a hostile document cannot request an allocation that
-/// aborts.
+/// Upper bound on the packet length and warm-up window a spec may ask
+/// for, so a hostile document cannot request an allocation that aborts;
+/// `VcConfig::check` and `FrConfig::check` bound buffers, queues and the
+/// horizon the same way.
 const MAX_SIZE: u64 = 4096;
-/// Upper bound on control lead, lanes, sync margin and flits per control.
+/// Upper bound on the control lead.
 const MAX_SMALL: u64 = 64;
 /// Upper bound on fault-layer latencies, so cycle arithmetic never
 /// overflows.
@@ -540,10 +541,6 @@ fn in_size(v: impl Into<u64>) -> bool {
     (1..=MAX_SIZE).contains(&v.into())
 }
 
-fn in_small(v: impl Into<u64>) -> bool {
-    (1..=MAX_SMALL).contains(&v.into())
-}
-
 fn validate_flow(flow: &FlowControl, packet_flits: u32) -> Result<(), String> {
     // The wire timings the paper evaluates: fast control, or leading
     // control (whose VC baseline carries no lead).
@@ -556,21 +553,14 @@ fn validate_flow(flow: &FlowControl, packet_flits: u32) -> Result<(), String> {
         t == LinkTiming::fast_control() || leading => "timing must be fast or leading control",
     }
     match flow {
-        FlowControl::VirtualChannel(cfg, _) => rules! {
-            (1..=255).contains(&cfg.num_vcs) => "VC count must be in 1..=255",
-            in_size(cfg.queue_depth as u64) => "VC queue depth must be in 1..=4096",
-            cfg.allocation == AllocationUnit::Flit || cfg.queue_depth >= packet_flits as usize
-                => "packet-sized allocation needs a buffer at least one packet long",
-        },
-        FlowControl::FlitReservation(cfg) => rules! {
-            in_size(cfg.data_buffers as u64) => "data buffers must be in 1..=4096",
-            (1..=255).contains(&cfg.control_vcs) => "control VC count must be in 1..=255",
-            in_size(cfg.control_queue_depth as u64) => "control queue depth must be in 1..=4096",
-            in_small(cfg.control_lanes) => "control lanes must be in 1..=64",
-            in_size(cfg.horizon) => "scheduling horizon must be in 1..=4096",
-            in_small(cfg.flits_per_control) => "flits per control must be in 1..=64",
-            cfg.sync_margin <= MAX_SMALL => "sync margin must be at most 64",
-        },
+        FlowControl::VirtualChannel(cfg, _) => {
+            cfg.check().or_else(|why| rule(false, &why))?;
+            rules! {
+                cfg.allocation == AllocationUnit::Flit || cfg.queue_depth >= packet_flits as usize
+                    => "packet-sized allocation needs a buffer at least one packet long",
+            }
+        }
+        FlowControl::FlitReservation(cfg) => cfg.check().or_else(|why| rule(false, &why))?,
     }
     Ok(())
 }

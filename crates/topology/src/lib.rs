@@ -7,13 +7,13 @@
 //! # Examples
 //!
 //! ```
-//! use noc_topology::{Mesh, Port, XyRouting, RoutingFunction};
+//! use noc_topology::{xy_route, Mesh, Port};
 //!
 //! let mesh = Mesh::new(8, 8);                 // the paper's network
 //! assert_eq!(mesh.capacity_flits_per_node_cycle(), 0.5);
 //! let src = mesh.node_at(0, 0);
 //! let dst = mesh.node_at(7, 7);
-//! assert_eq!(XyRouting.route(mesh, src, dst), Some(Port::East));
+//! assert_eq!(xy_route(mesh, src, dst), Some(Port::East));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -27,6 +27,4 @@ mod routing;
 pub use coord::{Coord, NodeId};
 pub use direction::{Port, PortMap};
 pub use mesh::Mesh;
-pub use routing::{
-    masked_xy_route, route_path, xy_route, yx_route, RoutingFunction, XyRouting, YxRouting,
-};
+pub use routing::{masked_xy_route, xy_route};

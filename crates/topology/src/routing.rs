@@ -2,32 +2,14 @@
 //!
 //! The paper's network uses "deterministic dimension-ordered routing"; on
 //! a 2-D mesh that is XY routing: correct the x offset fully, then the y
-//! offset. YX routing is also provided (useful in tests and ablations).
-//! Dimension-ordered routing on a mesh is minimal and deadlock-free
+//! offset. Dimension-ordered routing on a mesh is minimal and deadlock-free
 //! [Dally87], which is what lets both flow-control schemes run without
 //! extra escape channels.
 
 use crate::{Mesh, NodeId, Port};
 
-/// A routing function: given the current node and the packet destination,
-/// pick the output port, or `None` when `at == dest` (eject via `Local`).
-pub trait RoutingFunction {
-    /// Chooses the next output port towards `dest`, or `None` on arrival.
-    fn route(&self, mesh: Mesh, at: NodeId, dest: NodeId) -> Option<Port>;
-
-    /// Name used in experiment logs.
-    fn name(&self) -> &'static str;
-}
-
-/// Dimension-ordered XY routing: travel east/west first, then north/south.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct XyRouting;
-
-/// Dimension-ordered YX routing: travel north/south first, then east/west.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct YxRouting;
-
-/// Free-function XY route, shared by [`XyRouting`] and analytic helpers.
+/// Dimension-ordered XY route: travel east/west first, then north/south.
+/// Returns `None` when `at == dest` (the flit ejects via `Local`).
 ///
 /// # Examples
 ///
@@ -137,76 +119,6 @@ pub fn masked_xy_route(mesh: Mesh, at: NodeId, dest: NodeId, dead_mask: u8) -> O
     }
 }
 
-/// Free-function YX route.
-pub fn yx_route(mesh: Mesh, at: NodeId, dest: NodeId) -> Option<Port> {
-    let a = mesh.coord(at);
-    let d = mesh.coord(dest);
-    if a.y < d.y {
-        Some(Port::South)
-    } else if a.y > d.y {
-        Some(Port::North)
-    } else if a.x < d.x {
-        Some(Port::East)
-    } else if a.x > d.x {
-        Some(Port::West)
-    } else {
-        None
-    }
-}
-
-impl RoutingFunction for XyRouting {
-    fn route(&self, mesh: Mesh, at: NodeId, dest: NodeId) -> Option<Port> {
-        xy_route(mesh, at, dest)
-    }
-
-    fn name(&self) -> &'static str {
-        "xy"
-    }
-}
-
-impl RoutingFunction for YxRouting {
-    fn route(&self, mesh: Mesh, at: NodeId, dest: NodeId) -> Option<Port> {
-        yx_route(mesh, at, dest)
-    }
-
-    fn name(&self) -> &'static str {
-        "yx"
-    }
-}
-
-/// Walks a route from `src` to `dest`, returning the sequence of output
-/// ports taken. Useful for tests and analytic channel-load computation.
-///
-/// # Examples
-///
-/// ```
-/// use noc_topology::{route_path, Mesh, XyRouting};
-///
-/// let mesh = Mesh::new(8, 8);
-/// let path = route_path(&XyRouting, mesh, mesh.node_at(1, 1), mesh.node_at(3, 0));
-/// assert_eq!(path.len(), 3); // two hops east, one hop north
-/// ```
-pub fn route_path<R: RoutingFunction + ?Sized>(
-    routing: &R,
-    mesh: Mesh,
-    src: NodeId,
-    dest: NodeId,
-) -> Vec<Port> {
-    let mut path = Vec::new();
-    let mut at = src;
-    while let Some(port) = routing.route(mesh, at, dest) {
-        path.push(port);
-        at = mesh
-            .neighbor(at, port)
-            .expect("routing function must follow existing links");
-        assert!(
-            path.len() <= mesh.node_count(),
-            "routing function is cycling"
-        );
-    }
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,7 +128,7 @@ mod tests {
         let mesh = Mesh::new(8, 8);
         for src in mesh.nodes() {
             for dst in mesh.nodes() {
-                let path = route_path(&XyRouting, mesh, src, dst);
+                let path = masked_path(mesh, src, dst, src, 0);
                 let dist = mesh.coord(src).manhattan_distance(mesh.coord(dst));
                 assert_eq!(path.len(), dist as usize, "{src}->{dst}");
             }
@@ -224,38 +136,18 @@ mod tests {
     }
 
     #[test]
-    fn yx_is_minimal_for_all_pairs() {
-        let mesh = Mesh::new(5, 7);
-        for src in mesh.nodes() {
-            for dst in mesh.nodes() {
-                let path = route_path(&YxRouting, mesh, src, dst);
-                let dist = mesh.coord(src).manhattan_distance(mesh.coord(dst));
-                assert_eq!(path.len(), dist as usize);
-            }
-        }
-    }
-
-    #[test]
     fn xy_orders_dimensions() {
         let mesh = Mesh::new(8, 8);
-        let path = route_path(&XyRouting, mesh, mesh.node_at(0, 0), mesh.node_at(2, 2));
+        let (src, dst) = (mesh.node_at(0, 0), mesh.node_at(2, 2));
+        let path = masked_path(mesh, src, dst, src, 0);
         assert_eq!(path, vec![Port::East, Port::East, Port::South, Port::South]);
-        let path = route_path(&YxRouting, mesh, mesh.node_at(0, 0), mesh.node_at(2, 2));
-        assert_eq!(path, vec![Port::South, Port::South, Port::East, Port::East]);
     }
 
     #[test]
     fn route_to_self_is_none() {
         let mesh = Mesh::new(3, 3);
         let n = mesh.node_at(1, 1);
-        assert_eq!(XyRouting.route(mesh, n, n), None);
-        assert_eq!(YxRouting.route(mesh, n, n), None);
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(XyRouting.name(), "xy");
-        assert_eq!(YxRouting.name(), "yx");
+        assert_eq!(xy_route(mesh, n, n), None);
     }
 
     /// Walks masked XY hops from `src` to `dest` with `dead` applied at
@@ -362,7 +254,7 @@ mod tests {
         let mesh = Mesh::new(8, 8);
         for src in mesh.nodes() {
             for dst in mesh.nodes() {
-                let path = route_path(&XyRouting, mesh, src, dst);
+                let path = masked_path(mesh, src, dst, src, 0);
                 let mut seen_vertical = false;
                 for p in path {
                     match p {

@@ -60,17 +60,32 @@ impl VcConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `num_vcs` is zero, exceeds 255, or `queue_depth` is zero.
+    /// Panics with [`VcConfig::check`]'s message if the configuration
+    /// breaks a rule.
     pub fn new(num_vcs: usize, queue_depth: usize, credit_mode: CreditMode) -> Self {
-        assert!(num_vcs > 0, "need at least one virtual channel");
-        assert!(num_vcs <= 255, "vc count exceeds u8 id range");
-        assert!(queue_depth > 0, "vc queues need at least one slot");
-        VcConfig {
+        let config = VcConfig {
             num_vcs,
             queue_depth,
             credit_mode,
             allocation: AllocationUnit::Flit,
+        };
+        if let Err(why) = config.check() {
+            panic!("{why}");
         }
+        config
+    }
+
+    /// Returns `Err` naming the first rule the configuration breaks: VC
+    /// ids fit a `u8`, and every queue holds between one flit and a size
+    /// no run spec can turn into an aborting allocation.
+    pub fn check(&self) -> Result<(), String> {
+        if !(1..=255).contains(&self.num_vcs) {
+            return Err("VC count must be in 1..=255".into());
+        }
+        if !(1..=4096).contains(&self.queue_depth) {
+            return Err("VC queue depth must be in 1..=4096".into());
+        }
+        Ok(())
     }
 
     /// Virtual cut-through flow control [KerKle79]: a single queue per
@@ -160,13 +175,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one virtual channel")]
+    #[should_panic(expected = "VC count must be in 1..=255")]
     fn zero_vcs_panics() {
         VcConfig::new(0, 4, CreditMode::PerVc);
     }
 
     #[test]
-    #[should_panic(expected = "at least one slot")]
+    #[should_panic(expected = "VC queue depth must be in 1..=4096")]
     fn zero_depth_panics() {
         VcConfig::new(2, 0, CreditMode::PerVc);
     }

@@ -99,12 +99,6 @@ impl VcRouter {
 impl<S: TraceSink> VcRouter<S> {
     /// Creates a router that reports every event to `sink`.
     pub fn with_tracer(mesh: Mesh, node: NodeId, config: VcConfig, rng: Rng, sink: S) -> Self {
-        if config.credit_mode == crate::CreditMode::SharedPool {
-            assert!(
-                config.buffers_per_input() >= config.num_vcs,
-                "shared pool needs one dedicated slot per VC"
-            );
-        }
         VcRouter {
             node,
             config,
@@ -143,7 +137,7 @@ impl<S: TraceSink> VcRouter<S> {
     /// Test hook: spends one downstream credit out of band.
     #[cfg(test)]
     fn consume_credit(&mut self, out_port: Port, out_vc: u8) {
-        self.switch.consume_credit(out_port, out_vc, &self.config);
+        self.switch.consume_credit(out_port, out_vc);
     }
 
     /// Phase 1: routing and virtual-channel allocation for head flits.
@@ -295,7 +289,7 @@ impl<S: TraceSink> VcRouter<S> {
         let (queued, out_vc) = self.input.pop_front(in_port, in_vc);
         self.sink
             .queue_deq(now, self.node, in_port, in_vc as u8, &queued.flit);
-        self.switch.consume_credit(out_port, out_vc, &self.config);
+        self.switch.consume_credit(out_port, out_vc);
         if out_port == Port::Local {
             out.eject(queued.flit, now);
         } else {
@@ -365,7 +359,7 @@ impl<S: TraceSink> Router for VcRouter<S> {
             }
             LinkEvent::VcCredit { vc } => {
                 // `port` names the *output* port this credit refers to.
-                self.switch.credit_returned(port, vc, &self.config);
+                self.switch.credit_returned(port, vc);
             }
             other => panic!("VC router received foreign event {other:?}"),
         }
@@ -447,7 +441,7 @@ impl<S: TraceSink> Router for VcRouter<S> {
             ("route".into(), self.route.snapshot()),
             ("input".into(), self.input.snapshot()),
             ("alloc".into(), self.alloc.snapshot()),
-            ("switch".into(), self.switch.snapshot()),
+            ("switch".into(), self.switch.snapshot(&self.config)),
             ("ni".into(), self.ni.snapshot()),
         ])
     }

@@ -27,7 +27,7 @@ use noc_flow::pipeline::{
 };
 use noc_flow::{DataFlit, VcTag};
 use noc_metrics::Json;
-use noc_topology::{NodeId, Port, PortMap};
+use noc_topology::{NodeId, Port};
 use std::collections::VecDeque;
 
 /// One buffered flit with its arrival cycle.
@@ -316,16 +316,14 @@ impl VcAllocStage {
     }
 }
 
-/// The switch-allocation + traversal stage: downstream credit and
-/// occupancy accounting, the paper's random arbiter, and the traversal
-/// counters.
+/// The switch-allocation + traversal stage: downstream credit
+/// accounting, the paper's random arbiter, and the traversal counters.
 #[derive(Clone, Debug)]
 pub(crate) struct SwitchStage {
-    /// Per-VC credits (PerVc mode).
+    /// Free downstream slots per (output, VC). A PerVc counter starts at
+    /// the VC's queue depth; a SharedPool counter starts at the whole
+    /// pool, so the VC's downstream occupancy is pool − available.
     credits: Credits,
-    /// Downstream occupancy per VC (SharedPool mode): the DAMQ
-    /// admission rule needs per-VC counts, not just a total.
-    downstream_occ: PortMap<Vec<usize>>,
     credit_stalls: u64,
     arb_retries: u64,
     data_flits_sent: u64,
@@ -333,13 +331,29 @@ pub(crate) struct SwitchStage {
 
 impl SwitchStage {
     pub(crate) fn new(config: &VcConfig) -> Self {
+        let depth = match config.credit_mode {
+            CreditMode::PerVc => config.queue_depth,
+            CreditMode::SharedPool => config.buffers_per_input(),
+        };
         SwitchStage {
-            credits: Credits::new(config.num_vcs, config.queue_depth),
-            downstream_occ: PortMap::from_fn(|_| vec![0; config.num_vcs]),
+            credits: Credits::new(config.num_vcs, depth),
             credit_stalls: 0,
             arb_retries: 0,
             data_flits_sent: 0,
         }
+    }
+
+    /// Each VC's flits in the shared pool downstream of `port`, in VC
+    /// order; all zero in PerVc mode, where the credits alone count.
+    fn downstream_occ<'a>(
+        &'a self,
+        port: Port,
+        config: &VcConfig,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let pool =
+            (config.credit_mode == CreditMode::SharedPool).then(|| config.buffers_per_input());
+        (0..config.num_vcs)
+            .map(move |v| pool.map_or(0, |p| p - self.credits.available(port, v as u8)))
     }
 
     /// True if one flit may be sent to (`out_port`, `out_vc`) now.
@@ -350,7 +364,7 @@ impl SwitchStage {
         match config.credit_mode {
             CreditMode::PerVc => self.credits.available(out_port, out_vc) > 0,
             CreditMode::SharedPool => damq_admits(
-                self.downstream_occ[out_port].iter().copied(),
+                self.downstream_occ(out_port, config),
                 out_vc as usize,
                 config.buffers_per_input(),
             ),
@@ -368,35 +382,22 @@ impl SwitchStage {
         match config.credit_mode {
             CreditMode::PerVc => self.credits.available(out_port, out_vc),
             CreditMode::SharedPool => {
-                let occ: usize = self.downstream_occ[out_port].iter().sum();
+                let occ: usize = self.downstream_occ(out_port, config).sum();
                 config.buffers_per_input().saturating_sub(occ)
             }
         }
     }
 
     /// Spends one downstream slot for a traversal.
-    pub(crate) fn consume_credit(&mut self, out_port: Port, out_vc: u8, config: &VcConfig) {
-        if out_port == Port::Local {
-            return;
-        }
-        match config.credit_mode {
-            CreditMode::PerVc => self.credits.consume(out_port, out_vc),
-            CreditMode::SharedPool => {
-                self.downstream_occ[out_port][out_vc as usize] += 1;
-            }
+    pub(crate) fn consume_credit(&mut self, out_port: Port, out_vc: u8) {
+        if out_port != Port::Local {
+            self.credits.consume(out_port, out_vc);
         }
     }
 
     /// Applies a credit wire arriving on output `port` for `vc`.
-    pub(crate) fn credit_returned(&mut self, port: Port, vc: u8, config: &VcConfig) {
-        match config.credit_mode {
-            CreditMode::PerVc => self.credits.returned(port, vc),
-            CreditMode::SharedPool => {
-                let c = &mut self.downstream_occ[port][vc as usize];
-                debug_assert!(*c > 0, "credit underflow");
-                *c -= 1;
-            }
-        }
+    pub(crate) fn credit_returned(&mut self, port: Port, vc: u8) {
+        self.credits.returned(port, vc);
     }
 
     /// Picks an input port's nomination among its ready bids, each
@@ -455,15 +456,18 @@ impl SwitchStage {
     }
 
     /// Dumps credit and downstream-occupancy accounting per output port.
-    pub(crate) fn snapshot(&self) -> Json {
-        let nums = |v: &[usize]| Json::Arr(v.iter().map(|&n| Json::Num(n as f64)).collect());
+    pub(crate) fn snapshot(&self, config: &VcConfig) -> Json {
         let ports: Vec<Json> = Port::ALL
             .iter()
             .map(|&port| {
+                let occ = self.downstream_occ(port, config);
                 Json::obj(vec![
                     ("port".into(), Json::str(format!("{port:?}"))),
                     ("credits".into(), self.credits.snapshot(port)),
-                    ("downstream_occ".into(), nums(&self.downstream_occ[port])),
+                    (
+                        "downstream_occ".into(),
+                        Json::Arr(occ.map(|n| Json::Num(n as f64)).collect()),
+                    ),
                 ])
             })
             .collect();

@@ -162,12 +162,7 @@ fn sim_for_scale(scale: &str, seed: u64) -> Result<SimConfig, String> {
     Ok(match scale {
         "quick" => SimConfig::quick(seed),
         "paper" => SimConfig::paper_scale(seed),
-        "tiny" => {
-            let mut s = SimConfig::quick(seed);
-            s.sample_packets = 800;
-            s.warmup.min_cycles = 1_000;
-            s
-        }
+        "tiny" => SimConfig::tiny(seed),
         other => return Err(format!("unknown scale {other}")),
     })
 }

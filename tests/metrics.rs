@@ -8,7 +8,8 @@
 //!
 //! Plus sanity of the flit-reservation instrumentation: an FR run under
 //! load must record reservation-table hits and zero-turnaround
-//! departures — the paper's signature behaviours.
+//! departures — the paper's signature behaviours — and a check that the
+//! tracked `results/` sidecars carry the manifest a fresh run writes.
 
 mod common;
 
@@ -153,4 +154,31 @@ fn vc_run_records_stall_and_utilization_metrics() {
     assert!(reg.counter("total.link_credit_flits") > 0);
     let doc = reg.to_json(&RunManifest::new("test", 29, "tiny", "VC8"));
     assert_export_matches_offered_load("VC8", &doc, load);
+}
+
+/// Every `results/*.json` sidecar with a manifest carries exactly the
+/// keys `RunManifest::to_json` writes, so a tracked file cannot go stale
+/// when the manifest grows.
+#[test]
+fn results_sidecar_manifests_carry_every_manifest_key() {
+    let keys = |doc: &Json| match doc {
+        Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.clone()).collect(),
+        _ => Vec::new(),
+    };
+    let expected: Vec<String> = keys(&RunManifest::new("x", 0, "quick", "c").to_json());
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&dir).expect("results dir") {
+        let path = entry.expect("results entry").path();
+        if path.extension().is_none_or(|e| e != "json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("readable sidecar");
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        if let Some(manifest) = doc.get("manifest") {
+            assert_eq!(keys(manifest), expected, "{}", path.display());
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "no sidecar manifests under {}", dir.display());
 }

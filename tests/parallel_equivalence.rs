@@ -182,10 +182,12 @@ fn delivered_set(events: &[TraceEvent]) -> BTreeSet<u64> {
 /// physical invariants plus trace equality against `sequential`.
 fn check_partition(mut net: TracedNet, cuts: &[usize], sequential: &[TraceEvent]) {
     let nodes = net.mesh().node_count();
-    net.set_shard_plan(ShardPlan::from_cuts(nodes, cuts));
-    net.run_cycles_planned(500);
+    let plan = ShardPlan::from_cuts(nodes, cuts);
+    let threads = plan.shards();
+    net.set_shard_plan(plan);
+    net.run_cycles_sharded(500, threads);
     net.stop_injection();
-    net.run_cycles_planned(6_000);
+    net.run_cycles_sharded(6_000, threads);
     // Drained invariant: nothing in flight once injection stops and the
     // drain window passes.
     assert_eq!(

@@ -164,10 +164,12 @@ fn partition_export(cuts: Option<&[usize]>) -> String {
         }
         Some(cuts) => {
             let nodes = net.mesh().node_count();
-            net.set_shard_plan(ShardPlan::from_cuts(nodes, cuts));
-            net.run_cycles_planned(500);
+            let plan = ShardPlan::from_cuts(nodes, cuts);
+            let threads = plan.shards();
+            net.set_shard_plan(plan);
+            net.run_cycles_sharded(500, threads);
             net.stop_injection();
-            net.run_cycles_planned(6_000);
+            net.run_cycles_sharded(6_000, threads);
         }
     }
     assert_eq!(net.tracker().in_flight(), 0, "network must drain");
