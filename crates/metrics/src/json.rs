@@ -1,5 +1,5 @@
 //! A minimal, dependency-free JSON value type with a deterministic pretty
-//! writer and a recursive-descent parser.
+//! writer (the rules of [`crate::stream`]) and a recursive-descent parser.
 //!
 //! The simulator's metrics exports must be bit-reproducible across runs with
 //! the same seed, so the writer is deliberately boring: object keys keep the
@@ -12,6 +12,7 @@
 //! The parser exists so `frfc-inspect metrics` and the export contract in
 //! `tests/metrics.rs` can read the files back without pulling in `serde`.
 
+use crate::stream::JsonWriter;
 use std::fmt::{self, Write};
 
 /// A parsed or constructed JSON value.
@@ -111,8 +112,8 @@ impl Json {
         }
     }
 
-    /// Renders the value as pretty-printed JSON (two-space indent, trailing
-    /// newline omitted).
+    /// Renders the value as pretty-printed JSON (the rules of
+    /// [`crate::stream`]; trailing newline omitted).
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write_to(&mut out)
@@ -123,66 +124,9 @@ impl Json {
     /// Writes [`Json::render`]'s bytes to `out` as they are produced,
     /// without building the whole document first.
     pub fn write_to(&self, out: &mut impl Write) -> fmt::Result {
-        self.render_into(out, 0)
-    }
-
-    fn render_into(&self, out: &mut impl Write, indent: usize) -> fmt::Result {
-        match self {
-            Json::Null => out.write_str("null"),
-            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => render_number(out, *v),
-            Json::Str(s) => render_string(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    return out.write_str("[]");
-                }
-                // Arrays of scalars render on one line; nested structures
-                // get one element per line.
-                let flat = items
-                    .iter()
-                    .all(|v| !matches!(v, Json::Arr(_) | Json::Obj(_)));
-                if flat {
-                    out.write_char('[')?;
-                    for (i, item) in items.iter().enumerate() {
-                        if i > 0 {
-                            out.write_str(", ")?;
-                        }
-                        item.render_into(out, indent)?;
-                    }
-                    out.write_char(']')
-                } else {
-                    out.write_str("[\n")?;
-                    for (i, item) in items.iter().enumerate() {
-                        push_indent(out, indent + 1)?;
-                        item.render_into(out, indent + 1)?;
-                        if i + 1 < items.len() {
-                            out.write_char(',')?;
-                        }
-                        out.write_char('\n')?;
-                    }
-                    push_indent(out, indent)?;
-                    out.write_char(']')
-                }
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    return out.write_str("{}");
-                }
-                out.write_str("{\n")?;
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    push_indent(out, indent + 1)?;
-                    render_string(out, key)?;
-                    out.write_str(": ")?;
-                    value.render_into(out, indent + 1)?;
-                    if i + 1 < pairs.len() {
-                        out.write_char(',')?;
-                    }
-                    out.write_char('\n')?;
-                }
-                push_indent(out, indent)?;
-                out.write_char('}')
-            }
-        }
+        let mut writer = JsonWriter::new(out);
+        writer.write(self);
+        writer.finish().map(drop)
     }
 
     /// Parses a JSON document.
@@ -206,37 +150,11 @@ impl Json {
     }
 }
 
-fn push_indent(out: &mut impl Write, indent: usize) -> fmt::Result {
-    for _ in 0..indent {
-        out.write_str("  ")?;
+impl fmt::Display for Json {
+    /// [`Json::render`]'s bytes.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
-    Ok(())
-}
-
-fn render_number(out: &mut impl Write, v: f64) -> fmt::Result {
-    if !v.is_finite() {
-        out.write_str("null")
-    } else if v.fract() == 0.0 && v.abs() < 9.007_199_254_740_992e15 {
-        write!(out, "{}", v as i64)
-    } else {
-        write!(out, "{v}")
-    }
-}
-
-fn render_string(out: &mut impl Write, s: &str) -> fmt::Result {
-    out.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => out.write_char(c)?,
-        }
-    }
-    out.write_char('"')
 }
 
 /// A parse failure, with the byte offset where it happened.

@@ -58,23 +58,27 @@ pub mod json;
 pub mod manifest;
 pub mod registry;
 pub mod snapshot;
+pub mod stream;
 pub mod window;
 
 pub use json::{strip_nondeterministic, Json, JsonError};
 pub use manifest::{host_cpu_count, RunManifest, SCHEMA_VERSION};
 pub use registry::{MetricsRegistry, NullRecorder, Recorder, Series};
-pub use snapshot::{json_diff, state_digest, JsonDiff, Snapshot};
+pub use snapshot::{json_diff, state_digest, Digest, JsonDiff, Snapshot};
+pub use stream::{JsonBuilder, JsonSink, JsonWriter};
 pub use window::{WindowKind, WindowSeries};
 
 /// Writes a JSON document to `path` with a trailing newline, creating
-/// parent directories as needed.
+/// parent directories as needed. The document is rendered straight into
+/// a buffered file writer, never whole into memory.
 pub fn write_json_file(path: &std::path::Path, doc: &Json) -> std::io::Result<()> {
+    use std::io::Write;
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    let mut text = doc.render();
-    text.push('\n');
-    std::fs::write(path, text)
+    let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
+    writeln!(file, "{doc}")?;
+    file.flush()
 }

@@ -1,9 +1,10 @@
 //! Post-mortem state introspection: the [`Snapshot`] trait, the canonical
 //! state digest, and a structural JSON diff.
 //!
-//! Every stateful simulator component (buffer pools, reservation tables,
-//! pipeline stages, routers, the network itself) implements [`Snapshot`]
-//! to dump its complete state as a [`Json`] value. Dumps are built only
+//! Every stateful router component (buffer pools, reservation tables,
+//! pipeline stages) implements [`Snapshot`] to dump its complete state as
+//! a [`Json`] value; the network streams its whole document through a
+//! [`crate::JsonSink`], embedding each router's dump. Dumps are built only
 //! from deterministic state (no wall clocks, no host identifiers) and all
 //! hash-ordered collections are sorted before they are rendered, so the
 //! same simulation state always renders to the same bytes — which is what
@@ -45,10 +46,24 @@ pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// A `fmt::Write` sink that folds every byte written into an FNV-1a
-/// hash.
-struct Fnv(u64);
+/// hash: the canonical digest of whatever document is rendered into it,
+/// tree ([`Json::write_to`]) or stream ([`crate::JsonWriter`]).
+pub struct Digest(u64);
 
-impl std::fmt::Write for Fnv {
+impl Default for Digest {
+    fn default() -> Self {
+        Digest(FNV_OFFSET)
+    }
+}
+
+impl Digest {
+    /// The digest as 16 lowercase hex digits.
+    pub fn hex(&self) -> String {
+        format!("{:016x}", self.0)
+    }
+}
+
+impl std::fmt::Write for Digest {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
         self.0 = fnv1a(self.0, s.as_bytes());
         Ok(())
@@ -61,9 +76,9 @@ impl std::fmt::Write for Fnv {
 /// exactly byte equality of the canonical form, and no rendered copy of
 /// the document is built.
 pub fn state_digest(doc: &Json) -> String {
-    let mut hash = Fnv(FNV_OFFSET);
-    doc.write_to(&mut hash).expect("hashing cannot fail");
-    format!("{:016x}", hash.0)
+    let mut digest = Digest::default();
+    doc.write_to(&mut digest).expect("hashing cannot fail");
+    digest.hex()
 }
 
 /// One difference between two JSON documents.

@@ -174,6 +174,7 @@ impl<RS: TraceSink, S: TraceSink, M: Recorder> AnyNetwork<RS, S, M> {
         fn watchdog_tripped() -> bool;
         fn engine_profile() -> EngineProfile;
         fn state_snapshot() -> Json;
+        fn state_digest() -> String;
     );
     forward!(mut
         fn cycle();

@@ -59,7 +59,7 @@ use noc_flow::{
     Ejection, Link, LinkEvent, LinkTiming, Router, RouterCounters, StepOutputs, TraceEmit,
     WireClass,
 };
-use noc_metrics::{NullRecorder, Recorder};
+use noc_metrics::{Digest, Json, JsonBuilder, JsonSink, JsonWriter, NullRecorder, Recorder};
 use noc_topology::{Mesh, NodeId, Port, PortMap};
 use noc_traffic::{Packet, TrafficGenerator};
 use std::collections::VecDeque;
@@ -972,10 +972,11 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         self.watchdog_tripped
     }
 
-    /// Dumps the complete deterministic simulator state — clock, link
-    /// arenas, per-router pipeline state, delivery tracker, source
-    /// backlogs and the fault layer — as one canonical
-    /// [`noc_metrics::Json`] document.
+    /// Streams the complete deterministic simulator state — clock, link
+    /// arenas, delivery tracker, source backlogs, the fault layer and
+    /// per-router pipeline state — as one canonical JSON document, item
+    /// by item: the one producer of [`Network::state_snapshot`] and
+    /// [`Network::state_digest`].
     ///
     /// The dump covers exactly the state that the deterministic stepping
     /// contract reproduces: two runs of the same manifest paused at the
@@ -985,117 +986,121 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
     /// state (metrics accumulators, probes, the watchdog, RNG internals)
     /// is deliberately excluded: it varies with instrumentation choices
     /// that must not change the simulator's identity.
-    pub fn state_snapshot(&self) -> noc_metrics::Json {
-        use noc_metrics::{Json, Snapshot};
-        let mut links = Vec::new();
+    ///
+    /// Each router's [`Router::state_snapshot`] tree is handed to `out`
+    /// whole, one router at a time, so a text sink holds at most one of
+    /// them.
+    pub fn write_state(&self, out: &mut impl JsonSink) {
+        out.begin_object();
+        out.field("schema_version", Json::Num(1.0));
+        out.field("cycle", Json::Num(self.now.raw() as f64));
+        out.key("mesh");
+        out.begin_object();
+        out.field("width", Json::Num(self.mesh.width() as f64));
+        out.field("height", Json::Num(self.mesh.height() as f64));
+        out.end();
+        out.field("injection_stopped", Json::Bool(self.injection_stopped));
+        out.field("measuring", Json::Bool(self.measuring));
+        out.field("control_retries", Json::Num(self.control_retries as f64));
+        out.key("links");
+        out.begin_array();
         for r in 0..self.slots.len() {
             for &port in &Port::MESH {
                 let Some(idx) = self.inbound[r][port] else {
                     continue;
                 };
                 let set = &self.links[idx as usize];
-                let wires: Vec<(&str, &Link<LinkEvent>)> = vec![
+                let wires = [
                     ("data", &set.data),
                     ("control", &set.control),
                     ("credit", &set.credit),
                 ];
-                let mut doc = Vec::new();
-                for (name, wire) in wires {
-                    let events: Vec<Json> = wire
-                        .iter_in_flight()
-                        .map(|(at, e)| {
-                            Json::obj(vec![
-                                ("at".into(), Json::Num(at.raw() as f64)),
-                                ("event".into(), Json::Str(format!("{e:?}"))),
-                            ])
-                        })
-                        .collect();
-                    if !events.is_empty() {
-                        doc.push((name.to_string(), Json::Arr(events)));
+                if wires.iter().all(|(_, wire)| wire.is_empty()) {
+                    continue;
+                }
+                out.begin_object();
+                out.field("to", Json::Num(r as f64));
+                out.field("in_port", Json::str(port_key(port)));
+                for (name, wire) in wires.into_iter().filter(|(_, w)| !w.is_empty()) {
+                    out.key(name);
+                    out.begin_array();
+                    for (at, e) in wire.iter_in_flight() {
+                        out.begin_object();
+                        out.field("at", Json::Num(at.raw() as f64));
+                        out.key("event");
+                        out.str_fmt(format_args!("{e:?}"));
+                        out.end();
                     }
+                    out.end();
                 }
-                if !doc.is_empty() {
-                    doc.insert(0, ("to".into(), Json::Num(r as f64)));
-                    doc.insert(1, ("in_port".into(), Json::str(port_key(port))));
-                    links.push(Json::Obj(doc));
-                }
+                out.end();
             }
         }
-        let backlog: Vec<Json> = self
-            .backlog
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(node, q)| {
-                Json::obj(vec![
-                    ("node".into(), Json::Num(node as f64)),
-                    (
-                        "packets".into(),
-                        Json::Arr(q.iter().map(|p| Json::Str(format!("{p:?}"))).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        let fault = match self.faults.as_ref() {
-            None => Json::Null,
-            Some(f) => Json::obj(vec![
-                ("counters".into(), Json::Str(format!("{:?}", f.counters))),
-                (
-                    "retransmit_buffered".into(),
-                    Json::Num(f.reliability.buffered() as f64),
-                ),
-                (
-                    "retransmit_peak".into(),
-                    Json::Num(f.reliability.peak_buffered() as f64),
-                ),
-                (
-                    "pending_dead".into(),
-                    Json::Arr(
-                        f.pending_dead
-                            .iter()
-                            .map(|d| Json::Str(format!("{d:?}")))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        };
-        let routers: Vec<Json> = self
-            .slots
-            .iter()
-            .map(|s| s.router.state_snapshot())
-            .collect();
-        Json::obj(vec![
-            ("schema_version".into(), Json::Num(1.0)),
-            ("cycle".into(), Json::Num(self.now.raw() as f64)),
-            (
-                "mesh".into(),
-                Json::obj(vec![
-                    ("width".into(), Json::Num(self.mesh.width() as f64)),
-                    ("height".into(), Json::Num(self.mesh.height() as f64)),
-                ]),
-            ),
-            (
-                "injection_stopped".into(),
-                Json::Bool(self.injection_stopped),
-            ),
-            ("measuring".into(), Json::Bool(self.measuring)),
-            (
-                "control_retries".into(),
-                Json::Num(self.control_retries as f64),
-            ),
-            ("links".into(), Json::Arr(links)),
-            ("backlog".into(), Json::Arr(backlog)),
-            ("tracker".into(), self.tracker.snapshot()),
-            ("fault".into(), fault),
-            ("routers".into(), Json::Arr(routers)),
-        ])
+        out.end();
+        out.key("backlog");
+        out.begin_array();
+        for (node, q) in self.backlog.iter().enumerate() {
+            if q.is_empty() {
+                continue;
+            }
+            out.begin_object();
+            out.field("node", Json::Num(node as f64));
+            out.key("packets");
+            out.begin_array();
+            for p in q {
+                out.str_fmt(format_args!("{p:?}"));
+            }
+            out.end();
+            out.end();
+        }
+        out.end();
+        out.key("tracker");
+        self.tracker.write_state(out);
+        out.key("fault");
+        match self.faults.as_ref() {
+            None => out.value(Json::Null),
+            Some(f) => {
+                out.begin_object();
+                out.key("counters");
+                out.str_fmt(format_args!("{:?}", f.counters));
+                let buffered = f.reliability.buffered() as f64;
+                out.field("retransmit_buffered", Json::Num(buffered));
+                let peak = f.reliability.peak_buffered() as f64;
+                out.field("retransmit_peak", Json::Num(peak));
+                out.key("pending_dead");
+                out.begin_array();
+                for d in &f.pending_dead {
+                    out.str_fmt(format_args!("{d:?}"));
+                }
+                out.end();
+                out.end();
+            }
+        }
+        out.key("routers");
+        out.begin_array();
+        for slot in &self.slots {
+            out.value(slot.router.state_snapshot());
+        }
+        out.end();
+        out.end();
     }
 
-    /// FNV-1a fingerprint of [`Network::state_snapshot`]'s canonical
+    /// [`Network::write_state`]'s document as a [`Json`] tree, for
+    /// sidecars and replay diffs.
+    pub fn state_snapshot(&self) -> Json {
+        let mut tree = JsonBuilder::default();
+        self.write_state(&mut tree);
+        tree.finish()
+    }
+
+    /// FNV-1a fingerprint of [`Network::write_state`]'s canonical
     /// rendering — the identity the blackbox replay check compares
-    /// bit-for-bit.
+    /// bit-for-bit — hashed as it is written, without building the
+    /// document.
     pub fn state_digest(&self) -> String {
-        noc_metrics::state_digest(&self.state_snapshot())
+        let mut out = JsonWriter::new(Digest::default());
+        self.write_state(&mut out);
+        out.finish().expect("hashing cannot fail").hex()
     }
 
     /// Turns the idle-skip wake-list on or off. Skipping is on by default
@@ -2536,6 +2541,69 @@ mod tests {
             "backlogged packets must survive stop_injection and deliver"
         );
         assert_eq!(net.tracker().in_flight(), 0, "network must drain");
+    }
+
+    /// Renders `net`'s state stream as text and as a tree, checks they
+    /// are the same bytes and digest, and returns the text.
+    fn stream_matches_tree<R: Router>(net: &Network<R>) -> String {
+        let mut out = JsonWriter::new(String::new());
+        net.write_state(&mut out);
+        let text = out.finish().expect("writing to a String cannot fail");
+        let tree = net.state_snapshot();
+        assert_eq!(text, tree.render(), "stream and tree renderings differ");
+        assert_eq!(net.state_digest(), noc_metrics::state_digest(&tree));
+        text
+    }
+
+    #[test]
+    fn streamed_state_renders_exactly_its_tree() {
+        let mesh = Mesh::new(4, 4);
+        let plan = FaultPlan {
+            data_corrupt_rate: 0.01,
+            control_drop_rate: 0.01,
+            dead_links: vec![DeadLink {
+                node: NodeId::new(5),
+                port: Port::East,
+                at_cycle: 100_000,
+            }],
+            ..FaultPlan::quiet(7)
+        };
+        for family in [FlowControl::vc8(), FlowControl::fr6()] {
+            let mut net = network(family, mesh, 0.9, 41);
+            net.set_fault_plan(plan.clone());
+            net.run_cycles(600);
+            let text = match &net {
+                AnyNetwork::Vc(net) => stream_matches_tree(net),
+                AnyNetwork::Fr(net) => stream_matches_tree(net),
+            };
+            let tree = Json::parse(&text).expect("the stream is JSON");
+            let links = tree.get("links").and_then(Json::as_array);
+            assert!(links.is_some_and(|s| !s.is_empty()), "no link in flight");
+            let in_flight = tree.get("tracker").and_then(|t| t.get("in_flight"));
+            assert!(in_flight
+                .and_then(Json::as_array)
+                .is_some_and(|s| !s.is_empty()));
+            let dead = tree.get("fault").and_then(|f| f.get("pending_dead"));
+            assert_eq!(dead.and_then(Json::as_array).map(<[Json]>::len), Some(1));
+        }
+        // Stub routers dump `null`, so the router array is a one-line
+        // array of scalars.
+        let root = Rng::from_seed(23);
+        let spec = LoadSpec::fraction_of_capacity(0.3, 5);
+        let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
+        let mut stub = Network::new(mesh, LinkTiming::fast_control(), 2, generator, |node| {
+            Reluctant {
+                inner: VcRouter::new(mesh, node, VcConfig::vc8(), root.fork(node.raw() as u64)),
+                accept_from: Cycle::new(400),
+            }
+        });
+        stub.run_cycles(100);
+        let text = stream_matches_tree(&stub);
+        let nulls = vec!["null"; 16].join(", ");
+        assert!(text.contains(&format!("\"routers\": [{nulls}]")), "{text}");
+        let backlog = Json::parse(&text).expect("the stream is JSON");
+        let backlog = backlog.get("backlog").and_then(Json::as_array);
+        assert!(backlog.is_some_and(|b| !b.is_empty()), "no backlog");
     }
 
     #[test]

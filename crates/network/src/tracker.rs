@@ -8,6 +8,7 @@
 
 use noc_engine::stats::{Histogram, RunningStats};
 use noc_engine::Cycle;
+use noc_metrics::{Json, JsonSink};
 use noc_topology::NodeId;
 use noc_traffic::{Packet, PacketId};
 use std::collections::{BTreeSet, VecDeque};
@@ -294,57 +295,45 @@ impl DeliveryTracker {
     pub fn in_flight(&self) -> usize {
         self.in_flight
     }
-}
 
-impl noc_metrics::Snapshot for DeliveryTracker {
-    /// Canonical dump of the tracker: in-flight packets sorted by id
+    /// Streams the tracker's canonical dump: in-flight packets by id
     /// (window order), completed count and the delivery/latency
     /// aggregates.
-    fn snapshot(&self) -> noc_metrics::Json {
-        use noc_metrics::Json;
-        let inflight: Vec<Json> = (self.base..)
+    pub(crate) fn write_state(&self, out: &mut impl JsonSink) {
+        out.begin_object();
+        out.key("in_flight");
+        out.begin_array();
+        let in_flight = (self.base..)
             .zip(&self.window)
             .filter_map(|(id, slot)| match slot {
                 Slot::InFlight(e) => Some((id, e)),
                 _ => None,
-            })
-            .map(|(id, e)| {
-                Json::obj(vec![
-                    ("packet".into(), Json::Num(id as f64)),
-                    ("dest".into(), Json::Num(e.dest.raw() as f64)),
-                    ("created_at".into(), Json::Num(e.created_at.raw() as f64)),
-                    ("length".into(), Json::Num(e.length as f64)),
-                    ("seen_count".into(), Json::Num(e.seen_count as f64)),
-                    ("seen_bits".into(), Json::Str(format!("{:016x}", e.seen))),
-                    ("measured".into(), Json::Bool(e.measured)),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("in_flight".into(), Json::Arr(inflight)),
-            ("completed".into(), Json::Num(self.delivered_packets as f64)),
-            (
-                "delivered_flits".into(),
-                Json::Num(self.delivered_flits as f64),
-            ),
-            (
-                "delivered_packets".into(),
-                Json::Num(self.delivered_packets as f64),
-            ),
-            (
-                "measured_delivered".into(),
-                Json::Num(self.measured_delivered as f64),
-            ),
-            (
-                "measured_outstanding".into(),
-                Json::Num(self.measured_outstanding as f64),
-            ),
-            (
-                "latency_count".into(),
-                Json::Num(self.latency.count() as f64),
-            ),
-            ("latency_mean".into(), Json::Num(self.latency.mean())),
-        ])
+            });
+        for (id, e) in in_flight {
+            out.begin_object();
+            out.field("packet", Json::Num(id as f64));
+            out.field("dest", Json::Num(e.dest.raw() as f64));
+            out.field("created_at", Json::Num(e.created_at.raw() as f64));
+            out.field("length", Json::Num(e.length as f64));
+            out.field("seen_count", Json::Num(e.seen_count as f64));
+            out.key("seen_bits");
+            out.str_fmt(format_args!("{:016x}", e.seen));
+            out.field("measured", Json::Bool(e.measured));
+            out.end();
+        }
+        out.end();
+        for (key, value) in [
+            ("completed", self.delivered_packets),
+            ("delivered_flits", self.delivered_flits),
+            ("delivered_packets", self.delivered_packets),
+            ("measured_delivered", self.measured_delivered),
+            ("measured_outstanding", self.measured_outstanding),
+            ("latency_count", self.latency.count()),
+        ] {
+            out.field(key, Json::Num(value as f64));
+        }
+        out.field("latency_mean", Json::Num(self.latency.mean()));
+        out.end();
     }
 }
 

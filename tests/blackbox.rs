@@ -125,6 +125,28 @@ fn replay_digest_matches_across_thread_counts() {
     }
 }
 
+/// A replay that disagrees with its capture says where: one leaf of the
+/// captured state, edited, is the one difference reported, although the
+/// recorded digest still equals the live one.
+#[test]
+fn replay_of_an_edited_state_reports_exactly_the_edited_leaf() {
+    let spec = injecting(RunSpec::fr6_small(0xED_17), 150);
+    let mut sidecar = capture_at_cycle(&spec, 200).expect("capture");
+    let leaf = ["state", "tracker", "delivered_flits"]
+        .iter()
+        .fold(&mut sidecar, |node, key| match node {
+            Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).expect(key).1,
+            _ => panic!("{key}: not an object"),
+        });
+    let delivered = leaf.as_f64().expect("a count");
+    *leaf = Json::Num(delivered + 1.0);
+    let report = replay_to_cycle(&sidecar, 1).expect("replay");
+    assert!(!report.matches(), "an edited state must not replay clean");
+    assert_eq!(report.expected_digest, report.live_digest);
+    let paths: Vec<&str> = report.diffs.iter().map(|d| d.path.as_str()).collect();
+    assert_eq!(paths, ["$.tracker.delivered_flits"], "{:?}", report.diffs);
+}
+
 /// Replay equality holds with the staged-golden fault plan active —
 /// capture lands after the dead link fires, mid-retransmission.
 #[test]
