@@ -60,3 +60,21 @@ pub struct FaultCounters {
     /// Permanent link failures activated (ports masked).
     pub links_masked: u64,
 }
+
+impl FaultCounters {
+    /// Every counter by name, in export order: the one list of the
+    /// fields, which the network's metric exports walk.
+    pub fn fields(&self) -> [(&'static str, u64); 9] {
+        [
+            ("data_corrupted", self.data_corrupted),
+            ("control_dropped", self.control_dropped),
+            ("corrupt_discarded", self.corrupt_discarded),
+            ("duplicate_discarded", self.duplicate_discarded),
+            ("acks", self.acks),
+            ("nacks", self.nacks),
+            ("retransmits", self.retransmits),
+            ("timeout_retransmits", self.timeout_retransmits),
+            ("links_masked", self.links_masked),
+        ]
+    }
+}

@@ -164,8 +164,9 @@ impl FrConfig {
 
     /// Returns `Err` naming the first rule the configuration breaks:
     /// every count is positive, control VC ids fit the `u8` control
-    /// flits carry, and sizes stay small enough that no allocation a
-    /// run spec can ask for aborts.
+    /// flits carry, sizes stay small enough that no allocation a run
+    /// spec can ask for aborts, and control flits can get ahead of their
+    /// data (a lead, or control wires faster than data wires).
     pub fn check(&self) -> Result<(), String> {
         let size = |v: usize| (1..=4096).contains(&v);
         let small = |v: u32| (1..=64).contains(&v);
@@ -183,6 +184,10 @@ impl FrConfig {
             "flits per control must be in 1..=64"
         } else if self.sync_margin > 64 {
             "sync margin must be at most 64"
+        } else if self.timing.control_lead == 0
+            && self.timing.control_delay >= self.timing.data_delay
+        {
+            "FR needs a lead of at least one cycle unless control wires are faster than data wires"
         } else {
             return Ok(());
         };
@@ -240,6 +245,21 @@ mod tests {
     #[should_panic(expected = "scheduling horizon must be in 1..=4096")]
     fn zero_horizon_panics() {
         let _ = FrConfig::fr6().with_horizon(0);
+    }
+
+    #[test]
+    fn zero_lead_needs_faster_control_wires() {
+        let no_lead = LinkTiming {
+            control_lead: 0,
+            ..LinkTiming::leading_control(1)
+        };
+        let why = FrConfig::fr6().with_timing(no_lead).check().unwrap_err();
+        assert_eq!(
+            why,
+            "FR needs a lead of at least one cycle unless control wires are faster than data wires"
+        );
+        let fast = FrConfig::fr6().with_timing(LinkTiming::fast_control());
+        assert_eq!(fast.check(), Ok(()));
     }
 
     #[test]

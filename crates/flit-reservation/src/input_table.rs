@@ -332,15 +332,13 @@ impl InputReservationTable {
     pub fn is_quiet(&self) -> bool {
         self.booked == 0 && self.early.is_empty() && self.pool.occupied_count() == 0
     }
-}
 
-impl noc_metrics::Snapshot for InputReservationTable {
     /// Unrolls both rings into time order from `base`. `incoming`
     /// lists pending arrival reservations as `(arrival, depart,
     /// out_port)`; `outgoing` lists booked departures as `(depart,
     /// out_port, buffer, bypass)`. The schedule list is sorted by
     /// arrival time (its internal order is a `swap_remove` artefact).
-    fn snapshot(&self) -> noc_metrics::Json {
+    pub fn snapshot(&self) -> noc_metrics::Json {
         use noc_metrics::Json;
         let mut incoming = Vec::new();
         let mut outgoing = Vec::new();
@@ -702,7 +700,7 @@ mod tests {
                 let booked = t.departure_booked(Cycle::new(c));
                 assert_eq!(booked, outgoing.contains_key(&c), "step {step}: cycle {c}");
             }
-            let snap = noc_metrics::Snapshot::snapshot(&t);
+            let snap = t.snapshot();
             let cycles = |key: &str, field: &str| -> Vec<u64> {
                 let rows = snap.get(key).and_then(|v| v.as_array()).expect(key);
                 let num = |row: &noc_metrics::Json| row.get(field).and_then(|v| v.as_f64());

@@ -541,15 +541,13 @@ impl OutputReservationTable {
         self.tail_free += 1;
         assert!(self.tail_free <= cap, "steady-state credit overflow");
     }
-}
 
-impl noc_metrics::Snapshot for OutputReservationTable {
     /// Renders the window in time order from `base`: `busy` renders
     /// as one character per window slot (`X` reserved, `.` free) — the
     /// ASCII timeline `frfc-inspect` prints — and `free` as the
     /// per-slot free-buffer counts. Pending credits are sorted (their
     /// internal order is a `swap_remove` artefact, not state).
-    fn snapshot(&self) -> noc_metrics::Json {
+    pub fn snapshot(&self) -> noc_metrics::Json {
         use noc_metrics::Json;
         let window = self.offset(self.base)..self.edge();
         let busy: String = window

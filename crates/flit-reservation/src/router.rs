@@ -577,7 +577,7 @@ impl<S: TraceSink> Router for FrRouter<S> {
     /// tables unroll into time order, so `frfc-inspect` can print the
     /// paper's Figure 4 slot occupancy directly from the dump.
     fn state_snapshot(&self) -> noc_metrics::Json {
-        use noc_metrics::{Json, Snapshot};
+        use noc_metrics::Json;
         Json::obj(vec![
             ("family".into(), Json::str("fr")),
             ("node".into(), Json::Num(self.node.raw() as f64)),

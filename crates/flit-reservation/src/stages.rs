@@ -432,7 +432,6 @@ impl ReservationStage {
     /// Dumps every output reservation table keyed by port, plus the
     /// scheduling counters.
     pub(crate) fn snapshot(&self) -> Json {
-        use noc_metrics::Snapshot;
         let tables: Vec<Json> = Port::ALL
             .iter()
             .map(|&port| {
@@ -651,7 +650,6 @@ impl DataPathStage {
     /// Dumps every input reservation table keyed by port, any staged
     /// (not-yet-buffered) arrivals, and the traversal counters.
     pub(crate) fn snapshot(&self) -> Json {
-        use noc_metrics::Snapshot;
         let tables: Vec<Json> = Port::ALL
             .iter()
             .map(|&port| {
@@ -877,7 +875,6 @@ impl FrNiStage {
     /// data flits awaiting their booked injection cycle (sorted by that
     /// cycle — the internal order is a `swap_remove` artefact).
     pub(crate) fn snapshot(&self) -> Json {
-        use noc_metrics::Snapshot;
         let pending: Vec<Json> = self
             .pending
             .iter()
@@ -1104,12 +1101,12 @@ mod tests {
         let flits = [led(2, false), led(3, true), led(4, false)];
         // A bounded mesh port and the unbounded ejection table.
         for port in [Port::East, Port::Local] {
-            let before = noc_metrics::Snapshot::snapshot(&stage.tables[port]);
+            let before = stage.tables[port].snapshot();
             assert!(stage.feasible_all(port, now, &flits, |_| false));
             // Only cycle 3 stays open: the first unscheduled flit books
             // it and the last finds nothing.
             assert!(!stage.feasible_all(port, now, &flits, |c| c != Cycle::new(3)));
-            let after = noc_metrics::Snapshot::snapshot(&stage.tables[port]);
+            let after = stage.tables[port].snapshot();
             assert_eq!(after, before, "{port:?}: a dry run must leave no booking");
         }
         assert_eq!(stage.reservation_misses(), 2);

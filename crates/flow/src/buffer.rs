@@ -229,10 +229,11 @@ impl BufferPool {
                 .then(|| BufferId::new(i as u8))
         })
     }
-}
 
-impl noc_metrics::Snapshot for BufferPool {
-    fn snapshot(&self) -> noc_metrics::Json {
+    /// Dumps the pool for the network state document: capacity,
+    /// occupancy, the reserved-but-empty buffers and every held flit by
+    /// buffer.
+    pub fn snapshot(&self) -> noc_metrics::Json {
         use noc_metrics::Json;
         let flits: Vec<Json> = self
             .iter()

@@ -70,10 +70,9 @@ impl RouteCompute {
     pub fn masked_routes(&self) -> u64 {
         self.masked_routes
     }
-}
 
-impl noc_metrics::Snapshot for RouteCompute {
-    fn snapshot(&self) -> noc_metrics::Json {
+    /// Dumps the node, its dead-port mask and the masked-route count.
+    pub fn snapshot(&self) -> noc_metrics::Json {
         use noc_metrics::Json;
         Json::obj(vec![
             ("node".into(), Json::Num(self.node.raw() as f64)),

@@ -153,40 +153,52 @@ pub struct RouterCounters {
 }
 
 impl RouterCounters {
+    /// Every counter by name, in export order: the one list of the
+    /// fields, which [`RouterCounters::absorb`],
+    /// [`RouterCounters::delta`] and the network's metric exports walk.
+    pub fn fields(&self) -> [(&'static str, u64); 11] {
+        let mut copy = *self;
+        copy.fields_mut().map(|(name, value)| (name, *value))
+    }
+
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 11] {
+        [
+            ("credit_stalls", &mut self.credit_stalls),
+            ("vc_alloc_conflicts", &mut self.vc_alloc_conflicts),
+            ("switch_arb_retries", &mut self.switch_arb_retries),
+            ("reservation_hits", &mut self.reservation_hits),
+            ("reservation_misses", &mut self.reservation_misses),
+            ("control_flits_sent", &mut self.control_flits_sent),
+            (
+                "zero_turnaround_departures",
+                &mut self.zero_turnaround_departures,
+            ),
+            ("parked_arrivals", &mut self.parked_arrivals),
+            ("data_flits_sent", &mut self.data_flits_sent),
+            ("bookings_in_flight", &mut self.bookings_in_flight),
+            ("masked_routes", &mut self.masked_routes),
+        ]
+    }
+
     /// Adds every cumulative field of `other` into `self` (including the
     /// `bookings_in_flight` gauge, which sums into a network-wide total).
     pub fn absorb(&mut self, other: &RouterCounters) {
-        self.credit_stalls += other.credit_stalls;
-        self.vc_alloc_conflicts += other.vc_alloc_conflicts;
-        self.switch_arb_retries += other.switch_arb_retries;
-        self.reservation_misses += other.reservation_misses;
-        self.reservation_hits += other.reservation_hits;
-        self.control_flits_sent += other.control_flits_sent;
-        self.zero_turnaround_departures += other.zero_turnaround_departures;
-        self.parked_arrivals += other.parked_arrivals;
-        self.data_flits_sent += other.data_flits_sent;
-        self.bookings_in_flight += other.bookings_in_flight;
-        self.masked_routes += other.masked_routes;
+        for ((_, value), (_, more)) in self.fields_mut().into_iter().zip(other.fields()) {
+            *value += more;
+        }
     }
 
     /// Per-window delta against an earlier snapshot of the same counters.
     /// Every monotonic field subtracts; `bookings_in_flight` is an
     /// instantaneous gauge, so the current value passes through unchanged.
     pub fn delta(&self, prev: &RouterCounters) -> RouterCounters {
-        RouterCounters {
-            credit_stalls: self.credit_stalls - prev.credit_stalls,
-            vc_alloc_conflicts: self.vc_alloc_conflicts - prev.vc_alloc_conflicts,
-            switch_arb_retries: self.switch_arb_retries - prev.switch_arb_retries,
-            reservation_misses: self.reservation_misses - prev.reservation_misses,
-            reservation_hits: self.reservation_hits - prev.reservation_hits,
-            control_flits_sent: self.control_flits_sent - prev.control_flits_sent,
-            zero_turnaround_departures: self.zero_turnaround_departures
-                - prev.zero_turnaround_departures,
-            parked_arrivals: self.parked_arrivals - prev.parked_arrivals,
-            data_flits_sent: self.data_flits_sent - prev.data_flits_sent,
-            bookings_in_flight: self.bookings_in_flight,
-            masked_routes: self.masked_routes - prev.masked_routes,
+        let mut delta = *self;
+        for ((name, value), (_, before)) in delta.fields_mut().into_iter().zip(prev.fields()) {
+            if name != "bookings_in_flight" {
+                *value -= before;
+            }
         }
+        delta
     }
 }
 
@@ -292,7 +304,7 @@ pub trait Router {
     }
 
     /// Dumps the router's complete deterministic state for post-mortem
-    /// inspection (see [`noc_metrics::Snapshot`] for the contract). The
+    /// inspection (see [`noc_metrics::snapshot`] for the contract). The
     /// default reports `null`, which keeps test routers working; both
     /// shipped router families override it.
     fn state_snapshot(&self) -> noc_metrics::Json {

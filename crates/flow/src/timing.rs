@@ -49,17 +49,11 @@ impl LinkTiming {
     }
 
     /// The paper's off-chip configuration: all wires 1 cycle, control
-    /// flits injected `lead` cycles ahead of data flits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lead` is zero — with no lead and equal wire speed,
-    /// control flits could never get ahead of their data.
+    /// flits injected `lead` cycles ahead of data flits. Flit reservation
+    /// needs `lead >= 1` here (`FrConfig::check` holds that rule): with
+    /// no lead and equal wire speeds, control flits could never get ahead
+    /// of their data.
     pub fn leading_control(lead: u64) -> Self {
-        assert!(
-            lead > 0,
-            "leading control requires a lead of at least one cycle"
-        );
         LinkTiming {
             data_delay: 1,
             control_delay: 1,
@@ -108,12 +102,6 @@ mod tests {
             assert_eq!(t.credit_delay, 1);
             assert_eq!(t.control_lead, lead);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cycle")]
-    fn zero_lead_panics() {
-        LinkTiming::leading_control(0);
     }
 
     #[test]

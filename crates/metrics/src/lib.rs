@@ -64,7 +64,7 @@ pub mod window;
 pub use json::{strip_nondeterministic, Json, JsonError};
 pub use manifest::{host_cpu_count, RunManifest, SCHEMA_VERSION};
 pub use registry::{MetricsRegistry, NullRecorder, Recorder, Series};
-pub use snapshot::{json_diff, state_digest, Digest, JsonDiff, Snapshot};
+pub use snapshot::{json_diff, state_digest, Digest, JsonDiff};
 pub use stream::{JsonBuilder, JsonSink, JsonWriter};
 pub use window::{WindowKind, WindowSeries};
 

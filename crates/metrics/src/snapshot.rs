@@ -1,35 +1,27 @@
-//! Post-mortem state introspection: the [`Snapshot`] trait, the canonical
-//! state digest, and a structural JSON diff.
+//! Post-mortem state introspection: the canonical state digest and a
+//! structural JSON diff.
 //!
 //! Every stateful router component (buffer pools, reservation tables,
-//! pipeline stages) implements [`Snapshot`] to dump its complete state as
-//! a [`Json`] value; the network streams its whole document through a
-//! [`crate::JsonSink`], embedding each router's dump. Dumps are built only
-//! from deterministic state (no wall clocks, no host identifiers) and all
-//! hash-ordered collections are sorted before they are rendered, so the
-//! same simulation state always renders to the same bytes — which is what
-//! makes [`state_digest`] a meaningful fingerprint: replaying a run
-//! manifest to the captured cycle must reproduce the digest bit for bit.
+//! pipeline stages) has a `snapshot` method that dumps its complete state
+//! as a [`Json`] value; the network streams its whole document through a
+//! [`crate::JsonSink`], embedding each router's dump. The dumps'
+//! contract:
+//!
+//! * A dump is a pure function of simulation state: two components that
+//!   have processed the same event history dump identical values.
+//! * Hash-ordered containers are sorted before they are rendered.
+//! * Nondeterministic data (wall clocks, host info) stays out.
+//!
+//! So the same simulation state always renders to the same bytes — which
+//! is what makes [`state_digest`] a meaningful fingerprint: replaying a
+//! run manifest to the captured cycle must reproduce the digest bit for
+//! bit.
 //!
 //! [`json_diff`] is the inspection side: a structural comparison that
 //! reports every differing path, used by `frfc-inspect diff` and by the
 //! black-box round-trip tests.
 
 use crate::json::Json;
-
-/// A component that can dump its complete deterministic state as JSON.
-///
-/// # Contract
-///
-/// * The dump must be a pure function of simulation state: two components
-///   that have processed the same event history dump identical values.
-/// * Iteration over hash-ordered containers must be sorted first.
-/// * Nondeterministic data (wall clocks, host info) must stay out — the
-///   digest of a snapshot is compared bit-for-bit across replays.
-pub trait Snapshot {
-    /// Dumps the component's state.
-    fn snapshot(&self) -> Json;
-}
 
 /// FNV-1a offset basis (matches the golden-trace fingerprint suite).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

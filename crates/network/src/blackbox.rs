@@ -2,9 +2,9 @@
 //!
 //! The observability layer's "what happened?" machinery: a [`RunSpec`]
 //! on the inject-then-drain schedule carries a bounded [`RingSink`]
-//! flight recorder and the network's progress watchdog; when the watchdog
-//! fires, or a conservation/contract panic unwinds out of the cycle
-//! loop, the harness captures a **crash sidecar** — one JSON document
+//! flight recorder and a progress watchdog; when the watchdog fires, or
+//! a conservation/contract panic unwinds out of the cycle loop, the
+//! harness captures a **crash sidecar** — one JSON document
 //! holding the ring's recent events, the complete
 //! [`crate::Network::state_snapshot`] dump with its digest, the
 //! reproduction manifest and the [`RunSpec`] that rebuilds the run.
@@ -155,6 +155,13 @@ fn capture_sidecar(net: &RingNet, spec: &RunSpec, trigger: &Trigger, detail: &st
 /// a panic out of the cycle loop, or an exhausted drain cap each capture
 /// a crash sidecar; a clean drain returns [`Trigger::Completed`] with no
 /// sidecar. Reached through [`RunSpec::run`].
+///
+/// The progress watchdog counts the cycles that end with packets in
+/// flight and no more flits delivered than at the last progress; any
+/// delivered flit, or an empty network, resets the count, and
+/// `spec.watchdog` consecutive stalled cycles trip it. It only reads the
+/// delivery tracker, which no router sees, so arming it cannot perturb
+/// the run.
 pub(crate) fn run(spec: &RunSpec) -> BlackboxRun {
     let (mut net, inject_cycles, drain_cap) = build(spec).expect("validated blackbox spec");
     let capture = |net: &RingNet, trigger: Trigger, detail: String| BlackboxRun {
@@ -165,6 +172,8 @@ pub(crate) fn run(spec: &RunSpec) -> BlackboxRun {
         detail,
     };
     let mut drained = false;
+    let mut progress = net.tracker().delivered_flits();
+    let mut stalled = 0u64;
     for phase in ["inject", "drain"] {
         let budget = if phase == "inject" {
             inject_cycles
@@ -180,10 +189,19 @@ pub(crate) fn run(spec: &RunSpec) -> BlackboxRun {
             if let Err(message) = step_caught(&mut net, spec.threads) {
                 return capture(&net, Trigger::Panic, message);
             }
-            if net.watchdog_tripped() {
+            let Some(limit) = spec.watchdog else {
+                continue;
+            };
+            let delivered = net.tracker().delivered_flits();
+            if delivered != progress || net.tracker().in_flight() == 0 {
+                progress = delivered;
+                stalled = 0;
+                continue;
+            }
+            stalled += 1;
+            if stalled >= limit {
                 let detail = format!(
-                    "no delivery progress for {} cycles with {} packets in flight",
-                    spec.watchdog.unwrap_or(0),
+                    "no delivery progress for {limit} cycles with {} packets in flight",
                     net.tracker().in_flight()
                 );
                 return capture(&net, Trigger::Watchdog, detail);

@@ -171,7 +171,6 @@ impl<RS: TraceSink, S: TraceSink, M: Recorder> AnyNetwork<RS, S, M> {
         fn mean_queued_flits() -> f64;
         fn control_retries() -> u64;
         fn fault_summary() -> Option<FaultSummary>;
-        fn watchdog_tripped() -> bool;
         fn engine_profile() -> EngineProfile;
         fn state_snapshot() -> Json;
         fn state_digest() -> String;
@@ -182,7 +181,6 @@ impl<RS: TraceSink, S: TraceSink, M: Recorder> AnyNetwork<RS, S, M> {
         fn stop_injection();
         fn set_idle_skip(on: bool);
         fn set_fault_plan(plan: FaultPlan);
-        fn set_watchdog(cycles: Option<u64>);
         fn set_control_error_rate(rate: f64, seed: u64);
         fn set_metrics_period(period: u64);
         fn set_telemetry_windows(log2: u32);

@@ -34,7 +34,7 @@ mod tracker;
 
 pub use blackbox::{capture_at_cycle, replay_to_cycle, BlackboxRun, ReplayReport, Trigger};
 pub use experiment::{sweep_loads, AnyNetwork, Curve, FlowControl, LoadPoint, TRAFFIC_STREAM};
-pub use network::{FaultSummary, Network, ProbeState};
+pub use network::{FaultSummary, Network};
 pub use profile::{EngineProfile, ProfileSample};
 pub use runner::{run_simulation, RunResult, SimConfig};
 pub use shard::ShardPlan;

@@ -15,7 +15,8 @@
 //!    delivery tracker in router order (this serialises the
 //!    control-error RNG and every network-level trace event, which is
 //!    what keeps sharded and sequential runs bit-identical);
-//! 5. **observe** — probes sample and time advances.
+//! 5. **observe** — the metrics sampler runs, routers report stalled
+//!    flits to a provenance sink, and time advances.
 //!
 //! All routers observe a consistent snapshot: every arrival for cycle `t`
 //! is delivered before any router steps cycle `t`, and nothing sent at
@@ -86,6 +87,22 @@ const TAIL_EJECT_COMMIT: usize = 2;
 const TAIL_OUTBOX: usize = 3;
 const TAIL_CTX_BUILD: usize = 4;
 
+/// The router counters the telemetry windows carry, as `total.*` Sum
+/// windows; the rest are exported only as run totals.
+const WINDOWED_ROUTER_COUNTERS: [&str; 6] = [
+    "credit_stalls",
+    "vc_alloc_conflicts",
+    "reservation_hits",
+    "reservation_misses",
+    "data_flits_sent",
+    "control_flits_sent",
+];
+
+/// The fault counters the telemetry windows carry, as `fault.*` Sum
+/// windows.
+const WINDOWED_FAULT_COUNTERS: [&str; 4] =
+    ["retransmits", "data_corrupted", "control_dropped", "nacks"];
+
 /// Flits committed onto one directed link, split by wire class.
 #[derive(Clone, Copy, Debug, Default)]
 struct LinkFlits {
@@ -94,15 +111,29 @@ struct LinkFlits {
     credit: u64,
 }
 
-/// Per-input-pool occupancy accumulators (sampled once per cycle).
+/// Occupancy accumulators of one input pool, sampled once per cycle: the
+/// metered per-port gauges and the run harness's Section 4.2 probe.
 #[derive(Clone, Copy, Debug, Default)]
-struct PoolStat {
+pub(crate) struct PoolStat {
     /// Sum of per-cycle occupancy fractions.
-    occ_sum: f64,
+    pub(crate) occ_sum: f64,
     /// Cycles the pool was completely full.
-    full_cycles: u64,
+    pub(crate) full_cycles: u64,
     /// High-water mark of occupied buffers (flits, not a fraction).
     occ_peak: usize,
+}
+
+impl PoolStat {
+    /// Adds one cycle's sample of a pool holding `occ` of its `cap`
+    /// buffers (`cap > 0`).
+    #[inline]
+    pub(crate) fn sample(&mut self, occ: usize, cap: usize) {
+        self.occ_sum += occ as f64 / cap as f64;
+        self.occ_peak = self.occ_peak.max(occ);
+        if occ >= cap {
+            self.full_cycles += 1;
+        }
+    }
 }
 
 /// Retained instrumentation state. Present in every network but only ever
@@ -118,8 +149,6 @@ struct Instruments {
     /// Wall-clock nanoseconds of whole cycles while profiling was on —
     /// the denominator of the profiler's attribution check.
     cycle_wall_ns: u64,
-    /// Cycles observed while metrics were enabled.
-    observed_cycles: u64,
     /// Sum over cycles of the wake-list size (idle-skip effectiveness).
     awake_sum: u64,
     /// Per-router, per-input-port occupancy accumulators.
@@ -145,10 +174,11 @@ struct Instruments {
 }
 
 /// Windowed-telemetry state: event accumulators for the window in flight
-/// plus snapshots of every cumulative source, so each fold writes exact
-/// per-window deltas. All recording sites sit in the sequential phases of
-/// both stepping modes, which is what makes windowed exports byte-identical
-/// across thread counts and shard plans.
+/// plus snapshots of every cumulative source (the delivery tracker's
+/// totals among them), so each fold writes exact per-window deltas. All
+/// recording sites sit in the sequential phases of both stepping modes,
+/// which is what makes windowed exports byte-identical across thread
+/// counts and shard plans.
 #[derive(Debug)]
 struct TelemetryWindow {
     /// Window length exponent (windows span `1 << log2` cycles).
@@ -160,17 +190,15 @@ struct TelemetryWindow {
     /// Flits offered by the traffic generator this window (whole packets
     /// count all their flits at injection time, matching the tracker).
     offered_flits: u64,
-    /// Flits accepted by destination network interfaces this window.
-    ejected_flits: u64,
-    /// Packets fully delivered this window.
-    delivered_packets: u64,
     /// Latencies of packets delivered this window (reset per window).
     latencies: noc_engine::stats::Histogram,
-    /// Run totals of the per-window event counts (folded windows only);
-    /// the aggregate side of the window-sum == aggregate identity.
+    /// Run total of the folded windows' offered flits; the aggregate
+    /// side of the window-sum == aggregate identity.
     cum_offered_flits: u64,
-    cum_ejected_flits: u64,
-    cum_delivered_packets: u64,
+    /// The tracker's delivered flits and packets when the windows were
+    /// armed, and at the last fold.
+    armed_delivered: [u64; 2],
+    prev_delivered: [u64; 2],
     /// Router-counter totals at the last fold.
     prev_router: RouterCounters,
     /// Fault-layer counters at the last fold.
@@ -179,33 +207,10 @@ struct TelemetryWindow {
     prev_retries: u64,
     /// Per-router `occ_sum` totals (over ports) at the last fold.
     prev_occ: Vec<f64>,
-    /// Observed-cycle count at the last fold.
-    prev_observed: u64,
+    /// Clock at the last fold (0 before the first).
+    prev_cycle: u64,
     /// Ports with data capacity per router; lazily filled at first fold.
     occ_ports: Vec<u32>,
-}
-
-impl TelemetryWindow {
-    fn new(log2: u32, start_window: u64, nodes: usize) -> Self {
-        TelemetryWindow {
-            log2,
-            current: start_window,
-            dirty: false,
-            offered_flits: 0,
-            ejected_flits: 0,
-            delivered_packets: 0,
-            latencies: noc_engine::stats::Histogram::new(4096),
-            cum_offered_flits: 0,
-            cum_ejected_flits: 0,
-            cum_delivered_packets: 0,
-            prev_router: RouterCounters::default(),
-            prev_fault: FaultCounters::default(),
-            prev_retries: 0,
-            prev_occ: vec![0.0; nodes],
-            prev_observed: 0,
-            occ_ports: Vec::new(),
-        }
-    }
 }
 
 /// Deterministic fault-injection state. Boxed behind an `Option` so a
@@ -495,47 +500,6 @@ fn lock_shard<'a, 'b, R>(
     }
 }
 
-/// Per-cycle observation knobs (warm-up signal, occupancy probe).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct ProbeConfig {
-    /// Node whose buffer pools are sampled for the Section 4.2 occupancy
-    /// probe (defaults to the mesh centre).
-    pub node: NodeId,
-    /// Input port probed.
-    pub port: Port,
-}
-
-/// Occupancy probe accumulators.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProbeState {
-    /// Cycles observed.
-    pub cycles: u64,
-    /// Cycles the probed pool was completely full.
-    pub full_cycles: u64,
-    /// Sum of occupancy fractions, for the mean.
-    pub occupancy_sum: f64,
-}
-
-impl ProbeState {
-    /// Fraction of observed cycles with a full pool.
-    pub fn full_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.full_cycles as f64 / self.cycles as f64
-        }
-    }
-
-    /// Mean pool occupancy (0..=1).
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.occupancy_sum / self.cycles as f64
-        }
-    }
-}
-
 /// A complete simulated mesh network of `R` routers.
 ///
 /// The second type parameter is the network-level [`TraceSink`]; with the
@@ -578,9 +542,6 @@ pub struct Network<R: Router, S: TraceSink = NullSink, M: Recorder = NullRecorde
     generator: TrafficGenerator,
     tracker: DeliveryTracker,
     now: Cycle,
-    probe: ProbeConfig,
-    probe_state: ProbeState,
-    probe_enabled: bool,
     /// Packets still being offered to a router that refused them.
     backlog: Vec<std::collections::VecDeque<noc_traffic::Packet>>,
     /// Retained scratch for the generator's per-cycle packet batch.
@@ -602,14 +563,6 @@ pub struct Network<R: Router, S: TraceSink = NullSink, M: Recorder = NullRecorde
     /// Fault-injection and reliability layer; `None` (the overwhelmingly
     /// common case) means the fault path costs one branch per phase.
     faults: Option<Box<FaultState>>,
-    /// Progress watchdog threshold in cycles; `None` disables the check.
-    watchdog: Option<u64>,
-    /// Delivered-flit count at the last observed progress.
-    watchdog_delivered: u64,
-    /// Consecutive cycles with packets in flight but no flit delivered.
-    watchdog_stalled: u64,
-    /// Latched when the stall counter reaches the threshold.
-    watchdog_tripped: bool,
     sink: S,
     /// Metrics recorder; `NullRecorder` by default.
     metrics: M,
@@ -714,10 +667,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         let backlog = (0..mesh.node_count())
             .map(|_| std::collections::VecDeque::new())
             .collect();
-        let probe = ProbeConfig {
-            node: mesh.node_at(mesh.width() / 2, mesh.height() / 2),
-            port: Port::West,
-        };
         let instruments = Instruments {
             pools: (0..mesh.node_count())
                 .map(|_| PortMap::from_fn(|_| PoolStat::default()))
@@ -740,9 +689,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
             generator,
             tracker: DeliveryTracker::new(4096),
             now: Cycle::ZERO,
-            probe,
-            probe_state: ProbeState::default(),
-            probe_enabled: false,
             backlog,
             packet_scratch: Vec::new(),
             measuring: false,
@@ -752,10 +698,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
             error_rng: noc_engine::Rng::from_seed(0xE44),
             control_retries: 0,
             faults: None,
-            watchdog: None,
-            watchdog_delivered: 0,
-            watchdog_stalled: 0,
-            watchdog_tripped: false,
             sink,
             metrics,
             metrics_period: 64,
@@ -808,11 +750,26 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         if !M::ENABLED {
             return;
         }
-        self.instruments.win = Some(Box::new(TelemetryWindow::new(
+        let delivered = [
+            self.tracker.delivered_flits(),
+            self.tracker.delivered_packets(),
+        ];
+        self.instruments.win = Some(Box::new(TelemetryWindow {
             log2,
-            self.now.raw() >> log2,
-            self.slots.len(),
-        )));
+            current: self.now.raw() >> log2,
+            dirty: false,
+            offered_flits: 0,
+            latencies: noc_engine::stats::Histogram::new(4096),
+            cum_offered_flits: 0,
+            armed_delivered: delivered,
+            prev_delivered: delivered,
+            prev_router: RouterCounters::default(),
+            prev_fault: FaultCounters::default(),
+            prev_retries: 0,
+            prev_occ: vec![0.0; self.slots.len()],
+            prev_cycle: 0,
+            occ_ports: Vec::new(),
+        }));
     }
 
     /// Turns the runtime profiler on or off: sequential-tail timers,
@@ -946,32 +903,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         })
     }
 
-    /// Arms (or, with `None`, disarms) the progress watchdog: at the end
-    /// of every cycle with packets in flight but no flit delivered, a
-    /// stall counter increments; once it reaches `cycles` the watchdog
-    /// latches [`Network::watchdog_tripped`]. Any delivered flit — or an
-    /// empty network — resets the counter. The check only *reads*
-    /// tracker state the routers never see, so arming it is
-    /// trace-neutral and cannot perturb the simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `Some(0)` (the watchdog would fire on the first quiet
-    /// cycle of any run, which is never what a caller means).
-    pub fn set_watchdog(&mut self, cycles: Option<u64>) {
-        assert!(cycles != Some(0), "watchdog threshold must be positive");
-        self.watchdog = cycles;
-        self.watchdog_delivered = self.tracker.delivered_flits();
-        self.watchdog_stalled = 0;
-        self.watchdog_tripped = false;
-    }
-
-    /// Whether the progress watchdog has fired. Latched until the next
-    /// [`Network::set_watchdog`].
-    pub fn watchdog_tripped(&self) -> bool {
-        self.watchdog_tripped
-    }
-
     /// Streams the complete deterministic simulator state — clock, link
     /// arenas, delivery tracker, source backlogs, the fault layer and
     /// per-router pipeline state — as one canonical JSON document, item
@@ -983,9 +914,9 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
     /// same cycle (any thread count, any shard plan) produce byte-equal
     /// documents, which is what [`Network::state_digest`] fingerprints
     /// and the `frfc-inspect replay` command verifies. Observer-side
-    /// state (metrics accumulators, probes, the watchdog, RNG internals)
-    /// is deliberately excluded: it varies with instrumentation choices
-    /// that must not change the simulator's identity.
+    /// state (metrics accumulators, RNG internals) is deliberately
+    /// excluded: it varies with instrumentation choices that must not
+    /// change the simulator's identity.
     ///
     /// Each router's [`Router::state_snapshot`] tree is handed to `out`
     /// whole, one router at a time, so a text sink holds at most one of
@@ -1154,6 +1085,11 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         &self.generator
     }
 
+    /// The router at `node`.
+    pub(crate) fn router(&self, node: NodeId) -> &R {
+        &self.slots[node.index()].router
+    }
+
     /// Iterates over all routers.
     pub fn routers(&self) -> impl Iterator<Item = &R> {
         self.slots.iter().map(|s| &s.router)
@@ -1168,17 +1104,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
     /// Starts/stops marking newly injected packets as measured.
     pub fn set_measuring(&mut self, on: bool) {
         self.measuring = on;
-    }
-
-    /// Enables the occupancy probe (cleared counters).
-    pub fn enable_probe(&mut self) {
-        self.probe_enabled = true;
-        self.probe_state = ProbeState::default();
-    }
-
-    /// Occupancy probe results.
-    pub fn probe_state(&self) -> ProbeState {
-        self.probe_state
     }
 
     /// Average number of flits queued per router — the warm-up signal.
@@ -1426,16 +1351,12 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         match self.tracker.on_eject(e.flit.packet, e.flit.seq, node, e.at) {
             Ok(done) => {
                 self.sink.flit_ejected(e.at, node, &e.flit);
-                if M::ENABLED {
-                    if let Some(win) = self.instruments.win.as_deref_mut() {
-                        win.ejected_flits += 1;
-                        if let Some(latency) = done {
-                            win.delivered_packets += 1;
+                if let Some(latency) = done {
+                    if M::ENABLED {
+                        if let Some(win) = self.instruments.win.as_deref_mut() {
                             win.latencies.record(latency);
                         }
                     }
-                }
-                if let Some(latency) = done {
                     self.sink
                         .packet_delivered(e.at, node, e.flit.packet, latency);
                     if let Some(f) = self.faults.as_mut() {
@@ -1463,19 +1384,9 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         }
     }
 
-    /// Phase 5: probes sample, the metrics sampler runs and the clock
-    /// advances.
+    /// Phase 5: the metrics sampler runs, stall provenance is reported
+    /// and the clock advances.
     fn finish_cycle(&mut self, now: Cycle) {
-        if self.probe_enabled {
-            let r = &self.slots[self.probe.node.index()].router;
-            let occ = r.occupied_data_buffers(self.probe.port);
-            let cap = r.data_buffer_capacity(self.probe.port).max(1);
-            self.probe_state.cycles += 1;
-            if occ >= cap {
-                self.probe_state.full_cycles += 1;
-            }
-            self.probe_state.occupancy_sum += occ as f64 / cap as f64;
-        }
         if M::ENABLED {
             self.observe_metrics(now);
         }
@@ -1488,21 +1399,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
                 slot.router.emit_stall_provenance(now);
             }
         }
-        if let Some(limit) = self.watchdog {
-            // Progress watchdog: purely observational — it reads the
-            // delivery tracker (state no router ever sees), so arming it
-            // leaves traces and RNG trajectories bit-identical.
-            let delivered = self.tracker.delivered_flits();
-            if delivered != self.watchdog_delivered || self.tracker.in_flight() == 0 {
-                self.watchdog_delivered = delivered;
-                self.watchdog_stalled = 0;
-            } else {
-                self.watchdog_stalled += 1;
-                if self.watchdog_stalled >= limit {
-                    self.watchdog_tripped = true;
-                }
-            }
-        }
         self.now = now.next();
     }
 
@@ -1511,21 +1407,13 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
     /// with metrics enabled; it reads state the routers never see, so it
     /// cannot perturb the simulation.
     fn observe_metrics(&mut self, now: Cycle) {
-        self.instruments.observed_cycles += 1;
         let mut bookings = 0u64;
         for (i, slot) in self.slots.iter().enumerate() {
             let pools = &mut self.instruments.pools[i];
             for &port in &Port::ALL {
                 let cap = slot.router.data_buffer_capacity(port);
-                if cap == 0 {
-                    continue;
-                }
-                let occ = slot.router.occupied_data_buffers(port);
-                let stat = &mut pools[port];
-                stat.occ_sum += occ as f64 / cap as f64;
-                stat.occ_peak = stat.occ_peak.max(occ);
-                if occ >= cap {
-                    stat.full_cycles += 1;
+                if cap > 0 {
+                    pools[port].sample(slot.router.occupied_data_buffers(port), cap);
                 }
             }
             bookings += slot.router.bookings_in_flight();
@@ -1604,8 +1492,9 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
     /// re-anchors at window `next`: per-window event counts become Sum
     /// windows (element-wise additive, summing back to their aggregate
     /// counters), derived values become Gauge windows, and cumulative
-    /// sources (router counters, fault counters, occupancy accumulators)
-    /// contribute exact deltas against their last-fold snapshots.
+    /// sources (the tracker's delivered flits and packets, router
+    /// counters, fault counters, occupancy accumulators) contribute exact
+    /// deltas against their last-fold snapshots.
     fn fold_telemetry_window(&mut self, next: u64) {
         let Some(mut win) = self.instruments.win.take() else {
             return;
@@ -1643,7 +1532,7 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
                 })
                 .collect();
         }
-        let d_cycles = self.instruments.observed_cycles - win.prev_observed;
+        let d_cycles = self.now.raw() - win.prev_cycle;
         let mut mean_occ_sum = 0.0;
         let mut occ_now: Vec<f64> = Vec::with_capacity(self.slots.len());
         for (i, pools) in self.instruments.pools.iter().enumerate() {
@@ -1660,19 +1549,7 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         let mean_occ = mean_occ_sum / self.slots.len().max(1) as f64;
 
         let retries_delta = self.control_retries - win.prev_retries;
-        let fault_delta = self.faults.as_ref().map(|f| {
-            let c = f.counters;
-            let p = win.prev_fault;
-            [
-                ("fault.retransmits", c.retransmits - p.retransmits),
-                ("fault.data_corrupted", c.data_corrupted - p.data_corrupted),
-                (
-                    "fault.control_dropped",
-                    c.control_dropped - p.control_dropped,
-                ),
-                ("fault.nacks", c.nacks - p.nacks),
-            ]
-        });
+        let faults = self.faults.as_ref().map(|f| f.counters);
         let lat = &win.latencies;
         let quantiles = [
             ("latency.p50", lat.quantile(0.50).unwrap_or(0) as f64),
@@ -1680,28 +1557,39 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
             ("latency.p99", lat.quantile(0.99).unwrap_or(0) as f64),
             ("latency.mean", lat.mean()),
         ];
+        let delivered = [
+            self.tracker.delivered_flits(),
+            self.tracker.delivered_packets(),
+        ];
         let sums = [
             ("net.offered_flits", win.offered_flits),
-            ("net.ejected_flits", win.ejected_flits),
-            ("net.delivered_packets", win.delivered_packets),
+            ("net.ejected_flits", delivered[0] - win.prev_delivered[0]),
+            (
+                "net.delivered_packets",
+                delivered[1] - win.prev_delivered[1],
+            ),
             ("net.control_retries", retries_delta),
-            ("total.credit_stalls", d.credit_stalls),
-            ("total.vc_alloc_conflicts", d.vc_alloc_conflicts),
-            ("total.reservation_hits", d.reservation_hits),
-            ("total.reservation_misses", d.reservation_misses),
-            ("total.data_flits_sent", d.data_flits_sent),
-            ("total.control_flits_sent", d.control_flits_sent),
         ];
         let occ_ports = &win.occ_ports;
         let prev_occ = &win.prev_occ;
+        let prev_fault = win.prev_fault.fields();
         let bookings = totals.bookings_in_flight;
         self.metrics.with(|reg| {
             for (name, value) in sums {
                 reg.window_add(name, log2, anchor, value as f64);
             }
-            if let Some(fields) = fault_delta {
-                for (name, value) in fields {
-                    reg.window_add(name, log2, anchor, value as f64);
+            for (name, value) in d.fields() {
+                if WINDOWED_ROUTER_COUNTERS.contains(&name) {
+                    let value = value as f64;
+                    reg.window_add(&format!("total.{name}"), log2, anchor, value);
+                }
+            }
+            if let Some(c) = faults {
+                for ((name, value), (_, before)) in c.fields().into_iter().zip(prev_fault) {
+                    if WINDOWED_FAULT_COUNTERS.contains(&name) {
+                        let value = (value - before) as f64;
+                        reg.window_add(&format!("fault.{name}"), log2, anchor, value);
+                    }
                 }
             }
             for (name, value) in quantiles {
@@ -1739,19 +1627,16 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
 
         // Re-anchor for the next window.
         win.cum_offered_flits += win.offered_flits;
-        win.cum_ejected_flits += win.ejected_flits;
-        win.cum_delivered_packets += win.delivered_packets;
         win.offered_flits = 0;
-        win.ejected_flits = 0;
-        win.delivered_packets = 0;
         win.latencies.reset();
+        win.prev_delivered = delivered;
         win.prev_router = totals;
         if let Some(f) = self.faults.as_ref() {
             win.prev_fault = f.counters;
         }
         win.prev_retries = self.control_retries;
         win.prev_occ = occ_now;
-        win.prev_observed = self.instruments.observed_cycles;
+        win.prev_cycle = self.now.raw();
         win.current = next;
         win.dirty = false;
         self.instruments.win = Some(win);
@@ -1781,7 +1666,8 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         {
             self.fold_telemetry_window(w);
         }
-        let cycles = self.instruments.observed_cycles.max(1);
+        let total_cycles = self.now.raw();
+        let cycles = total_cycles.max(1);
         let mut per_router: Vec<RouterCounters> = Vec::with_capacity(self.slots.len());
         let mut totals = RouterCounters::default();
         for slot in &self.slots {
@@ -1798,7 +1684,6 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         let num_links = self.links.len() as u64;
         let mesh = self.mesh;
         let control_retries = self.control_retries;
-        let total_cycles = self.now.raw();
         let fault_stats = self.faults.as_ref().map(|f| {
             (
                 f.counters,
@@ -1809,8 +1694,8 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         let telemetry_totals = self.instruments.win.as_ref().map(|w| {
             (
                 w.cum_offered_flits,
-                w.cum_ejected_flits,
-                w.cum_delivered_packets,
+                self.tracker.delivered_flits() - w.armed_delivered[0],
+                self.tracker.delivered_packets() - w.armed_delivered[1],
             )
         });
         let instruments = &self.instruments;
@@ -1818,7 +1703,8 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
             reg.counter_set("net.cycles", total_cycles);
             // Telemetry aggregates: present only when windows are armed,
             // and then exactly equal to the matching window sums (the
-            // events fold through `cum_*`, nothing is counted twice).
+            // final window folded above, so each total is the sum of
+            // the folded deltas).
             if let Some((offered, ejected, delivered)) = telemetry_totals {
                 reg.counter_set("net.offered_flits", offered);
                 reg.counter_set("net.ejected_flits", ejected);
@@ -1842,62 +1728,24 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
             // Per-router counters (sparse: zero counters are omitted) and
             // network-wide totals (dense: always present for validators).
             for (i, c) in per_router.iter().enumerate() {
-                let fields: [(&str, u64); 11] = [
-                    ("credit_stalls", c.credit_stalls),
-                    ("vc_alloc_conflicts", c.vc_alloc_conflicts),
-                    ("switch_arb_retries", c.switch_arb_retries),
-                    ("reservation_hits", c.reservation_hits),
-                    ("reservation_misses", c.reservation_misses),
-                    ("control_flits_sent", c.control_flits_sent),
-                    ("zero_turnaround_departures", c.zero_turnaround_departures),
-                    ("parked_arrivals", c.parked_arrivals),
-                    ("data_flits_sent", c.data_flits_sent),
-                    ("bookings_in_flight", c.bookings_in_flight),
-                    ("masked_routes", c.masked_routes),
-                ];
-                for (name, value) in fields {
+                for (name, value) in c.fields() {
                     if value > 0 {
                         reg.counter_set(&format!("router.{i}.{name}"), value);
                     }
                 }
             }
-            let total_fields: [(&str, u64); 11] = [
-                ("credit_stalls", totals.credit_stalls),
-                ("vc_alloc_conflicts", totals.vc_alloc_conflicts),
-                ("switch_arb_retries", totals.switch_arb_retries),
-                ("reservation_hits", totals.reservation_hits),
-                ("reservation_misses", totals.reservation_misses),
-                ("control_flits_sent", totals.control_flits_sent),
-                (
-                    "zero_turnaround_departures",
-                    totals.zero_turnaround_departures,
-                ),
-                ("parked_arrivals", totals.parked_arrivals),
-                ("data_flits_sent", totals.data_flits_sent),
-                ("bookings_in_flight", totals.bookings_in_flight),
-                ("masked_routes", totals.masked_routes),
-            ];
-            for (name, value) in total_fields {
+            for (name, value) in totals.fields() {
                 reg.counter_set(&format!("total.{name}"), value);
             }
 
             // Fault-layer counters: only present when a plan is armed, so
             // fault-free exports stay byte-identical to the seed.
             if let Some((c, buffered, peak)) = fault_stats {
-                let fault_fields: [(&str, u64); 11] = [
-                    ("data_corrupted", c.data_corrupted),
-                    ("control_dropped", c.control_dropped),
-                    ("corrupt_discarded", c.corrupt_discarded),
-                    ("duplicate_discarded", c.duplicate_discarded),
-                    ("acks", c.acks),
-                    ("nacks", c.nacks),
-                    ("retransmits", c.retransmits),
-                    ("timeout_retransmits", c.timeout_retransmits),
-                    ("links_masked", c.links_masked),
+                let reliability = [
                     ("retransmit_buffered", buffered as u64),
                     ("retransmit_peak", peak as u64),
                 ];
-                for (name, value) in fault_fields {
+                for (name, value) in c.fields().into_iter().chain(reliability) {
                     reg.counter_set(&format!("fault.{name}"), value);
                 }
             }
@@ -2813,18 +2661,6 @@ mod tests {
         );
         assert_eq!(scans.get() / 4, 1, "one scan retires it");
         assert_eq!(net.awake_routers(), 0);
-    }
-
-    #[test]
-    fn probe_records_occupancy() {
-        let mesh = Mesh::new(4, 4);
-        let mut net = fr_network(mesh, 0.8, 3);
-        net.enable_probe();
-        net.run_cycles(2_000);
-        let p = net.probe_state();
-        assert_eq!(p.cycles, 2_000);
-        assert!(p.mean_occupancy() >= 0.0 && p.mean_occupancy() <= 1.0);
-        assert!(p.full_fraction() <= 1.0);
     }
 
     #[test]

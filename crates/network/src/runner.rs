@@ -11,12 +11,14 @@
 //! are the points on the vertical asymptote of the latency-throughput
 //! curves.
 
+use crate::network::PoolStat;
 use crate::Network;
 use noc_engine::stats::RunningStats;
 use noc_engine::trace::TraceSink;
 use noc_engine::warmup::{WarmupConfig, WarmupDetector};
 use noc_flow::Router;
 use noc_metrics::Recorder;
+use noc_topology::Port;
 
 /// Measurement methodology parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -108,10 +110,11 @@ pub struct RunResult {
     pub measure_start: u64,
     /// Cycle the run ended.
     pub end_cycle: u64,
-    /// Fraction of measured cycles the probed buffer pool was full
-    /// (Section 4.2).
+    /// Fraction of measured cycles the probed buffer pool — the West
+    /// input pool of the mesh-centre router — was full (Section 4.2).
     pub probe_full_fraction: f64,
-    /// Mean occupancy of the probed pool (0..=1).
+    /// Mean occupancy of the probed pool (0..=1) over the measured
+    /// cycles.
     pub probe_mean_occupancy: f64,
     /// Sample packets delivered.
     pub delivered: u64,
@@ -175,13 +178,23 @@ pub(crate) fn run_simulation_with<R: Router, S: TraceSink, M: Recorder>(
     }
     let measure_start = network.now().raw();
 
-    // Phase 2: inject the measured sample.
+    // Phase 2: inject the measured sample. From here on every cycle also
+    // samples the occupancy probe: the West input pool of the mesh-centre
+    // router.
     network.set_measuring(true);
-    network.enable_probe();
+    let mesh = network.mesh();
+    let centre = mesh.node_at(mesh.width() / 2, mesh.height() / 2);
+    let mut probe = PoolStat::default();
+    let mut measured_step = |network: &mut Network<R, S, M>| {
+        step(network);
+        let r = network.router(centre);
+        let cap = r.data_buffer_capacity(Port::West).max(1);
+        probe.sample(r.occupied_data_buffers(Port::West), cap);
+    };
     let already_delivered = network.tracker().delivered_flits();
     let mut injected_all_at = None;
     while injected_all_at.is_none() {
-        step(network);
+        measured_step(network);
         let measured_total =
             network.tracker().measured_delivered() + network.tracker().measured_outstanding();
         if measured_total >= sim.sample_packets {
@@ -202,10 +215,12 @@ pub(crate) fn run_simulation_with<R: Router, S: TraceSink, M: Recorder>(
             completed = false;
             break;
         }
-        step(network);
+        measured_step(network);
     }
 
-    let probe = network.probe_state();
+    // Phase 2 steps at least once, so no probe divides by zero.
+    let end_cycle = network.now().raw();
+    let measured_cycles = (end_cycle - measure_start) as f64;
     let hist = network.tracker().latency_histogram();
     let (p50_latency, p95_latency, p99_latency) = if hist.count() > 0 {
         (hist.quantile(0.5), hist.quantile(0.95), hist.quantile(0.99))
@@ -220,9 +235,9 @@ pub(crate) fn run_simulation_with<R: Router, S: TraceSink, M: Recorder>(
         accepted_fraction: accepted_flits_per_node_cycle / capacity,
         completed,
         measure_start,
-        end_cycle: network.now().raw(),
-        probe_full_fraction: probe.full_fraction(),
-        probe_mean_occupancy: probe.mean_occupancy(),
+        end_cycle,
+        probe_full_fraction: probe.full_cycles as f64 / measured_cycles,
+        probe_mean_occupancy: probe.occ_sum / measured_cycles,
         delivered: network.tracker().measured_delivered(),
         p50_latency,
         p95_latency,
@@ -253,4 +268,50 @@ pub(crate) fn run_simulation_with<R: Router, S: TraceSink, M: Recorder>(
     });
     network.flush_metrics();
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{FlowControl, RunSpec, SimConfig};
+    use noc_topology::Mesh;
+
+    /// The Section 4.2 occupancy probe (the mesh-centre router's West
+    /// pool over the measurement window) and the run length, pinned bit
+    /// for bit on the sequential engine and on a metered run sharded over
+    /// two threads.
+    #[test]
+    fn occupancy_probe_is_pinned() {
+        for (flow, full, mean, end) in [
+            (
+                FlowControl::vc8(),
+                0x3fb1_5062_efec_366a,
+                0x3fd9_0ed7_303b_5cc1,
+                4216,
+            ),
+            (
+                FlowControl::fr6(),
+                0x3fd9_3193_1931_9319,
+                0x3fe0_e4a3_9f8f_4e54,
+                2284,
+            ),
+        ] {
+            let label = flow.label();
+            let plain = RunSpec::new(flow, Mesh::new(8, 8), 0.55, 21, SimConfig::tiny(2000));
+            let metered = RunSpec {
+                metrics_period: Some(64),
+                threads: 2,
+                ..plain.clone()
+            };
+            for spec in [plain, metered] {
+                let r = spec.run().expect("valid spec").result.expect("a result");
+                let probe = (r.probe_full_fraction, r.probe_mean_occupancy);
+                assert_eq!(
+                    (probe.0.to_bits(), probe.1.to_bits(), r.end_cycle),
+                    (full, mean, end),
+                    "{label} at {} threads: probe {probe:?}",
+                    spec.threads
+                );
+            }
+        }
+    }
 }

@@ -279,7 +279,7 @@ impl RunSpec {
 
     /// Builds the spec's network with the given sinks and recorder —
     /// traffic forked from the root seed on [`TRAFFIC_STREAM`] — and arms
-    /// its fault plan, control-wire errors and watchdog.
+    /// its fault plan and control-wire errors.
     pub(crate) fn build<RS: TraceSink + Clone, S: TraceSink, M: Recorder>(
         &self,
         router_sink: RS,
@@ -304,7 +304,6 @@ impl RunSpec {
         if self.control_error_rate > 0.0 {
             net.set_control_error_rate(self.control_error_rate, self.seed ^ 0xE44);
         }
-        net.set_watchdog(self.watchdog);
         net
     }
 
@@ -543,12 +542,11 @@ fn in_size(v: impl Into<u64>) -> bool {
 
 fn validate_flow(flow: &FlowControl, packet_flits: u32) -> Result<(), String> {
     // The wire timings the paper evaluates: fast control, or leading
-    // control (whose VC baseline carries no lead).
+    // control (whose VC baseline carries no lead; `FrConfig::check` holds
+    // FR's need for one).
     let t = flow.timing();
-    let vc = matches!(flow, FlowControl::VirtualChannel(..));
-    let leading = (t.data_delay, t.control_delay, t.credit_delay) == (1, 1, 1)
-        && t.control_lead <= MAX_SMALL
-        && (vc || t.control_lead >= 1);
+    let leading =
+        (t.data_delay, t.control_delay, t.credit_delay) == (1, 1, 1) && t.control_lead <= MAX_SMALL;
     rules! {
         t == LinkTiming::fast_control() || leading => "timing must be fast or leading control",
     }

@@ -434,7 +434,7 @@ impl<S: TraceSink> Router for VcRouter<S> {
     /// Full post-mortem dump: every pipeline stage's live state, keyed
     /// by stage name (see DESIGN.md §12 for the schema).
     fn state_snapshot(&self) -> noc_metrics::Json {
-        use noc_metrics::{Json, Snapshot};
+        use noc_metrics::Json;
         Json::obj(vec![
             ("family".into(), Json::str("vc")),
             ("node".into(), Json::Num(self.node.raw() as f64)),

@@ -133,10 +133,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--timing" => {
                 args.timing = match value.strip_prefix("lead:") {
                     _ if value == "fast" => LinkTiming::fast_control(),
-                    Some(lead) => LinkTiming {
-                        control_lead: num(flag, lead)?,
-                        ..LinkTiming::leading_control(1)
-                    },
+                    Some(lead) => LinkTiming::leading_control(num(flag, lead)?),
                     None => return Err(format!("timing must be fast or lead:<N>, got {value}")),
                 }
             }

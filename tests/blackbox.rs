@@ -188,9 +188,9 @@ fn livelock_spec() -> RunSpec {
     spec
 }
 
-/// The watchdog catches the constructed livelock, and the crash sidecar
-/// survives a text round trip and replays bit for bit at 1, 4 and 8
-/// threads.
+/// The watchdog catches the constructed livelock at a pinned cycle and
+/// state, and the crash sidecar survives a text round trip and replays
+/// bit for bit at 1, 4 and 8 threads.
 #[test]
 fn watchdog_catches_a_dead_link_livelock() {
     let run = livelock_spec()
@@ -204,7 +204,16 @@ fn watchdog_catches_a_dead_link_livelock() {
         "expected a watchdog trip, got: {}",
         run.detail
     );
+    assert_eq!(run.cycles, 818);
+    assert_eq!(
+        run.detail,
+        "no delivery progress for 500 cycles with 397 packets in flight"
+    );
     let sidecar = run.sidecar.expect("watchdog trip captures a sidecar");
+    assert_eq!(
+        sidecar.get("state_digest").and_then(Json::as_str),
+        Some("f2cc1ab9aaa381b6")
+    );
     assert_eq!(
         sidecar.get("trigger").and_then(Json::as_str),
         Some("watchdog")
