@@ -5,9 +5,21 @@
 //! points but ruinous inside a simulation cycle: a network stepping a
 //! million cycles would pay thread creation and teardown a million
 //! times. [`WorkerPool`] keeps its workers alive across calls — threads
-//! are spawned once, park on a condvar between rounds, and each
-//! [`WorkerPool::run`] call costs two lock handoffs per worker instead of
-//! an OS thread spawn.
+//! are spawned once and each [`WorkerPool::run`] call costs one atomic
+//! round publish plus one atomic completion count per worker.
+//!
+//! A round is published by bumping an atomic round counter, and each
+//! worker counts its completion into an atomic. A waiting thread (an idle
+//! worker, or the caller after its own share) polls those atomics in
+//! bursts of 64 spin-loop hints, yields its CPU between bursts, and
+//! parks on a condvar only after 100 µs. A sharded
+//! simulation publishes its next round long before that bound, so its
+//! barriers cost a few cache-line transfers and no system call; a
+//! notifier takes the mutex and signals a condvar only when it sees a
+//! thread parked there. The yield keeps the spin cheap when there are
+//! more runnable threads than CPUs (several pools in one test binary,
+//! or a process pinned to one CPU): the thread it waits for gets the CPU
+//! instead of a full scheduler slice of polling.
 //!
 //! The calling thread participates as worker 0, so a pool of `n` threads
 //! spawns only `n - 1` OS threads and a single-threaded pool runs the job
@@ -31,10 +43,16 @@
 //! ```
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Polls of a waited-on atomic per spin burst.
+const SPIN_POLLS: u32 = 64;
+
+/// How long a waiting thread spins and yields before it parks.
+const SPIN_BOUND: Duration = Duration::from_micros(100);
 
 /// Type-erased borrow of the round's job. The pointer is only
 /// dereferenced between the round being published and the worker's
@@ -44,30 +62,35 @@ use std::time::Instant;
 #[derive(Clone, Copy)]
 struct JobPtr(*const (dyn Fn(usize) + Sync));
 
-// SAFETY: the pointee is `Sync` (shared references may cross threads) and
-// the pool's barrier protocol bounds every dereference within the
-// lifetime of the `run` call that published the pointer.
-unsafe impl Send for JobPtr {}
+/// A worker panic's payload.
+type Payload = Box<dyn std::any::Any + Send>;
 
-/// Shared pool state, guarded by one mutex.
-struct State {
-    /// Monotonic round counter; a bump publishes a new job.
-    round: u64,
-    /// The job for the current round.
-    job: Option<JobPtr>,
-    /// Spawned workers that have not yet finished the current round.
-    remaining: usize,
-    /// Set by drop: workers exit instead of waiting for another round.
-    shutdown: bool,
-    /// First panic payload raised by a worker this round.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
+/// State shared by the caller and the spawned workers. The hot path
+/// touches only the atomics; the mutex guards parking and panics.
 struct Shared {
-    state: Mutex<State>,
+    /// Rounds published so far; a bump publishes `job`.
+    round: AtomicU64,
+    /// Completions counted by the spawned workers over all rounds: round
+    /// `r` is finished when it reaches `r * (threads - 1)`.
+    done: AtomicU64,
+    /// The published round's job, on the stack of the `run` call that
+    /// published it.
+    job: AtomicPtr<JobPtr>,
+    /// Set by drop: workers exit instead of waiting for another round.
+    shutdown: AtomicBool,
+    /// Set when `lock` holds a worker's panic payload.
+    panicked: AtomicBool,
+    /// Workers parked on `work_cv`, and the caller parked on `done_cv`
+    /// (0 or 1). Changed only under `lock`, read without it by the
+    /// notifier, so a run whose waits all end while spinning never locks.
+    parked_workers: AtomicUsize,
+    parked_caller: AtomicUsize,
+    /// The condvars' mutex, holding the first panic payload a worker
+    /// raised this round.
+    lock: Mutex<Option<Payload>>,
     /// Workers park here between rounds.
     work_cv: Condvar,
-    /// The caller parks here until `remaining` reaches zero.
+    /// The caller parks here until every worker has finished the round.
     done_cv: Condvar,
     /// Opt-in wall-clock accounting. Every timer is a thread-local
     /// `Instant` whose elapsed duration is `fetch_add`ed into these cells,
@@ -82,7 +105,8 @@ struct Profiling {
     enabled: AtomicBool,
     /// Per-worker time spent inside the round's job.
     busy_ns: Vec<AtomicU64>,
-    /// Caller time parked on `done_cv` after finishing its own share.
+    /// Caller time spent waiting (spinning, yielding or parked) for the
+    /// workers after finishing its own share.
     barrier_wait_ns: AtomicU64,
     /// Caller wall time per `run` call, publish to barrier release.
     round_wall_ns: AtomicU64,
@@ -99,7 +123,8 @@ pub struct PoolProfile {
     pub rounds: u64,
     /// Caller wall-clock across those rounds (publish to barrier release).
     pub round_wall_ns: u64,
-    /// Caller time spent waiting on the barrier after its own share.
+    /// Caller time spent waiting on the barrier after its own share,
+    /// spinning, yielding and parked alike.
     pub barrier_wait_ns: u64,
     /// Per-worker busy time inside the job, indexed by worker id.
     pub busy_ns: Vec<u64>,
@@ -133,13 +158,14 @@ impl WorkerPool {
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "thread count must be positive");
         let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                round: 0,
-                job: None,
-                remaining: 0,
-                shutdown: false,
-                panic: None,
-            }),
+            round: AtomicU64::new(0),
+            done: AtomicU64::new(0),
+            job: AtomicPtr::new(std::ptr::null_mut()),
+            shutdown: AtomicBool::new(false),
+            panicked: AtomicBool::new(false),
+            parked_workers: AtomicUsize::new(0),
+            parked_caller: AtomicUsize::new(0),
+            lock: Mutex::new(None),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             prof: Profiling {
@@ -203,7 +229,8 @@ impl WorkerPool {
     /// here with its original payload, after every other worker has
     /// finished the round.
     pub fn run(&self, job: &(dyn Fn(usize) + Sync)) {
-        let prof = &self.shared.prof;
+        let shared = &*self.shared;
+        let prof = &shared.prof;
         let profiling = prof.enabled.load(Ordering::Relaxed);
         let round_start = profiling.then(Instant::now);
         if self.threads == 1 {
@@ -216,18 +243,21 @@ impl WorkerPool {
             }
             return;
         }
-        {
-            let mut state = self.shared.state.lock().unwrap();
-            debug_assert_eq!(state.remaining, 0, "overlapping pool rounds");
-            // SAFETY: erases the borrow's lifetime so the fat pointer can
-            // sit in the shared state; the barrier below keeps every
-            // dereference inside this call's lifetime.
-            let erased: *const (dyn Fn(usize) + Sync) =
-                unsafe { std::mem::transmute(job as *const (dyn Fn(usize) + Sync)) };
-            state.job = Some(JobPtr(erased));
-            state.remaining = self.threads - 1;
-            state.round += 1;
-            self.shared.work_cv.notify_all();
+        // SAFETY: erases the borrow's lifetime so the pointer can sit in
+        // the shared state; the barrier below keeps every dereference
+        // inside this call's lifetime.
+        let erased: *const (dyn Fn(usize) + Sync) =
+            unsafe { std::mem::transmute(job as *const (dyn Fn(usize) + Sync)) };
+        let erased = JobPtr(erased);
+        // Every worker finished the previous round before the last `run`
+        // returned, so no worker reads `job` while it is replaced.
+        shared
+            .job
+            .store(&erased as *const JobPtr as *mut JobPtr, Ordering::SeqCst);
+        let round = shared.round.fetch_add(1, Ordering::SeqCst) + 1;
+        if shared.parked_workers.load(Ordering::SeqCst) > 0 {
+            let _guard = shared.lock.lock().unwrap();
+            shared.work_cv.notify_all();
         }
         // The caller takes its own share while the workers run theirs. A
         // caller panic must still wait for the round to finish (workers
@@ -239,13 +269,15 @@ impl WorkerPool {
             prof.busy_ns[0].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             Instant::now()
         });
-        let worker_panic = {
-            let mut state = self.shared.state.lock().unwrap();
-            while state.remaining > 0 {
-                state = self.shared.done_cv.wait(state).unwrap();
-            }
-            state.job = None;
-            state.panic.take()
+        let target = round * (self.threads as u64 - 1);
+        wait_until(shared, &shared.done_cv, &shared.parked_caller, || {
+            shared.done.load(Ordering::SeqCst) == target
+        });
+        let worker_panic = if shared.panicked.load(Ordering::SeqCst) {
+            shared.panicked.store(false, Ordering::SeqCst);
+            shared.lock.lock().unwrap().take()
+        } else {
+            None
         };
         if let Some(t0) = wait_start {
             prof.barrier_wait_ns
@@ -267,9 +299,9 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         {
-            let mut state = self.shared.state.lock().unwrap();
-            state.shutdown = true;
+            let _guard = self.shared.lock.lock().unwrap();
             self.shared.work_cv.notify_all();
         }
         for handle in self.handles.drain(..) {
@@ -280,44 +312,74 @@ impl Drop for WorkerPool {
     }
 }
 
+/// Waits until `ready()` holds: spins in bursts of [`SPIN_POLLS`] polls,
+/// yielding the CPU between bursts, then after [`SPIN_BOUND`] parks on
+/// `cv`, counted in `parked` so the notifier knows to signal it.
+///
+/// No wake-up is lost: the notifier makes `ready()` true before it reads
+/// `parked`, and a parking thread counts itself in `parked` before its
+/// last check of `ready()`, all sequentially consistent. So either the
+/// notifier sees the count and signals under the mutex (which the parker
+/// holds from its count until it sleeps), or the parker sees `ready()`.
+fn wait_until(shared: &Shared, cv: &Condvar, parked: &AtomicUsize, ready: impl Fn() -> bool) {
+    let mut spin_start = None;
+    loop {
+        for _ in 0..SPIN_POLLS {
+            if ready() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        if spin_start.get_or_insert_with(Instant::now).elapsed() >= SPIN_BOUND {
+            break;
+        }
+        std::thread::yield_now();
+    }
+    let mut guard = shared.lock.lock().unwrap();
+    parked.fetch_add(1, Ordering::SeqCst);
+    while !ready() {
+        guard = cv.wait(guard).unwrap();
+    }
+    parked.fetch_sub(1, Ordering::SeqCst);
+}
+
 /// Body of each spawned worker: wait for a round, run the job, count the
 /// completion, repeat until shutdown.
 fn worker_loop(shared: &Shared, worker: usize) {
     let mut seen_round = 0u64;
     loop {
-        let job = {
-            let mut state = shared.state.lock().unwrap();
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                if state.round != seen_round {
-                    seen_round = state.round;
-                    break;
-                }
-                state = shared.work_cv.wait(state).unwrap();
-            }
-            state.job.expect("published round carries a job")
-        };
+        wait_until(shared, &shared.work_cv, &shared.parked_workers, || {
+            shared.shutdown.load(Ordering::SeqCst)
+                || shared.round.load(Ordering::SeqCst) != seen_round
+        });
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        seen_round += 1;
         let busy_start = shared
             .prof
             .enabled
             .load(Ordering::Relaxed)
             .then(Instant::now);
-        // SAFETY: the caller blocks in `run` until this worker counts
-        // its completion below, so the closure behind the pointer is
+        // SAFETY: the caller stored `job` before publishing this round and
+        // blocks in `run` until this worker counts its completion below,
+        // so both the `JobPtr` on its stack and the closure behind it are
         // alive for the whole call.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(worker) }));
+        let result = catch_unwind(AssertUnwindSafe(|| unsafe {
+            let job = *shared.job.load(Ordering::SeqCst);
+            (*job.0)(worker)
+        }));
         if let Some(t0) = busy_start {
             shared.prof.busy_ns[worker]
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
-        let mut state = shared.state.lock().unwrap();
         if let Err(payload) = result {
-            state.panic.get_or_insert(payload);
+            shared.lock.lock().unwrap().get_or_insert(payload);
+            shared.panicked.store(true, Ordering::SeqCst);
         }
-        state.remaining -= 1;
-        if state.remaining == 0 {
+        shared.done.fetch_add(1, Ordering::SeqCst);
+        if shared.parked_caller.load(Ordering::SeqCst) > 0 {
+            let _guard = shared.lock.lock().unwrap();
             shared.done_cv.notify_all();
         }
     }
@@ -407,6 +469,66 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 4);
+    }
+
+    /// A pause far longer than any spin bound, so every waiting thread
+    /// parks before the next round is published.
+    const PARK_PAUSE: std::time::Duration = std::time::Duration::from_millis(20);
+
+    #[test]
+    fn parked_workers_wake_for_every_round() {
+        let pool = WorkerPool::new(3);
+        let per_worker: Vec<AtomicU64> = (0..3).map(|_| AtomicU64::new(0)).collect();
+        for round in 1..=4 {
+            std::thread::sleep(PARK_PAUSE);
+            pool.run(&|w| {
+                per_worker[w].fetch_add(1, Ordering::Relaxed);
+            });
+            for counter in &per_worker {
+                assert_eq!(counter.load(Ordering::Relaxed), round);
+            }
+        }
+    }
+
+    #[test]
+    fn back_to_back_rounds_publish_their_writes() {
+        let pool = WorkerPool::new(2);
+        let slots: Vec<AtomicUsize> = (0..2).map(|_| AtomicUsize::new(0)).collect();
+        for round in 1..=10_000usize {
+            pool.run(&|w| slots[w].store(round, Ordering::Relaxed));
+            for slot in &slots {
+                assert_eq!(slot.load(Ordering::Relaxed), round);
+            }
+        }
+    }
+
+    #[test]
+    fn oversubscribed_pool_runs_every_round() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = 4 * cpus;
+        let pool = WorkerPool::new(threads);
+        let per_worker: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
+        for _ in 0..200 {
+            pool.run(&|w| {
+                per_worker[w].fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        for counter in &per_worker {
+            assert_eq!(counter.load(Ordering::Relaxed), 200);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "worker 1 exploded after a pause")]
+    fn worker_panic_after_a_parked_pause_propagates() {
+        let pool = WorkerPool::new(3);
+        pool.run(&|_| {});
+        std::thread::sleep(PARK_PAUSE);
+        pool.run(&|w| {
+            if w == 1 {
+                panic!("worker 1 exploded after a pause");
+            }
+        });
     }
 
     #[test]

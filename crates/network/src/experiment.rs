@@ -280,6 +280,11 @@ impl Curve {
 
 /// Sweeps `loads` (fractions of capacity) for one flow control, running
 /// points across `threads` workers.
+///
+/// Points are handed out highest load first, so the slowest points start
+/// first instead of ending the sweep on one core. Each point is still
+/// seeded by its index in `loads` and stored there, so the curve is the
+/// same for every dispatch order and thread count.
 pub fn sweep_loads(
     flow: &FlowControl,
     mesh: Mesh,
@@ -288,18 +293,34 @@ pub fn sweep_loads(
     sim: &SimConfig,
     threads: usize,
 ) -> Curve {
-    let points = sweep::run_parallel(loads, threads, |i, &fraction| {
-        let mut point_sim = *sim;
-        point_sim.seed = sim.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
-        let result = flow.run(mesh, fraction, packet_length, &point_sim);
-        LoadPoint {
-            offered: fraction,
-            result,
-        }
+    let mut order: Vec<usize> = (0..loads.len()).collect();
+    order.sort_by(|&a, &b| loads[b].total_cmp(&loads[a]));
+    let run = sweep::run_parallel(&order, threads, |_, &i| {
+        load_point(flow, mesh, packet_length, sim, i, loads[i])
     });
+    let mut points: Vec<(usize, LoadPoint)> = order.into_iter().zip(run).collect();
+    points.sort_by_key(|&(i, _)| i);
     Curve {
         label: flow.label(),
-        points,
+        points: points.into_iter().map(|(_, point)| point).collect(),
+    }
+}
+
+/// Runs point `i` of a sweep at `fraction` of capacity, on a seed
+/// derived from `sim`'s and the point's index.
+fn load_point(
+    flow: &FlowControl,
+    mesh: Mesh,
+    packet_length: u32,
+    sim: &SimConfig,
+    i: usize,
+    fraction: f64,
+) -> LoadPoint {
+    let mut point_sim = *sim;
+    point_sim.seed = sim.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
+    LoadPoint {
+        offered: fraction,
+        result: flow.run(mesh, fraction, packet_length, &point_sim),
     }
 }
 
@@ -352,6 +373,25 @@ mod tests {
         let base = curve.base_latency();
         assert!(base > 10.0 && base < 80.0);
         assert!(curve.latency_at(0.1).is_some());
+    }
+
+    #[test]
+    fn highest_load_first_dispatch_keeps_the_curve() {
+        let mesh = Mesh::new(4, 4);
+        let fr6 = FlowControl::fr6();
+        let loads = [0.3, 0.1, 0.5, 0.3, 0.2];
+        let sim = tiny_sim(5);
+        let index_order = sweep::run_parallel(&loads, 2, |i, &fraction| {
+            load_point(&fr6, mesh, 5, &sim, i, fraction)
+        });
+        for threads in [1, 2] {
+            let curve = sweep_loads(&fr6, mesh, 5, &loads, &sim, threads);
+            assert_eq!(
+                format!("{:?}", curve.points),
+                format!("{index_order:?}"),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -36,17 +36,19 @@
 //! contiguous node-range shards (a [`ShardPlan`]), and each worker owns
 //! its shard's router slots, backlogs **and inbound links** — the link
 //! arena is keyed by receiver, so a shard's inbound links are one dense,
-//! disjoint memory range. Deliver, backlog offers and step fuse into one
-//! parallel round (all three touch only shard-local state). The apply
-//! phase also runs sharded when no RNG rides on sends: intra-shard sends
-//! push straight onto the receiver's link, while sends whose receiver
-//! lives in another shard are staged in a per-shard outbox and published
-//! only at the round barrier — the cross-shard hand-off — after which
-//! ejections commit sequentially in node order. Whenever sends do draw
-//! RNG (control-error model, armed faults), the apply phase falls back
-//! to the sequential path wholesale, so the RNG trajectory stays in
-//! global node order. Either way the result is bit-identical to
-//! [`Network::cycle`] for every thread count and shard plan.
+//! disjoint memory range. A fault-free cycle is one parallel round:
+//! deliver, backlog offers, step and, when no RNG rides on sends, the
+//! sends themselves. An intra-shard send pushes straight onto the
+//! receiver's link (already delivered this cycle), while a send whose
+//! receiver lives in another shard is staged in a per-shard outbox and
+//! published only after the round barrier — the cross-shard hand-off —
+//! after which ejections commit sequentially in node order. Whenever
+//! sends do draw RNG (control-error model, armed faults), they stay
+//! staged and the sequential apply commits them, so the RNG trajectory
+//! stays in global node order; an armed fault plan also splits the round
+//! around its sequential fault events. Either way the result is
+//! bit-identical to [`Network::cycle`] for every thread count and shard
+//! plan.
 
 use crate::profile::{EngineProfile, ProfileSample};
 use crate::{DeliveryTracker, ShardPlan};
@@ -400,7 +402,7 @@ struct ParallelEngine {
     /// Cross-shard outboxes: `outboxes[shard]` holds the sends staged by
     /// that shard whose receiving link lives in another shard, as
     /// `(link arena index, event)` pairs. Published in shard order at
-    /// the apply barrier; retained so the steady state never allocates.
+    /// the round barrier; retained so the steady state never allocates.
     outboxes: Vec<Vec<(u32, LinkEvent)>>,
     /// Per-shard awake-router counts, sampled inside the fused round and
     /// summed (deterministically — u64 partials) after the barrier.
@@ -1236,8 +1238,8 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
 
     /// Whether the apply phase draws RNG per send (control-error model
     /// or an armed fault plan). Those draws must happen in global node
-    /// order, so the parallel apply stands down and the sequential one
-    /// runs instead.
+    /// order, so a sharded round leaves its sends staged and the
+    /// sequential apply commits them instead.
     fn rng_sends(&self) -> bool {
         self.control_error_rate > 0.0 || self.faults.is_some()
     }
@@ -1937,12 +1939,13 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
     }
 
     /// One cycle under the installed plan. A fault-free cycle fuses
-    /// deliver/offer/step into a single parallel round; a fault-carrying
-    /// cycle splits the round around the sequential fault events so the
-    /// event order matches [`Network::cycle`] exactly. (Phase timing
-    /// attribution differs from the sequential engine — the fused round
-    /// is booked under `step` — but `profile.*` metrics are
-    /// nondeterministic by nature and stripped from every comparison.)
+    /// deliver/offer/step and the shard-local sends into a single
+    /// parallel round; a fault-carrying cycle splits the round around the
+    /// sequential fault events so the event order matches
+    /// [`Network::cycle`] exactly. (Phase timing attribution differs from
+    /// the sequential engine — the fused round is booked under `step` —
+    /// but `profile.*` metrics are nondeterministic by nature and
+    /// stripped from every comparison.)
     fn cycle_planned(&mut self) {
         let now = self.now;
         self.begin_cycle_telemetry(now);
@@ -1963,7 +1966,10 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
         if self.rng_sends() {
             self.timed(PHASE_APPLY, |n| n.apply_outputs(now));
         } else {
-            self.timed(PHASE_APPLY, |n| n.parallel_apply(now));
+            self.timed(PHASE_APPLY, |n| {
+                n.publish_outboxes(now);
+                n.tail_timed(TAIL_EJECT_COMMIT, |n| n.commit_ejections());
+            });
         }
         self.timed(PHASE_OBSERVE, |n| n.finish_cycle(now));
         if let Some(start) = wall {
@@ -1973,10 +1979,14 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
 
     /// Runs the shard-local half of a cycle across the worker pool:
     /// deliver this cycle's arrivals (`deliver`), then offer backlogs,
-    /// sample the wake-list and step every awake router (`step`). All
-    /// three touch only shard-owned state — a router, its backlog and
-    /// its inbound links — so the round needs no synchronisation beyond
-    /// the pool's own barrier.
+    /// sample the wake-list and step every awake router (`step`). When
+    /// no RNG rides on sends, each stepped router's sends then leave at
+    /// once: onto the receiver's link when the receiver is in the same
+    /// shard, into the shard's outbox otherwise. All of it touches only
+    /// shard-owned state — a router, its backlog, its inbound links
+    /// (already delivered this cycle, and every wire has delay ≥ 1) and
+    /// its outbox — so the round needs no synchronisation beyond the
+    /// pool's own barrier.
     fn parallel_round(&mut self, now: Cycle, deliver: bool, step: bool) {
         let mut engine = self.parallel.take().expect("parallel engine installed");
         let ParallelEngine {
@@ -1989,8 +1999,10 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
         } = &mut *engine;
         let idle_skip = self.idle_skip;
         let count_awake = M::ENABLED && step;
+        let sends = step && !self.rng_sends();
         let profiling = M::ENABLED && self.profiling;
         let inbound = &self.inbound;
+        let outbound = &self.outbound;
         let ctx_start = profiling.then(Instant::now);
         let ctxs = shard_contexts(
             plan,
@@ -2014,76 +2026,25 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
                     deliver_node(slot, ctx.links, ctx.link_base, &inbound[n], now);
                 }
             }
-            if step {
-                for (slot, backlog) in ctx.slots.iter_mut().zip(ctx.backlog.iter_mut()) {
-                    offer_backlog(slot, backlog, now);
-                }
-                if count_awake {
-                    // Sampled exactly where the sequential engine samples
-                    // `awake_routers()`: after delivers and offers, before
-                    // any step retires a wake flag.
-                    *ctx.awake = if idle_skip {
-                        ctx.slots.iter().filter(|s| s.active).count() as u64
-                    } else {
-                        ctx.slots.len() as u64
-                    };
-                }
-                for slot in ctx.slots.iter_mut() {
-                    step_slot(slot, now, idle_skip);
-                }
+            if !step {
+                return;
             }
-        });
-        drop(ctxs);
-        if let Some(ns) = ctx_ns {
-            self.instruments.tail_ns[TAIL_CTX_BUILD] += ns;
-        }
-        if count_awake {
-            self.instruments.awake_sum += engine.awake.iter().sum::<u64>();
-        }
-        self.parallel = Some(engine);
-    }
-
-    /// Phase 4, parallel form (only when [`Network::rng_sends`] is
-    /// false): each shard drains its own routers' staged sends, pushing
-    /// intra-shard sends straight onto the receiver's link and staging
-    /// cross-shard sends in its outbox. The outboxes are published at
-    /// the barrier in shard order — each directed link has exactly one
-    /// sending router, so per-link FIFO order is exactly the staging
-    /// order — and ejections then commit sequentially in node order,
-    /// keeping the tracker and every network-level trace event identical
-    /// to the sequential engine.
-    fn parallel_apply(&mut self, now: Cycle) {
-        debug_assert!(!self.rng_sends());
-        let mut engine = self.parallel.take().expect("parallel engine installed");
-        let ParallelEngine {
-            pool,
-            plan,
-            outboxes,
-            awake,
-            lock_count,
-            lock_ns,
-        } = &mut *engine;
-        let profiling = M::ENABLED && self.profiling;
-        let outbound = &self.outbound;
-        let ctx_start = profiling.then(Instant::now);
-        let ctxs = shard_contexts(
-            plan,
-            &self.link_starts,
-            &mut self.slots,
-            &mut self.links,
-            &mut self.backlog,
-            &mut self.instruments.link_flits,
-            outboxes,
-            awake,
-        );
-        let ctx_ns = ctx_start.map(|s| s.elapsed().as_nanos() as u64);
-        let lock_count: &[AtomicU64] = lock_count;
-        let lock_ns: &[AtomicU64] = lock_ns;
-        pool.run(&|w| {
-            let mut ctx = lock_shard(&ctxs[w], profiling, &lock_count[w], &lock_ns[w]);
-            let ctx = &mut *ctx;
-            for (i, (slot, flits)) in ctx.slots.iter_mut().zip(ctx.flits.iter_mut()).enumerate() {
-                if slot.out.sends.is_empty() {
+            for (slot, backlog) in ctx.slots.iter_mut().zip(ctx.backlog.iter_mut()) {
+                offer_backlog(slot, backlog, now);
+            }
+            if count_awake {
+                // Sampled exactly where the sequential engine samples
+                // `awake_routers()`: after delivers and offers, before
+                // any step retires a wake flag.
+                *ctx.awake = if idle_skip {
+                    ctx.slots.iter().filter(|s| s.active).count() as u64
+                } else {
+                    ctx.slots.len() as u64
+                };
+            }
+            for (i, slot) in ctx.slots.iter_mut().enumerate() {
+                step_slot(slot, now, idle_skip);
+                if !sends || slot.out.sends.is_empty() {
                     continue;
                 }
                 let node = NodeId::new((ctx.range.start + i) as u16);
@@ -2093,7 +2054,7 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
                     if M::ENABLED {
                         // Flit counters are keyed by sender, so each
                         // shard counts its own sends — boundary or not.
-                        let f = &mut flits[port];
+                        let f = &mut ctx.flits[i][port];
                         match class {
                             WireClass::Data => f.data += 1,
                             WireClass::Control => f.control += 1,
@@ -2119,12 +2080,22 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
         if let Some(ns) = ctx_ns {
             self.instruments.tail_ns[TAIL_CTX_BUILD] += ns;
         }
-        // Cross-shard hand-off: flits whose receiver lives in another
-        // shard enter their link only here, at the barrier, never
-        // mid-round. Shard staging order is node order, so publishing
-        // the outboxes in shard order restores global sender order.
-        let publish_start = profiling.then(Instant::now);
-        for outbox in outboxes.iter_mut() {
+        if count_awake {
+            self.instruments.awake_sum += engine.awake.iter().sum::<u64>();
+        }
+        self.parallel = Some(engine);
+    }
+
+    /// The cross-shard hand-off of a round that sent (no RNG rides on
+    /// sends): flits whose receiver lives in another shard enter their
+    /// link only here, at the barrier, never mid-round. Each directed
+    /// link has exactly one sending router and shard staging order is
+    /// node order, so publishing the outboxes in shard order restores
+    /// global sender order.
+    fn publish_outboxes(&mut self, now: Cycle) {
+        let publish_start = (M::ENABLED && self.profiling).then(Instant::now);
+        let engine = self.parallel.as_mut().expect("parallel engine installed");
+        for outbox in engine.outboxes.iter_mut() {
             for (idx, event) in outbox.drain(..) {
                 let set = &mut self.links[idx as usize];
                 wire_of(set, event.wire_class())
@@ -2135,12 +2106,10 @@ impl<R: Router + Send, S: TraceSink, M: Recorder> Network<R, S, M> {
         if let Some(start) = publish_start {
             self.instruments.tail_ns[TAIL_OUTBOX] += start.elapsed().as_nanos() as u64;
         }
-        self.parallel = Some(engine);
-        self.tail_timed(TAIL_EJECT_COMMIT, |n| n.commit_ejections());
     }
 
-    /// Sequential tail of the parallel apply: ejections commit to the
-    /// delivery tracker and sink in node order.
+    /// Sequential tail of a sharded cycle that sent in its round:
+    /// ejections commit to the delivery tracker and sink in node order.
     fn commit_ejections(&mut self) {
         for n in 0..self.slots.len() {
             if self.slots[n].out.ejections.is_empty() {
@@ -2494,6 +2463,36 @@ mod tests {
         assert_eq!(net.shard_plan(), Some(&crate::ShardPlan::contiguous(16, 2)));
     }
 
+    #[test]
+    fn a_fault_free_sharded_cycle_is_one_pool_round() {
+        // Faults split the round around their sequential events; the
+        // control-error model only moves the sends to the sequential
+        // apply.
+        let mesh = Mesh::new(4, 4);
+        let faults = FaultPlan {
+            data_corrupt_rate: 0.01,
+            ..FaultPlan::quiet(7)
+        };
+        for family in [FlowControl::vc8(), FlowControl::fr6()] {
+            for (model, rounds_per_cycle) in [("none", 1), ("faults", 2), ("control errors", 1)] {
+                let root = Rng::from_seed(13);
+                let spec = LoadSpec::fraction_of_capacity(0.5, 5);
+                let generator = TrafficGenerator::uniform(mesh, spec, root.fork(99));
+                let registry = noc_metrics::MetricsRegistry::new();
+                let mut net = family.build(mesh, generator, &root, NullSink, NullSink, registry);
+                match model {
+                    "faults" => net.set_fault_plan(faults.clone()),
+                    "control errors" => net.set_control_error_rate(0.01, 3),
+                    _ => {}
+                }
+                net.set_profiling(true);
+                net.run_cycles_sharded(300, 2);
+                let rounds = net.engine_profile().rounds;
+                assert_eq!(rounds, 300 * rounds_per_cycle, "{} {model}", family.label());
+            }
+        }
+    }
+
     /// A router that sends one control credit on `port` every step.
     struct FixedSender {
         node: NodeId,
@@ -2527,7 +2526,7 @@ mod tests {
 
     /// A 2x2 network whose routers all send on `port`; on `West`, the
     /// routers in column 0 send off the mesh edge. Sharded over two
-    /// threads when `planned`, so the send runs in the parallel apply.
+    /// threads when `planned`, so the send runs in the parallel round.
     fn run_fixed_senders(port: Port, planned: bool) {
         let mesh = Mesh::new(2, 2);
         let spec = LoadSpec::fraction_of_capacity(0.1, 5);
