@@ -20,7 +20,10 @@
 //!
 //! All modes produce bit-identical traces (enforced by
 //! `tests/engine_equivalence.rs` and `tests/parallel_equivalence.rs`);
-//! this harness only times them.
+//! this harness only times them. After the warm-up, each row times its
+//! measured cycles as five consecutive blocks and reports the median
+//! block's rate, so one stretch of host noise moves a row less than it
+//! would move a single timed sample.
 //!
 //! After the 8×8 matrix comes the **scaling sweep**: a 16×16 mesh at
 //! near-saturation load stepped with 1, 2, 4 and 8 threads
@@ -98,25 +101,33 @@ fn network(router: &str, mesh: Mesh, load: f64, seed: u64) -> AnyNetwork {
     flow.build(mesh, generator, &root, NullSink, NullSink, NullRecorder)
 }
 
-/// Warm the network into steady state, then time `measure` cycles.
+/// Timed blocks per row; the row reports the median block's rate.
+const BLOCKS: u64 = 5;
+
+/// Warm the network into steady state, then time `measure` cycles as
+/// [`BLOCKS`] consecutive blocks and return the median block's
+/// cycles/sec.
 fn time_run(mut net: AnyNetwork, mode: Mode, warmup: u64, measure: u64) -> f64 {
     match mode {
         Mode::StepAll => net.set_idle_skip(false),
         Mode::IdleSkip | Mode::Sharded(_) | Mode::Scale(_) => net.set_idle_skip(true),
     }
-    match mode {
-        Mode::Sharded(n) | Mode::Scale(n) => net.run_cycles_sharded(warmup, n),
-        _ => net.run_cycles(warmup),
-    }
-    let start = Instant::now();
-    match mode {
-        Mode::Sharded(n) | Mode::Scale(n) => net.run_cycles_sharded(measure, n),
-        _ => net.run_cycles(measure),
-    }
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    // Keep the network alive through the timer so drop cost is excluded.
-    drop(net);
-    measure as f64 / secs
+    let mut run = |cycles: u64| match mode {
+        Mode::Sharded(n) | Mode::Scale(n) => net.run_cycles_sharded(cycles, n),
+        _ => net.run_cycles(cycles),
+    };
+    run(warmup);
+    let block = measure / BLOCKS;
+    let mut rates: Vec<f64> = (0..BLOCKS)
+        .map(|_| {
+            let start = Instant::now();
+            run(block);
+            block as f64 / start.elapsed().as_secs_f64().max(1e-9)
+        })
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    // The network is dropped after the timers, so drop cost is excluded.
+    rates[rates.len() / 2]
 }
 
 fn json_escape(s: &str) -> String {

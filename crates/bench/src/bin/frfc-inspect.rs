@@ -512,7 +512,9 @@ mod tests {
 
     /// A real crash sidecar and a real metrics export.
     fn real_documents() -> [Json; 2] {
-        let sidecar = capture_at_cycle(&RunSpec::fr6_small(0x1D), 40).expect("capture");
+        let mut sidecar = String::new();
+        capture_at_cycle(&RunSpec::fr6_small(0x1D), 40, &mut sidecar).expect("capture");
+        let sidecar = Json::parse(&sidecar).expect("a sidecar parses");
         let spec = RunSpec {
             metrics_period: Some(32),
             ..RunSpec::new(

@@ -1,12 +1,12 @@
-//! A persistent worker pool for per-cycle parallel phases.
+//! A persistent worker pool: the crate's one thread runtime.
 //!
-//! [`sweep::run_parallel`](crate::sweep::run_parallel) spawns fresh
-//! scoped threads on every call, which is fine for a handful of sweep
-//! points but ruinous inside a simulation cycle: a network stepping a
-//! million cycles would pay thread creation and teardown a million
-//! times. [`WorkerPool`] keeps its workers alive across calls — threads
-//! are spawned once and each [`WorkerPool::run`] call costs one atomic
-//! round publish plus one atomic completion count per worker.
+//! A sharded network runs each simulated cycle as a round of one pool,
+//! so a run of a million cycles must not pay thread creation and
+//! teardown per cycle. [`WorkerPool`] keeps its workers alive across
+//! calls — threads are spawned once and each [`WorkerPool::run`] call
+//! costs one atomic round publish plus one atomic completion count per
+//! worker. [`sweep::run_parallel`](crate::sweep::run_parallel) runs a
+//! whole sweep as a single round of a pool it builds for the call.
 //!
 //! A round is published by bumping an atomic round counter, and each
 //! worker counts its completion into an atomic. A waiting thread (an idle

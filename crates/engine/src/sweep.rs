@@ -2,17 +2,18 @@
 //!
 //! Reproducing a latency-throughput figure means running the same
 //! simulation at many offered loads. Each point is independent, so
-//! [`run_parallel`] fans the points out over `std::thread` scoped threads
-//! and returns results in input order. No external dependency is needed:
-//! scoped threads plus a shared atomic work index implement a simple
-//! work-stealing pool.
+//! [`run_parallel`] runs the points as one [`WorkerPool`] round whose
+//! workers claim them through a shared atomic index, and returns the
+//! results in input order.
 
-use std::panic::AssertUnwindSafe;
+use crate::pool::WorkerPool;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Runs `job` once per input across up to `threads` worker threads and
-/// returns the outputs in the same order as `inputs`.
+/// Runs `job` once per input across up to `threads` workers, the calling
+/// thread among them, and returns the outputs in the same order as
+/// `inputs`.
 ///
 /// `job` receives `(index, &input)` so callers can derive per-point seeds
 /// from the index. A panic in a worker stops the sweep and is re-raised
@@ -39,75 +40,36 @@ where
     F: Fn(usize, &I) -> O + Sync,
 {
     assert!(threads > 0, "thread count must be positive");
-    let n = inputs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = threads.min(n);
-    if workers == 1 {
+    let workers = threads.min(inputs.len());
+    if workers <= 1 {
         return inputs.iter().enumerate().map(|(i, x)| job(i, x)).collect();
     }
-
     let next = AtomicUsize::new(0);
-    // A worker panic is caught, stashed here, and re-raised with its
-    // original payload on the caller's thread (`std::thread::scope` alone
-    // would replace it with a generic "a scoped thread panicked").
-    let panicked = AtomicBool::new(false);
-    let payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let mut slots: Vec<Option<O>> = (0..n).map(|_| None).collect();
-    let slot_ptrs: Vec<_> = slots
-        .iter_mut()
-        .map(|s| SendPtr(s as *mut Option<O>))
-        .collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let next = &next;
-            let job = &job;
-            let slot_ptrs = &slot_ptrs;
-            let panicked = &panicked;
-            let payload = &payload;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n || panicked.load(Ordering::Relaxed) {
-                    break;
-                }
-                match std::panic::catch_unwind(AssertUnwindSafe(|| job(i, &inputs[i]))) {
-                    Ok(out) => {
-                        // SAFETY: each index is claimed by exactly one
-                        // worker via the atomic counter, so each slot is
-                        // written once with no aliasing; the scope
-                        // guarantees the writes complete before `slots`
-                        // is read again.
-                        unsafe { slot_ptrs[i].0.write(Some(out)) };
-                    }
-                    Err(cause) => {
-                        panicked.store(true, Ordering::Relaxed);
-                        payload.lock().unwrap().get_or_insert(cause);
-                        break;
-                    }
-                }
-            });
+    let stop = AtomicBool::new(false);
+    let slots: Vec<Mutex<Option<O>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
+    WorkerPool::new(workers).run(&|_| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= inputs.len() || stop.load(Ordering::Relaxed) {
+            break;
+        }
+        match catch_unwind(AssertUnwindSafe(|| job(i, &inputs[i]))) {
+            Ok(out) => *slots[i].lock().expect("no job runs under a slot lock") = Some(out),
+            // No new point starts; the pool re-raises the payload once
+            // every worker has left the round.
+            Err(payload) => {
+                stop.store(true, Ordering::Relaxed);
+                resume_unwind(payload);
+            }
         }
     });
-
-    if let Some(cause) = payload.into_inner().unwrap() {
-        std::panic::resume_unwind(cause);
-    }
     slots
         .into_iter()
-        .map(|s| s.expect("every sweep slot must be filled"))
+        .map(|slot| {
+            let out = slot.into_inner().expect("no job runs under a slot lock");
+            out.expect("every sweep slot must be filled")
+        })
         .collect()
 }
-
-/// Raw pointer wrapper that asserts cross-thread sendability for the
-/// disjoint-slot write pattern used by [`run_parallel`].
-struct SendPtr<T>(*mut T);
-
-// SAFETY: each pointer targets a distinct slot written by exactly one
-// worker thread while the owning scope is alive.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Returns `count` evenly spaced values covering `[lo, hi]` inclusive.
 ///

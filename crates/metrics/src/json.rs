@@ -9,8 +9,13 @@
 //! numbers (`NaN`, ±∞) render as `null`, matching what strict JSON parsers
 //! expect.
 //!
-//! The parser exists so `frfc-inspect metrics` and the export contract in
-//! `tests/metrics.rs` can read the files back without pulling in `serde`.
+//! The parser reads rendered documents back without pulling in `serde`:
+//! `frfc-inspect` reads metrics exports and crash sidecars with it (its
+//! `show` renders a sidecar's reservation tables), replay reads the
+//! captured state and, on a mismatch, the live state it renders, and the
+//! export contract in `tests/metrics.rs` reads the exports. Parsing is
+//! the one way a tree of the network state document is built; the
+//! document itself is only ever streamed.
 
 use crate::stream::JsonWriter;
 use std::fmt::{self, Write};

@@ -65,13 +65,17 @@ pub use json::{strip_nondeterministic, Json, JsonError};
 pub use manifest::{host_cpu_count, RunManifest, SCHEMA_VERSION};
 pub use registry::{MetricsRegistry, NullRecorder, Recorder, Series};
 pub use snapshot::{json_diff, state_digest, Digest, JsonDiff};
-pub use stream::{JsonBuilder, JsonSink, JsonWriter};
+pub use stream::JsonWriter;
 pub use window::{WindowKind, WindowSeries};
 
-/// Writes a JSON document to `path` with a trailing newline, creating
-/// parent directories as needed. The document is rendered straight into
-/// a buffered file writer, never whole into memory.
-pub fn write_json_file(path: &std::path::Path, doc: &Json) -> std::io::Result<()> {
+/// Writes a JSON document, a [`Json`] tree or its rendered text, to
+/// `path` with a trailing newline, creating parent directories as
+/// needed. A tree is rendered straight into a buffered file writer,
+/// never whole into memory.
+pub fn write_json_file(
+    path: &std::path::Path,
+    doc: &impl std::fmt::Display,
+) -> std::io::Result<()> {
     use std::io::Write;
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {

@@ -4,8 +4,11 @@
 //! Every stateful router component (buffer pools, reservation tables,
 //! pipeline stages) has a `snapshot` method that dumps its complete state
 //! as a [`Json`] value; the network streams its whole document through a
-//! [`crate::JsonSink`], embedding each router's dump. The dumps'
-//! contract:
+//! [`crate::JsonWriter`], writing each router's dump as it goes, so no
+//! tree of the whole document is built. A tree of it exists only where
+//! rendered text is parsed back ([`Json::parse`]): replay reads a
+//! captured sidecar that way, and lists a mismatch by parsing the live
+//! rendering too. The dumps' contract:
 //!
 //! * A dump is a pure function of simulation state: two components that
 //!   have processed the same event history dump identical values.

@@ -1,12 +1,12 @@
 //! Streamed JSON: the pretty-printing rules every rendered document
 //! follows, applied as the document is produced.
 //!
-//! A producer written against [`JsonSink`] describes its document once,
-//! item by item. [`JsonWriter`] renders it as text while it is produced,
-//! so a digest or a file never needs the whole document in memory;
-//! [`JsonBuilder`] collects the same items into a [`Json`] tree for
-//! callers that inspect it. [`Json::render`] is [`JsonWriter`] applied
-//! to a tree, so both forms render to the same bytes.
+//! [`JsonWriter`] is the one sink: a producer describes its document
+//! item by item and the writer renders it into any [`fmt::Write`] while
+//! it is produced, so a digest, a sidecar or a file never needs the whole
+//! document in memory. [`Json::render`] is the same writer applied to a
+//! tree, so a streamed document and the tree [`Json::parse`] reads back
+//! from it render to the same bytes.
 //!
 //! The rules: two-space indent; an object puts each key on its own line;
 //! an array of scalars stays on one line (`[1, 2]`), any other array puts
@@ -20,41 +20,6 @@
 use crate::json::Json;
 use std::fmt::{self, Write};
 
-/// Where a streamed JSON document goes: rendered text ([`JsonWriter`])
-/// or a built tree ([`JsonBuilder`]).
-///
-/// Every value goes either at the top level (exactly one), into the
-/// innermost open array, or into the innermost open object right after
-/// its [`JsonSink::key`].
-pub trait JsonSink {
-    /// Opens an object; close it with [`JsonSink::end`].
-    fn begin_object(&mut self);
-
-    /// Opens an array; close it with [`JsonSink::end`].
-    fn begin_array(&mut self);
-
-    /// Closes the innermost open object or array.
-    fn end(&mut self);
-
-    /// Names the next value of the innermost open object.
-    fn key(&mut self, key: &str);
-
-    /// Writes a scalar, or embeds a whole tree: a text sink renders it and
-    /// drops it, a tree sink keeps it.
-    fn value(&mut self, value: Json);
-
-    /// Writes a string value formatted from `args` (for example a
-    /// `Debug` rendering); a text sink escapes it as it is formatted,
-    /// without building the string.
-    fn str_fmt(&mut self, args: fmt::Arguments<'_>);
-
-    /// [`JsonSink::key`] followed by [`JsonSink::value`].
-    fn field(&mut self, key: &str, value: Json) {
-        self.key(key);
-        self.value(value);
-    }
-}
-
 /// One open container of a [`JsonWriter`].
 struct Open {
     /// `}` or `]`.
@@ -66,8 +31,12 @@ struct Open {
     empty: bool,
 }
 
-/// The text sink: renders a streamed document into any [`fmt::Write`]
-/// as it is produced, holding only the stack of open containers.
+/// Renders a streamed document into any [`fmt::Write`] as it is
+/// produced, holding only the stack of open containers.
+///
+/// Every value goes either at the top level (exactly one), into the
+/// innermost open array, or into the innermost open object right after
+/// its [`JsonWriter::key`].
 ///
 /// Write errors are latched: after the first one nothing more is
 /// written, and [`JsonWriter::finish`] reports it.
@@ -127,6 +96,57 @@ impl<W: Write> JsonWriter<W> {
         }
     }
 
+    /// Opens an object; close it with [`JsonWriter::end`].
+    pub fn begin_object(&mut self) {
+        self.begin('{', '}');
+    }
+
+    /// Opens an array; close it with [`JsonWriter::end`].
+    pub fn begin_array(&mut self) {
+        self.begin('[', ']');
+    }
+
+    /// Closes the innermost open object or array.
+    pub fn end(&mut self) {
+        let top = self.open.pop().expect("end() without an open container");
+        if top.nested && !top.empty {
+            self.newline(self.open.len());
+        }
+        self.emit(|out| out.write_char(top.close));
+    }
+
+    /// Names the next value of the innermost open object.
+    pub fn key(&mut self, key: &str) {
+        let depth = self.open.len();
+        let top = self.open.last_mut().expect("key() outside an object");
+        debug_assert_eq!(top.close, '}', "key() inside an array");
+        if !std::mem::replace(&mut top.empty, false) {
+            self.emit(|out| out.write_char(','));
+        }
+        self.newline(depth);
+        self.emit(|out| {
+            render_string(out, key)?;
+            out.write_str(": ")
+        });
+    }
+
+    /// [`JsonWriter::key`] followed by [`JsonWriter::write`].
+    pub fn field(&mut self, key: &str, value: Json) {
+        self.key(key);
+        self.write(&value);
+    }
+
+    /// Writes a string value formatted from `args` (for example a
+    /// `Debug` rendering), escaped as it is formatted, without building
+    /// the string.
+    pub fn str_fmt(&mut self, args: fmt::Arguments<'_>) {
+        self.scalar(|out| {
+            out.write_char('"')?;
+            Escaped(&mut *out).write_fmt(args)?;
+            out.write_char('"')
+        });
+    }
+
     fn emit(&mut self, f: impl FnOnce(&mut W) -> fmt::Result) {
         if self.status.is_ok() {
             self.status = f(&mut self.out);
@@ -177,118 +197,6 @@ impl<W: Write> JsonWriter<W> {
             nested: close == '}',
             empty: true,
         });
-    }
-}
-
-impl<W: Write> JsonSink for JsonWriter<W> {
-    fn begin_object(&mut self) {
-        self.begin('{', '}');
-    }
-
-    fn begin_array(&mut self) {
-        self.begin('[', ']');
-    }
-
-    fn end(&mut self) {
-        let top = self.open.pop().expect("end() without an open container");
-        if top.nested && !top.empty {
-            self.newline(self.open.len());
-        }
-        self.emit(|out| out.write_char(top.close));
-    }
-
-    fn key(&mut self, key: &str) {
-        let depth = self.open.len();
-        let top = self.open.last_mut().expect("key() outside an object");
-        debug_assert_eq!(top.close, '}', "key() inside an array");
-        if !std::mem::replace(&mut top.empty, false) {
-            self.emit(|out| out.write_char(','));
-        }
-        self.newline(depth);
-        self.emit(|out| {
-            render_string(out, key)?;
-            out.write_str(": ")
-        });
-    }
-
-    fn value(&mut self, value: Json) {
-        self.write(&value);
-    }
-
-    fn str_fmt(&mut self, args: fmt::Arguments<'_>) {
-        self.scalar(|out| {
-            out.write_char('"')?;
-            Escaped(&mut *out).write_fmt(args)?;
-            out.write_char('"')
-        });
-    }
-}
-
-/// The tree sink: collects a streamed document into a [`Json`] value.
-#[derive(Default)]
-pub struct JsonBuilder {
-    /// Open containers, innermost last.
-    open: Vec<Json>,
-    /// Keys of the object values not yet placed, innermost last.
-    keys: Vec<String>,
-    done: Option<Json>,
-}
-
-impl JsonBuilder {
-    /// The finished document.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a container is still open or nothing was written.
-    pub fn finish(self) -> Json {
-        assert!(self.open.is_empty(), "unclosed JSON container");
-        self.done.expect("no JSON value was written")
-    }
-
-    fn place(&mut self, value: Json) {
-        match self.open.last_mut() {
-            None => self.done = Some(value),
-            Some(Json::Arr(items)) => items.push(value),
-            Some(Json::Obj(pairs)) => {
-                let key = self.keys.pop().expect("object value without a key");
-                pairs.push((key, value));
-            }
-            Some(_) => unreachable!("only containers are opened"),
-        }
-    }
-}
-
-impl JsonSink for JsonBuilder {
-    fn begin_object(&mut self) {
-        self.open.push(Json::Obj(Vec::new()));
-    }
-
-    fn begin_array(&mut self) {
-        self.open.push(Json::Arr(Vec::new()));
-    }
-
-    fn end(&mut self) {
-        let mut value = self.open.pop().expect("end() without an open container");
-        // Push growth leaves up to half of each vector spare; trimming it
-        // keeps the tree no larger than one built with exact sizes.
-        match &mut value {
-            Json::Arr(items) => items.shrink_to_fit(),
-            Json::Obj(pairs) => pairs.shrink_to_fit(),
-            _ => {}
-        }
-        self.place(value);
-    }
-
-    fn key(&mut self, key: &str) {
-        self.keys.push(key.to_string());
-    }
-
-    fn value(&mut self, value: Json) {
-        self.place(value);
-    }
-
-    fn str_fmt(&mut self, args: fmt::Arguments<'_>) {
-        self.place(Json::Str(args.to_string()));
     }
 }
 
@@ -429,7 +337,7 @@ mod tests {
     }
 
     /// Drives `sink` with `value` item by item, as a producer would.
-    fn stream(value: &Json, sink: &mut impl JsonSink) {
+    fn stream(value: &Json, sink: &mut JsonWriter<String>) {
         match value {
             Json::Arr(items) => {
                 sink.begin_array();
@@ -445,7 +353,7 @@ mod tests {
                 sink.end();
             }
             Json::Str(s) => sink.str_fmt(format_args!("{s}")),
-            scalar => sink.value(scalar.clone()),
+            scalar => sink.write(scalar),
         }
     }
 
@@ -532,9 +440,6 @@ mod tests {
             stream(&doc, &mut writer);
             let streamed = writer.finish().expect("writing to a String cannot fail");
             assert_eq!(streamed, want, "stream");
-            let mut builder = JsonBuilder::default();
-            stream(&doc, &mut builder);
-            assert_eq!(builder.finish().render(), want, "built tree");
             let parsed = Json::parse(&want).expect("rendered text parses");
             assert_eq!(parsed.render(), want, "parse round trip");
         });

@@ -6,8 +6,11 @@
 //! a conservation/contract panic unwinds out of the cycle loop, the
 //! harness captures a **crash sidecar** — one JSON document
 //! holding the ring's recent events, the complete
-//! [`crate::Network::state_snapshot`] dump with its digest, the
+//! [`crate::Network::write_state`] dump with its digest, the
 //! reproduction manifest and the [`RunSpec`] that rebuilds the run.
+//! The sidecar is streamed as it is written: the dump goes from the
+//! network straight into the text, so capturing a clogged network never
+//! holds a tree of its state.
 //!
 //! Because the whole simulator is deterministic from its seed, the
 //! sidecar is *executable*: [`replay_to_cycle`] reconstructs the network
@@ -21,7 +24,8 @@
 use crate::spec::obj;
 use crate::{AnyNetwork, RunSpec, Schedule};
 use noc_engine::trace::{NullSink, RingSink};
-use noc_metrics::{json_diff, Json, JsonDiff, NullRecorder, RunManifest};
+use noc_metrics::{json_diff, Json, JsonDiff, JsonWriter, NullRecorder, RunManifest};
+use std::fmt;
 
 /// Version of the crash-sidecar document layout, whose replay section
 /// is a full [`RunSpec`]. Any change to that layout bumps it; sidecars
@@ -76,6 +80,16 @@ impl Trigger {
     }
 }
 
+/// A captured crash sidecar: the rendered document and the state digest
+/// it records.
+#[derive(Clone, Debug)]
+pub struct Sidecar {
+    /// The sidecar's JSON text, without a trailing newline.
+    pub text: String,
+    /// The `state_digest` field of `text`.
+    pub state_digest: String,
+}
+
 /// Outcome of a blackbox run: the trigger, a human-readable detail
 /// line, and — for every non-clean trigger — the captured crash sidecar.
 #[derive(Clone, Debug)]
@@ -85,7 +99,7 @@ pub struct BlackboxRun {
     /// One-line diagnosis (panic message, stall length, ...).
     pub detail: String,
     /// The crash sidecar; `None` when the run completed cleanly.
-    pub sidecar: Option<Json>,
+    pub sidecar: Option<Sidecar>,
     /// Cycles executed.
     pub cycles: u64,
     /// Flits delivered.
@@ -110,9 +124,16 @@ fn step_caught(net: &mut RingNet, threads: usize) -> Result<(), String> {
         .map_err(|p| panic_message(p.as_ref()))
 }
 
-/// Assembles a crash sidecar: schema version, trigger, manifest, replay
-/// spec, ring contents and the full state dump with its digest.
-fn capture_sidecar(net: &RingNet, spec: &RunSpec, trigger: &Trigger, detail: &str) -> Json {
+/// Streams a crash sidecar into `out` item by item: schema version,
+/// trigger, manifest, replay spec and ring contents, then the full state
+/// dump straight from the network, then its digest, which is returned.
+fn capture_sidecar(
+    net: &RingNet,
+    spec: &RunSpec,
+    trigger: &Trigger,
+    detail: &str,
+    out: &mut impl fmt::Write,
+) -> Result<String, fmt::Error> {
     let mut manifest = RunManifest::new(
         "blackbox",
         spec.seed,
@@ -122,32 +143,33 @@ fn capture_sidecar(net: &RingNet, spec: &RunSpec, trigger: &Trigger, detail: &st
     manifest.threads = spec.threads.max(1) as u64;
     let ring = net.tracer();
     let events: Vec<Json> = ring.events().map(|e| Json::Str(format!("{e:?}"))).collect();
-    let state = net.state_snapshot();
-    let digest = noc_metrics::state_digest(&state);
     let tracker = net.tracker();
-    obj([
-        ("schema_version", Json::Num(SIDECAR_SCHEMA_VERSION as f64)),
-        ("trigger", Json::str(trigger.label())),
-        ("detail", Json::str(detail)),
-        ("cycle", Json::Num(net.now().raw() as f64)),
-        ("in_flight", Json::Num(tracker.in_flight() as f64)),
-        (
-            "delivered_flits",
-            Json::Num(tracker.delivered_flits() as f64),
-        ),
-        ("manifest", manifest.to_json()),
-        ("replay", spec.to_json()),
-        (
-            "ring",
-            obj([
-                ("capacity", Json::Num(ring.capacity() as f64)),
-                ("dropped", Json::Num(ring.dropped() as f64)),
-                ("events", Json::Arr(events)),
-            ]),
-        ),
-        ("state", state),
-        ("state_digest", Json::Str(digest)),
-    ])
+    let digest = net.state_digest();
+    let mut doc = JsonWriter::new(out);
+    doc.begin_object();
+    doc.field("schema_version", Json::Num(SIDECAR_SCHEMA_VERSION as f64));
+    doc.field("trigger", Json::str(trigger.label()));
+    doc.field("detail", Json::str(detail));
+    doc.field("cycle", Json::Num(net.now().raw() as f64));
+    doc.field("in_flight", Json::Num(tracker.in_flight() as f64));
+    let delivered = tracker.delivered_flits() as f64;
+    doc.field("delivered_flits", Json::Num(delivered));
+    doc.field("manifest", manifest.to_json());
+    doc.field("replay", spec.to_json());
+    doc.field(
+        "ring",
+        obj([
+            ("capacity", Json::Num(ring.capacity() as f64)),
+            ("dropped", Json::Num(ring.dropped() as f64)),
+            ("events", Json::Arr(events)),
+        ]),
+    );
+    doc.key("state");
+    net.write_state(&mut doc);
+    doc.field("state_digest", Json::str(&digest));
+    doc.end();
+    doc.finish()?;
+    Ok(digest)
 }
 
 /// Runs a validated blackbox `spec` end to end: `inject_cycles` of
@@ -164,12 +186,17 @@ fn capture_sidecar(net: &RingNet, spec: &RunSpec, trigger: &Trigger, detail: &st
 /// the run.
 pub(crate) fn run(spec: &RunSpec) -> BlackboxRun {
     let (mut net, inject_cycles, drain_cap) = build(spec).expect("validated blackbox spec");
-    let capture = |net: &RingNet, trigger: Trigger, detail: String| BlackboxRun {
-        sidecar: Some(capture_sidecar(net, spec, &trigger, &detail)),
-        cycles: net.now().raw(),
-        delivered_flits: net.tracker().delivered_flits(),
-        trigger,
-        detail,
+    let capture = |net: &RingNet, trigger: Trigger, detail: String| {
+        let mut text = String::new();
+        let state_digest = capture_sidecar(net, spec, &trigger, &detail, &mut text)
+            .expect("writing to a String cannot fail");
+        BlackboxRun {
+            sidecar: Some(Sidecar { text, state_digest }),
+            cycles: net.now().raw(),
+            delivered_flits: net.tracker().delivered_flits(),
+            trigger,
+            detail,
+        }
     };
     let mut drained = false;
     let mut progress = net.tracker().delivered_flits();
@@ -225,17 +252,18 @@ pub(crate) fn run(spec: &RunSpec) -> BlackboxRun {
 }
 
 /// Runs `spec` to exactly `cycle` cycles (honouring the injection-stop
-/// schedule) on `spec.threads` workers and captures an unconditional
-/// sidecar — the checkpoint write path, and the harness the
-/// replay-equality tests drive.
-pub fn capture_at_cycle(spec: &RunSpec, cycle: u64) -> Result<Json, String> {
+/// schedule) on `spec.threads` workers, streams an unconditional sidecar
+/// into `out` and returns the state digest it records — the checkpoint
+/// write path, and the harness the replay-equality tests drive.
+pub fn capture_at_cycle(
+    spec: &RunSpec,
+    cycle: u64,
+    out: &mut impl fmt::Write,
+) -> Result<String, String> {
     let net = run_to_cycle(spec, cycle)?;
-    Ok(capture_sidecar(
-        &net,
-        spec,
-        &Trigger::Completed,
-        &format!("manual capture at cycle {cycle}"),
-    ))
+    let detail = format!("manual capture at cycle {cycle}");
+    capture_sidecar(&net, spec, &Trigger::Completed, &detail, out)
+        .map_err(|_| "cannot write the sidecar".to_string())
 }
 
 /// Rebuilds `spec`'s network and steps it to exactly `cycle` cycles,
@@ -281,8 +309,8 @@ impl ReplayReport {
 /// Replays a crash sidecar: rebuilds the network from its `replay`
 /// section, runs to the captured cycle on `threads` workers, and
 /// compares the live state dump against the captured one bit for bit.
-/// The live dump is hashed as it is written; its tree is built only
-/// when the hashes differ, to list the differences.
+/// The live dump is hashed as it is written; only when the hashes
+/// differ is it rendered and parsed back, to list the differences.
 pub fn replay_to_cycle(sidecar: &Json, threads: usize) -> Result<ReplayReport, String> {
     match sidecar.get("schema_version").and_then(Json::as_u64) {
         Some(SIDECAR_SCHEMA_VERSION) => {}
@@ -309,13 +337,15 @@ pub fn replay_to_cycle(sidecar: &Json, threads: usize) -> Result<ReplayReport, S
         .to_string();
     let expected_state = sidecar.get("state").ok_or("sidecar: missing `state`")?;
     let net = run_to_cycle(&spec, cycle)?;
-    // The live state is hashed as it is written; its tree is built only
-    // to explain a difference from the captured dump.
     let live_digest = net.state_digest();
     let diffs = if live_digest == noc_metrics::state_digest(expected_state) {
         Vec::new()
     } else {
-        json_diff(expected_state, &net.state_snapshot())
+        let mut live = JsonWriter::new(String::new());
+        net.write_state(&mut live);
+        let live = live.finish().expect("writing to a String cannot fail");
+        let live = Json::parse(&live).map_err(|e| format!("live state: {e}"))?;
+        json_diff(expected_state, &live)
     };
     Ok(ReplayReport {
         cycle,
@@ -330,6 +360,13 @@ mod tests {
     use super::*;
     use noc_faults::{DeadLink, FaultPlan};
     use noc_topology::{NodeId, Port};
+
+    /// `spec`'s sidecar at `cycle`, parsed back from the streamed text.
+    fn captured(spec: &RunSpec, cycle: u64) -> Json {
+        let mut text = String::new();
+        capture_at_cycle(spec, cycle, &mut text).expect("capture");
+        Json::parse(&text).expect("a sidecar parses")
+    }
 
     fn inject_for(spec: &mut RunSpec, inject_cycles: u64) {
         spec.schedule = Schedule::InjectThenDrain {
@@ -369,7 +406,7 @@ mod tests {
         spec.ring_log2 = None;
         assert!(spec.validate().is_err());
         assert!(spec.run().is_err());
-        assert!(capture_at_cycle(&spec, 10).is_err());
+        assert!(capture_at_cycle(&spec, 10, &mut String::new()).is_err());
     }
 
     #[test]
@@ -386,7 +423,7 @@ mod tests {
     fn capture_and_replay_agree_on_the_digest() {
         let mut spec = RunSpec::fr6_small(0xD1_6E);
         inject_for(&mut spec, 150);
-        let sidecar = capture_at_cycle(&spec, 200).expect("capture");
+        let sidecar = captured(&spec, 200);
         let report = replay_to_cycle(&sidecar, 1).expect("replay");
         assert!(
             report.matches(),
@@ -399,7 +436,7 @@ mod tests {
     fn version_one_sidecars_are_refused() {
         let spec = RunSpec::fr6_small(3);
         for old in [1, 2] {
-            let mut sidecar = capture_at_cycle(&spec, 5).expect("capture");
+            let mut sidecar = captured(&spec, 5);
             if let Json::Obj(pairs) = &mut sidecar {
                 pairs[0].1 = Json::Num(old as f64);
             }

@@ -12,7 +12,7 @@ use noc_engine::trace::{NullSink, TraceSink};
 use noc_engine::{sweep, Cycle, Rng};
 use noc_faults::FaultPlan;
 use noc_flow::LinkTiming;
-use noc_metrics::{Json, NullRecorder, Recorder};
+use noc_metrics::{JsonWriter, NullRecorder, Recorder};
 use noc_topology::{Mesh, NodeId};
 use noc_traffic::TrafficGenerator;
 use noc_vc::{VcConfig, VcRouter};
@@ -172,7 +172,6 @@ impl<RS: TraceSink, S: TraceSink, M: Recorder> AnyNetwork<RS, S, M> {
         fn control_retries() -> u64;
         fn fault_summary() -> Option<FaultSummary>;
         fn engine_profile() -> EngineProfile;
-        fn state_snapshot() -> Json;
         fn state_digest() -> String;
     );
     forward!(mut
@@ -188,6 +187,11 @@ impl<RS: TraceSink, S: TraceSink, M: Recorder> AnyNetwork<RS, S, M> {
         fn flush_metrics();
         fn metrics_mut() -> &mut M;
     );
+
+    /// See [`Network::write_state`].
+    pub fn write_state<W: std::fmt::Write>(&self, out: &mut JsonWriter<W>) {
+        on_net!(self, n => n.write_state(out))
+    }
 
     /// Runs the warm-up / measure / drain methodology on the sequential
     /// engine (see [`run_simulation`]).

@@ -32,7 +32,9 @@ mod shard;
 mod spec;
 mod tracker;
 
-pub use blackbox::{capture_at_cycle, replay_to_cycle, BlackboxRun, ReplayReport, Trigger};
+pub use blackbox::{
+    capture_at_cycle, replay_to_cycle, BlackboxRun, ReplayReport, Sidecar, Trigger,
+};
 pub use experiment::{sweep_loads, AnyNetwork, Curve, FlowControl, LoadPoint, TRAFFIC_STREAM};
 pub use network::{FaultSummary, Network};
 pub use profile::{EngineProfile, ProfileSample};

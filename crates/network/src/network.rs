@@ -62,10 +62,11 @@ use noc_flow::{
     Ejection, Link, LinkEvent, LinkTiming, Router, RouterCounters, StepOutputs, TraceEmit,
     WireClass,
 };
-use noc_metrics::{Digest, Json, JsonBuilder, JsonSink, JsonWriter, NullRecorder, Recorder};
+use noc_metrics::{Digest, Json, JsonWriter, NullRecorder, Recorder};
 use noc_topology::{Mesh, NodeId, Port, PortMap};
 use noc_traffic::{Packet, TrafficGenerator};
 use std::collections::VecDeque;
+use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -908,8 +909,8 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
     /// Streams the complete deterministic simulator state — clock, link
     /// arenas, delivery tracker, source backlogs, the fault layer and
     /// per-router pipeline state — as one canonical JSON document, item
-    /// by item: the one producer of [`Network::state_snapshot`] and
-    /// [`Network::state_digest`].
+    /// by item: the one producer of [`Network::state_digest`] and of the
+    /// `state` section of crash sidecars.
     ///
     /// The dump covers exactly the state that the deterministic stepping
     /// contract reproduces: two runs of the same manifest paused at the
@@ -920,10 +921,9 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
     /// excluded: it varies with instrumentation choices that must not
     /// change the simulator's identity.
     ///
-    /// Each router's [`Router::state_snapshot`] tree is handed to `out`
-    /// whole, one router at a time, so a text sink holds at most one of
-    /// them.
-    pub fn write_state(&self, out: &mut impl JsonSink) {
+    /// Each router's [`Router::state_snapshot`] tree is written to `out`
+    /// whole, one router at a time, so at most one of them is held.
+    pub fn write_state<W: fmt::Write>(&self, out: &mut JsonWriter<W>) {
         out.begin_object();
         out.field("schema_version", Json::Num(1.0));
         out.field("cycle", Json::Num(self.now.raw() as f64));
@@ -991,7 +991,7 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         self.tracker.write_state(out);
         out.key("fault");
         match self.faults.as_ref() {
-            None => out.value(Json::Null),
+            None => out.write(&Json::Null),
             Some(f) => {
                 out.begin_object();
                 out.key("counters");
@@ -1012,18 +1012,10 @@ impl<R: Router, S: TraceSink, M: Recorder> Network<R, S, M> {
         out.key("routers");
         out.begin_array();
         for slot in &self.slots {
-            out.value(slot.router.state_snapshot());
+            out.write(&slot.router.state_snapshot());
         }
         out.end();
         out.end();
-    }
-
-    /// [`Network::write_state`]'s document as a [`Json`] tree, for
-    /// sidecars and replay diffs.
-    pub fn state_snapshot(&self) -> Json {
-        let mut tree = JsonBuilder::default();
-        self.write_state(&mut tree);
-        tree.finish()
     }
 
     /// FNV-1a fingerprint of [`Network::write_state`]'s canonical
@@ -2360,20 +2352,21 @@ mod tests {
         assert_eq!(net.tracker().in_flight(), 0, "network must drain");
     }
 
-    /// Renders `net`'s state stream as text and as a tree, checks they
-    /// are the same bytes and digest, and returns the text.
-    fn stream_matches_tree<R: Router>(net: &Network<R>) -> String {
+    /// Renders `net`'s state stream as text and checks what replay
+    /// relies on: the text parses back to a tree that renders the same
+    /// bytes and digests to [`Network::state_digest`]. Returns the tree.
+    fn stream_round_trips<R: Router>(net: &Network<R>) -> Json {
         let mut out = JsonWriter::new(String::new());
         net.write_state(&mut out);
         let text = out.finish().expect("writing to a String cannot fail");
-        let tree = net.state_snapshot();
-        assert_eq!(text, tree.render(), "stream and tree renderings differ");
+        let tree = Json::parse(&text).expect("the stream is JSON");
+        assert_eq!(tree.render(), text, "the stream does not round-trip");
         assert_eq!(net.state_digest(), noc_metrics::state_digest(&tree));
-        text
+        tree
     }
 
     #[test]
-    fn streamed_state_renders_exactly_its_tree() {
+    fn streamed_state_round_trips_to_its_digest() {
         let mesh = Mesh::new(4, 4);
         let plan = FaultPlan {
             data_corrupt_rate: 0.01,
@@ -2389,11 +2382,10 @@ mod tests {
             let mut net = network(family, mesh, 0.9, 41);
             net.set_fault_plan(plan.clone());
             net.run_cycles(600);
-            let text = match &net {
-                AnyNetwork::Vc(net) => stream_matches_tree(net),
-                AnyNetwork::Fr(net) => stream_matches_tree(net),
+            let tree = match &net {
+                AnyNetwork::Vc(net) => stream_round_trips(net),
+                AnyNetwork::Fr(net) => stream_round_trips(net),
             };
-            let tree = Json::parse(&text).expect("the stream is JSON");
             let links = tree.get("links").and_then(Json::as_array);
             assert!(links.is_some_and(|s| !s.is_empty()), "no link in flight");
             let in_flight = tree.get("tracker").and_then(|t| t.get("in_flight"));
@@ -2415,11 +2407,11 @@ mod tests {
             }
         });
         stub.run_cycles(100);
-        let text = stream_matches_tree(&stub);
+        let tree = stream_round_trips(&stub);
+        let text = tree.render();
         let nulls = vec!["null"; 16].join(", ");
         assert!(text.contains(&format!("\"routers\": [{nulls}]")), "{text}");
-        let backlog = Json::parse(&text).expect("the stream is JSON");
-        let backlog = backlog.get("backlog").and_then(Json::as_array);
+        let backlog = tree.get("backlog").and_then(Json::as_array);
         assert!(backlog.is_some_and(|b| !b.is_empty()), "no backlog");
     }
 

@@ -909,7 +909,9 @@ mod tests {
     #[test]
     fn hostile_replay_sections_are_errors() {
         let spec = RunSpec::fr6_small(0x4057);
-        let sidecar = capture_at_cycle(&spec, 20).expect("capture");
+        let mut text = String::new();
+        capture_at_cycle(&spec, 20, &mut text).expect("capture");
+        let sidecar = Json::parse(&text).expect("a sidecar parses");
         let dead_link = Json::Arr(vec![Json::obj(vec![
             ("node".into(), Json::Num(999.0)),
             ("port".into(), Json::str("East")),

@@ -8,7 +8,7 @@
 
 use noc_engine::stats::{Histogram, RunningStats};
 use noc_engine::Cycle;
-use noc_metrics::{Json, JsonSink};
+use noc_metrics::{Json, JsonWriter};
 use noc_topology::NodeId;
 use noc_traffic::{Packet, PacketId};
 use std::collections::{BTreeSet, VecDeque};
@@ -299,7 +299,7 @@ impl DeliveryTracker {
     /// Streams the tracker's canonical dump: in-flight packets by id
     /// (window order), completed count and the delivery/latency
     /// aggregates.
-    pub(crate) fn write_state(&self, out: &mut impl JsonSink) {
+    pub(crate) fn write_state<W: fmt::Write>(&self, out: &mut JsonWriter<W>) {
         out.begin_object();
         out.key("in_flight");
         out.begin_array();

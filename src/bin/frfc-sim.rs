@@ -12,9 +12,9 @@
 
 use frfc::flow::LinkTiming;
 use frfc::fr::FrConfig;
-use frfc::metrics::{write_json_file, Json, RunManifest};
+use frfc::metrics::{write_json_file, RunManifest};
 use frfc::network::{
-    capture_at_cycle, parse_injection, FlowControl, Pattern, RunResult, RunSpec, Schedule,
+    capture_at_cycle, parse_injection, FlowControl, Pattern, RunResult, RunSpec, Schedule, Sidecar,
     SimConfig, Trigger,
 };
 use frfc::traffic::InjectionKind;
@@ -245,7 +245,7 @@ fn sibling(path: &std::path::Path, suffix: &str) -> std::path::PathBuf {
     std::path::PathBuf::from(format!("{}{suffix}", stem.display()))
 }
 
-fn write(path: &std::path::Path, doc: &Json) -> Result<(), String> {
+fn write(path: &std::path::Path, doc: &impl std::fmt::Display) -> Result<(), String> {
     write_json_file(path, doc).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
@@ -305,26 +305,27 @@ fn run_blackbox_mode(spec: &RunSpec, args: &Args) -> Result<(), String> {
         run.detail
     );
     let sidecar = match run.sidecar {
-        Some(doc) => Some(doc),
-        None => match &args.dump_state_out {
-            // Clean run: only capture when the caller asked for a dump.
-            Some(_) => Some(capture_at_cycle(spec, run.cycles)?),
-            None => None,
-        },
+        Some(sidecar) => Some(sidecar),
+        // Clean run: only capture when the caller asked for a dump.
+        None if args.dump_state_out.is_some() => {
+            let mut text = String::new();
+            let state_digest = capture_at_cycle(spec, run.cycles, &mut text)?;
+            Some(Sidecar { text, state_digest })
+        }
+        None => None,
     };
-    if let Some(doc) = sidecar {
+    if let Some(Sidecar { text, state_digest }) = sidecar {
         let default_path = std::path::PathBuf::from(format!(
             "results/state/frfc-sim-{}-{}.json",
             label.to_lowercase(),
             spec.seed
         ));
         let path = args.dump_state_out.clone().unwrap_or(default_path);
-        write(&path, &doc)?;
-        let digest = doc
-            .get("state_digest")
-            .and_then(Json::as_str)
-            .unwrap_or("?");
-        println!("sidecar   : {} (state digest {digest})", path.display());
+        write(&path, &text)?;
+        println!(
+            "sidecar   : {} (state digest {state_digest})",
+            path.display()
+        );
         println!("inspect   : frfc-inspect show {}", path.display());
     }
     if run.trigger != Trigger::Completed {
@@ -437,10 +438,10 @@ mod tests {
             .expect("blackbox spec");
             let run = spec.run().expect("run").blackbox.expect("blackbox outcome");
             assert_eq!(run.trigger, Trigger::Completed, "{flow}: {}", run.detail);
-            let sidecar = capture_at_cycle(&spec, run.cycles).expect("capture");
+            let captured = capture_at_cycle(&spec, run.cycles, &mut String::new());
             assert_eq!(
-                sidecar.get("state_digest").and_then(Json::as_str),
-                Some(digest),
+                captured.as_deref(),
+                Ok(digest),
                 "{flow}: blackbox state digest moved"
             );
         }

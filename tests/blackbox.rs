@@ -25,7 +25,7 @@ mod common;
 use common::{fault_plan, fingerprint, golden_net, golden_net_line, run_to_drain_seq, MESH};
 use frfc::engine::trace::{RingSink, TeeSink, TraceEvent, VecSink};
 use frfc::faults::{DeadLink, FaultPlan};
-use frfc::metrics::{json_diff, Json, NullRecorder};
+use frfc::metrics::{Json, NullRecorder};
 use frfc::network::{capture_at_cycle, replay_to_cycle, FlowControl, RunSpec, Schedule, Trigger};
 use frfc::topology::{Mesh, Port};
 use frfc::vc::VcConfig;
@@ -33,6 +33,14 @@ use frfc::vc::VcConfig;
 /// Small enough that every golden cell overflows it, so the wraparound
 /// path (not just the filling path) is what the proof exercises.
 const RING_CAP: usize = 256;
+
+/// `spec`'s sidecar at `cycle`, parsed back from the text the capture
+/// streams.
+fn capture(spec: &RunSpec, cycle: u64) -> Json {
+    let mut text = String::new();
+    capture_at_cycle(spec, cycle, &mut text).expect("capture");
+    Json::parse(&text).expect("a sidecar parses")
+}
 
 /// `spec` with `inject_cycles` of traffic and a 20k-cycle drain cap.
 fn injecting(spec: RunSpec, inject_cycles: u64) -> RunSpec {
@@ -103,7 +111,7 @@ fn replay_digest_matches_across_thread_counts() {
             },
             150,
         );
-        let sidecar = capture_at_cycle(&spec, 220).expect("capture");
+        let sidecar = capture(&spec, 220);
         for threads in [1usize, 4, 8] {
             let report = replay_to_cycle(&sidecar, threads).expect("replay");
             assert!(
@@ -115,11 +123,10 @@ fn replay_digest_matches_across_thread_counts() {
                 report.diffs.first()
             );
         }
-        let sharded =
-            capture_at_cycle(&RunSpec { threads: 4, ..spec }, 220).expect("sharded capture");
+        let sharded = capture_at_cycle(&RunSpec { threads: 4, ..spec }, 220, &mut String::new());
         assert_eq!(
             sidecar.get("state_digest").and_then(Json::as_str),
-            sharded.get("state_digest").and_then(Json::as_str),
+            sharded.as_deref().ok(),
             "{config}: sharded capture digest differs from sequential"
         );
     }
@@ -131,7 +138,7 @@ fn replay_digest_matches_across_thread_counts() {
 #[test]
 fn replay_of_an_edited_state_reports_exactly_the_edited_leaf() {
     let spec = injecting(RunSpec::fr6_small(0xED_17), 150);
-    let mut sidecar = capture_at_cycle(&spec, 200).expect("capture");
+    let mut sidecar = capture(&spec, 200);
     let leaf = ["state", "tracker", "delivered_flits"]
         .iter()
         .fold(&mut sidecar, |node, key| match node {
@@ -153,7 +160,7 @@ fn replay_of_an_edited_state_reports_exactly_the_edited_leaf() {
 fn replay_digest_matches_under_an_active_fault_plan() {
     let mut spec = injecting(RunSpec::fr6_small(0xFA_CE), 350);
     spec.fault = Some(fault_plan(0xFA_02, Mesh::new(MESH.0, MESH.1)));
-    let sidecar = capture_at_cycle(&spec, 450).expect("capture");
+    let sidecar = capture(&spec, 450);
     for threads in [1usize, 4, 8] {
         let report = replay_to_cycle(&sidecar, threads).expect("replay");
         assert!(
@@ -209,7 +216,15 @@ fn watchdog_catches_a_dead_link_livelock() {
         run.detail,
         "no delivery progress for 500 cycles with 397 packets in flight"
     );
-    let sidecar = run.sidecar.expect("watchdog trip captures a sidecar");
+    let captured = run.sidecar.expect("watchdog trip captures a sidecar");
+    assert_eq!(captured.state_digest, "f2cc1ab9aaa381b6");
+    // The sidecar is a disk artefact: parse -> render must be lossless.
+    let sidecar = Json::parse(&captured.text).expect("sidecar parses");
+    assert_eq!(
+        sidecar.render(),
+        captured.text,
+        "sidecar changed across a parse"
+    );
     assert_eq!(
         sidecar.get("state_digest").and_then(Json::as_str),
         Some("f2cc1ab9aaa381b6")
@@ -229,15 +244,8 @@ fn watchdog_catches_a_dead_link_livelock() {
         .map_or(0, <[Json]>::len);
     assert!(ring_events > 0, "flight recorder captured nothing");
 
-    // The sidecar is a disk artefact: render -> parse must be lossless.
-    let reparsed = Json::parse(&sidecar.render()).expect("sidecar reparses");
-    assert!(
-        json_diff(&sidecar, &reparsed).is_empty(),
-        "sidecar changed across the text round trip"
-    );
-
     for threads in [1usize, 4, 8] {
-        let report = replay_to_cycle(&reparsed, threads).expect("replay");
+        let report = replay_to_cycle(&sidecar, threads).expect("replay");
         assert!(
             report.matches(),
             "livelock replay at {threads} threads diverged \
@@ -290,7 +298,7 @@ fn live_lane_state_digests_are_pinned() {
         (vc8, "959135db10f136e4", (89, 57)),
     ] {
         let config = spec.flow.label();
-        let sidecar = capture_at_cycle(&spec, 250).expect("capture");
+        let sidecar = capture(&spec, 250);
         let state = sidecar.get("state").expect("dump has a state");
         assert_eq!(
             live_lanes_and_owned_vcs(state),
@@ -311,7 +319,7 @@ fn live_lane_state_digests_are_pinned() {
 fn state_dump_carries_reservation_timelines() {
     let mut spec = RunSpec::fr6_small(0x71_3E);
     spec.load = 0.6;
-    let sidecar = capture_at_cycle(&spec, 120).expect("capture");
+    let sidecar = capture(&spec, 120);
     let routers = sidecar
         .get("state")
         .and_then(|s| s.get("routers"))
